@@ -117,7 +117,6 @@ impl KertModel {
                 optimize_every: if cfg.optimize_hyperparams { 25 } else { 0 },
                 burn_in: cfg.lda_iterations / 4,
                 n_threads: 1,
-                ..TopicModelConfig::default()
             },
         );
         lda.run(cfg.lda_iterations);

@@ -24,7 +24,6 @@ fn bench_sweep_cost(c: &mut Criterion) {
         optimize_every: 0,
         burn_in: 0,
         n_threads: 1,
-        ..TopicModelConfig::default()
     };
     let mut group = c.benchmark_group("gibbs_sweep");
     group.sample_size(10);
@@ -53,7 +52,6 @@ fn bench_perplexity_and_hyperopt(c: &mut Criterion) {
         optimize_every: 0,
         burn_in: 0,
         n_threads: 1,
-        ..TopicModelConfig::default()
     };
     let mut model = PhraseLda::new(GroupedDocs::unigrams(corpus), cfg);
     model.run(10);
@@ -312,7 +310,6 @@ fn bench_large_vocab_snapshot(c: &mut Criterion) {
         optimize_every: 0,
         burn_in: 0,
         n_threads: 2,
-        ..TopicModelConfig::default()
     };
     let mut group = c.benchmark_group("large_vocab_snapshot");
     group.sample_size(10);

@@ -53,24 +53,6 @@ fn bench_pruning_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The seed-era hashmap miner vs the prefix-id open-addressing engine on
-/// the same corpus — the micro-benchmark behind `BENCH_fit.json`'s
-/// `mining` section and the `TOPMINE_MIN_MINE_SPEEDUP` gate.
-fn bench_engine_comparison(c: &mut Criterion) {
-    let synth = generate(Profile::DblpAbstracts, 0.05, 42);
-    let mut group = c.benchmark_group("alg1_engine");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(synth.corpus.n_tokens() as u64));
-    let miner = FrequentPhraseMiner::new(5);
-    group.bench_function("legacy_hashmap", |b| {
-        b.iter(|| miner.mine_legacy(&synth.corpus).n_frequent_ngrams());
-    });
-    group.bench_function("prefix_id", |b| {
-        b.iter(|| miner.mine(&synth.corpus).n_frequent_ngrams());
-    });
-    group.finish();
-}
-
 fn bench_parallel_counting(c: &mut Criterion) {
     let synth = generate(Profile::DblpAbstracts, 0.05, 42);
     let mut group = c.benchmark_group("alg1_threads");
@@ -97,7 +79,6 @@ criterion_group!(
     bench_mining_scaling,
     bench_mining_min_support,
     bench_pruning_ablation,
-    bench_engine_comparison,
     bench_parallel_counting
 );
 criterion_main!(benches);

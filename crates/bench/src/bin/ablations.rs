@@ -223,7 +223,6 @@ fn ablation_hyperopt(synth: &SynthCorpus, seg: &Segmentation, seed: u64) {
                 optimize_every,
                 burn_in: 25,
                 n_threads: 1,
-                ..TopicModelConfig::default()
             },
         );
         m.run(sweeps);
@@ -253,7 +252,6 @@ fn ablation_clique_potential(synth: &SynthCorpus, seg: &Segmentation, seed: u64)
         optimize_every: 0,
         burn_in: 0,
         n_threads: 1,
-        ..TopicModelConfig::default()
     };
     let mut phrase_lda = PhraseLda::new(
         GroupedDocs::from_segmentation(&synth.corpus, seg),

@@ -88,7 +88,6 @@ pub mod perplexity_curve {
             optimize_every: opt_every,
             burn_in: 20,
             n_threads: 1,
-            ..TopicModelConfig::default()
         };
         let phrase_fold = match std::env::var("TOPMINE_FOLD").as_deref() {
             Ok("tokens") => FoldIn::Tokens,

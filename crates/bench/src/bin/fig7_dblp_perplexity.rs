@@ -52,7 +52,6 @@ fn main() {
         optimize_every: 25,
         burn_in: 50,
         n_threads: 1,
-        ..TopicModelConfig::default()
     };
 
     let mut phrase_curve = Vec::new();

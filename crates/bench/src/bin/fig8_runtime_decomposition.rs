@@ -57,7 +57,6 @@ fn main() {
                 optimize_every: 0,
                 burn_in: 0,
                 n_threads: 1,
-                ..TopicModelConfig::default()
             },
         );
         model.run(gibbs_iters);

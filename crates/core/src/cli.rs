@@ -444,18 +444,19 @@ where
             "--output-dir" => opts.output_dir = Some(need(&mut args, "--output-dir")?),
             "--topics" => {
                 opts.n_topics = parse_num(&need(&mut args, "--topics")?, "--topics")?;
-                if opts.n_topics == 0 {
-                    return Err("--topics must be at least 1".into());
+                if !(1..=u16::MAX as usize).contains(&opts.n_topics) {
+                    return Err("--topics must be in 1..=65535".into());
                 }
             }
             "--iterations" => {
                 opts.iterations = parse_num(&need(&mut args, "--iterations")?, "--iterations")?
             }
             "--min-support" => {
-                opts.min_support = Some(parse_num(
-                    &need(&mut args, "--min-support")?,
-                    "--min-support",
-                )?)
+                let n: u64 = parse_num(&need(&mut args, "--min-support")?, "--min-support")?;
+                if n == 0 {
+                    return Err("--min-support must be at least 1".into());
+                }
+                opts.min_support = Some(n);
             }
             "--alpha" => {
                 let v = need(&mut args, "--alpha")?;
@@ -590,12 +591,23 @@ mod tests {
         assert!(parse(&[]).is_err()); // missing input
         assert!(parse(&["--input"]).is_err()); // missing value
         assert!(parse(&["--input", "x", "--topics", "zero"]).is_err());
-        assert!(parse(&["--input", "x", "--topics", "0"]).is_err());
         assert!(parse(&["--input", "x", "--bogus"]).is_err());
         assert!(parse(&["--input", "x", "--threads", "0"]).is_err());
         assert!(parse(&["--input", "x", "--mine-threads", "0"]).is_err());
         assert!(parse(&["--input", "x", "--lda-threads", "0"]).is_err());
         assert!(parse(&["--input", "x", "--lda-threads", "two"]).is_err());
+        // Values the library would reject with a panic fail at parse time.
+        for k in ["0", "65536"] {
+            assert_eq!(
+                parse(&["--input", "x", "--topics", k]),
+                Err("--topics must be in 1..=65535".into())
+            );
+        }
+        assert!(parse(&["--input", "x", "--topics", "65535"]).is_ok());
+        assert_eq!(
+            parse(&["--input", "x", "--min-support", "0"]),
+            Err("--min-support must be at least 1".into())
+        );
     }
 
     #[test]

@@ -99,7 +99,6 @@ impl ToPMineConfig {
             optimize_every: self.optimize_every,
             burn_in: self.burn_in,
             n_threads: self.lda_threads,
-            ..TopicModelConfig::default()
         }
     }
 

@@ -300,12 +300,31 @@ fn missing_input_fails_with_usage_on_stderr() {
 
 #[test]
 fn bad_flag_fails_cleanly() {
-    let out = bin()
-        .args(["--input", "x.txt", "--bogus"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
+    // Exit code 1 is the clean error path; a panic exits 101, which
+    // `!success()` alone would also accept. The input exists, so a value
+    // that slipped past parsing would reach the library.
+    let dir = scratch_dir("bad_flag");
+    let input = dir.join("corpus.txt");
+    std::fs::write(&input, CORPUS).unwrap();
+    for (flags, message) in [
+        (&["--bogus"][..], "unknown argument"),
+        (&["--topics", "70000"][..], "--topics must be in 1..=65535"),
+        (
+            &["--min-support", "0"][..],
+            "--min-support must be at least 1",
+        ),
+    ] {
+        let out = bin()
+            .arg("--input")
+            .arg(&input)
+            .args(flags)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: stderr:\n{stderr}");
+        assert!(stderr.contains(message), "{flags:?}: stderr:\n{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -226,7 +226,6 @@ mod tests {
                 optimize_every: 0,
                 burn_in: 0,
                 n_threads: 1,
-                ..TopicModelConfig::default()
             },
         );
         m.run(100);

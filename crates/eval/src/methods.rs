@@ -137,7 +137,6 @@ pub fn run_method(method: Method, corpus: &Corpus, cfg: &MethodRunConfig) -> Met
                     optimize_every: if cfg.optimize_hyperparams { 25 } else { 0 },
                     burn_in: cfg.iterations / 4,
                     n_threads: 1,
-                    ..TopicModelConfig::default()
                 },
             );
             model.run(cfg.iterations);

@@ -261,7 +261,7 @@ impl TopicCounts {
     /// row. The sweep visits words in corpus order — effectively random
     /// over V — so the next group's rows are almost never resident;
     /// issuing the loads one group ahead hides most of the miss latency
-    /// for both kernels. A no-op off x86_64.
+    /// for the sparse and the dense draw alike. A no-op off x86_64.
     #[inline]
     pub fn prefetch_word(&self, w: u32) {
         #[cfg(target_arch = "x86_64")]
@@ -272,7 +272,7 @@ impl TopicCounts {
             _mm_prefetch(row, _MM_HINT_T0);
             if self.k > 16 {
                 // A u32 row longer than one cache line: touch its tail too
-                // (the dense kernel reads all K entries).
+                // (the dense multi-token draw reads all K entries).
                 _mm_prefetch(row.add(self.k * 4 - 1), _MM_HINT_T0);
             }
             _mm_prefetch(self.nz_wk.as_ptr().add(base) as *const i8, _MM_HINT_T0);

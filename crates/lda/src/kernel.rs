@@ -67,9 +67,8 @@ use topmine_util::FxHashMap;
 /// version 2 routes singleton cliques through the bucketed sparse draw
 /// ([`sample_singleton_sparse`]), which consumes a different (still fully
 /// deterministic) RNG stream. Chain digests in the determinism guards are
-/// re-recorded once per version bump and never otherwise; the dense
-/// kernel remains selectable (`KernelMode::Dense` in the sampler) and
-/// keeps its version-1 digests.
+/// re-recorded once per version bump and never otherwise. Multi-token
+/// cliques take the dense walk under either version.
 pub const KERNEL_VERSION: u32 = 2;
 
 /// Read-side abstraction over the word factor of Eq. 7.

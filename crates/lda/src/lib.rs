@@ -33,7 +33,7 @@ pub mod viz;
 pub use counts::TopicCounts;
 pub use kernel::KERNEL_VERSION;
 pub use model::{GroupedDoc, GroupedDocs};
-pub use sampler::{FoldIn, KernelMode, PhraseLda, TopicModelConfig};
+pub use sampler::{FoldIn, PhraseLda, TopicModelConfig};
 pub use topmine_obs::{DrawSplit, SweepTelemetry};
 pub use viz::{
     background_phrases, render_topic_table, summarize_topics, summarize_topics_filtered,

@@ -52,24 +52,6 @@ use std::sync::Arc;
 use topmine_obs::{DrawSplit, SweepTelemetry, TraceEvent, TraceSink};
 use topmine_util::stats::digamma;
 
-/// Which Eq. 7 training kernel the sweeps use. Both kernels sample the
-/// exact same posterior *distribution*; they consume the RNG differently,
-/// so the two chains diverge draw-by-draw while remaining equal in law
-/// (see [`crate::kernel::KERNEL_VERSION`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Dense O(K) posterior walk for every clique — the kernel-version-1
-    /// chain, kept selectable (and digest-pinned in the determinism
-    /// guards) for comparison.
-    Dense,
-    /// Bucketed O(active-topics) draw for singleton cliques (smoothing /
-    /// document / topic-word decomposition with an alias-served smoothing
-    /// bucket); multi-token cliques fall back to the dense path. The
-    /// kernel-version-2 chain, and the default.
-    #[default]
-    Sparse,
-}
-
 /// Sampler configuration.
 #[derive(Debug, Clone)]
 pub struct TopicModelConfig {
@@ -91,9 +73,6 @@ pub struct TopicModelConfig {
     /// runs snapshot-and-merge sweeps whose result is bit-identical for
     /// every `T ≥ 2` (see module docs).
     pub n_threads: usize,
-    /// Training kernel: sparse bucketed singleton draws (default) or the
-    /// dense version-1 path.
-    pub kernel: KernelMode,
 }
 
 impl Default for TopicModelConfig {
@@ -106,7 +85,6 @@ impl Default for TopicModelConfig {
             optimize_every: 0,
             burn_in: 50,
             n_threads: 1,
-            kernel: KernelMode::default(),
         }
     }
 }
@@ -136,17 +114,12 @@ impl TopicModelConfig {
         self.n_threads = n_threads;
         self
     }
-
-    pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
-        self.kernel = kernel;
-        self
-    }
 }
 
 // Per-sweep telemetry (snapshot amortization, sweep timing, singleton
 // draw split) lives in the shared [`topmine_obs::SweepTelemetry`] struct,
-// surfaced by [`PhraseLda::sweep_stats`] and consumed by the `gibbs_fit`
-// bench, the `--progress` flag, and the `TOPMINE_TRACE` sink.
+// surfaced by [`PhraseLda::sweep_stats`] and consumed by the perfbench
+// fit workload, the `--progress` flag, and the `TOPMINE_TRACE` sink.
 
 /// Per-shard reusable sweep state: the scatter-gather buffers of the
 /// thread-sharded sweep plus the kernel scratch and weight vector. One of
@@ -181,7 +154,7 @@ struct SweepScratch {
     /// Sparse-kernel document bucket.
     doc_bucket: DocBucket,
     /// Gathered nonzero-topic lists for the distinct words (parallel
-    /// sparse path; mirrors `local_wk` rows).
+    /// path; mirrors `local_wk` rows).
     local_nz: Vec<Vec<u16>>,
 }
 
@@ -332,13 +305,6 @@ impl PhraseLda {
             trace.emit(
                 TraceEvent::new("sweep")
                     .u64("sweep", self.sweeps_done as u64)
-                    .str(
-                        "kernel",
-                        match self.config.kernel {
-                            KernelMode::Sparse => "sparse",
-                            KernelMode::Dense => "dense",
-                        },
-                    )
                     .u64("threads", self.config.n_threads.max(1) as u64)
                     .f64("secs", d.sweep_nanos as f64 / 1e9)
                     .f64("snapshot_secs", d.snapshot_nanos as f64 / 1e9)
@@ -353,49 +319,40 @@ impl PhraseLda {
     }
 
     /// The exact sequential sweep: every clique update is visible to the
-    /// next. With the dense kernel this is the historical chain,
-    /// bit-for-bit; the sparse kernel samples the same posterior through
-    /// the bucketed singleton draw (its own deterministic chain, see
-    /// [`KernelMode`]).
+    /// next. Singleton cliques take the bucketed sparse draw, multi-token
+    /// cliques the dense Eq. 7 posterior (see
+    /// [`crate::kernel::KERNEL_VERSION`]).
     fn sweep_sequential(&mut self) {
         let k = self.k;
         let v_beta = self.v as f64 * self.beta;
-        let sparse = self.config.kernel == KernelMode::Sparse;
         if self.scratch.is_empty() {
             self.scratch.push(SweepScratch::default());
         }
         let scratch = &mut self.scratch[0];
         scratch.prepare(k);
-        if sparse {
-            scratch
-                .smoothing
-                .rebuild(&self.alpha, self.beta, v_beta, self.counts.n_k_table());
-        }
+        scratch
+            .smoothing
+            .rebuild(&self.alpha, self.beta, v_beta, self.counts.n_k_table());
         let mut draws = DrawSplit::default();
 
         for d in 0..self.docs.n_docs() {
             let n_groups = self.z[d].len();
-            if sparse {
-                // Rebuild cadence: the alias table goes stale as topics
-                // dirty; refresh at document boundaries once the dirty
-                // walk would cost a meaningful fraction of a dense scan.
-                if smoothing_rebuild_due(scratch.smoothing.n_dirty(), k) {
-                    scratch.smoothing.rebuild(
-                        &self.alpha,
-                        self.beta,
-                        v_beta,
-                        self.counts.n_k_table(),
-                    );
-                }
-                scratch.doc_bucket.begin_doc(
-                    self.counts.doc_nz(d),
-                    self.counts.doc_row(d),
-                    self.counts.n_k_table(),
-                    self.beta,
-                    v_beta,
-                    k,
-                );
+            // Rebuild cadence: the alias table goes stale as topics
+            // dirty; refresh at document boundaries once the dirty
+            // walk would cost a meaningful fraction of a dense scan.
+            if smoothing_rebuild_due(scratch.smoothing.n_dirty(), k) {
+                scratch
+                    .smoothing
+                    .rebuild(&self.alpha, self.beta, v_beta, self.counts.n_k_table());
             }
+            scratch.doc_bucket.begin_doc(
+                self.counts.doc_nz(d),
+                self.counts.doc_row(d),
+                self.counts.n_k_table(),
+                self.beta,
+                v_beta,
+                k,
+            );
             let mut start = 0usize;
             for g in 0..n_groups {
                 let end = self.docs.docs[d].group_ends[g] as usize;
@@ -413,20 +370,15 @@ impl PhraseLda {
                 let old = self.z[d][g];
                 let tokens = &self.docs.docs[d].tokens[start..end];
                 self.counts.remove_group(d, tokens, old);
-                if sparse {
-                    let t = old as usize;
-                    let inv_den = 1.0 / (v_beta + self.counts.n_k_table()[t] as f64);
-                    scratch.doc_bucket.update_topic(
-                        t,
-                        self.counts.doc_row(d)[t],
-                        self.beta,
-                        inv_den,
-                    );
-                    scratch
-                        .smoothing
-                        .mark_dirty(t, self.alpha[t], self.beta, inv_den);
-                }
-                let new = if sparse && tokens.len() == 1 {
+                let t = old as usize;
+                let inv_den = 1.0 / (v_beta + self.counts.n_k_table()[t] as f64);
+                scratch
+                    .doc_bucket
+                    .update_topic(t, self.counts.doc_row(d)[t], self.beta, inv_den);
+                scratch
+                    .smoothing
+                    .mark_dirty(t, self.alpha[t], self.beta, inv_den);
+                let new = if tokens.len() == 1 {
                     let w = tokens[0];
                     let (t, bucket) = sample_singleton_sparse_split(
                         &mut self.rng,
@@ -464,19 +416,14 @@ impl PhraseLda {
                 };
                 self.z[d][g] = new;
                 self.counts.add_group(d, tokens, new);
-                if sparse {
-                    let t = new as usize;
-                    let inv_den = 1.0 / (v_beta + self.counts.n_k_table()[t] as f64);
-                    scratch.doc_bucket.update_topic(
-                        t,
-                        self.counts.doc_row(d)[t],
-                        self.beta,
-                        inv_den,
-                    );
-                    scratch
-                        .smoothing
-                        .mark_dirty(t, self.alpha[t], self.beta, inv_den);
-                }
+                let t = new as usize;
+                let inv_den = 1.0 / (v_beta + self.counts.n_k_table()[t] as f64);
+                scratch
+                    .doc_bucket
+                    .update_topic(t, self.counts.doc_row(d)[t], self.beta, inv_den);
+                scratch
+                    .smoothing
+                    .mark_dirty(t, self.alpha[t], self.beta, inv_den);
                 start = end;
             }
         }
@@ -524,7 +471,6 @@ impl PhraseLda {
         let (snap_wk, snap_k, ndk) = (views.snap_wk, views.snap_k, views.n_dk);
         let (nz_wk, nz_wk_len) = (views.nz_wk, views.nz_wk_len);
         let (nz_dk, nz_dk_len) = (views.nz_dk, views.nz_dk_len);
-        let sparse = self.config.kernel == KernelMode::Sparse;
         let sweep = self.sweeps_done as u64;
         let seed = self.config.seed;
         let alpha = &self.alpha;
@@ -568,7 +514,6 @@ impl PhraseLda {
                                     seed,
                                     sweep,
                                     first_doc: si * chunk,
-                                    sparse,
                                 },
                                 scratch,
                             )
@@ -987,8 +932,8 @@ struct ShardCtx<'a> {
     /// sweep).
     ndk: &'a mut [u32],
     /// The shard's per-document nonzero-topic rows (flat, capacity K per
-    /// doc), owned like `ndk` and kept in sync with it (whichever kernel
-    /// runs, so the index never goes stale).
+    /// doc), owned like `ndk` and kept in sync with it (whichever draw a
+    /// clique takes, so the index never goes stale).
     nz_dk: &'a mut [u16],
     /// Live lengths of the shard's `nz_dk` rows.
     nz_dk_len: &'a mut [u16],
@@ -1007,8 +952,6 @@ struct ShardCtx<'a> {
     seed: u64,
     sweep: u64,
     first_doc: usize,
-    /// Whether to run the bucketed sparse singleton kernel.
-    sparse: bool,
 }
 
 /// Sweep one shard against the snapshot and return its signed
@@ -1041,22 +984,19 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) -> ShardDelta {
         seed,
         sweep,
         first_doc,
-        sparse,
     } = ctx;
     let v = snap_wk.len() / k;
     let mut delta_wk: Vec<(u32, i32)> = Vec::new();
     let mut delta_k = vec![0i64; k];
     let mut draws = DrawSplit::default();
     scratch.prepare(k);
-    if sparse {
-        // One alias rebuild per shard per sweep, against the frozen
-        // snapshot `N_k`. Every document restarts its local `N_k` from the
-        // snapshot, so the per-document dirty set resets at doc
-        // boundaries — the table never goes stale within a sweep, and the
-        // draw is a function of (snapshot, doc, stream) exactly like the
-        // dense path, independent of shard layout.
-        scratch.smoothing.rebuild(alpha, beta, v_beta, snap_k);
-    }
+    // One alias rebuild per shard per sweep, against the frozen
+    // snapshot `N_k`. Every document restarts its local `N_k` from the
+    // snapshot, so the per-document dirty set resets at doc
+    // boundaries — the table never goes stale within a sweep, and the
+    // draw is a function of (snapshot, doc, stream) exactly like the
+    // dense path, independent of shard layout.
+    scratch.smoothing.rebuild(alpha, beta, v_beta, snap_k);
 
     for (i, doc) in docs.iter().enumerate() {
         if doc.group_ends.is_empty() {
@@ -1085,39 +1025,35 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) -> ShardDelta {
             let base = w as usize * k;
             scratch.local_wk.extend_from_slice(&snap_wk[base..base + k]);
         }
-        if sparse {
-            // Gather the snapshot's nonzero lists alongside the rows; the
-            // doc's own moves below keep them in sync with `local_wk`.
-            if scratch.local_nz.len() < scratch.distinct.len() {
-                scratch
-                    .local_nz
-                    .resize_with(scratch.distinct.len(), Vec::new);
-            }
-            for (li, &w) in scratch.distinct.iter().enumerate() {
-                let base = w as usize * k;
-                scratch.local_nz[li].clear();
-                scratch.local_nz[li]
-                    .extend_from_slice(&nz_wk[base..base + nz_wk_len[w as usize] as usize]);
-            }
+        // Gather the snapshot's nonzero lists alongside the rows; the
+        // doc's own moves below keep them in sync with `local_wk`.
+        if scratch.local_nz.len() < scratch.distinct.len() {
+            scratch
+                .local_nz
+                .resize_with(scratch.distinct.len(), Vec::new);
+        }
+        for (li, &w) in scratch.distinct.iter().enumerate() {
+            let base = w as usize * k;
+            scratch.local_nz[li].clear();
+            scratch.local_nz[li]
+                .extend_from_slice(&nz_wk[base..base + nz_wk_len[w as usize] as usize]);
         }
         scratch.local_nk.copy_from_slice(snap_k);
         let ndk_row = &mut ndk[i * k..(i + 1) * k];
         let nz_row = &mut nz_dk[i * k..(i + 1) * k];
         let nz_len = &mut nz_dk_len[i];
         let zs = &mut z[i];
-        if sparse {
-            // `local_nk` just reset to the snapshot the alias table was
-            // built over: the dirty set starts empty for every document.
-            scratch.smoothing.clear_dirty();
-            scratch.doc_bucket.begin_doc(
-                &nz_row[..*nz_len as usize],
-                ndk_row,
-                &scratch.local_nk,
-                beta,
-                v_beta,
-                k,
-            );
-        }
+        // `local_nk` just reset to the snapshot the alias table was
+        // built over: the dirty set starts empty for every document.
+        scratch.smoothing.clear_dirty();
+        scratch.doc_bucket.begin_doc(
+            &nz_row[..*nz_len as usize],
+            ndk_row,
+            &scratch.local_nk,
+            beta,
+            v_beta,
+            k,
+        );
 
         let mut start = 0usize;
         for (g, &end) in doc.group_ends.iter().enumerate() {
@@ -1128,7 +1064,7 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) -> ShardDelta {
             for &lw in toks {
                 let cell = &mut scratch.local_wk[lw as usize * k + old];
                 *cell -= 1;
-                if sparse && *cell == 0 {
+                if *cell == 0 {
                     nz_remove(&mut scratch.local_nz[lw as usize], old as u16);
                 }
             }
@@ -1137,15 +1073,13 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) -> ShardDelta {
             if ndk_row[old] == 0 {
                 nz_row_remove(nz_row, nz_len, old as u16);
             }
-            if sparse {
-                let inv_den = 1.0 / (v_beta + scratch.local_nk[old] as f64);
-                scratch
-                    .doc_bucket
-                    .update_topic(old, ndk_row[old], beta, inv_den);
-                scratch.smoothing.mark_dirty(old, alpha[old], beta, inv_den);
-            }
+            let inv_den = 1.0 / (v_beta + scratch.local_nk[old] as f64);
+            scratch
+                .doc_bucket
+                .update_topic(old, ndk_row[old], beta, inv_den);
+            scratch.smoothing.mark_dirty(old, alpha[old], beta, inv_den);
 
-            let new = if sparse && toks.len() == 1 {
+            let new = if toks.len() == 1 {
                 let lw = toks[0] as usize;
                 let (t, bucket) = sample_singleton_sparse_split(
                     &mut rng,
@@ -1181,7 +1115,7 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) -> ShardDelta {
             zs[g] = new as u16;
             for &lw in toks {
                 let cell = &mut scratch.local_wk[lw as usize * k + new];
-                if sparse && *cell == 0 {
+                if *cell == 0 {
                     nz_insert(&mut scratch.local_nz[lw as usize], new as u16);
                 }
                 *cell += 1;
@@ -1191,13 +1125,11 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) -> ShardDelta {
                 nz_row_insert(nz_row, nz_len, new as u16);
             }
             ndk_row[new] += s;
-            if sparse {
-                let inv_den = 1.0 / (v_beta + scratch.local_nk[new] as f64);
-                scratch
-                    .doc_bucket
-                    .update_topic(new, ndk_row[new], beta, inv_den);
-                scratch.smoothing.mark_dirty(new, alpha[new], beta, inv_den);
-            }
+            let inv_den = 1.0 / (v_beta + scratch.local_nk[new] as f64);
+            scratch
+                .doc_bucket
+                .update_topic(new, ndk_row[new], beta, inv_den);
+            scratch.smoothing.mark_dirty(new, alpha[new], beta, inv_den);
             start = end;
         }
 
@@ -1285,7 +1217,6 @@ mod tests {
                 optimize_every: 0,
                 burn_in: 0,
                 n_threads: 1,
-                ..TopicModelConfig::default()
             },
         );
         m.run(60);
@@ -1317,7 +1248,6 @@ mod tests {
                 optimize_every: 0,
                 burn_in: 0,
                 n_threads: 4,
-                ..TopicModelConfig::default()
             },
         );
         m.run(60);
@@ -1370,7 +1300,6 @@ mod tests {
                 optimize_every: 0,
                 burn_in: 0,
                 n_threads: 1,
-                ..TopicModelConfig::default()
             },
         );
         let before = m.perplexity();
@@ -1428,7 +1357,6 @@ mod tests {
                 optimize_every: 0,
                 burn_in: 0,
                 n_threads: 1,
-                ..TopicModelConfig::default()
             },
         );
         m.run(30);
@@ -1457,7 +1385,6 @@ mod tests {
                 optimize_every: 0,
                 burn_in: 0,
                 n_threads: 1,
-                ..TopicModelConfig::default()
             },
         );
         m.run(60);

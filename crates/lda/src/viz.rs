@@ -191,7 +191,6 @@ mod tests {
                 optimize_every: 0,
                 burn_in: 0,
                 n_threads: 1,
-                ..TopicModelConfig::default()
             },
         );
         m.run(60);
@@ -365,7 +364,6 @@ mod background_tests {
                 optimize_every: 0,
                 burn_in: 0,
                 n_threads: 1,
-                ..TopicModelConfig::default()
             },
         );
         m.run(80);

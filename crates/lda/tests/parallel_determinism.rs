@@ -1,15 +1,14 @@
 //! The parallel-training contract, enforced:
 //!
-//! 1. `n_threads == 1` is the **exact historical chain** for its kernel
-//!    version — recorded digests guard every z assignment, perplexity,
-//!    and optimized hyperparameter bit-for-bit. `KernelMode::Dense` still
-//!    reproduces the pre-kernel-refactor (version 1) digest; the default
-//!    sparse bucketed kernel has its own digest, recorded once at the
+//! 1. `n_threads == 1` is the **exact recorded chain** for its kernel
+//!    version — a digest guards every z assignment, perplexity, and
+//!    optimized hyperparameter bit-for-bit. It was recorded once at the
 //!    `KERNEL_VERSION = 2` bump (see `kernel::KERNEL_VERSION` for the
 //!    re-record policy).
 //! 2. Any `n_threads ≥ 2` produces **one** chain: identical z, counts, φ,
 //!    and perplexity at 2, 3, and 7 threads (property-tested over seeds,
-//!    topic counts, and groupings) — under both kernels.
+//!    topic counts, and groupings), and the amortized snapshot reproduces
+//!    the clone-per-sweep chain bit-for-bit.
 //! 3. The parallel chain is a *different* (snapshot-sweep, Newman et al.
 //!    2009) approximation than the sequential one — it must still mix and
 //!    keep its count tables consistent.
@@ -17,9 +16,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use topmine_lda::{
-    GroupedDoc, GroupedDocs, KernelMode, PhraseLda, TopicModelConfig, KERNEL_VERSION,
-};
+use topmine_lda::{GroupedDoc, GroupedDocs, PhraseLda, TopicModelConfig, KERNEL_VERSION};
 
 // ---------------------------------------------------------------------------
 // 1. Sequential chain guard
@@ -78,22 +75,14 @@ fn chain_digest(m: &PhraseLda) -> u64 {
     h
 }
 
-/// Recorded against the pre-kernel sampler (commit f54229b's
-/// `PhraseLda::step`): 30 sweeps on `guard_docs()` with hyperparameter
-/// optimization on. `KernelMode::Dense` consumes RNG exactly like that
-/// sampler, so this version-1 digest stays pinned forever — if it moves,
-/// the dense path no longer reproduces the historical chain.
-const DENSE_SEQUENTIAL_CHAIN_DIGEST: u64 = 0x9f3c_d8fd_a25a_840e;
-
-/// Recorded once at the `KERNEL_VERSION = 2` bump: the same run under the
-/// default sparse bucketed kernel. The sparse draw consumes a different
-/// RNG stream, so the chain differs draw-by-draw from the dense one while
-/// being equal in law. Re-record only on a documented `KERNEL_VERSION`
-/// bump (see `topmine_lda::kernel`).
+/// Recorded once at the `KERNEL_VERSION = 2` bump: 30 sweeps on
+/// `guard_docs()` with hyperparameter optimization on, singleton cliques
+/// drawn by the sparse bucketed kernel. Re-record only on a documented
+/// `KERNEL_VERSION` bump (see `topmine_lda::kernel`).
 const SPARSE_SEQUENTIAL_CHAIN_DIGEST: u64 = 0x7508_108e_3e16_e477;
 const SPARSE_SEQUENTIAL_PERPLEXITY: f64 = 36.41142721749446;
 
-fn digest_cfg(kernel: KernelMode) -> TopicModelConfig {
+fn digest_cfg() -> TopicModelConfig {
     TopicModelConfig {
         n_topics: 6,
         alpha: 2.0,
@@ -102,20 +91,7 @@ fn digest_cfg(kernel: KernelMode) -> TopicModelConfig {
         optimize_every: 10,
         burn_in: 5,
         n_threads: 1,
-        kernel,
     }
-}
-
-#[test]
-fn dense_sequential_chain_matches_recorded_digest() {
-    let mut m = PhraseLda::new(guard_docs(), digest_cfg(KernelMode::Dense));
-    m.run(30);
-    assert!((m.perplexity() - 36.353083845968506).abs() < 1e-12);
-    assert_eq!(
-        chain_digest(&m),
-        DENSE_SEQUENTIAL_CHAIN_DIGEST,
-        "KernelMode::Dense no longer reproduces the pre-refactor sequential chain"
-    );
 }
 
 #[test]
@@ -124,7 +100,7 @@ fn sparse_sequential_chain_matches_recorded_digest() {
         KERNEL_VERSION, 2,
         "KERNEL_VERSION moved — re-record the sparse digest below and document the bump"
     );
-    let mut m = PhraseLda::new(guard_docs(), digest_cfg(KernelMode::Sparse));
+    let mut m = PhraseLda::new(guard_docs(), digest_cfg());
     m.run(30);
     assert!(
         (m.perplexity() - SPARSE_SEQUENTIAL_PERPLEXITY).abs() < 1e-12,
@@ -176,7 +152,6 @@ fn fit(docs: &GroupedDocs, k: usize, seed: u64, threads: usize, sweeps: usize) -
             optimize_every: 7,
             burn_in: 3,
             n_threads: threads,
-            ..TopicModelConfig::default()
         },
     );
     m.run(sweeps);
@@ -242,7 +217,6 @@ proptest! {
                 optimize_every: 5,
                 burn_in: 2,
                 n_threads: threads,
-                ..TopicModelConfig::default()
             };
             let mut amortized = PhraseLda::new(docs.clone(), cfg.clone());
             let mut cloned = PhraseLda::new(docs.clone(), cfg);
@@ -291,7 +265,6 @@ fn snapshot_is_cloned_once_then_rolled_forward() {
             optimize_every: 0,
             burn_in: 0,
             n_threads: 3,
-            ..TopicModelConfig::default()
         },
     );
     m.run(8);
@@ -353,7 +326,6 @@ fn parallel_chain_mixes_and_reduces_perplexity() {
             optimize_every: 0,
             burn_in: 0,
             n_threads: 4,
-            ..TopicModelConfig::default()
         },
     );
     let before = m.perplexity();
@@ -396,7 +368,6 @@ fn very_long_cliques_train_without_degenerating() {
                 optimize_every: 0,
                 burn_in: 0,
                 n_threads: threads,
-                ..TopicModelConfig::default()
             },
         );
         m.run(30);

@@ -124,8 +124,8 @@ pub struct MiningLevel {
 ///
 /// Collection cost is a handful of counter updates per *level* (not per
 /// occurrence), so it stays far inside the <2% instrumentation-overhead
-/// budget and is always on; `--progress` and the `gibbs_fit` bench render
-/// it.
+/// budget and is always on; `--progress` renders it, and perfbench reports
+/// it as its `miner.*` metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MiningTelemetry {
     pub levels: Vec<MiningLevel>,

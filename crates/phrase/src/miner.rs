@@ -20,7 +20,7 @@
 //!
 //! # Prefix-id counting
 //!
-//! The production engine ([`FrequentPhraseMiner::mine`]) never hashes a
+//! The miner ([`FrequentPhraseMiner::mine`]) never hashes a
 //! phrase while counting. Each frequent (n−1)-gram gets a dense `u32` id at
 //! its level (at level 2 the id of a unigram is the word id itself), so a
 //! level-n candidate is the pair `(prefix_id, next_word)` packed into one
@@ -36,9 +36,6 @@
 //! (addition commutes, so arrival order is irrelevant), and survivors are
 //! globally sorted by packed key before ids are assigned. The result is
 //! bit-identical to the sequential mine at every thread count.
-//!
-//! The seed-era hashmap miner is kept as [`FrequentPhraseMiner::mine_legacy`]
-//! — it is the benchmark baseline and the equivalence-proptest reference.
 
 use crate::counter::{Phrase, PhraseStats};
 use crate::prefix::{fib_hash, U64Map};
@@ -79,23 +76,13 @@ pub struct FrequentPhraseMiner {
     config: MinerConfig,
 }
 
-/// Per-document mining state for the prefix-id engine.
-struct PrefixDocState {
+/// Per-document mining state.
+struct DocState {
     doc_idx: usize,
     /// Sorted `(position, prefix_id)` pairs: the positions whose
     /// current-level (n−1)-gram is frequent, each tagged with that gram's
     /// dense id. At level 2 the id is the word id itself.
     active: Vec<(u32, u32)>,
-    /// `limit[i]` = exclusive end of the chunk containing position `i`.
-    limit: Vec<u32>,
-}
-
-/// Per-document mining state for the legacy hashmap engine.
-struct DocState {
-    doc_idx: usize,
-    /// Sorted positions whose current-level (n−1)-gram is frequent and fits
-    /// inside its chunk.
-    active: Vec<u32>,
     /// `limit[i]` = exclusive end of the chunk containing position `i`.
     limit: Vec<u32>,
 }
@@ -124,7 +111,7 @@ impl FrequentPhraseMiner {
         self.mine_with_telemetry(corpus).0
     }
 
-    /// Run the prefix-id engine, also returning per-level telemetry.
+    /// Run Algorithm 1, also returning per-level telemetry.
     pub fn mine_with_telemetry(&self, corpus: &Corpus) -> (PhraseStats, MiningTelemetry) {
         let t_total = Instant::now();
         let eps = self.config.min_support.max(1);
@@ -138,12 +125,12 @@ impl FrequentPhraseMiner {
 
         // Initialize per-document active sets (line 2): every position whose
         // unigram is frequent, tagged with the word id as its prefix id.
-        let mut states: Vec<PrefixDocState> = corpus
+        let mut states: Vec<DocState> = corpus
             .docs
             .iter()
             .enumerate()
             .filter(|(_, d)| !d.is_empty())
-            .map(|(doc_idx, doc)| PrefixDocState {
+            .map(|(doc_idx, doc)| DocState {
                 doc_idx,
                 active: doc
                     .tokens
@@ -192,12 +179,7 @@ impl FrequentPhraseMiner {
             } else {
                 let mut occ = 0u64;
                 for st in &states {
-                    occ += count_level_doc_prefix(
-                        &corpus.docs[st.doc_idx],
-                        st,
-                        n,
-                        &mut count_tables[0],
-                    );
+                    occ += count_level_doc(&corpus.docs[st.doc_idx], st, n, &mut count_tables[0]);
                 }
                 occ
             };
@@ -294,88 +276,7 @@ impl FrequentPhraseMiner {
         (stats, tel)
     }
 
-    /// The seed-era Algorithm 1: phrases counted as boxed word-id slices in
-    /// hash maps, one static document chunk per thread, maps merged at a
-    /// barrier per level. Kept as the benchmark baseline and as the
-    /// reference implementation the prefix-id engine is proptested against.
-    pub fn mine_legacy(&self, corpus: &Corpus) -> PhraseStats {
-        let eps = self.config.min_support.max(1);
-        let mut stats = self.unigram_pass(corpus, eps);
-
-        // Initialize per-document active sets (line 2): every position whose
-        // unigram is frequent.
-        let mut states: Vec<DocState> = corpus
-            .docs
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| !d.is_empty())
-            .map(|(doc_idx, doc)| DocState {
-                doc_idx,
-                active: (0..doc.tokens.len() as u32)
-                    .filter(|&i| stats.unigram_counts[doc.tokens[i as usize] as usize] >= eps)
-                    .collect(),
-                limit: chunk_limits(doc),
-            })
-            .collect();
-        states.retain(|s| !s.active.is_empty() || self.config.disable_doc_pruning);
-
-        let mut n = 2usize; // current candidate length (line 4)
-        while !states.is_empty() {
-            if self.config.max_phrase_len != 0 && n > self.config.max_phrase_len {
-                break;
-            }
-            // Count level-n candidates (lines 12-15).
-            let level_counts = if self.config.n_threads > 1 {
-                count_level_parallel(corpus, &states, n, self.config.n_threads)
-            } else {
-                let mut counts = FxHashMap::default();
-                for st in &states {
-                    count_level_doc(&corpus.docs[st.doc_idx], st, n, &mut counts);
-                }
-                counts
-            };
-
-            // Prune to frequent phrases (line 22's filter, applied per level).
-            let mut any_frequent = false;
-            for (phrase, count) in level_counts {
-                if count >= eps {
-                    stats.ngram_counts.insert(phrase, count);
-                    any_frequent = true;
-                }
-            }
-            if !any_frequent {
-                break;
-            }
-            stats.max_len = n;
-
-            // Advance active indices (line 7) and drop exhausted documents
-            // (lines 9-10, data antimonotonicity).
-            for st in &mut states {
-                let doc = &corpus.docs[st.doc_idx];
-                let ng = &stats.ngram_counts;
-                st.active.retain(|&i| {
-                    let i = i as usize;
-                    i + n <= st.limit[i] as usize
-                        && ng.get(&doc.tokens[i..i + n]).is_some_and(|&c| c >= eps)
-                });
-            }
-            if !self.config.disable_doc_pruning {
-                states.retain(|s| !s.active.is_empty());
-            } else {
-                // Keep documents alive but stop once *all* are exhausted.
-                if states.iter().all(|s| s.active.is_empty()) {
-                    break;
-                }
-            }
-            n += 1;
-        }
-
-        debug_assert!(stats.check_downward_closure().is_ok());
-        stats
-    }
-
-    /// Level 1: dense unigram counts (the paper's line 3), shared by both
-    /// engines.
+    /// Level 1: dense unigram counts (the paper's line 3).
     fn unigram_pass(&self, corpus: &Corpus, eps: u64) -> PhraseStats {
         let mut unigram_counts = vec![0u64; corpus.vocab.len()];
         let mut total_tokens = 0u64;
@@ -415,12 +316,7 @@ fn chunk_limits(doc: &Document) -> Vec<u32> {
 /// fits inside `i`'s chunk. The candidate key is the position's prefix id
 /// packed with the word that extends it — one `u64`, no allocation.
 #[inline]
-fn count_level_doc_prefix(
-    doc: &Document,
-    st: &PrefixDocState,
-    n: usize,
-    counts: &mut U64Map,
-) -> u64 {
+fn count_level_doc(doc: &Document, st: &DocState, n: usize, counts: &mut U64Map) -> u64 {
     let mut occ = 0u64;
     for w in st.active.windows(2) {
         let (pos, pid) = w[0];
@@ -444,7 +340,7 @@ fn count_level_doc_prefix(
 /// merge, not from the schedule.
 fn count_level_queued(
     corpus: &Corpus,
-    states: &[PrefixDocState],
+    states: &[DocState],
     n: usize,
     tables: &mut [U64Map],
 ) -> u64 {
@@ -466,7 +362,7 @@ fn count_level_queued(
                         let start = b * BLOCK;
                         let end = (start + BLOCK).min(states.len());
                         for st in &states[start..end] {
-                            occ += count_level_doc_prefix(&corpus.docs[st.doc_idx], st, n, table);
+                            occ += count_level_doc(&corpus.docs[st.doc_idx], st, n, table);
                         }
                     }
                     occ
@@ -556,7 +452,7 @@ fn merge_frequent(
 /// `id_map` (i.e. met min-support); the entry is retagged with the n-gram's
 /// dense id. Rewrites `active` in place (the write cursor never passes the
 /// read cursor).
-fn advance_state(doc: &Document, st: &mut PrefixDocState, n: usize, id_map: &U64Map) {
+fn advance_state(doc: &Document, st: &mut DocState, n: usize, id_map: &U64Map) {
     let mut w = 0usize;
     for r in 0..st.active.len().saturating_sub(1) {
         let (pos, pid) = st.active[r];
@@ -574,82 +470,6 @@ fn advance_state(doc: &Document, st: &mut PrefixDocState, n: usize, id_map: &U64
         }
     }
     st.active.truncate(w);
-}
-
-/// Count all level-`n` candidate occurrences of one document into `counts`
-/// (legacy engine: phrases as boxed word-id slices).
-fn count_level_doc(doc: &Document, st: &DocState, n: usize, counts: &mut FxHashMap<Phrase, u64>) {
-    let active = &st.active;
-    for w in active.windows(2) {
-        let (i, j) = (w[0] as usize, w[1] as usize);
-        if j != i + 1 {
-            continue; // not adjacent: prefix or suffix (n−1)-gram infrequent
-        }
-        if i + n > st.limit[i] as usize {
-            continue; // would cross a chunk boundary
-        }
-        let window = &doc.tokens[i..i + n];
-        if let Some(c) = counts.get_mut(window) {
-            *c += 1;
-        } else {
-            counts.insert(window.to_vec().into_boxed_slice(), 1);
-        }
-    }
-}
-
-/// Map-reduce version of the legacy counting pass: documents are sharded
-/// across `n_threads` scoped threads (one static chunk each) with
-/// thread-local counters that are merged at a barrier.
-fn count_level_parallel(
-    corpus: &Corpus,
-    states: &[DocState],
-    n: usize,
-    n_threads: usize,
-) -> FxHashMap<Phrase, u64> {
-    let n_threads = n_threads.min(states.len().max(1));
-    if n_threads <= 1 {
-        let mut counts = FxHashMap::default();
-        for st in states {
-            count_level_doc(&corpus.docs[st.doc_idx], st, n, &mut counts);
-        }
-        return counts;
-    }
-    let chunk_size = states.len().div_ceil(n_threads);
-    let locals: Vec<FxHashMap<Phrase, u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = states
-            .chunks(chunk_size)
-            .map(|shard| {
-                scope.spawn(move || {
-                    let mut local = FxHashMap::default();
-                    for st in shard {
-                        count_level_doc(&corpus.docs[st.doc_idx], st, n, &mut local);
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("mining worker panicked"))
-            .collect()
-    });
-
-    // Merge into the largest map to minimize rehashing.
-    let mut iter = locals.into_iter();
-    let mut merged = iter.next().unwrap_or_default();
-    for local in iter {
-        if local.len() > merged.len() {
-            let small = std::mem::replace(&mut merged, local);
-            for (k, v) in small {
-                *merged.entry(k).or_insert(0) += v;
-            }
-        } else {
-            for (k, v) in local {
-                *merged.entry(k).or_insert(0) += v;
-            }
-        }
-    }
-    merged
 }
 
 /// Reference miner used by tests: enumerate every within-chunk n-gram
@@ -861,20 +681,6 @@ mod tests {
         let stats = FrequentPhraseMiner::new(3).mine(&c);
         let naive = naive_frequent_phrases(&c, 3, 32);
         assert_eq!(stats.ngram_counts, naive);
-    }
-
-    #[test]
-    fn legacy_engine_matches_prefix_engine() {
-        let c = lcg_corpus(48, 3, 14, 6, 9001);
-        for min_support in [1u64, 3, 5] {
-            let miner = FrequentPhraseMiner::new(min_support);
-            let new = miner.mine(&c);
-            let old = miner.mine_legacy(&c);
-            assert_eq!(new.unigram_counts, old.unigram_counts);
-            assert_eq!(new.ngram_counts, old.ngram_counts);
-            assert_eq!(new.max_len, old.max_len);
-            assert_eq!(new.total_tokens, old.total_tokens);
-        }
     }
 
     #[test]

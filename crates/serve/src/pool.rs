@@ -79,7 +79,8 @@ pub struct ExpectedShard {
 }
 
 /// Whole-fleet wire traffic counters, shared by every [`ShardClient`] of
-/// one router — the numbers the `serve_throughput` bench reports.
+/// one router and read in-process through `RemoteShardedModel::wire_stats`
+/// (`/metrics` carries the same traffic per shard as `topmine_fleet_*`).
 #[derive(Debug, Default)]
 pub struct WireStats {
     pub bytes_sent: AtomicU64,

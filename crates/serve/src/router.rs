@@ -116,8 +116,8 @@ impl RemoteShardedModel {
         })
     }
 
-    /// Whole-fleet wire traffic counters (what the throughput bench
-    /// reports as bytes/frames per request).
+    /// Whole-fleet wire traffic counters: bytes, frames, RPCs, retries
+    /// and failures summed over every shard client.
     pub fn wire_stats(&self) -> &WireStats {
         &self.stats
     }

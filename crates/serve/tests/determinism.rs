@@ -59,10 +59,9 @@ fn inference_digest(results: &[topmine_serve::DocInference]) -> u64 {
 /// Training a model and folding in a fixed batch must reproduce this
 /// digest bit-for-bit. Fold-in itself always runs the dense frozen-φ
 /// kernel, so this only moves when the *training* chain moves: re-recorded
-/// once at `KERNEL_VERSION = 2` (training now defaults to the sparse
-/// bucketed kernel; the version-1 value, from the all-dense chain, was
-/// 0xa5b6_c7fd_a608_5067 and is still reproduced by
-/// `KernelMode::Dense`-trained models).
+/// once at `KERNEL_VERSION = 2`, when training moved singleton cliques to
+/// the sparse bucketed draw (the version-1 value, from the all-dense
+/// chain, was 0xa5b6_c7fd_a608_5067).
 const INFER_DOC_DIGEST: u64 = 0x2a5d_fe25_979c_cd16;
 
 #[test]

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
-use topmine_serve::{FrozenModel, HttpServer, QueryEngine, ServerConfig};
+use topmine_serve::{FrontEnd, FrozenModel, HttpServer, QueryEngine, ServerConfig};
 
 fn fitted_model() -> FrozenModel {
     let texts: Vec<String> = (0..30)
@@ -310,4 +310,44 @@ fn server_matches_direct_engine_inference() {
     assert_eq!(status, 200);
     assert_eq!(body, direct, "HTTP body must equal direct inference JSON");
     handle.shutdown();
+}
+
+#[test]
+fn half_closed_client_still_gets_its_response() {
+    // A client may shut down its write half right after a `Connection:
+    // close` request; the server must still answer before closing.
+    let model = Arc::new(fitted_model());
+    for front_end in [FrontEnd::EventLoop, FrontEnd::Blocking] {
+        let engine = Arc::new(QueryEngine::new(model.clone(), 1));
+        let handle = HttpServer::bind(
+            "127.0.0.1:0",
+            engine,
+            ServerConfig {
+                front_end,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap()
+        .spawn()
+        .unwrap();
+        let body = "support vector machines";
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        write!(
+            stream,
+            "POST /infer HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(
+            response.starts_with("HTTP/1.1 200"),
+            "{front_end:?} answered a half-closed client with {response:?}"
+        );
+        handle.shutdown();
+    }
 }

@@ -164,7 +164,6 @@ fn lda_is_phrase_lda_with_singleton_groups() {
         optimize_every: 0,
         burn_in: 0,
         n_threads: 1,
-        ..TopicModelConfig::default()
     };
     let mut direct = PhraseLda::lda(corpus, cfg.clone());
     let mut via_groups = PhraseLda::new(GroupedDocs::unigrams(corpus), cfg);
@@ -193,7 +192,6 @@ fn heldout_perplexity_beats_uniform() {
             optimize_every: 0,
             burn_in: 0,
             n_threads: 1,
-            ..TopicModelConfig::default()
         },
     );
     model.run(80);

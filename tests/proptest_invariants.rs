@@ -118,7 +118,6 @@ proptest! {
             optimize_every: 0,
             burn_in: 0,
             n_threads: 1,
-            ..TopicModelConfig::default()
         });
         model.run(sweeps);
         model.check_counts().map_err(TestCaseError::fail)?;
