@@ -117,7 +117,7 @@ FIT OPTIONS:
     --min-support N       phrase minimum support        [default: auto]
     --alpha X             significance threshold        [default: 5.0]
     --threads N           mining/segmentation threads   [default: 1]
-    --mine-threads N      Algorithm 1 counting threads; the result is
+    --mine-threads N      Algorithm 1 (phrase mining) threads; the result is
                           bit-identical at any thread count [default: --threads]
     --lda-threads N       Gibbs sweep threads; >=2 runs snapshot sweeps,
                           bit-identical at any thread count [default: 1]

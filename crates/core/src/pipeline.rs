@@ -33,9 +33,9 @@ pub struct ToPMineConfig {
     pub burn_in: usize,
     /// Worker threads for mining and segmentation.
     pub n_threads: usize,
-    /// Worker threads for the Algorithm 1 counting passes specifically;
-    /// `0` follows `n_threads`. Mining and segmentation scale differently
-    /// (table merges vs. independent documents), so they can be tuned apart.
+    /// Worker threads for Algorithm 1 (every pass of the frequent-phrase
+    /// miner, its merge included); `0` follows `n_threads`. Setting it
+    /// apart lets the miner run, or be timed, at its own thread count.
     pub mine_threads: usize,
     /// Worker threads for the PhraseLDA Gibbs sweeps. `1` runs the exact
     /// sequential chain; `T ≥ 2` runs thread-sharded snapshot sweeps that

@@ -28,18 +28,23 @@
 //! per-occurrence allocation, no variable-length hashing. Word-id phrases
 //! are materialized only for candidates that survive min-support.
 //!
-//! Parallel counting hands out fixed-size blocks of documents through an
-//! atomic work queue (no static per-thread split, so skewed documents don't
-//! strand threads), and the per-thread tables are folded by a deterministic
-//! key-sharded merge: worker `s` owns exactly the keys with
-//! `hash(key) % n_shards == s`, sums them across all thread tables
-//! (addition commutes, so arrival order is irrelevant), and survivors are
-//! globally sorted by packed key before ids are assigned. The result is
-//! bit-identical to the sequential mine at every thread count.
+//! # Parallel passes
+//!
+//! Both passes of a level over the documents (counting, then advancing the
+//! active sets) hand out blocks of 32 documents through one work queue, so
+//! skewed documents don't strand threads; one thread runs the same code
+//! inline. A counting worker routes each key into its own partition for
+//! the key's merge shard (`hash(key) % n_shards`). Merge shard `s` then
+//! reads only the partitions for `s`, sizes its destination from their
+//! lengths before the first insert, and sums them; addition commutes, so
+//! arrival order is irrelevant. Survivors are sorted by packed key before
+//! ids are assigned, so the result is bit-identical at every thread count.
+//! Every level's tables start at the minimum size, so a level's clears and
+//! scans cost what its own candidates need.
 
 use crate::counter::{Phrase, PhraseStats};
 use crate::prefix::{fib_hash, U64Map};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 use topmine_corpus::{Corpus, Document};
 use topmine_obs::{MiningLevel, MiningTelemetry};
@@ -52,7 +57,8 @@ pub struct MinerConfig {
     pub min_support: u64,
     /// Hard cap on phrase length; `0` means unbounded (terminate naturally).
     pub max_phrase_len: usize,
-    /// Worker threads for the counting passes; `1` runs sequentially.
+    /// Worker threads for every pass of the mine; `1` runs inline on the
+    /// calling thread.
     pub n_threads: usize,
     /// Disable the data-antimonotonicity document drop (ablation knob; the
     /// result is identical, only slower).
@@ -76,6 +82,17 @@ pub struct FrequentPhraseMiner {
     config: MinerConfig,
 }
 
+/// Documents per work-queue block.
+const BLOCK: usize = 32;
+
+/// One counting worker's scratch, kept across levels.
+struct Worker {
+    /// `parts[s]` counts the candidate keys whose [`shard_of`] is `s`.
+    parts: Vec<U64Map>,
+    /// Candidate occurrences counted at the current level.
+    occurrences: u64,
+}
+
 /// Per-document mining state.
 struct DocState {
     doc_idx: usize,
@@ -83,8 +100,6 @@ struct DocState {
     /// current-level (n−1)-gram is frequent, each tagged with that gram's
     /// dense id. At level 2 the id is the word id itself.
     active: Vec<(u32, u32)>,
-    /// `limit[i]` = exclusive end of the chunk containing position `i`.
-    limit: Vec<u32>,
 }
 
 impl FrequentPhraseMiner {
@@ -139,23 +154,22 @@ impl FrequentPhraseMiner {
                     .filter(|&(_, &t)| stats.unigram_counts[t as usize] >= eps)
                     .map(|(i, &t)| (i as u32, t))
                     .collect(),
-                limit: chunk_limits(doc),
             })
             .collect();
         states.retain(|s| !s.active.is_empty() || self.config.disable_doc_pruning);
 
-        // Scratch reused across levels: per-thread count tables, per-shard
-        // merge tables, the survivor→id table, and the double-buffered
-        // phrase arena. Steady-state counting therefore allocates nothing
-        // per occurrence (tables only grow while the biggest level is first
-        // filled).
+        // Scratch reused across levels: each worker's count partitions (one
+        // per merge shard; worker 0's double as the merge tables), the
+        // survivor→id table, and the double-buffered phrase arena. Counting
+        // therefore allocates nothing per occurrence (a table grows
+        // O(log size) times per level).
         let n_threads = self.config.n_threads.max(1);
-        let mut count_tables: Vec<U64Map> = (0..n_threads).map(|_| U64Map::new()).collect();
-        let mut merge_tables: Vec<U64Map> = if n_threads > 1 {
-            (0..n_threads).map(|_| U64Map::new()).collect()
-        } else {
-            Vec::new()
-        };
+        let mut workers: Vec<Worker> = (0..n_threads)
+            .map(|_| Worker {
+                parts: (0..n_threads).map(|_| U64Map::new()).collect(),
+                occurrences: 0,
+            })
+            .collect();
         let mut id_map = U64Map::new();
         // Word ids of the previous level's frequent (n−1)-grams, stride
         // (n−1), indexed by prefix id. Empty at level 2 (prefix = word id).
@@ -170,24 +184,26 @@ impl FrequentPhraseMiner {
             let t_level = Instant::now();
             let docs_in = states.len() as u64;
 
-            // Count level-n candidates (lines 12-15).
-            for t in &mut count_tables {
-                t.clear();
-            }
-            let occurrences = if n_threads > 1 && states.len() > 1 {
-                count_level_queued(corpus, &states, n, &mut count_tables)
-            } else {
-                let mut occ = 0u64;
-                for st in &states {
-                    occ += count_level_doc(&corpus.docs[st.doc_idx], st, n, &mut count_tables[0]);
+            // Count level-n candidates (lines 12-15). Every level starts
+            // from empty minimum-size tables, so its clears and scans cost
+            // what its own candidates need, not what level 2's needed.
+            for w in &mut workers {
+                w.occurrences = 0;
+                for part in &mut w.parts {
+                    part.reset(0);
                 }
-                occ
-            };
+            }
+            for_each_block(&mut states, BLOCK, &mut workers, |w, _, block| {
+                for st in block.iter() {
+                    w.occurrences += count_level_doc(&corpus.docs[st.doc_idx], st, n, &mut w.parts);
+                }
+            });
+            let occurrences = workers.iter().map(|w| w.occurrences).sum();
 
             // Deterministic merge + min-support prune (line 22's filter):
             // survivors arrive sorted by packed key, which fixes the id
             // assignment below independently of thread count.
-            let (survivors, candidates) = merge_frequent(&count_tables, &mut merge_tables, eps);
+            let (survivors, candidates) = merge_frequent(&mut workers, eps);
 
             if survivors.is_empty() {
                 tel.levels.push(MiningLevel {
@@ -196,7 +212,7 @@ impl FrequentPhraseMiner {
                     frequent: 0,
                     occurrences,
                     docs_in,
-                    docs_out: docs_in,
+                    docs_out: 0,
                     nanos: t_level.elapsed().as_nanos() as u64,
                 });
                 break;
@@ -210,7 +226,8 @@ impl FrequentPhraseMiner {
             // Materialize the survivors (the only place phrases are built)
             // and assign their dense ids for the next level.
             next_arena.clear();
-            id_map.clear();
+            id_map.reset(survivors.len());
+            stats.ngram_counts.reserve(survivors.len());
             for (idx, &(key, count)) in survivors.iter().enumerate() {
                 let prefix = (key >> 32) as u32;
                 let word = key as u32;
@@ -230,23 +247,12 @@ impl FrequentPhraseMiner {
 
             // Advance active indices (line 7): a position stays active for
             // level n+1 iff its level-n candidate was countable and survived.
-            if n_threads > 1 && states.len() > 1 {
-                let chunk = states.len().div_ceil(n_threads);
-                let id_map = &id_map;
-                std::thread::scope(|scope| {
-                    for shard in states.chunks_mut(chunk) {
-                        scope.spawn(move || {
-                            for st in shard {
-                                advance_state(&corpus.docs[st.doc_idx], st, n, id_map);
-                            }
-                        });
-                    }
-                });
-            } else {
-                for st in &mut states {
-                    advance_state(&corpus.docs[st.doc_idx], st, n, &id_map);
+            let id_map = &id_map;
+            for_each_block(&mut states, BLOCK, &mut workers, |_, _, block| {
+                for st in block {
+                    advance_state(&corpus.docs[st.doc_idx], st, n, id_map);
                 }
-            }
+            });
 
             // Drop exhausted documents (lines 9-10, data antimonotonicity).
             let docs_out = if self.config.disable_doc_pruning {
@@ -296,153 +302,139 @@ impl FrequentPhraseMiner {
     }
 }
 
-/// Build the chunk-limit table: `limit[i]` is the exclusive end of the chunk
-/// containing token `i`.
-fn chunk_limits(doc: &Document) -> Vec<u32> {
-    let mut limit = vec![0u32; doc.tokens.len()];
-    for (start, end) in doc.chunk_ranges() {
-        for l in &mut limit[start..end] {
-            *l = end as u32;
-        }
-    }
-    limit
+/// A cursor over a document's chunk ends for positions visited in
+/// increasing order.
+struct ChunkEnds<'a> {
+    ends: &'a [u32],
+    next: usize,
 }
 
-/// Count all level-`n` candidate occurrences of one document into `counts`,
-/// returning the number of occurrences counted.
+impl<'a> ChunkEnds<'a> {
+    fn new(doc: &'a Document) -> Self {
+        Self {
+            ends: &doc.chunk_ends,
+            next: 0,
+        }
+    }
+
+    /// Exclusive end of the chunk containing position `i`, which must not
+    /// precede the previous call's.
+    #[inline]
+    fn end_of(&mut self, i: usize) -> usize {
+        while self.ends[self.next] as usize <= i {
+            self.next += 1;
+        }
+        self.ends[self.next] as usize
+    }
+}
+
+/// Count all level-`n` candidate occurrences of one document into `parts`,
+/// each key into the partition of its merge shard ([`shard_of`]), returning
+/// the number of occurrences counted.
 ///
 /// A candidate at active position `i` is counted iff `i+1` is also active
 /// (both constituent (n−1)-grams frequent — downward closure) and the n-gram
 /// fits inside `i`'s chunk. The candidate key is the position's prefix id
 /// packed with the word that extends it — one `u64`, no allocation.
 #[inline]
-fn count_level_doc(doc: &Document, st: &DocState, n: usize, counts: &mut U64Map) -> u64 {
+fn count_level_doc(doc: &Document, st: &DocState, n: usize, parts: &mut [U64Map]) -> u64 {
     let mut occ = 0u64;
+    let mut chunks = ChunkEnds::new(doc);
     for w in st.active.windows(2) {
         let (pos, pid) = w[0];
         if w[1].0 != pos + 1 {
             continue; // not adjacent: prefix or suffix (n−1)-gram infrequent
         }
         let i = pos as usize;
-        if i + n > st.limit[i] as usize {
+        if i + n > chunks.end_of(i) {
             continue; // would cross a chunk boundary
         }
-        counts.add(((pid as u64) << 32) | doc.tokens[i + n - 1] as u64, 1);
+        let key = ((pid as u64) << 32) | doc.tokens[i + n - 1] as u64;
+        parts[shard_of(key, parts.len())].add(key, 1);
         occ += 1;
     }
     occ
 }
 
-/// Work-queue counting pass: fixed-size blocks of documents are handed to
-/// whichever thread is free next (an atomic cursor), so a few long documents
-/// can't strand the other workers the way a static per-thread split does.
-/// Each worker owns one count table; determinism comes from the sharded
-/// merge, not from the schedule.
-fn count_level_queued(
-    corpus: &Corpus,
-    states: &[DocState],
-    n: usize,
-    tables: &mut [U64Map],
-) -> u64 {
-    const BLOCK: usize = 32;
-    let n_blocks = states.len().div_ceil(BLOCK);
-    let cursor = AtomicUsize::new(0);
+/// Run `f(worker, first_index, block)` over `items` cut into blocks of
+/// `block` items, each block going to whichever worker is free next, so a
+/// run of long documents cannot strand the other threads. With one worker
+/// or one block it runs inline on the calling thread. Determinism never
+/// rests on the schedule: every pass either touches each item alone or
+/// sums into per-worker scratch that is folded commutatively afterwards.
+fn for_each_block<I: Send, W: Send>(
+    items: &mut [I],
+    block: usize,
+    workers: &mut [W],
+    f: impl Fn(&mut W, usize, &mut [I]) + Sync,
+) {
+    let n_blocks = items.len().div_ceil(block);
+    if workers.len() == 1 || n_blocks <= 1 {
+        let worker = &mut workers[0];
+        for (b, items) in items.chunks_mut(block).enumerate() {
+            f(worker, b * block, items);
+        }
+        return;
+    }
+    let queue = Mutex::new(items.chunks_mut(block).enumerate());
     std::thread::scope(|scope| {
-        let handles: Vec<_> = tables
-            .iter_mut()
-            .map(|table| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut occ = 0u64;
-                    loop {
-                        let b = cursor.fetch_add(1, Ordering::Relaxed);
-                        if b >= n_blocks {
-                            break;
-                        }
-                        let start = b * BLOCK;
-                        let end = (start + BLOCK).min(states.len());
-                        for st in &states[start..end] {
-                            occ += count_level_doc(&corpus.docs[st.doc_idx], st, n, table);
-                        }
-                    }
-                    occ
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("mining worker panicked"))
-            .sum()
-    })
+        for worker in workers.iter_mut().take(n_blocks) {
+            let (queue, f) = (&queue, &f);
+            scope.spawn(move || loop {
+                let next = queue.lock().expect("a mining worker panicked").next();
+                let Some((b, items)) = next else { break };
+                f(worker, b * block, items);
+            });
+        }
+    });
 }
 
-/// Which merge shard owns a key. Any pure function of the key works; the
-/// high multiplicative-hash bits keep shards balanced and independent of the
-/// table's own slot indexing.
+/// Which merge shard owns a key. Any pure function of the key is correct,
+/// but a partition holds one shard's keys, so the shard must not be read
+/// off the top hash bits that pick a key's home slot: its keys would crowd
+/// into a fraction of the slots. The upper hash half modulo `n_shards`
+/// spreads every shard evenly over the home slots.
 #[inline]
 fn shard_of(key: u64, n_shards: usize) -> usize {
     ((fib_hash(key) >> 32) as usize) % n_shards
 }
 
-/// Fold the per-thread count tables into the global level result:
+/// Fold the workers' partitions into the global level result:
 /// `(survivors sorted by packed key, distinct candidate count)`.
 ///
-/// With several tables, merge worker `s` owns exactly the keys whose
-/// [`shard_of`] is `s` and sums them across *all* thread tables — addition
-/// commutes, so the result is independent of which thread counted which
-/// occurrence. Shards partition the key space, so concatenating the shard
-/// survivor lists and sorting by key yields one canonical order at every
-/// thread count.
-fn merge_frequent(
-    tables: &[U64Map],
-    merge_scratch: &mut [U64Map],
-    eps: u64,
-) -> (Vec<(u64, u64)>, u64) {
-    if tables.len() == 1 || merge_scratch.is_empty() {
-        let mut candidates = 0u64;
-        let mut survivors = Vec::new();
-        for t in tables {
-            candidates += t.len() as u64;
-            survivors.extend(t.iter().filter(|&(_, c)| c >= eps));
-        }
-        survivors.sort_unstable_by_key(|&(k, _)| k);
-        return (survivors, candidates);
-    }
-
-    let n_shards = merge_scratch.len();
-    let sharded: Vec<(Vec<(u64, u64)>, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = merge_scratch
-            .iter_mut()
-            .enumerate()
-            .map(|(s, local)| {
-                scope.spawn(move || {
-                    local.clear();
-                    for t in tables {
-                        for (k, v) in t.iter() {
-                            if shard_of(k, n_shards) == s {
-                                local.add(k, v);
-                            }
-                        }
-                    }
-                    let mut survivors: Vec<(u64, u64)> =
-                        local.iter().filter(|&(_, c)| c >= eps).collect();
-                    survivors.sort_unstable_by_key(|&(k, _)| k);
-                    (survivors, local.len() as u64)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("merge worker panicked"))
-            .collect()
-    });
-
-    let mut candidates = 0u64;
-    let mut survivors = Vec::with_capacity(sharded.iter().map(|(v, _)| v.len()).sum());
-    for (shard, cand) in sharded {
-        candidates += cand;
-        survivors.extend(shard);
-    }
+/// Merge shard `s` owns exactly the keys whose [`shard_of`] is `s`, which
+/// every worker counted into its `parts[s]`. The shard folds the other
+/// workers' partitions into worker 0's — addition commutes, so the result
+/// is independent of which worker counted which occurrence — after
+/// reserving room for all of them: the entries arrive in their partitions'
+/// slot order, under which a growing table degrades into one long cluster
+/// (see [`crate::prefix`]). Shards partition the key space, so sorting the
+/// union of their survivors yields one canonical order at every thread
+/// count.
+fn merge_frequent(workers: &mut [Worker], eps: u64) -> (Vec<(u64, u64)>, u64) {
+    let (first, rest) = workers
+        .split_first_mut()
+        .expect("at least one counting worker");
+    let rest = &*rest;
+    let mut merged: Vec<(Vec<(u64, u64)>, u64)> = vec![(Vec::new(), 0); first.parts.len()];
+    for_each_block(
+        &mut first.parts,
+        1,
+        &mut merged,
+        |(survivors, candidates), s, dst| {
+            let dst = &mut dst[0];
+            dst.reserve(rest.iter().map(|w| w.parts[s].len()).sum());
+            for w in rest {
+                for (k, v) in w.parts[s].iter() {
+                    dst.add(k, v);
+                }
+            }
+            *candidates += dst.len() as u64;
+            survivors.extend(dst.iter().filter(|&(_, c)| c >= eps));
+        },
+    );
+    let candidates = merged.iter().map(|&(_, c)| c).sum();
+    let mut survivors: Vec<(u64, u64)> = merged.into_iter().flat_map(|(s, _)| s).collect();
     survivors.sort_unstable_by_key(|&(k, _)| k);
     (survivors, candidates)
 }
@@ -454,13 +446,14 @@ fn merge_frequent(
 /// read cursor).
 fn advance_state(doc: &Document, st: &mut DocState, n: usize, id_map: &U64Map) {
     let mut w = 0usize;
+    let mut chunks = ChunkEnds::new(doc);
     for r in 0..st.active.len().saturating_sub(1) {
         let (pos, pid) = st.active[r];
         if st.active[r + 1].0 != pos + 1 {
             continue;
         }
         let i = pos as usize;
-        if i + n > st.limit[i] as usize {
+        if i + n > chunks.end_of(i) {
             continue;
         }
         let key = ((pid as u64) << 32) | doc.tokens[i + n - 1] as u64;
@@ -698,6 +691,55 @@ mod tests {
         // Total frequent multiword phrases match the stats map.
         assert_eq!(tel.frequent(), stats.n_frequent_ngrams() as u64);
         assert!(tel.total_nanos > 0);
+        // Uncapped, the mine runs until no document is left: the last level
+        // keeps none, so every document that entered level 2 was dropped.
+        let last = tel.levels.last().expect("at least one level");
+        assert_eq!(last.docs_out, 0);
+        assert_eq!(tel.docs_dropped(), tel.levels[0].docs_in);
+    }
+
+    #[test]
+    fn merge_sizes_each_shard_before_filling_it() {
+        // Two workers' level-2 count tables of 120 000 distinct keys each,
+        // partitioned for two merge shards. Both workers saw the same keys,
+        // so a shard holds ~60 000 distinct keys in ~120 000 partition
+        // entries. A destination sized from its partitions' lengths before
+        // the first insert has the slots for all those entries; one grown
+        // on demand while filled in slot order (the quadratic merge) stops
+        // at the slots for the distinct keys, half as many.
+        const KEYS: u64 = 120_000;
+        let mut workers: Vec<Worker> = (0..2)
+            .map(|_| Worker {
+                parts: vec![U64Map::new(), U64Map::new()],
+                occurrences: 0,
+            })
+            .collect();
+        for (w, worker) in workers.iter_mut().enumerate() {
+            for i in 0..KEYS {
+                // (prefix word, next word), as packed at level 2.
+                let key = ((i % 2000) << 32) | (i / 2000);
+                worker.parts[shard_of(key, 2)].add(key, w as u64 + 1);
+            }
+        }
+        let entries: Vec<usize> = (0..2)
+            .map(|s| workers.iter().map(|w| w.parts[s].len()).sum())
+            .collect();
+
+        let (survivors, candidates) = merge_frequent(&mut workers, 3);
+
+        assert_eq!(candidates, KEYS);
+        assert_eq!(survivors.len() as u64, KEYS);
+        assert!(survivors.windows(2).all(|p| p[0].0 < p[1].0));
+        assert!(survivors.iter().all(|&(_, count)| count == 3));
+        for (s, &entries) in entries.iter().enumerate() {
+            let merged = &workers[0].parts[s];
+            assert!(merged.capacity() > U64Map::slots_for(merged.len()));
+            assert_eq!(
+                merged.capacity(),
+                U64Map::slots_for(entries),
+                "shard {s}: the merge table grew while it was being filled"
+            );
+        }
     }
 
     #[test]

@@ -5,9 +5,16 @@
 //! allocation per *probe miss*, variable-length hashing per probe, and
 //! pointer-chasing comparisons. Candidates in the prefix-id scheme are a
 //! single packed `u64` (`prefix_id << 32 | next_word`), so the table below
-//! is all a level needs: linear probing over two flat arrays, Fibonacci
-//! hashing (one multiply), and a `clear()` that keeps capacity so the same
-//! scratch table serves every level of the mine without reallocating.
+//! is all a level needs: linear probing over two flat arrays and Fibonacci
+//! hashing (one multiply).
+//!
+//! A table must never be filled while smaller than its final size when its
+//! keys arrive in another table's slot order. Slot order is sorted by the
+//! top hash bits, which are also the home slot here, so every insert into a
+//! growing table lands at the end of one cluster that spans the whole
+//! table: quadratic. A merge therefore makes room for every entry it will
+//! copy before the first insert (`U64Map::reserve`); keys counted in
+//! document order arrive in hash-random order and may grow a table freely.
 //!
 //! `u64::MAX` is the reserved empty-slot sentinel. Packed candidate keys
 //! can never collide with it: the miner asserts both the vocabulary size
@@ -50,13 +57,20 @@ impl U64Map {
 
     /// A table that holds `n` entries without growing.
     pub fn with_capacity(n: usize) -> Self {
-        let cap = (n.max(8) * 2).next_power_of_two();
-        Self {
-            keys: vec![EMPTY_KEY; cap],
-            vals: vec![0; cap],
+        let mut map = Self {
+            keys: Vec::new(),
+            vals: Vec::new(),
             len: 0,
-            shift: 64 - cap.trailing_zeros(),
-        }
+            shift: 0,
+        };
+        map.reset(n);
+        map
+    }
+
+    /// The fewest slots (a power of two, at least 8) that hold `n` entries
+    /// at the 7/8 load factor [`U64Map::add`] grows at.
+    pub(crate) fn slots_for(n: usize) -> usize {
+        (n * 8).div_ceil(7).next_power_of_two().max(8)
     }
 
     pub fn len(&self) -> usize {
@@ -72,11 +86,26 @@ impl U64Map {
         self.keys.len()
     }
 
-    /// Forget all entries but keep the allocation.
-    pub fn clear(&mut self) {
-        if self.len != 0 {
-            self.keys.fill(EMPTY_KEY);
-            self.len = 0;
+    /// Forget all entries and resize to [`U64Map::slots_for`]`(n)` slots,
+    /// keeping the allocation when it is large enough. Costs O(that size),
+    /// not O(the table's current size).
+    pub(crate) fn reset(&mut self, n: usize) {
+        let cap = Self::slots_for(n);
+        self.keys.clear();
+        self.keys.resize(cap, EMPTY_KEY);
+        // A slot's value is written whenever its key is, so stale values
+        // in empty slots are harmless.
+        self.vals.resize(cap, 0);
+        self.len = 0;
+        self.shift = 64 - cap.trailing_zeros();
+    }
+
+    /// Make room for `additional` more entries, so that inserting them
+    /// never grows the table.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let cap = Self::slots_for(self.len + additional);
+        if cap > self.capacity() {
+            self.rehash(cap);
         }
     }
 
@@ -164,7 +193,13 @@ impl U64Map {
 
     #[cold]
     fn grow(&mut self) {
-        let new_cap = self.keys.len() * 2;
+        self.rehash(self.keys.len() * 2);
+    }
+
+    /// Move every entry into a fresh table of `new_cap` slots. The old
+    /// slots are read in order, which is home-slot order in any table at
+    /// least as large, so each insert probes only its own neighbourhood.
+    fn rehash(&mut self, new_cap: usize) {
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY_KEY; new_cap]);
         let old_vals = std::mem::replace(&mut self.vals, vec![0; new_cap]);
         self.shift = 64 - new_cap.trailing_zeros();
@@ -210,18 +245,58 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_capacity() {
+    fn reset_resizes_to_the_requested_entries() {
         let mut m = U64Map::new();
         for k in 0..1000u64 {
             m.add(k, k);
         }
-        let cap = m.capacity();
-        m.clear();
+        assert_eq!(m.capacity(), 2048);
+        m.reset(10);
         assert_eq!(m.len(), 0);
-        assert_eq!(m.capacity(), cap);
+        assert_eq!(m.capacity(), U64Map::slots_for(10));
         assert_eq!(m.get(5), None);
         m.add(5, 9);
         assert_eq!(m.get(5), Some(9));
+        m.reset(5000);
+        assert_eq!(m.capacity(), 8192);
+        assert_eq!(m.get(5), None);
+    }
+
+    #[test]
+    fn slots_for_fills_to_seven_eighths() {
+        assert_eq!(U64Map::slots_for(0), 8);
+        assert_eq!(U64Map::slots_for(7), 8);
+        assert_eq!(U64Map::slots_for(8), 16);
+        assert_eq!(U64Map::slots_for(14), 16);
+        assert_eq!(U64Map::slots_for(15), 32);
+        assert_eq!(U64Map::slots_for(114_688), 131_072);
+        assert_eq!(U64Map::slots_for(114_689), 262_144);
+        // A table sized for 14 entries takes the 14th without growing.
+        let mut m = U64Map::with_capacity(14);
+        for k in 0..14u64 {
+            m.add(k, 1);
+        }
+        assert_eq!(m.capacity(), 16);
+    }
+
+    #[test]
+    fn reserve_rehashes_once_then_never_grows() {
+        let mut m = U64Map::new();
+        for k in 0..100u64 {
+            m.add(k, k);
+        }
+        m.reserve(10_000);
+        let cap = m.capacity();
+        assert_eq!(cap, U64Map::slots_for(10_100));
+        for k in 100..10_100u64 {
+            m.add(k, k);
+        }
+        assert_eq!(m.capacity(), cap);
+        for k in 0..10_100u64 {
+            assert_eq!(m.get(k), Some(k));
+        }
+        m.reserve(0);
+        assert_eq!(m.capacity(), cap);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The prefix-id mining contract, enforced: [`FrequentPhraseMiner::mine`]
 //! produces exactly the frequent phrases of the quadratic
 //! enumerate-everything oracle ([`naive_frequent_phrases`]) on every
-//! configuration, through both counting engines — the sequential
-//! single-table pass (1 thread) and the work-queue pass with its
-//! key-sharded merge (2, 3 and 7 threads).
+//! configuration, at 1 thread (every pass inline) and at 2, 3 and 7
+//! (the work queue, partitioned counting and the key-sharded merge).
 //!
 //! The comparison is exact: frequency is anti-monotone, so every
 //! occurrence of a frequent n-gram sits on positions Algorithm 1 keeps
@@ -135,9 +134,8 @@ proptest! {
         assert_matches_oracle(&corpus, &config)?;
     }
 
-    /// Both counting engines (sequential at 1 thread, work-queue at 2, 3
-    /// and 7) against the reference with no length cap, on very small
-    /// vocabularies where phrases grow long.
+    /// The miner at 1, 2, 3 and 7 threads against the reference with no
+    /// length cap, on very small vocabularies where phrases grow long.
     #[test]
     fn both_engines_match_naive_reference(
         corpus_seed in 0u64..1_000_000,
