@@ -278,64 +278,12 @@ fn bench_sparse_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Amortized vs clone-per-sweep parallel sweeps on a V = 100k vocabulary.
-///
-/// The corpus touches only a sliver of the vocabulary, so the historical
-/// per-sweep `N_wk` clone (O(V·K)) dwarfs the sampling work — exactly the
-/// regime that would have exposed the clone before the double-buffered
-/// snapshot landed. Both modes sample bit-identical chains.
-fn bench_large_vocab_snapshot(c: &mut Criterion) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use topmine_lda::GroupedDoc;
-
-    let vocab = 100_000usize;
-    let mut rng = StdRng::seed_from_u64(13);
-    let docs: Vec<GroupedDoc> = (0..64)
-        .map(|_| {
-            let tokens: Vec<u32> = (0..48).map(|_| rng.gen_range(0..vocab as u32)).collect();
-            let group_ends = (1..=48u32).collect();
-            GroupedDoc { tokens, group_ends }
-        })
-        .collect();
-    let grouped = GroupedDocs {
-        docs,
-        vocab_size: vocab,
-    };
-    let cfg = TopicModelConfig {
-        n_topics: 32,
-        alpha: 1.5,
-        beta: 0.01,
-        seed: 5,
-        optimize_every: 0,
-        burn_in: 0,
-        n_threads: 2,
-    };
-    let mut group = c.benchmark_group("large_vocab_snapshot");
-    group.sample_size(10);
-    group.bench_function("amortized_sweep", |b| {
-        let mut model = PhraseLda::new(grouped.clone(), cfg.clone());
-        model.run(2); // pay the one-time clone outside the timer
-        b.iter(|| model.step());
-    });
-    group.bench_function("clone_per_sweep", |b| {
-        let mut model = PhraseLda::new(grouped.clone(), cfg.clone());
-        model.run(2);
-        b.iter(|| {
-            model.invalidate_snapshot();
-            model.step();
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_sweep_cost,
     bench_perplexity_and_hyperopt,
     bench_long_clique_posterior,
     bench_singleton_clique,
-    bench_sparse_kernel,
-    bench_large_vocab_snapshot
+    bench_sparse_kernel
 );
 criterion_main!(benches);

@@ -2,25 +2,22 @@
 //!
 //! [`TopicCounts`] owns the three tables every reader of the sampler state
 //! goes through — the sequential sweep, the thread-sharded sweep's
-//! snapshot, φ/θ point estimates, perplexity, and Minka's fixed-point
+//! workers, φ/θ point estimates, perplexity, and Minka's fixed-point
 //! hyperparameter updates. Centralizing them keeps the add/remove
 //! bookkeeping in one place and gives the parallel scheduler a single
-//! thing to snapshot and merge.
+//! thing to read and merge into.
 //!
-//! # Amortized snapshots
+//! # Parallel sweeps read the live tables
 //!
-//! The thread-sharded sweep samples every document against a frozen copy
-//! of `N_wk`/`N_k`. Re-cloning those tables each sweep is O(V·K) — for
-//! huge vocabularies that copy dominates the sweep. [`TopicCounts`]
-//! therefore double-buffers: it keeps a second `snap_wk`/`snap_k` pair,
-//! and [`apply_delta`](TopicCounts::apply_delta) rolls each sweep's sparse
-//! `(idx, Δ)` barrier merge into *both* buffers. Because the deltas are
-//! exact integers, `snapshot = previous snapshot + merged deltas` is
-//! bit-identical to a fresh clone, but costs O(nnz) — proportional to how
-//! many counts actually moved, independent of V·K. A full copy happens
-//! only when the snapshot is stale: the first parallel sweep, or after a
-//! sequential mutation ([`add_group`](TopicCounts::add_group)/
-//! [`remove_group`](TopicCounts::remove_group) invalidate it).
+//! The thread-sharded sweep samples every document against the
+//! sweep-start `N_wk`/`N_k`. No copy is needed for that: nothing writes
+//! `N_wk`, `N_k` or the per-word nonzero index between a sweep's start and
+//! its barrier, because the merge
+//! ([`apply_delta`](TopicCounts::apply_delta)) runs only after every
+//! worker has joined. [`sweep_views`](TopicCounts::sweep_views) therefore
+//! hands the workers the live tables, shared read-only, and the merge
+//! costs one write per sparse `(idx, Δ)` entry — proportional to how many
+//! counts moved, independent of V·K.
 //!
 //! # Sparse nonzero indexes
 //!
@@ -30,18 +27,18 @@
 //! tables, a **sorted** list of nonzero topics per `N_wk` row
 //! ([`word_nz`](TopicCounts::word_nz)) and per `N_dk` row
 //! ([`doc_nz`](TopicCounts::doc_nz)). Every mutation path keeps them in
-//! sync: `add_group`/`remove_group` on the sequential path, and the same
-//! sparse `(idx, Δ)` barrier merge that rolls the snapshot forward on the
-//! parallel path ([`apply_delta`](TopicCounts::apply_delta) watches the
-//! 0 ↔ nonzero transitions it already computes). Sorted order makes the
-//! kernel's bucket-sum iteration order canonical, which is what keeps the
-//! sampled chain bit-identical across thread counts.
+//! sync: `add_group`/`remove_group` on the sequential path, and the
+//! sparse `(idx, Δ)` barrier merge on the parallel path
+//! ([`apply_delta`](TopicCounts::apply_delta) watches the 0 ↔ nonzero
+//! transitions it already computes). Sorted order makes the kernel's
+//! bucket-sum iteration order canonical, which is what keeps the sampled
+//! chain bit-identical across thread counts.
 
 /// Dense count tables of a collapsed Gibbs chain over `D` documents,
-/// `V` words, and `K` topics, plus the amortized sweep-snapshot buffers.
+/// `V` words, and `K` topics, plus their sorted nonzero-topic indexes.
 ///
-/// Equality compares only the live chain state (`N_dk`/`N_wk`/`N_k`);
-/// the snapshot buffers are a cache and never observable.
+/// Equality compares only the chain state (`N_dk`/`N_wk`/`N_k`); the
+/// nonzero indexes are derived from it.
 #[derive(Debug, Clone)]
 pub struct TopicCounts {
     k: usize,
@@ -52,13 +49,6 @@ pub struct TopicCounts {
     pub(crate) n_wk: Vec<u32>,
     /// `N_k`: tokens assigned to topic k.
     pub(crate) n_k: Vec<u64>,
-    /// Double buffer of `n_wk` for parallel sweeps (empty until the first
-    /// [`refresh_snapshot`](TopicCounts::refresh_snapshot)).
-    snap_wk: Vec<u32>,
-    /// Double buffer of `n_k`.
-    snap_k: Vec<u64>,
-    /// Whether `snap_wk`/`snap_k` currently equal `n_wk`/`n_k`.
-    snap_fresh: bool,
     /// Per-word sorted topics with `N_wk > 0` (the topic-word bucket's
     /// iteration set), stored *flat* at fixed capacity K per row: word
     /// `w`'s list is `nz_wk[w*K .. w*K + nz_wk_len[w]]`. A row can never
@@ -120,22 +110,6 @@ fn advise_huge<T>(table: &[T]) {
     let _ = table;
 }
 
-/// Insert `t` into a sorted nonzero-topic list (no-op if present).
-#[inline]
-pub fn nz_insert(list: &mut Vec<u16>, t: u16) {
-    if let Err(pos) = list.binary_search(&t) {
-        list.insert(pos, t);
-    }
-}
-
-/// Remove `t` from a sorted nonzero-topic list (no-op if absent).
-#[inline]
-pub fn nz_remove(list: &mut Vec<u16>, t: u16) {
-    if let Ok(pos) = list.binary_search(&t) {
-        list.remove(pos);
-    }
-}
-
 /// Insert `t` into a fixed-capacity sorted row (`row[..*len]` live);
 /// no-op if present. The caller guarantees capacity: a topic list holds
 /// at most K entries and the row is K wide.
@@ -159,13 +133,13 @@ pub fn nz_row_remove(row: &mut [u16], len: &mut u16, t: u16) {
     }
 }
 
-/// Split-borrow of [`TopicCounts`] for one parallel sweep: the frozen
-/// snapshot plus the sparse indexes (`nz_wk` shared for the gather,
-/// `nz_dk` chunked mutably per document shard alongside `n_dk`). The nz
+/// Split-borrow of [`TopicCounts`] for one parallel sweep: the live
+/// `N_wk`/`N_k` and per-word nonzero index, shared read-only by every
+/// worker, plus `n_dk`/`nz_dk` chunked mutably per document shard. The nz
 /// indexes come as flat fixed-capacity-K rows plus their length arrays.
 pub struct SweepViews<'a> {
-    pub snap_wk: &'a [u32],
-    pub snap_k: &'a [u64],
+    pub n_wk: &'a [u32],
+    pub n_k: &'a [u64],
     pub n_dk: &'a mut [u32],
     pub nz_wk: &'a [u16],
     pub nz_wk_len: &'a [u16],
@@ -193,9 +167,6 @@ impl TopicCounts {
             n_dk: vec![0; n_docs * n_topics],
             n_wk: vec![0; vocab_size * n_topics],
             n_k: vec![0; n_topics],
-            snap_wk: Vec::new(),
-            snap_k: Vec::new(),
-            snap_fresh: false,
             nz_wk: vec![0; vocab_size * n_topics],
             nz_wk_len: vec![0; vocab_size],
             nz_dk: vec![0; n_docs * n_topics],
@@ -238,8 +209,8 @@ impl TopicCounts {
         &self.n_dk[d * self.k..(d + 1) * self.k]
     }
 
-    /// The full `N_wk` table, row-major `w*K + k` (e.g. to snapshot it or
-    /// build a [`crate::kernel::TrainView`]).
+    /// The full `N_wk` table, row-major `w*K + k` (e.g. to build a
+    /// [`crate::kernel::TrainView`]).
     #[inline]
     pub fn n_wk_table(&self) -> &[u32] {
         &self.n_wk
@@ -330,59 +301,15 @@ impl TopicCounts {
         Ok(())
     }
 
-    /// Bring the snapshot buffers up to date with the live tables.
-    ///
-    /// Cheap when the snapshot is already fresh (the common case: the
-    /// previous parallel sweep rolled its deltas into both buffers);
-    /// otherwise performs the one full O(V·K) copy that seeds the
-    /// amortization. Returns the number of `n_wk` cells copied (0 when
-    /// fresh), which the scheduler surfaces as a sweep statistic.
-    pub fn refresh_snapshot(&mut self) -> usize {
-        if self.snap_fresh {
-            return 0;
-        }
-        self.snap_wk.clear();
-        let advise = self.snap_wk.capacity() < self.n_wk.len();
-        self.snap_wk.reserve_exact(self.n_wk.len());
-        if advise {
-            advise_huge(self.snap_wk.spare_capacity_mut());
-        }
-        self.snap_wk.extend_from_slice(&self.n_wk);
-        self.snap_k.clear();
-        self.snap_k.extend_from_slice(&self.n_k);
-        self.snap_fresh = true;
-        self.snap_wk.len()
-    }
-
-    /// Drop the amortized snapshot so the next
-    /// [`refresh_snapshot`](Self::refresh_snapshot) performs a full clone.
-    /// Used by the clone-baseline benchmarks and the amortized-vs-clone
-    /// equivalence tests; never needed in normal operation.
-    pub fn invalidate_snapshot(&mut self) {
-        self.snap_fresh = false;
-    }
-
-    /// Whether the snapshot buffers currently mirror the live tables.
-    #[inline]
-    pub fn snapshot_is_fresh(&self) -> bool {
-        self.snap_fresh
-    }
-
-    /// Split-borrow for one parallel sweep: the frozen
-    /// `(snap_wk, snap_k)` snapshot (shared across worker threads), the
-    /// mutable `N_dk` rows (chunked per document shard), and the sparse
-    /// nonzero indexes (`nz_wk` shared, `nz_dk` chunked like `n_dk`).
-    /// Requires a fresh snapshot — call
-    /// [`refresh_snapshot`](Self::refresh_snapshot) first.
+    /// Split-borrow for one parallel sweep: the live `N_wk`/`N_k` and
+    /// per-word nonzero index (shared across worker threads, which only
+    /// read them before the barrier merge), the mutable `N_dk` rows
+    /// (chunked per document shard), and `nz_dk` (chunked like `n_dk`).
     #[inline]
     pub fn sweep_views(&mut self) -> SweepViews<'_> {
-        // A real assert: a stale snapshot here would silently sample a
-        // wrong (non-bit-identical) chain, and the check is one bool read
-        // per sweep.
-        assert!(self.snap_fresh, "sweep_views needs a fresh snapshot");
         SweepViews {
-            snap_wk: &self.snap_wk,
-            snap_k: &self.snap_k,
+            n_wk: &self.n_wk,
+            n_k: &self.n_k,
             n_dk: &mut self.n_dk,
             nz_wk: &self.nz_wk,
             nz_wk_len: &self.nz_wk_len,
@@ -394,7 +321,6 @@ impl TopicCounts {
     /// Move a clique's tokens into topic `topic`.
     #[inline]
     pub fn add_group(&mut self, d: usize, tokens: &[u32], topic: u16) {
-        self.snap_fresh = false;
         let kt = topic as usize;
         for &w in tokens {
             let base = w as usize * self.k;
@@ -425,7 +351,6 @@ impl TopicCounts {
     /// Remove a clique's tokens from topic `topic`.
     #[inline]
     pub fn remove_group(&mut self, d: usize, tokens: &[u32], topic: u16) {
-        self.snap_fresh = false;
         let kt = topic as usize;
         for &w in tokens {
             let base = w as usize * self.k;
@@ -456,75 +381,33 @@ impl TopicCounts {
     /// Apply one shard's signed count delta from a parallel sweep:
     /// `delta_wk` as sparse `(row-major index, delta)` pairs (the same
     /// index may repeat), `delta_k` dense over the K topics. Integer
-    /// addition commutes, so the merged state is independent of shard
-    /// count and application order.
-    ///
-    /// When the snapshot is fresh, the delta also rolls into the snapshot
-    /// buffers — this is the amortization: after the last shard of a sweep
-    /// merges, `snap_wk`/`snap_k` already *are* the next sweep's snapshot,
-    /// in O(nnz) instead of an O(V·K) re-clone, and bit-identical to one
-    /// (integer adds are exact).
+    /// addition commutes and the nonzero lists are sorted sets, so the
+    /// merged state is independent of shard count, application order, and
+    /// the order of entries within a delta.
     pub fn apply_delta(&mut self, delta_wk: &[(u32, i32)], delta_k: &[i64]) {
         debug_assert_eq!(delta_k.len(), self.n_k.len());
-        if self.snap_fresh {
-            // Steady-state barrier merge: one pass updates both buffers
-            // and the nonzero index (the same index may repeat across
-            // shards, so 0 ↔ nonzero transitions are watched per update).
-            for &(i, d) in delta_wk {
-                let prev = self.n_wk[i as usize];
-                let next = prev as i64 + d as i64;
-                debug_assert!(next >= 0, "n_wk went negative in merge");
-                self.n_wk[i as usize] = next as u32;
-                self.snap_wk[i as usize] = (self.snap_wk[i as usize] as i64 + d as i64) as u32;
-                let (w, t) = (i as usize / self.k, (i as usize % self.k) as u16);
-                let base = w * self.k;
-                if prev == 0 && next > 0 {
-                    nz_row_insert(
-                        &mut self.nz_wk[base..base + self.k],
-                        &mut self.nz_wk_len[w],
-                        t,
-                    );
-                } else if prev > 0 && next == 0 {
-                    nz_row_remove(
-                        &mut self.nz_wk[base..base + self.k],
-                        &mut self.nz_wk_len[w],
-                        t,
-                    );
+        // The same index may repeat across shards and documents, so
+        // 0 ↔ nonzero transitions are watched per update.
+        for &(i, d) in delta_wk {
+            let i = i as usize;
+            let prev = self.n_wk[i];
+            let next = prev as i64 + d as i64;
+            debug_assert!(next >= 0, "n_wk went negative in merge");
+            self.n_wk[i] = next as u32;
+            if (prev == 0) != (next == 0) {
+                let (w, t) = (i / self.k, (i % self.k) as u16);
+                let row = &mut self.nz_wk[w * self.k..(w + 1) * self.k];
+                if next > 0 {
+                    nz_row_insert(row, &mut self.nz_wk_len[w], t);
+                } else {
+                    nz_row_remove(row, &mut self.nz_wk_len[w], t);
                 }
             }
-            for ((c, s), &d) in self.n_k.iter_mut().zip(self.snap_k.iter_mut()).zip(delta_k) {
-                let next = *c as i64 + d;
-                debug_assert!(next >= 0, "n_k went negative in merge");
-                *c = next as u64;
-                *s = (*s as i64 + d) as u64;
-            }
-        } else {
-            for &(i, d) in delta_wk {
-                let prev = self.n_wk[i as usize];
-                let next = prev as i64 + d as i64;
-                debug_assert!(next >= 0, "n_wk went negative in merge");
-                self.n_wk[i as usize] = next as u32;
-                let (w, t) = (i as usize / self.k, (i as usize % self.k) as u16);
-                let base = w * self.k;
-                if prev == 0 && next > 0 {
-                    nz_row_insert(
-                        &mut self.nz_wk[base..base + self.k],
-                        &mut self.nz_wk_len[w],
-                        t,
-                    );
-                } else if prev > 0 && next == 0 {
-                    nz_row_remove(
-                        &mut self.nz_wk[base..base + self.k],
-                        &mut self.nz_wk_len[w],
-                        t,
-                    );
-                }
-            }
-            for (c, &d) in self.n_k.iter_mut().zip(delta_k) {
-                let next = *c as i64 + d;
-                debug_assert!(next >= 0, "n_k went negative in merge");
-                *c = next as u64;
-            }
+        }
+        for (c, &d) in self.n_k.iter_mut().zip(delta_k) {
+            let next = *c as i64 + d;
+            debug_assert!(next >= 0, "n_k went negative in merge");
+            *c = next as u64;
         }
     }
 }
@@ -543,53 +426,6 @@ mod tests {
         assert_eq!(c.doc_row(1), &[0, 0, 3]);
         c.remove_group(1, &[0, 4, 4], 2);
         assert_eq!(c, TopicCounts::new(2, 5, 3));
-    }
-
-    #[test]
-    fn snapshot_rolls_forward_through_deltas_and_invalidates_on_mutation() {
-        let mut c = TopicCounts::new(1, 3, 2);
-        c.add_group(0, &[0, 1, 2], 0);
-        assert!(!c.snapshot_is_fresh());
-        // First refresh: a full copy.
-        assert_eq!(c.refresh_snapshot(), 3 * 2);
-        assert!(c.snapshot_is_fresh());
-        {
-            let views = c.sweep_views();
-            assert_eq!(views.snap_wk, &[1, 0, 1, 0, 1, 0]);
-            assert_eq!(views.snap_k, &[3, 0]);
-        }
-        // A barrier merge rolls into both buffers: the snapshot stays
-        // fresh and the next refresh costs nothing.
-        c.apply_delta(&[(0, -1), (1, 1)], &[-1, 1]);
-        assert!(c.snapshot_is_fresh());
-        assert_eq!(c.refresh_snapshot(), 0);
-        {
-            let views = c.sweep_views();
-            assert_eq!(views.snap_wk, &[0, 1, 1, 0, 1, 0]);
-            assert_eq!(views.snap_k, &[2, 1]);
-        }
-        // Sequential mutation invalidates; the refresh re-clones and the
-        // result still matches the live tables exactly.
-        c.add_group(0, &[1], 1);
-        assert!(!c.snapshot_is_fresh());
-        assert_eq!(c.refresh_snapshot(), 3 * 2);
-        let live_wk = c.n_wk_table().to_vec();
-        let live_k = c.n_k_table().to_vec();
-        let views = c.sweep_views();
-        assert_eq!(views.snap_wk, &live_wk[..]);
-        assert_eq!(views.snap_k, &live_k[..]);
-    }
-
-    #[test]
-    fn equality_ignores_snapshot_buffers() {
-        let mut a = TopicCounts::new(1, 2, 2);
-        let mut b = a.clone();
-        a.add_group(0, &[0], 0);
-        b.add_group(0, &[0], 0);
-        a.refresh_snapshot();
-        assert_eq!(a, b, "snapshot state must not affect equality");
-        a.invalidate_snapshot();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -615,17 +451,14 @@ mod tests {
     fn nz_index_survives_repeated_delta_indices() {
         let mut c = TopicCounts::new(1, 2, 2);
         c.add_group(0, &[0], 0);
-        c.refresh_snapshot();
         // Two shards both touched cell (w=0, t=0): 1 → 0 → 1 across the
         // merge. The nz list must see both transitions, not just the net.
         c.apply_delta(&[(0, -1), (0, 1)], &[0, 0]);
         assert_eq!(c.word_nz(0), &[0]);
         c.validate_nz().unwrap();
-        // Net removal and net insertion through the merged path, with the
-        // snapshot both fresh and stale.
+        // Net removal and net insertion through the merged path.
         c.apply_delta(&[(0, -1), (1, 1)], &[-1, 1]);
         assert_eq!(c.word_nz(0), &[1]);
-        c.invalidate_snapshot();
         c.apply_delta(&[(1, -1), (2, 1)], &[1, -1]);
         assert!(c.word_nz(0).is_empty());
         assert_eq!(c.word_nz(1), &[0]);

@@ -10,12 +10,13 @@
 //!   `kernel::KERNEL_VERSION` 2 it also hosts the bucketed
 //!   O(active-topics) singleton draw (smoothing/document/topic-word
 //!   decomposition with an alias-served smoothing bucket).
-//! * [`counts`] — the `N_dk`/`N_wk`/`N_k` count state the sampler mutates,
-//!   snapshots, and merges, plus the sorted nonzero-topic indexes the
-//!   sparse kernel iterates.
+//! * [`counts`] — the `N_dk`/`N_wk`/`N_k` count state the sampler mutates
+//!   and merges into (parallel workers read it in place), plus the sorted
+//!   nonzero-topic indexes the sparse kernel iterates.
 //! * [`sampler`] — the sweep scheduler over the kernel: the exact
 //!   sequential chain (`n_threads == 1`) and the thread-sharded
-//!   snapshot-and-merge sweep (bit-identical across all `n_threads ≥ 2`),
+//!   snapshot-and-merge sweep (bit-identical across all `n_threads ≥ 2`;
+//!   each document's merge delta holds only the cells it moved),
 //!   training/held-out perplexity, and Minka fixed-point hyperparameter
 //!   optimization (§5.3).
 //! * [`io`] — TSV persistence for fitted models (φ, assignments,

@@ -27,10 +27,18 @@
 //! update is visible to the next, the historical chain bit-for-bit. With
 //! `n_threads = T ≥ 2` the sweep is *thread-sharded* in the style of
 //! Newman et al.'s AD-LDA ("Distributed Algorithms for Topic Models", JMLR
-//! 2009): the global `N_wk`/`N_k` tables are snapshotted, documents are
-//! partitioned into contiguous shards, every document is sampled against
-//! `snapshot + its own in-sweep delta` with an RNG stream derived from
-//! `(seed, sweep, doc)`, and the per-shard count deltas merge at a barrier.
+//! 2009): documents are partitioned into contiguous shards, every document
+//! is sampled against `sweep-start N_wk/N_k + its own in-sweep delta` with
+//! an RNG stream derived from `(seed, sweep, doc)`, and the per-shard
+//! count deltas merge at a barrier. The sweep-start tables need no copy:
+//! workers read the live tables in place, because nothing writes them
+//! until the barrier merge runs after the join.
+//!
+//! Each document's delta is folded from only the cells it moved: when a
+//! clique changes topic, its tokens' (word, old) and (word, new) cells are
+//! recorded, and at the document's end each recorded cell whose local
+//! count differs from the table emits `local − table` once. The merge
+//! thus costs what the sweep changed, not distinct words × K.
 //!
 //! Because each document's view and randomness are independent of which
 //! shard it landed in, the chain is **bit-identical for every `T ≥ 2`** —
@@ -40,7 +48,7 @@
 //! that is the documented snapshot-sweep approximation, property-tested in
 //! `tests/parallel_determinism.rs` rather than assumed away.
 
-use crate::counts::{nz_insert, nz_remove, nz_row_insert, nz_row_remove, TopicCounts};
+use crate::counts::{nz_row_insert, nz_row_remove, TopicCounts};
 use crate::kernel::{
     clique_posterior, doc_stream_seed, sample_discrete, sample_singleton_sparse_split,
     CliqueScratch, DocBucket, FixedPhiView, SingletonBucket, SmoothingBucket, TrainView,
@@ -116,17 +124,19 @@ impl TopicModelConfig {
     }
 }
 
-// Per-sweep telemetry (snapshot amortization, sweep timing, singleton
-// draw split) lives in the shared [`topmine_obs::SweepTelemetry`] struct,
-// surfaced by [`PhraseLda::sweep_stats`] and consumed by the perfbench
-// fit workload, the `--progress` flag, and the `TOPMINE_TRACE` sink.
+// Per-sweep telemetry (barrier-merge volume and time, sweep timing,
+// singleton draw split) lives in the shared
+// [`topmine_obs::SweepTelemetry`] struct, surfaced by
+// [`PhraseLda::sweep_stats`] and consumed by the perfbench fit workload,
+// the `--progress` flag, and the `TOPMINE_TRACE` sink.
 
 /// Per-shard reusable sweep state: the scatter-gather buffers of the
-/// thread-sharded sweep plus the kernel scratch and weight vector. One of
-/// these lives per worker shard (and one for the sequential path),
-/// allocated on first use and reused across documents *and* sweeps — the
-/// steady-state fit loop performs no per-clique or per-document heap
-/// allocation.
+/// thread-sharded sweep, its merge delta, plus the kernel scratch and
+/// weight vector. One of these lives per worker shard (and one for the
+/// sequential path), allocated on first use and reused across documents
+/// *and* sweeps — buffers are cleared rather than freed, so the
+/// steady-state fit loop performs no per-clique, per-document or
+/// per-delta heap allocation.
 #[derive(Debug, Clone, Default)]
 struct SweepScratch {
     /// Kernel scratch (within-clique multiplicities).
@@ -141,7 +151,7 @@ struct SweepScratch {
     distinct: Vec<u32>,
     /// The document's tokens remapped to doc-local ids.
     local_tokens: Vec<u32>,
-    /// Gathered snapshot rows for the distinct words (`n_distinct × K`).
+    /// Gathered `N_wk` rows for the distinct words (`n_distinct × K`).
     local_wk: Vec<u32>,
     /// Gathered `N_k` (length K).
     local_nk: Vec<u64>,
@@ -153,9 +163,18 @@ struct SweepScratch {
     smoothing: SmoothingBucket,
     /// Sparse-kernel document bucket.
     doc_bucket: DocBucket,
-    /// Gathered nonzero-topic lists for the distinct words (parallel
-    /// path; mirrors `local_wk` rows).
-    local_nz: Vec<Vec<u16>>,
+    /// Gathered nonzero-topic rows for the distinct words (parallel
+    /// path; mirrors `local_wk` rows), flat at capacity K per row like
+    /// `TopicCounts`' `nz_wk`: local word `li`'s list is
+    /// `local_nz[li*K .. li*K + local_nz_len[li]]`.
+    local_nz: Vec<u16>,
+    /// Live lengths of the `local_nz` rows.
+    local_nz_len: Vec<u16>,
+    /// `(local word, topic)` cells the current document's topic changes
+    /// touched, in the order they moved (repeats allowed).
+    moved: Vec<(u32, u32)>,
+    /// The shard's contribution to this sweep's barrier merge.
+    delta: ShardDelta,
 }
 
 impl SweepScratch {
@@ -201,8 +220,7 @@ pub struct PhraseLda {
     alpha: Vec<f64>,
     /// Symmetric topic-word Dirichlet.
     beta: f64,
-    /// The `N_dk`/`N_wk`/`N_k` tables (plus the amortized snapshot
-    /// double-buffer, see [`TopicCounts`]).
+    /// The `N_dk`/`N_wk`/`N_k` tables and their nonzero indexes.
     counts: TopicCounts,
     /// Topic of each group: z[d][g].
     z: Vec<Vec<u16>>,
@@ -308,7 +326,6 @@ impl PhraseLda {
                     .u64("threads", self.config.n_threads.max(1) as u64)
                     .f64("secs", d.sweep_nanos as f64 / 1e9)
                     .f64("snapshot_secs", d.snapshot_nanos as f64 / 1e9)
-                    .u64("snapshot_full_clones", d.snapshot_full_clones)
                     .u64("merge_delta_entries", d.merge_delta_entries)
                     .u64("draws_topic_word", d.draws.topic_word)
                     .u64("draws_doc", d.draws.doc)
@@ -433,13 +450,10 @@ impl PhraseLda {
     /// One thread-sharded snapshot sweep (see module docs): bit-identical
     /// for every `threads ≥ 2`, regardless of how many cores actually run.
     ///
-    /// The sweep-start snapshot is *amortized*: instead of cloning the
-    /// full `N_wk`/`N_k` tables (O(V·K)) every sweep, [`TopicCounts`]
-    /// keeps a double buffer that the previous barrier merge already
-    /// rolled the sparse deltas into — producing this sweep's snapshot in
-    /// O(nnz of the last sweep). A full clone happens only on the first
-    /// parallel sweep (or after a sequential mutation invalidated the
-    /// buffer), and the result is bit-identical either way.
+    /// Workers read the live `N_wk`/`N_k` in place — the barrier merge
+    /// below is the only writer, and it runs after the join — so the
+    /// sweep-start state costs no copy, and the merge writes each delta
+    /// entry once.
     fn sweep_parallel(&mut self, threads: usize) {
         let n_docs = self.docs.n_docs();
         if n_docs == 0 {
@@ -452,23 +466,14 @@ impl PhraseLda {
         );
         let k = self.k;
         let v_beta = self.v as f64 * self.beta;
-        let shards = threads.min(n_docs);
-        let chunk = n_docs.div_ceil(shards);
+        let chunk = n_docs.div_ceil(threads.min(n_docs));
+        let shards = n_docs.div_ceil(chunk);
         if self.scratch.len() < shards {
             self.scratch.resize_with(shards, SweepScratch::default);
         }
-        // Sweep-start snapshot every document samples against: rolled
-        // forward from the previous sweep when possible, cloned otherwise.
-        let snap_start = std::time::Instant::now();
-        let cells = self.counts.refresh_snapshot();
-        if cells > 0 {
-            self.stats.snapshot_full_clones += 1;
-            self.stats.snapshot_cells_cloned += cells as u64;
-        }
         self.stats.parallel_sweeps += 1;
-        self.stats.snapshot_nanos += snap_start.elapsed().as_nanos() as u64;
         let views = self.counts.sweep_views();
-        let (snap_wk, snap_k, ndk) = (views.snap_wk, views.snap_k, views.n_dk);
+        let (n_wk, n_k, ndk) = (views.n_wk, views.n_k, views.n_dk);
         let (nz_wk, nz_wk_len) = (views.nz_wk, views.nz_wk_len);
         let (nz_dk, nz_dk_len) = (views.nz_dk, views.nz_dk_len);
         let sweep = self.sweeps_done as u64;
@@ -478,8 +483,13 @@ impl PhraseLda {
         let docs = &self.docs.docs;
         let z = &mut self.z;
         let scratches = &mut self.scratch;
-        let deltas: Vec<ShardDelta> = std::thread::scope(|scope| {
-            let handles: Vec<_> = docs
+        // Scoped threads join when the scope ends (re-raising any worker
+        // panic), and each shard's delta stays in its scratch.
+        std::thread::scope(|scope| {
+            for (
+                si,
+                (((((doc_shard, z_shard), ndk_shard), nz_dk_shard), nz_dk_len_shard), scratch),
+            ) in docs
                 .chunks(chunk)
                 .zip(z.chunks_mut(chunk))
                 .zip(ndk.chunks_mut(chunk * k))
@@ -487,54 +497,48 @@ impl PhraseLda {
                 .zip(nz_dk_len.chunks_mut(chunk))
                 .zip(scratches.iter_mut())
                 .enumerate()
-                .map(
-                    |(
-                        si,
-                        (
-                            ((((doc_shard, z_shard), ndk_shard), nz_dk_shard), nz_dk_len_shard),
-                            scratch,
-                        ),
-                    )| {
-                        scope.spawn(move || {
-                            sweep_shard(
-                                ShardCtx {
-                                    docs: doc_shard,
-                                    z: z_shard,
-                                    ndk: ndk_shard,
-                                    nz_dk: nz_dk_shard,
-                                    nz_dk_len: nz_dk_len_shard,
-                                    snap_wk,
-                                    snap_k,
-                                    nz_wk,
-                                    nz_wk_len,
-                                    alpha,
-                                    k,
-                                    beta,
-                                    v_beta,
-                                    seed,
-                                    sweep,
-                                    first_doc: si * chunk,
-                                },
-                                scratch,
-                            )
-                        })
-                    },
-                )
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("gibbs worker panicked"))
-                .collect()
+            {
+                scope.spawn(move || {
+                    sweep_shard(
+                        ShardCtx {
+                            docs: doc_shard,
+                            z: z_shard,
+                            ndk: ndk_shard,
+                            nz_dk: nz_dk_shard,
+                            nz_dk_len: nz_dk_len_shard,
+                            n_wk,
+                            n_k,
+                            nz_wk,
+                            nz_wk_len,
+                            alpha,
+                            k,
+                            beta,
+                            v_beta,
+                            seed,
+                            sweep,
+                            first_doc: si * chunk,
+                        },
+                        scratch,
+                    )
+                });
+            }
         });
-        // Barrier merge. Integer deltas commute, so the merged tables are
-        // independent of shard count and merge order. apply_delta rolls
-        // each delta into the snapshot buffer too, so the *next* sweep's
-        // snapshot is already built by the time the merge finishes.
+        // Barrier merge. Integer deltas commute and the nonzero lists are
+        // sorted sets, so the merged tables are independent of shard
+        // count and merge order.
         let merge_start = std::time::Instant::now();
-        for delta in &deltas {
+        for scratch in &mut self.scratch[..shards] {
+            let delta = &mut scratch.delta;
             self.stats.merge_delta_entries += delta.wk.len() as u64;
             self.counts.apply_delta(&delta.wk, &delta.k);
             self.stats.draws.merge(&delta.draws);
+            // Early sweeps move several times more cells than later ones
+            // (1.8M against 0.5M entries a sweep on fit-abstracts). Once a
+            // sweep fills less than half the buffer, return the excess
+            // rather than hold the first sweep's peak for the whole run.
+            if delta.wk.capacity() > 2 * delta.wk.len() {
+                delta.wk.shrink_to_fit();
+            }
         }
         self.stats.snapshot_nanos += merge_start.elapsed().as_nanos() as u64;
     }
@@ -586,7 +590,7 @@ impl PhraseLda {
         &self.counts
     }
 
-    /// Cumulative sweep telemetry (timing, snapshot amortization,
+    /// Cumulative sweep telemetry (timing, barrier-merge volume,
     /// singleton-draw split) accumulated over all sweeps so far.
     pub fn sweep_stats(&self) -> SweepTelemetry {
         self.stats
@@ -596,15 +600,6 @@ impl PhraseLda {
     /// environment sink, or none). Pass `None` to silence tracing.
     pub fn set_trace(&mut self, trace: Option<Arc<TraceSink>>) {
         self.trace = trace;
-    }
-
-    /// Drop the amortized sweep snapshot, forcing the next parallel sweep
-    /// to re-clone the full `N_wk`/`N_k` tables. The chain is unaffected
-    /// (an amortized snapshot is bit-identical to a clone); this exists so
-    /// benchmarks can measure the historical clone-per-sweep cost and so
-    /// tests can prove the equivalence.
-    pub fn invalidate_snapshot(&mut self) {
-        self.counts.invalidate_snapshot();
     }
 
     /// Topic currently assigned to group `g` of document `d`.
@@ -916,7 +911,10 @@ fn tally_draw(draws: &mut DrawSplit, bucket: SingletonBucket) {
 /// One shard's contribution to the barrier merge: sparse `(row-major
 /// index, delta)` pairs over `N_wk`, a dense `Δ N_k`, and the shard's
 /// singleton-draw telemetry (merged into [`SweepTelemetry`] at the
-/// barrier, so workers never touch shared counters).
+/// barrier, so workers never touch shared counters). Lives in the shard's
+/// [`SweepScratch`] and is cleared, not freed, between sweeps; the merge
+/// shrinks `wk` only once a sweep fills less than half of it.
+#[derive(Debug, Clone, Default)]
 struct ShardDelta {
     wk: Vec<(u32, i32)>,
     k: Vec<i64>,
@@ -937,11 +935,10 @@ struct ShardCtx<'a> {
     nz_dk: &'a mut [u16],
     /// Live lengths of the shard's `nz_dk` rows.
     nz_dk_len: &'a mut [u16],
-    snap_wk: &'a [u32],
-    snap_k: &'a [u64],
-    /// Per-word nonzero rows of the snapshot (flat, capacity K per word;
-    /// live tables are untouched during a sweep, so these describe
-    /// `snap_wk` exactly).
+    /// The live `N_wk`/`N_k`, unchanged until the barrier merge.
+    n_wk: &'a [u32],
+    n_k: &'a [u64],
+    /// Per-word nonzero rows of `n_wk` (flat, capacity K per word).
     nz_wk: &'a [u16],
     /// Live lengths of the `nz_wk` rows.
     nz_wk_len: &'a [u16],
@@ -954,27 +951,27 @@ struct ShardCtx<'a> {
     first_doc: usize,
 }
 
-/// Sweep one shard against the snapshot and return its signed
-/// `(Δ N_wk, Δ N_k)` for the barrier merge — `Δ N_wk` as a sparse
-/// `(index, delta)` list, so merge cost tracks how much actually changed
-/// rather than `V × K`.
+/// Sweep one shard against the sweep-start tables and leave its signed
+/// `(Δ N_wk, Δ N_k)` in `scratch.delta` for the barrier merge — `Δ N_wk`
+/// as a sparse `(index, delta)` list, so merge cost tracks how much
+/// actually changed rather than `V × K`.
 ///
 /// Each document is gathered onto a dense local word table (the same
 /// scatter-gather shape `topmine_serve::infer` uses), so the hot loop
-/// reads `snapshot + own-document delta` without ever touching shared
-/// state — the result depends only on `(snapshot, doc, its RNG stream)`,
-/// never on shard layout. All buffers live in the caller-owned
+/// reads `sweep-start tables + own-document delta` without ever writing
+/// shared state — the result depends only on `(tables, doc, its RNG
+/// stream)`, never on shard layout. All buffers live in the caller-owned
 /// [`SweepScratch`] and persist across documents and sweeps, so the
-/// steady-state shard sweep allocates nothing but its returned delta.
-fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) -> ShardDelta {
+/// steady-state shard sweep allocates nothing.
+fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) {
     let ShardCtx {
         docs,
         z,
         ndk,
         nz_dk,
         nz_dk_len,
-        snap_wk,
-        snap_k,
+        n_wk,
+        n_k,
         nz_wk,
         nz_wk_len,
         alpha,
@@ -985,25 +982,27 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) -> ShardDelta {
         sweep,
         first_doc,
     } = ctx;
-    let v = snap_wk.len() / k;
-    let mut delta_wk: Vec<(u32, i32)> = Vec::new();
-    let mut delta_k = vec![0i64; k];
-    let mut draws = DrawSplit::default();
+    let v = n_wk.len() / k;
     scratch.prepare(k);
-    // One alias rebuild per shard per sweep, against the frozen
-    // snapshot `N_k`. Every document restarts its local `N_k` from the
-    // snapshot, so the per-document dirty set resets at doc
-    // boundaries — the table never goes stale within a sweep, and the
-    // draw is a function of (snapshot, doc, stream) exactly like the
-    // dense path, independent of shard layout.
-    scratch.smoothing.rebuild(alpha, beta, v_beta, snap_k);
+    let delta = &mut scratch.delta;
+    delta.wk.clear();
+    delta.k.clear();
+    delta.k.resize(k, 0);
+    delta.draws = DrawSplit::default();
+    // One alias rebuild per shard per sweep, against the sweep-start
+    // `N_k`. Every document restarts its local `N_k` from that table, so
+    // the per-document dirty set resets at doc boundaries — the alias
+    // table never goes stale within a sweep, and the draw is a function of
+    // (tables, doc, stream) exactly like the dense path, independent of
+    // shard layout.
+    scratch.smoothing.rebuild(alpha, beta, v_beta, n_k);
 
     for (i, doc) in docs.iter().enumerate() {
         if doc.group_ends.is_empty() {
             continue;
         }
         let mut rng = StdRng::seed_from_u64(doc_stream_seed(seed, sweep, (first_doc + i) as u64));
-        // Gather: dense doc-local word ids plus their snapshot rows. The
+        // Gather: dense doc-local word ids plus their table rows. The
         // word → doc-local id map is a stamped table (O(1), no hashing);
         // the stamp records which epoch (document) last claimed the slot.
         let epoch = scratch.next_epoch(v);
@@ -1019,32 +1018,30 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) -> ShardDelta {
             scratch.local_tokens.push(scratch.local_id[wi]);
         }
         // Gathered rows stay unsigned: a document only ever removes counts
-        // its own previous-sweep assignments put into the snapshot.
+        // its own previous-sweep assignments put into the table. The
+        // nonzero rows come along; the doc's own moves below keep them in
+        // sync with `local_wk`.
+        let n_distinct = scratch.distinct.len();
         scratch.local_wk.clear();
-        for &w in &scratch.distinct {
-            let base = w as usize * k;
-            scratch.local_wk.extend_from_slice(&snap_wk[base..base + k]);
-        }
-        // Gather the snapshot's nonzero lists alongside the rows; the
-        // doc's own moves below keep them in sync with `local_wk`.
-        if scratch.local_nz.len() < scratch.distinct.len() {
-            scratch
-                .local_nz
-                .resize_with(scratch.distinct.len(), Vec::new);
+        if scratch.local_nz.len() < n_distinct * k {
+            scratch.local_nz.resize(n_distinct * k, 0);
+            scratch.local_nz_len.resize(n_distinct, 0);
         }
         for (li, &w) in scratch.distinct.iter().enumerate() {
             let base = w as usize * k;
-            scratch.local_nz[li].clear();
-            scratch.local_nz[li]
-                .extend_from_slice(&nz_wk[base..base + nz_wk_len[w as usize] as usize]);
+            scratch.local_wk.extend_from_slice(&n_wk[base..base + k]);
+            let len = nz_wk_len[w as usize];
+            scratch.local_nz[li * k..li * k + len as usize]
+                .copy_from_slice(&nz_wk[base..base + len as usize]);
+            scratch.local_nz_len[li] = len;
         }
-        scratch.local_nk.copy_from_slice(snap_k);
+        scratch.local_nk.copy_from_slice(n_k);
         let ndk_row = &mut ndk[i * k..(i + 1) * k];
         let nz_row = &mut nz_dk[i * k..(i + 1) * k];
         let nz_len = &mut nz_dk_len[i];
         let zs = &mut z[i];
-        // `local_nk` just reset to the snapshot the alias table was
-        // built over: the dirty set starts empty for every document.
+        // `local_nk` just reset to the `N_k` the alias table was built
+        // over: the dirty set starts empty for every document.
         scratch.smoothing.clear_dirty();
         scratch.doc_bucket.begin_doc(
             &nz_row[..*nz_len as usize],
@@ -1062,10 +1059,15 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) -> ShardDelta {
             let s = (end - start) as u32;
             let old = zs[g] as usize;
             for &lw in toks {
-                let cell = &mut scratch.local_wk[lw as usize * k + old];
+                let row = lw as usize * k;
+                let cell = &mut scratch.local_wk[row + old];
                 *cell -= 1;
                 if *cell == 0 {
-                    nz_remove(&mut scratch.local_nz[lw as usize], old as u16);
+                    nz_row_remove(
+                        &mut scratch.local_nz[row..row + k],
+                        &mut scratch.local_nz_len[lw as usize],
+                        old as u16,
+                    );
                 }
             }
             scratch.local_nk[old] -= s as u64;
@@ -1086,7 +1088,7 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) -> ShardDelta {
                     alpha,
                     v_beta,
                     &scratch.local_wk[lw * k..(lw + 1) * k],
-                    &scratch.local_nz[lw],
+                    &scratch.local_nz[lw * k..lw * k + scratch.local_nz_len[lw] as usize],
                     ndk_row,
                     &nz_row[..*nz_len as usize],
                     &scratch.local_nk,
@@ -1094,7 +1096,7 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) -> ShardDelta {
                     &scratch.smoothing,
                     &mut scratch.q_buf,
                 );
-                tally_draw(&mut draws, bucket);
+                tally_draw(&mut scratch.delta.draws, bucket);
                 t
             } else {
                 // The same TrainView the sequential sweep uses, pointed at
@@ -1108,17 +1110,31 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) -> ShardDelta {
                     &mut scratch.clique,
                     &mut scratch.weights,
                 );
-                draws.dense += 1;
+                scratch.delta.draws.dense += 1;
                 sample_discrete(&mut rng, &scratch.weights)
             };
 
             zs[g] = new as u16;
             for &lw in toks {
-                let cell = &mut scratch.local_wk[lw as usize * k + new];
+                let row = lw as usize * k;
+                let cell = &mut scratch.local_wk[row + new];
                 if *cell == 0 {
-                    nz_insert(&mut scratch.local_nz[lw as usize], new as u16);
+                    nz_row_insert(
+                        &mut scratch.local_nz[row..row + k],
+                        &mut scratch.local_nz_len[lw as usize],
+                        new as u16,
+                    );
                 }
                 *cell += 1;
+            }
+            if new != old {
+                // Only a topic change moves counts between cells.
+                for &lw in toks {
+                    scratch.moved.push((lw, old as u32));
+                    scratch.moved.push((lw, new as u32));
+                }
+                scratch.delta.k[old] -= s as i64;
+                scratch.delta.k[new] += s as i64;
             }
             scratch.local_nk[new] += s as u64;
             if ndk_row[new] == 0 {
@@ -1133,24 +1149,19 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) -> ShardDelta {
             start = end;
         }
 
-        // Fold the document's delta into the shard delta.
-        for (li, &w) in scratch.distinct.iter().enumerate() {
-            let base = w as usize * k;
-            for t in 0..k {
-                let dv = scratch.local_wk[li * k + t] as i64 - snap_wk[base + t] as i64;
-                if dv != 0 {
-                    delta_wk.push(((base + t) as u32, dv as i32));
-                }
+        // Fold the document's delta from the cells it moved: each emits
+        // `local − table` once, then matches the table, so a repeated
+        // cell (or one the document moved back) emits nothing.
+        for &(lw, t) in &scratch.moved {
+            let idx = scratch.distinct[lw as usize] as usize * k + t as usize;
+            let local = &mut scratch.local_wk[lw as usize * k + t as usize];
+            if *local != n_wk[idx] {
+                let dv = *local as i64 - n_wk[idx] as i64;
+                scratch.delta.wk.push((idx as u32, dv as i32));
+                *local = n_wk[idx];
             }
         }
-        for (t, d) in delta_k.iter_mut().enumerate() {
-            *d += scratch.local_nk[t] as i64 - snap_k[t] as i64;
-        }
-    }
-    ShardDelta {
-        wk: delta_wk,
-        k: delta_k,
-        draws,
+        scratch.moved.clear();
     }
 }
 

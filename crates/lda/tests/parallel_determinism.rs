@@ -7,8 +7,9 @@
 //!    re-record policy).
 //! 2. Any `n_threads ≥ 2` produces **one** chain: identical z, counts, φ,
 //!    and perplexity at 2, 3, and 7 threads (property-tested over seeds,
-//!    topic counts, and groupings), and the amortized snapshot reproduces
-//!    the clone-per-sweep chain bit-for-bit.
+//!    topic counts, and groupings), pinned by its own recorded digest. Its
+//!    barrier merge carries exactly the (document, word, topic) cells each
+//!    sweep moved, checked against counts rebuilt from z.
 //! 3. The parallel chain is a *different* (snapshot-sweep, Newman et al.
 //!    2009) approximation than the sequential one — it must still mix and
 //!    keep its count tables consistent.
@@ -119,6 +120,38 @@ fn sparse_sequential_chain_matches_recorded_digest() {
 // 2. Cross-thread-count bit-identity
 // ---------------------------------------------------------------------------
 
+/// The parallel chain on the same frozen corpus and config: 30 sweeps at
+/// any `n_threads ≥ 2`. Pins the chain itself, not just its equality
+/// across thread counts, so a rework of the sweep's bookkeeping cannot
+/// move it unnoticed.
+const PARALLEL_CHAIN_DIGEST: u64 = 0x904c_dfea_07c6_12be;
+const PARALLEL_PERPLEXITY: f64 = 36.730_250_053_285_715;
+
+#[test]
+fn parallel_chain_matches_recorded_digest() {
+    for threads in [2usize, 3, 7] {
+        let mut m = PhraseLda::new(
+            guard_docs(),
+            TopicModelConfig {
+                n_threads: threads,
+                ..digest_cfg()
+            },
+        );
+        m.run(30);
+        assert!(
+            (m.perplexity() - PARALLEL_PERPLEXITY).abs() < 1e-12,
+            "threads={threads}: parallel perplexity drifted: got {:.17}",
+            m.perplexity()
+        );
+        assert_eq!(
+            chain_digest(&m),
+            PARALLEL_CHAIN_DIGEST,
+            "threads={threads}: parallel chain digest drifted: got {:#018x}",
+            chain_digest(&m)
+        );
+    }
+}
+
 /// Random grouped corpus: `n_docs` docs over `vocab` words, group lengths
 /// in `1..=max_group`.
 fn random_docs(seed: u64, n_docs: usize, vocab: u32, max_group: usize) -> GroupedDocs {
@@ -190,97 +223,78 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+/// Per-document `(word, topic) → token count`, rebuilt from the current
+/// assignments alone.
+fn doc_cells(m: &PhraseLda) -> Vec<std::collections::BTreeMap<(u32, u16), u32>> {
+    let docs = m.docs();
+    (0..docs.n_docs())
+        .map(|d| {
+            let mut cells = std::collections::BTreeMap::new();
+            for (g, (s, e)) in docs.docs[d].group_ranges().enumerate() {
+                let t = m.topic_of_group(d, g);
+                for &w in &docs.docs[d].tokens[s..e] {
+                    *cells.entry((w, t)).or_insert(0) += 1;
+                }
+            }
+            cells
+        })
+        .collect()
+}
 
-    /// The amortized snapshot chain (double buffer rolled forward by the
-    /// barrier's sparse deltas) must equal a reference chain that re-clones
-    /// the full `N_wk`/`N_k` tables before every sweep — bit-for-bit, at
-    /// every intermediate sweep, for thread counts {1, 2, 3, 7}. (T = 1
-    /// never snapshots; it is included to pin that invalidation is
-    /// harmless on the sequential path.)
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Each parallel sweep merges exactly one `N_wk` delta entry per
+    /// (document, word, topic) cell whose count the sweep changed: no cell
+    /// emitted twice, no zero delta emitted. Checked sweep by sweep against
+    /// counts rebuilt from z before and after, on documents with repeated
+    /// words and multi-token cliques.
     #[test]
-    fn amortized_snapshot_chain_equals_full_clone_chain(
+    fn merge_emits_exactly_the_cells_each_document_moved(
         corpus_seed in 0u64..1_000_000,
         chain_seed in 0u64..1_000_000,
         k in 2usize..6,
-        max_group in 1usize..5,
-        sweeps in 2usize..10,
+        max_group in 2usize..6,
     ) {
-        let docs = random_docs(corpus_seed, 11, 22, max_group);
-        for threads in [1usize, 2, 3, 7] {
-            let cfg = TopicModelConfig {
-                n_topics: k,
-                alpha: 0.7,
-                beta: 0.02,
-                seed: chain_seed,
-                optimize_every: 5,
-                burn_in: 2,
-                n_threads: threads,
-            };
-            let mut amortized = PhraseLda::new(docs.clone(), cfg.clone());
-            let mut cloned = PhraseLda::new(docs.clone(), cfg);
-            for sweep in 0..sweeps {
-                amortized.step();
-                // Forcing a stale snapshot makes every sweep pay the full
-                // O(V·K) clone — the historical behavior.
-                cloned.invalidate_snapshot();
-                cloned.step();
+        let docs = random_docs(corpus_seed, 14, 9, max_group);
+        for threads in [2usize, 3, 7] {
+            let mut m = PhraseLda::new(
+                docs.clone(),
+                TopicModelConfig {
+                    n_topics: k,
+                    alpha: 0.7,
+                    beta: 0.02,
+                    seed: chain_seed,
+                    optimize_every: 0,
+                    burn_in: 0,
+                    n_threads: threads,
+                },
+            );
+            for sweep in 0..4 {
+                let before = doc_cells(&m);
+                let stats = m.sweep_stats();
+                m.step();
+                let after = doc_cells(&m);
+                let moved: usize = before
+                    .iter()
+                    .zip(&after)
+                    .map(|(b, a)| {
+                        let changed_or_gone = b.iter().filter(|(c, n)| a.get(c) != Some(n)).count();
+                        let new = a.keys().filter(|c| !b.contains_key(c)).count();
+                        changed_or_gone + new
+                    })
+                    .sum();
                 prop_assert_eq!(
-                    amortized.counts(),
-                    cloned.counts(),
+                    m.sweep_stats().since(&stats).merge_delta_entries,
+                    moved as u64,
                     "threads={} sweep={}",
                     threads,
                     sweep
                 );
             }
-            for d in 0..docs.n_docs() {
-                for g in 0..docs.docs[d].n_groups() {
-                    prop_assert_eq!(
-                        amortized.topic_of_group(d, g),
-                        cloned.topic_of_group(d, g)
-                    );
-                }
-            }
-            prop_assert_eq!(amortized.phi(), cloned.phi());
-            prop_assert_eq!(
-                amortized.perplexity().to_bits(),
-                cloned.perplexity().to_bits()
-            );
-            amortized.check_counts().map_err(TestCaseError::fail)?;
+            m.check_counts().map_err(TestCaseError::fail)?;
         }
     }
-}
-
-#[test]
-fn snapshot_is_cloned_once_then_rolled_forward() {
-    let docs = random_docs(7, 12, 30, 4);
-    let mut m = PhraseLda::new(
-        docs,
-        TopicModelConfig {
-            n_topics: 4,
-            alpha: 0.5,
-            beta: 0.01,
-            seed: 2,
-            optimize_every: 0,
-            burn_in: 0,
-            n_threads: 3,
-        },
-    );
-    m.run(8);
-    let stats = m.sweep_stats();
-    assert_eq!(stats.parallel_sweeps, 8);
-    assert_eq!(
-        stats.snapshot_full_clones, 1,
-        "only the first parallel sweep may pay the O(V·K) clone"
-    );
-    assert_eq!(stats.snapshot_cells_cloned, (30 * 4) as u64);
-    assert!(stats.merge_delta_entries > 0);
-    // Hyperparameter optimization reads but never writes counts, so it
-    // must not invalidate the rolled-forward snapshot.
-    m.optimize_hyperparameters();
-    m.run(4);
-    assert_eq!(m.sweep_stats().snapshot_full_clones, 1);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Std-only observability for the ToPMine reproduction.
 //!
 //! The serving stack and the Gibbs trainer both need continuous runtime
-//! signals — request-stage latencies, sweep rates, snapshot amortization,
+//! signals — request-stage latencies, sweep rates, barrier-merge volume,
 //! sparse-kernel bucket splits — without pulling a metrics dependency into
 //! an offline workspace. This crate provides the minimal pieces:
 //!

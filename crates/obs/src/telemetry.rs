@@ -43,14 +43,11 @@ pub struct SweepTelemetry {
     pub sweeps: u64,
     /// Sweeps that ran the thread-sharded path.
     pub parallel_sweeps: u64,
-    /// Times the parallel path re-cloned the full count matrix.
-    pub snapshot_full_clones: u64,
-    /// Cells copied by those full clones.
-    pub snapshot_cells_cloned: u64,
-    /// Sparse delta entries rolled forward into the snapshot instead of
-    /// re-cloning.
+    /// Sparse `N_wk` delta entries the parallel path's barrier merges
+    /// applied: one per (document, word, topic) cell a sweep changed.
     pub merge_delta_entries: u64,
-    /// Nanoseconds spent refreshing snapshots (clone or roll-forward).
+    /// Nanoseconds spent in the parallel path's barrier merges (the
+    /// benchmark reports it as `lda.snapshot_s`).
     pub snapshot_nanos: u64,
     /// Nanoseconds spent inside sweeps (excludes perplexity and
     /// hyperparameter optimization).
@@ -66,12 +63,6 @@ impl SweepTelemetry {
         SweepTelemetry {
             sweeps: self.sweeps.saturating_sub(earlier.sweeps),
             parallel_sweeps: self.parallel_sweeps.saturating_sub(earlier.parallel_sweeps),
-            snapshot_full_clones: self
-                .snapshot_full_clones
-                .saturating_sub(earlier.snapshot_full_clones),
-            snapshot_cells_cloned: self
-                .snapshot_cells_cloned
-                .saturating_sub(earlier.snapshot_cells_cloned),
             merge_delta_entries: self
                 .merge_delta_entries
                 .saturating_sub(earlier.merge_delta_entries),
