@@ -115,7 +115,8 @@ FIT OPTIONS:
     --topics K            number of topics              [default: 10]
     --iterations N        Gibbs sweeps                  [default: 500]
     --min-support N       phrase minimum support        [default: auto]
-    --alpha X             significance threshold        [default: 5.0]
+    --alpha X             significance threshold, any finite number
+                          (negative merges more)        [default: 5.0]
     --threads N           mining/segmentation threads   [default: 1]
     --mine-threads N      Algorithm 1 (phrase mining) threads; the result is
                           bit-identical at any thread count [default: --threads]
@@ -460,9 +461,15 @@ where
             }
             "--alpha" => {
                 let v = need(&mut args, "--alpha")?;
-                opts.significance_alpha = v
+                let alpha: f64 = v
                     .parse()
                     .map_err(|_| format!("--alpha: not a number: {v:?}"))?;
+                // NaN would stop every merge (no score is >= NaN) and -inf
+                // would merge pairs that never co-occur (their score).
+                if !alpha.is_finite() {
+                    return Err(format!("--alpha must be finite, got {v:?}"));
+                }
+                opts.significance_alpha = alpha;
             }
             "--threads" => {
                 opts.n_threads = parse_num(&need(&mut args, "--threads")?, "--threads")?;
@@ -608,6 +615,18 @@ mod tests {
             parse(&["--input", "x", "--min-support", "0"]),
             Err("--min-support must be at least 1".into())
         );
+        // A non-finite threshold would stop (NaN) or force (-inf) every
+        // merge; finite negative ones stay valid.
+        for v in ["nan", "inf", "-inf", "+Infinity"] {
+            assert_eq!(
+                parse(&["--input", "x", "--alpha", v]),
+                Err(format!("--alpha must be finite, got {v:?}"))
+            );
+        }
+        let opts = parse(&["--input", "x", "--alpha", "-2.5"])
+            .unwrap()
+            .unwrap();
+        assert_eq!(opts.significance_alpha, -2.5);
     }
 
     #[test]

@@ -313,6 +313,8 @@ fn bad_flag_fails_cleanly() {
             &["--min-support", "0"][..],
             "--min-support must be at least 1",
         ),
+        (&["--alpha", "nan"][..], "--alpha must be finite"),
+        (&["--alpha", "-inf"][..], "--alpha must be finite"),
     ] {
         let out = bin()
             .arg("--input")
@@ -337,4 +339,34 @@ fn missing_file_is_a_clean_error_not_a_panic() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("error:"), "stderr:\n{stderr}");
     assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+}
+
+#[test]
+fn invalid_utf8_input_names_the_first_bad_line() {
+    let dir = scratch_dir("bad_utf8");
+    let input = dir.join("corpus.txt");
+    let mut bytes = Vec::new();
+    for (i, line) in CORPUS.lines().enumerate() {
+        bytes.extend_from_slice(line.as_bytes());
+        match i + 1 {
+            3 => bytes.extend_from_slice(b" caf\xe9"),
+            7 => bytes.extend_from_slice(b" \xff"),
+            _ => {}
+        }
+        bytes.push(b'\n');
+    }
+    std::fs::write(&input, &bytes).unwrap();
+    let out = bin()
+        .args(["--input", input.to_str().unwrap(), "--topics", "2"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    let bad_column = CORPUS.lines().nth(2).unwrap().len() + " caf".len() + 1;
+    assert!(
+        stderr.contains(&format!("line 3, byte {bad_column}: invalid UTF-8")),
+        "stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("line 7"), "stderr:\n{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

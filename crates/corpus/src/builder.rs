@@ -1,11 +1,16 @@
 //! Building a [`Corpus`] from raw text (paper §7.1 preprocessing pipeline).
+//!
+//! Each distinct surface form is interned once, on first sight, and its
+//! outcome cached: dropped (too short or a stop word) or the id of its
+//! stemmed term. Every later occurrence costs one table lookup, so ingest
+//! allocates per document and per distinct form, never per token.
 
-use crate::doc::{Corpus, DocProvenance, Document};
-use crate::stem::porter_stem;
+use crate::doc::{Corpus, DocProvenance, Document, Provenance};
+use crate::stem::porter_stem_in;
 use crate::stopwords::StopwordSet;
-use crate::tokenize::tokenize_chunks;
 use crate::vocab::Vocab;
-use topmine_util::FxHashMap;
+use std::cmp::Reverse;
+use std::collections::HashMap;
 
 /// Preprocessing options.
 #[derive(Debug, Clone)]
@@ -52,6 +57,26 @@ impl CorpusOptions {
             stopwords: StopwordSet::none(),
         }
     }
+
+    /// The mining term of one surface token: `None` when preprocessing
+    /// drops it (shorter than `min_token_len` characters, or a stop word),
+    /// else its Porter stem (written to `stem_buf`) or, without stemming,
+    /// the token itself. Training and serving both map tokens through
+    /// this one rule.
+    pub fn term<'a>(&self, surface: &'a str, stem_buf: &'a mut Vec<u8>) -> Option<&'a str> {
+        if surface.chars().count() < self.min_token_len {
+            return None;
+        }
+        if self.remove_stopwords && self.stopwords.contains(surface) {
+            return None;
+        }
+        let term = if self.stem {
+            porter_stem_in(surface, stem_buf)
+        } else {
+            surface
+        };
+        (!term.is_empty()).then_some(term)
+    }
 }
 
 /// Incremental corpus builder.
@@ -61,8 +86,18 @@ pub struct CorpusBuilder {
     vocab: Vocab,
     docs: Vec<Document>,
     provenance: Vec<DocProvenance>,
-    /// stem id -> surface form -> count, for automatic unstemming.
-    surface_counts: FxHashMap<u32, FxHashMap<String, u32>>,
+    /// Distinct surface form -> surface id (dense, first-seen order). Keys
+    /// come from the input text, so the map keeps std's seeded hasher.
+    surface_ids: HashMap<Box<str>, u32>,
+    /// Per surface id: its term id, or `None` if preprocessing drops it.
+    surface_terms: Vec<Option<u32>>,
+    /// Per surface id: occurrences in the mining stream, for unstemming.
+    surface_counts: Vec<u32>,
+    /// Buffers reused across documents.
+    token_buf: String,
+    stem_buf: Vec<u8>,
+    doc: Document,
+    doc_provenance: DocProvenance,
 }
 
 impl Default for CorpusBuilder {
@@ -78,7 +113,13 @@ impl CorpusBuilder {
             vocab: Vocab::new(),
             docs: Vec::new(),
             provenance: Vec::new(),
-            surface_counts: FxHashMap::default(),
+            surface_ids: HashMap::new(),
+            surface_terms: Vec::new(),
+            surface_counts: Vec::new(),
+            token_buf: String::new(),
+            stem_buf: Vec::new(),
+            doc: Document::default(),
+            doc_provenance: DocProvenance::default(),
         }
     }
 
@@ -89,63 +130,48 @@ impl CorpusBuilder {
 
     /// Tokenize, stem, filter and append one document.
     pub fn add_document(&mut self, text: &str) -> &mut Self {
-        let raw = tokenize_chunks(text);
-        let mut tokens: Vec<u32> = Vec::with_capacity(raw.len());
-        let mut chunk_ends: Vec<u32> = Vec::new();
-        let mut surface: Vec<String> = Vec::with_capacity(raw.len());
-        let mut origin: Vec<u32> = Vec::with_capacity(raw.len());
-        let mut current_chunk: Option<u32> = None;
-        let mut chunk_token_count = 0usize;
-
-        for tok in raw {
-            let surface_idx = surface.len() as u32;
-            if self.options.keep_provenance {
-                surface.push(tok.text.clone());
-            }
-            if current_chunk != Some(tok.chunk) {
-                // Close the previous chunk if it produced mining tokens.
-                if chunk_token_count > 0 {
-                    chunk_ends.push(tokens.len() as u32);
+        let Self {
+            options,
+            vocab,
+            surface_ids,
+            surface_terms,
+            surface_counts,
+            token_buf,
+            stem_buf,
+            doc,
+            doc_provenance: prov,
+            ..
+        } = self;
+        let keep_provenance = options.keep_provenance;
+        prov.surface.clear();
+        prov.origin.clear();
+        doc.fill_from_text(text, token_buf, |surface| {
+            let id = match surface_ids.get(surface) {
+                Some(&id) => id,
+                None => {
+                    let id = u32::try_from(surface_terms.len())
+                        .expect("more distinct surface forms than u32 ids");
+                    let term = options.term(surface, stem_buf).map(|t| vocab.intern(t));
+                    surface_ids.insert(surface.into(), id);
+                    surface_terms.push(term);
+                    surface_counts.push(0);
+                    id
                 }
-                chunk_token_count = 0;
-                current_chunk = Some(tok.chunk);
-            }
-            if tok.text.chars().count() < self.options.min_token_len {
-                continue;
-            }
-            if self.options.remove_stopwords && self.options.stopwords.contains(&tok.text) {
-                continue;
-            }
-            let term = if self.options.stem {
-                porter_stem(&tok.text)
-            } else {
-                tok.text.clone()
             };
-            if term.is_empty() {
-                continue;
+            if keep_provenance {
+                prov.surface.push(id);
             }
-            let id = self.vocab.intern(&term);
-            if self.options.stem {
-                *self
-                    .surface_counts
-                    .entry(id)
-                    .or_default()
-                    .entry(tok.text)
-                    .or_insert(0) += 1;
+            let term = surface_terms[id as usize]?;
+            surface_counts[id as usize] += 1;
+            if keep_provenance {
+                prov.origin.push(prov.surface.len() as u32 - 1);
             }
-            tokens.push(id);
-            if self.options.keep_provenance {
-                origin.push(surface_idx);
-            }
-            chunk_token_count += 1;
-        }
-        if chunk_token_count > 0 {
-            chunk_ends.push(tokens.len() as u32);
-        }
-
-        self.docs.push(Document { tokens, chunk_ends });
-        if self.options.keep_provenance {
-            self.provenance.push(DocProvenance { surface, origin });
+            Some(term)
+        });
+        // Clones are sized to their contents; the buffers keep capacity.
+        self.docs.push(self.doc.clone());
+        if keep_provenance {
+            self.provenance.push(self.doc_provenance.clone());
         }
         self
     }
@@ -160,30 +186,33 @@ impl CorpusBuilder {
 
     /// Finish, producing the immutable [`Corpus`].
     pub fn build(self) -> Corpus {
-        let unstem = if self.options.stem {
-            let mut table = vec![String::new(); self.vocab.len()];
-            for (id, forms) in &self.surface_counts {
-                // Most frequent surface form wins; ties break lexicographically
-                // for determinism.
-                if let Some((best, _)) = forms
-                    .iter()
-                    .max_by(|(wa, ca), (wb, cb)| ca.cmp(cb).then_with(|| wb.cmp(wa)))
-                {
-                    table[*id as usize] = best.clone();
+        let mut surfaces = vec![String::new(); self.surface_terms.len()];
+        for (surface, id) in self.surface_ids {
+            surfaces[id as usize] = surface.into_string();
+        }
+        let unstem = self.options.stem.then(|| {
+            // Most frequent surface form per term wins; ties break to the
+            // lexicographically smallest form, for determinism.
+            let key = |id: usize| (self.surface_counts[id], Reverse(&surfaces[id]));
+            let mut best: Vec<Option<usize>> = vec![None; self.vocab.len()];
+            for (id, term) in self.surface_terms.iter().enumerate() {
+                let Some(term) = term else { continue };
+                let slot = &mut best[*term as usize];
+                if slot.is_none_or(|b| key(id) > key(b)) {
+                    *slot = Some(id);
                 }
             }
-            Some(table)
-        } else {
-            None
-        };
+            best.iter()
+                .map(|b| b.map_or_else(String::new, |id| surfaces[id].clone()))
+                .collect()
+        });
         let corpus = Corpus {
             vocab: self.vocab,
             docs: self.docs,
-            provenance: if self.options.keep_provenance {
-                Some(self.provenance)
-            } else {
-                None
-            },
+            provenance: self.options.keep_provenance.then_some(Provenance {
+                surfaces,
+                docs: self.provenance,
+            }),
             unstem,
         };
         debug_assert!(corpus.validate().is_ok(), "built corpus must validate");

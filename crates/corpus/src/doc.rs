@@ -2,11 +2,12 @@
 //!
 //! A [`Document`] is the *mining stream*: stemmed, stop-word-filtered token
 //! ids, partitioned into punctuation-delimited chunks (paper §4.1). The
-//! optional [`DocProvenance`] keeps the original surface tokens and a map
+//! optional [`Provenance`] keeps the original surface tokens and a map
 //! from each mining token back to its surface position so visualization can
 //! unstem and reinsert stop words (paper §7.1/§7.4), e.g. the mined phrase
 //! `rice bean` renders as "rice and beans".
 
+use crate::tokenize::for_each_token;
 use crate::vocab::Vocab;
 use topmine_util::FxHashMap;
 
@@ -38,6 +39,40 @@ impl Document {
             chunk_ends.push(tokens.len() as u32);
         }
         Self { tokens, chunk_ends }
+    }
+
+    /// Replace this document with the mining stream of `text`: tokenize it
+    /// ([`for_each_token`], with `buf` as the lowercasing buffer), map each
+    /// surface token through `term_id` (`None` drops the token) and close a
+    /// chunk at every punctuation break that follows a kept token. The one
+    /// text-to-stream path of the training builder and of serving.
+    pub fn fill_from_text(
+        &mut self,
+        text: &str,
+        buf: &mut String,
+        mut term_id: impl FnMut(&str) -> Option<u32>,
+    ) {
+        self.tokens.clear();
+        self.chunk_ends.clear();
+        let mut open_chunk = 0;
+        for_each_token(text, buf, |surface, chunk| {
+            if chunk != open_chunk {
+                self.end_chunk();
+                open_chunk = chunk;
+            }
+            if let Some(id) = term_id(surface) {
+                self.tokens.push(id);
+            }
+        });
+        self.end_chunk();
+    }
+
+    /// End the open chunk; a chunk without tokens leaves no entry.
+    fn end_chunk(&mut self) {
+        let end = self.tokens.len() as u32;
+        if end > self.chunk_ends.last().copied().unwrap_or(0) {
+            self.chunk_ends.push(end);
+        }
     }
 
     /// A single-chunk document (useful in tests and for titles).
@@ -100,30 +135,43 @@ impl Document {
 }
 
 /// Surface-form record for one document.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct DocProvenance {
-    /// All surface tokens (lowercased, *not* stemmed, stop words included).
-    pub surface: Vec<String>,
+    /// All surface tokens (lowercased, *not* stemmed, stop words included),
+    /// as ids into [`Provenance::surfaces`].
+    pub surface: Vec<u32>,
     /// For mining token `i`, `origin[i]` is its index into `surface`.
     pub origin: Vec<u32>,
 }
 
-impl DocProvenance {
-    /// Render mining-token span `[start, end)` as the original text slice:
-    /// every surface token between the first and last mapped positions is
-    /// included, which reinserts the stop words the miner skipped.
-    pub fn render_span(&self, start: usize, end: usize) -> String {
-        if start >= end || end > self.origin.len() {
+/// Surface provenance of a corpus: one table of the distinct surface forms,
+/// and each document's surface stream as ids into it.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Provenance {
+    /// Every distinct surface form, indexed by surface id (first-seen order).
+    pub surfaces: Vec<String>,
+    /// Per-document records, parallel to `Corpus::docs`.
+    pub docs: Vec<DocProvenance>,
+}
+
+impl Provenance {
+    /// Render mining-token span `[start, end)` of document `d` as the
+    /// original text slice: every surface token between the first and last
+    /// mapped positions is included, which reinserts the stop words the
+    /// miner skipped.
+    pub fn render_span(&self, d: usize, start: usize, end: usize) -> String {
+        let doc = &self.docs[d];
+        if start >= end || end > doc.origin.len() {
             return String::new();
         }
-        let s = self.origin[start] as usize;
-        let e = self.origin[end - 1] as usize;
+        let s = doc.origin[start] as usize;
+        let e = doc.origin[end - 1] as usize;
         let mut out = String::new();
-        for (i, w) in self.surface[s..=e].iter().enumerate() {
+        for (i, &id) in doc.surface[s..=e].iter().enumerate() {
             if i > 0 {
                 out.push(' ');
             }
-            out.push_str(w);
+            out.push_str(&self.surfaces[id as usize]);
         }
         out
     }
@@ -135,9 +183,9 @@ impl DocProvenance {
 pub struct Corpus {
     pub vocab: Vocab,
     pub docs: Vec<Document>,
-    /// Per-document surface provenance (present when built with
-    /// `CorpusOptions::keep_provenance`), parallel to `docs`.
-    pub provenance: Option<Vec<DocProvenance>>,
+    /// Surface provenance (present when built with
+    /// `CorpusOptions::keep_provenance`).
+    pub provenance: Option<Provenance>,
     /// Most frequent surface form per stem id ("automatic unstemming",
     /// paper §7.4). Present when built from raw text with stemming on.
     pub unstem: Option<Vec<String>>,
@@ -182,7 +230,7 @@ impl Corpus {
     /// surface stream (stop words reinserted) when provenance exists.
     pub fn render_span(&self, d: usize, start: usize, end: usize) -> String {
         if let Some(prov) = &self.provenance {
-            prov[d].render_span(start, end)
+            prov.render_span(d, start, end)
         } else {
             self.render_phrase(&self.docs[d].tokens[start..end])
         }
@@ -224,15 +272,21 @@ impl Corpus {
             }
         }
         if let Some(prov) = &self.provenance {
-            if prov.len() != self.docs.len() {
+            if prov.docs.len() != self.docs.len() {
                 return Err("provenance length mismatch".into());
             }
-            for (d, (doc, p)) in self.docs.iter().zip(prov).enumerate() {
+            for (d, (doc, p)) in self.docs.iter().zip(&prov.docs).enumerate() {
                 if p.origin.len() != doc.tokens.len() {
                     return Err(format!("doc {d}: origin map length mismatch"));
                 }
                 if p.origin.iter().any(|&o| o as usize >= p.surface.len()) {
                     return Err(format!("doc {d}: origin out of surface range"));
+                }
+                if p.surface
+                    .iter()
+                    .any(|&id| id as usize >= prov.surfaces.len())
+                {
+                    return Err(format!("doc {d}: surface id out of the surface table"));
                 }
             }
         }
@@ -316,14 +370,19 @@ mod tests {
 
     #[test]
     fn provenance_render_reinserts_stopwords() {
-        let p = DocProvenance {
-            surface: vec!["rice".into(), "and".into(), "beans".into(), "today".into()],
-            // mining stream = [rice, beans, today] (stop word "and" removed)
-            origin: vec![0, 2, 3],
+        let p = Provenance {
+            surfaces: vec!["rice".into(), "and".into(), "beans".into(), "today".into()],
+            docs: vec![DocProvenance {
+                surface: vec![0, 1, 2, 3, 1, 0],
+                // mining stream = [rice, beans, today, rice] (stop word
+                // "and" removed)
+                origin: vec![0, 2, 3, 5],
+            }],
         };
-        assert_eq!(p.render_span(0, 2), "rice and beans");
-        assert_eq!(p.render_span(1, 3), "beans today");
-        assert_eq!(p.render_span(2, 2), "");
+        assert_eq!(p.render_span(0, 0, 2), "rice and beans");
+        assert_eq!(p.render_span(0, 1, 3), "beans today");
+        assert_eq!(p.render_span(0, 2, 4), "today and rice");
+        assert_eq!(p.render_span(0, 2, 2), "");
     }
 
     #[test]

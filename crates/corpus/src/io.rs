@@ -16,19 +16,41 @@ use std::path::Path;
 /// Load a corpus from a text file with one document per line, applying the
 /// given preprocessing options. Empty lines become empty documents (so line
 /// numbers keep aligning with document ids).
+///
+/// The file must be UTF-8: the first invalid sequence fails the load with
+/// [`io::ErrorKind::InvalidData`], naming its 1-based line and byte column.
 pub fn load_lines(path: &Path, options: CorpusOptions) -> io::Result<Corpus> {
-    let file = File::open(path)?;
-    let mut reader = BufReader::new(file);
+    let mut reader = BufReader::with_capacity(1 << 16, File::open(path)?);
     let mut builder = CorpusBuilder::new(options);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
+    let mut line_no = 0usize;
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        if reader.read_until(b'\n', &mut line)? == 0 {
             break;
         }
-        builder.add_document(line.trim_end_matches(['\n', '\r']));
+        line_no += 1;
+        let end = line
+            .iter()
+            .rposition(|&b| b != b'\n' && b != b'\r')
+            .map_or(0, |i| i + 1);
+        let text = std::str::from_utf8(&line[..end]).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "line {line_no}, byte {}: invalid UTF-8",
+                    e.valid_up_to() + 1
+                ),
+            )
+        })?;
+        builder.add_document(text);
     }
     Ok(builder.build())
+}
+
+/// Attach the 1-based line number to an error from reading line `index`.
+fn at_line(kind: &str, index: usize, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{kind} line {}: {e}", index + 1))
 }
 
 /// Write the vocabulary as `id<TAB>word` lines, in id order.
@@ -46,7 +68,7 @@ pub fn load_vocab(path: &Path) -> io::Result<Vocab> {
     let reader = BufReader::new(File::open(path)?);
     let mut vocab = Vocab::new();
     for (line_no, line) in reader.lines().enumerate() {
-        let line = line?;
+        let line = line.map_err(|e| at_line("vocab", line_no, e))?;
         if line.is_empty() {
             continue;
         }
@@ -107,7 +129,7 @@ pub fn load_documents(path: &Path, vocab_size: usize) -> io::Result<Vec<Document
     let reader = BufReader::new(File::open(path)?);
     let mut docs = Vec::new();
     for (line_no, line) in reader.lines().enumerate() {
-        let line = line?;
+        let line = line.map_err(|e| at_line("doc", line_no, e))?;
         let mut chunks: Vec<Vec<u32>> = Vec::new();
         for chunk_str in line.split('|') {
             let mut chunk = Vec::new();
@@ -190,6 +212,25 @@ mod tests {
     }
 
     #[test]
+    fn load_lines_names_the_first_invalid_utf8_line_and_byte() {
+        let dir = tmpdir("badutf8");
+        let path = dir.join("corpus.txt");
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(b"data mining\r\nquery processing\n");
+        bytes.extend_from_slice(b"caf\xc3\xa9 ab\xffcd\n");
+        bytes.extend_from_slice(b"line four\n\n\nseven \xe2\x82\n");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_lines(&path, CorpusOptions::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "line 3, byte 9: invalid UTF-8");
+        // A truncated sequence at the end of a line is located too.
+        std::fs::write(&path, b"ok\nseven \xe2\x82\r\n").unwrap();
+        let err = load_lines(&path, CorpusOptions::default()).unwrap_err();
+        assert_eq!(err.to_string(), "line 2, byte 7: invalid UTF-8");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn vocab_roundtrip() {
         let dir = tmpdir("vocab");
         let mut vocab = Vocab::new();
@@ -237,6 +278,14 @@ mod tests {
         assert!(load_documents(&dir.join("docs.txt"), 2).is_err()); // id 99
         std::fs::write(dir.join("docs.txt"), "0 x\n").unwrap();
         assert!(load_documents(&dir.join("docs.txt"), 2).is_err()); // non-int
+                                                                    // Read errors name their line.
+        std::fs::write(dir.join("vocab.tsv"), b"0\ta\n1\tb\xff\n").unwrap();
+        let err = load_vocab(&dir.join("vocab.tsv")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("vocab line 2: "), "{err}");
+        std::fs::write(dir.join("docs.txt"), b"0 1\n1\n\xfe 0\n").unwrap();
+        let err = load_documents(&dir.join("docs.txt"), 2).unwrap_err();
+        assert!(err.to_string().starts_with("doc line 3: "), "{err}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -11,9 +11,10 @@
 //!    for visualization ("rice bean" renders back to "rice and beans").
 //!
 //! This crate provides all four: [`tokenize`], [`stem`], [`stopwords`], a
-//! compact id-based [`Vocab`], chunked [`Document`]s, and per-document
-//! [`DocProvenance`] recording the original surface stream so spans can be
-//! rendered exactly as the paper's tables do.
+//! compact id-based [`Vocab`], chunked [`Document`]s, and a [`Provenance`]
+//! record of each document's original surface stream (as ids into one
+//! corpus-wide table of surface forms) so spans can be rendered exactly as
+//! the paper's tables do.
 
 pub mod builder;
 pub mod doc;
@@ -24,8 +25,8 @@ pub mod tokenize;
 pub mod vocab;
 
 pub use builder::{corpus_from_texts, CorpusBuilder, CorpusOptions};
-pub use doc::{Corpus, DocProvenance, Document};
+pub use doc::{Corpus, DocProvenance, Document, Provenance};
 pub use stem::porter_stem;
 pub use stopwords::StopwordSet;
-pub use tokenize::{tokenize_chunks, RawToken};
+pub use tokenize::for_each_token;
 pub use vocab::Vocab;

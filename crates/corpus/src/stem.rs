@@ -8,32 +8,36 @@
 //! Terminology follows the paper: a word is a sequence of consonants (C) and
 //! vowels (V); the *measure* m counts VC transitions in `[C](VC)^m[V]`.
 
-/// Stem `word` in place semantics: returns the stemmed form as a `String`.
+/// Stem `word`, returning the stemmed form as a `String`.
 ///
 /// The input is expected to be lowercase; uppercase letters are treated as
 /// consonants-by-default which matches how the builder always lowercases
 /// before stemming. Words shorter than 3 characters are returned unchanged
 /// (standard Porter behaviour).
 pub fn porter_stem(word: &str) -> String {
-    if !word.is_ascii() || word.len() <= 2 {
-        return word.to_string();
+    porter_stem_in(word, &mut Vec::new()).to_string()
+}
+
+/// Stem `word` into `buf`, reusing its capacity. Returns `word` itself when
+/// the stemmer leaves it whole (non-ASCII, at most 2 bytes, or not purely
+/// lowercase letters) and the stem written to `buf` otherwise.
+pub(crate) fn porter_stem_in<'a>(word: &'a str, buf: &'a mut Vec<u8>) -> &'a str {
+    // Mixed alphanumerics ("3d", "mp3") are identifiers, not English
+    // inflections; leave them alone, like short and non-ASCII words.
+    if word.len() <= 2 || !word.bytes().all(|c| c.is_ascii_lowercase()) {
+        return word;
     }
-    let mut b: Vec<u8> = word.as_bytes().to_vec();
-    if !b.iter().all(|c| c.is_ascii_lowercase()) {
-        // Mixed alphanumerics ("3d", "mp3") are identifiers, not English
-        // inflections; leave them alone.
-        return word.to_string();
-    }
-    step1a(&mut b);
-    step1b(&mut b);
-    step1c(&mut b);
-    step2(&mut b);
-    step3(&mut b);
-    step4(&mut b);
-    step5a(&mut b);
-    step5b(&mut b);
-    // SAFETY-free conversion: we only ever keep ASCII bytes.
-    String::from_utf8(b).expect("porter stemmer only produces ASCII")
+    buf.clear();
+    buf.extend_from_slice(word.as_bytes());
+    step1a(buf);
+    step1b(buf);
+    step1c(buf);
+    step2(buf);
+    step3(buf);
+    step4(buf);
+    step5a(buf);
+    step5b(buf);
+    std::str::from_utf8(buf).expect("porter stemmer only produces ASCII")
 }
 
 /// Is `b[i]` a consonant in the word `b`?

@@ -23,7 +23,7 @@ use crate::trie::PhraseTrie;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
-use topmine_corpus::{io as corpus_io, porter_stem, tokenize_chunks, Document, StopwordSet, Vocab};
+use topmine_corpus::{io as corpus_io, CorpusOptions, Document, StopwordSet, Vocab};
 use topmine_lda::PhraseLda;
 use topmine_phrase::{PhraseConstructor, PhraseStats};
 
@@ -65,6 +65,19 @@ impl PreprocessConfig {
             },
         }
     }
+
+    /// The training-side options this contract restores, provenance off:
+    /// their [`CorpusOptions::term`] maps unseen tokens exactly as training
+    /// mapped its own.
+    pub(crate) fn corpus_options(&self) -> CorpusOptions {
+        CorpusOptions {
+            stem: self.stem,
+            remove_stopwords: self.remove_stopwords,
+            keep_provenance: false,
+            min_token_len: self.min_token_len,
+            stopwords: StopwordSet::from_words(self.stopwords.iter().map(String::as_str)),
+        }
+    }
 }
 
 impl Default for PreprocessConfig {
@@ -104,9 +117,9 @@ pub struct FrozenModel {
     pub phi: Vec<Vec<f64>>,
     /// Asymmetric document-topic Dirichlet, length `n_topics`.
     pub alpha: Vec<f64>,
-    /// Membership set built from `preprocess.stopwords` (not persisted
+    /// `preprocess` as options, for their term rule (not persisted
     /// separately).
-    stopword_set: StopwordSet,
+    terms: CorpusOptions,
 }
 
 /// A document preprocessed against a frozen vocabulary.
@@ -134,44 +147,22 @@ pub(crate) fn remove_if_present(path: &Path) -> io::Result<()> {
 /// Normalize unseen text with a frozen preprocessing contract and map it
 /// through a vocabulary lookup — the one preprocessing implementation both
 /// the monolithic and sharded backends share, so their `prepare` paths
-/// cannot drift.
+/// cannot drift. Tokenizing, chunking and the term rule are the training
+/// builder's own ([`Document::fill_from_text`], [`CorpusOptions::term`]).
 pub(crate) fn prepare_with(
-    preprocess: &PreprocessConfig,
-    stopword_set: &StopwordSet,
+    terms: &CorpusOptions,
     lookup: impl Fn(&str) -> Option<u32>,
     text: &str,
 ) -> PreparedDoc {
-    let mut chunks: Vec<Vec<u32>> = Vec::new();
-    let mut current_chunk: Option<u32> = None;
+    let mut doc = Document::default();
     let mut n_oov = 0usize;
-    for tok in tokenize_chunks(text) {
-        if current_chunk != Some(tok.chunk) {
-            chunks.push(Vec::new());
-            current_chunk = Some(tok.chunk);
-        }
-        if tok.text.chars().count() < preprocess.min_token_len {
-            continue;
-        }
-        if preprocess.remove_stopwords && stopword_set.contains(&tok.text) {
-            continue;
-        }
-        let term = if preprocess.stem {
-            porter_stem(&tok.text)
-        } else {
-            tok.text
-        };
-        if term.is_empty() {
-            continue;
-        }
-        match lookup(&term) {
-            Some(id) => chunks.last_mut().expect("chunk open").push(id),
-            None => n_oov += 1,
-        }
-    }
-    PreparedDoc {
-        doc: Document::from_chunks(chunks),
-        n_oov,
-    }
+    let mut stem_buf = Vec::new();
+    doc.fill_from_text(text, &mut String::new(), |surface| {
+        let id = lookup(terms.term(surface, &mut stem_buf)?);
+        n_oov += usize::from(id.is_none());
+        id
+    });
+    PreparedDoc { doc, n_oov }
 }
 
 /// The `key<TAB>value` pairs both bundle headers share — shapes, Algorithm
@@ -264,7 +255,7 @@ impl FrozenModel {
             "corpus and sampler disagree on vocabulary size"
         );
         let preprocess = PreprocessConfig::from_corpus_options(options);
-        let stopword_set = StopwordSet::from_words(preprocess.stopwords.iter().map(String::as_str));
+        let terms = preprocess.corpus_options();
         Self {
             header: ModelHeader {
                 n_topics: model.n_topics(),
@@ -280,7 +271,7 @@ impl FrozenModel {
             lexicon: PhraseTrie::from_stats(stats),
             phi: model.phi(),
             alpha: model.alpha().to_vec(),
-            stopword_set,
+            terms,
         }
     }
 
@@ -296,7 +287,7 @@ impl FrozenModel {
         alpha: Vec<f64>,
     ) -> io::Result<Self> {
         let model = Self {
-            stopword_set: StopwordSet::from_words(preprocess.stopwords.iter().map(String::as_str)),
+            terms: preprocess.corpus_options(),
             header,
             preprocess,
             vocab,
@@ -386,12 +377,7 @@ impl FrozenModel {
     /// map through the *frozen* vocabulary. Out-of-vocabulary terms are
     /// dropped (and counted) — fold-in has no estimate for them.
     pub fn prepare(&self, text: &str) -> PreparedDoc {
-        prepare_with(
-            &self.preprocess,
-            &self.stopword_set,
-            |term| self.vocab.id(term),
-            text,
-        )
+        prepare_with(&self.terms, |term| self.vocab.id(term), text)
     }
 
     /// Segment a prepared document against the frozen lexicon (Algorithm 2

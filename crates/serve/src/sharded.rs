@@ -50,7 +50,7 @@ use crate::trie::PhraseTrie;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
-use topmine_corpus::{Document, StopwordSet};
+use topmine_corpus::{CorpusOptions, Document};
 use topmine_phrase::{PhraseConstructor, PhraseCounts};
 use topmine_util::FxHashMap;
 
@@ -109,9 +109,9 @@ pub struct ShardedModel {
     pub header: ModelHeader,
     pub preprocess: PreprocessConfig,
     alpha: Vec<f64>,
-    /// Membership set built from `preprocess.stopwords` (not persisted
+    /// `preprocess` as options, for their term rule (not persisted
     /// separately).
-    stopword_set: StopwordSet,
+    terms: CorpusOptions,
     /// Global `L` shared by every shard trie.
     lexicon_total_tokens: u64,
     /// Global ε shared by every shard trie.
@@ -191,9 +191,7 @@ impl ShardedModel {
             header: model.header.clone(),
             preprocess: model.preprocess.clone(),
             alpha: model.alpha.clone(),
-            stopword_set: StopwordSet::from_words(
-                model.preprocess.stopwords.iter().map(String::as_str),
-            ),
+            terms: model.preprocess.corpus_options(),
             lexicon_total_tokens: total_tokens,
             min_support,
             boundaries,
@@ -424,7 +422,12 @@ impl ShardedModel {
 
     fn load_with(dir: &Path, load_phi: bool) -> io::Result<Self> {
         let manifest = RawManifest::load(&dir.join("manifest.tsv"))?;
-        let stopwords = load_stopword_file(&dir.join("stopwords.txt"))?;
+        let preprocess = PreprocessConfig {
+            stem: manifest.stem,
+            remove_stopwords: manifest.remove_stopwords,
+            min_token_len: manifest.min_token_len,
+            stopwords: load_stopword_file(&dir.join("stopwords.txt"))?,
+        };
         let mut boundaries = manifest.shard_starts.clone();
         boundaries.push(manifest.vocab_size as u32);
         // Ranges must be checked before shard loading sizes anything by
@@ -454,13 +457,8 @@ impl ShardedModel {
                 seg_alpha: manifest.seg_alpha,
                 beta: manifest.beta,
             },
-            stopword_set: StopwordSet::from_words(stopwords.iter().map(String::as_str)),
-            preprocess: PreprocessConfig {
-                stem: manifest.stem,
-                remove_stopwords: manifest.remove_stopwords,
-                min_token_len: manifest.min_token_len,
-                stopwords,
-            },
+            terms: preprocess.corpus_options(),
+            preprocess,
             alpha: manifest.alpha,
             lexicon_total_tokens: shards
                 .first()
@@ -790,12 +788,7 @@ impl ModelBackend for ShardedModel {
     }
 
     fn prepare(&self, text: &str) -> PreparedDoc {
-        prepare_with(
-            &self.preprocess,
-            &self.stopword_set,
-            |term| self.term_id(term),
-            text,
-        )
+        prepare_with(&self.terms, |term| self.term_id(term), text)
     }
 
     fn segment(&self, doc: &Document) -> Vec<(u32, u32)> {
