@@ -149,7 +149,7 @@ fn save_model_then_infer_roundtrip() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr:\n{stderr}");
     assert!(stderr.contains("frozen model"), "stderr:\n{stderr}");
-    for file in ["header.tsv", "vocab.tsv", "lexicon.tsv", "phi.tsv"] {
+    for file in ["header.tsv", "vocab.tsv", "lexicon.tsv", "phi.bin"] {
         assert!(bundle.join(file).is_file(), "missing {file}");
     }
 

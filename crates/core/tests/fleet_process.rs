@@ -184,7 +184,7 @@ fn three_process_fleet_matches_the_monolith_byte_for_byte() {
     }
     assert!(sharded.join("manifest.tsv").is_file());
     for k in 0..3 {
-        assert!(sharded.join(format!("shard-{k}")).join("phi.tsv").is_file());
+        assert!(sharded.join(format!("shard-{k}")).join("phi.bin").is_file());
     }
 
     // Three real shard processes on ephemeral loopback ports.

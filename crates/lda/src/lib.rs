@@ -19,13 +19,10 @@
 //!   each document's merge delta holds only the cells it moved),
 //!   training/held-out perplexity, and Minka fixed-point hyperparameter
 //!   optimization (§5.3).
-//! * [`io`] — TSV persistence for fitted models (φ, assignments,
-//!   hyperparameters) behind a versioned bundle header.
 //! * [`viz`] — topical-frequency ranking (Eq. 8) and the table renderer
 //!   regenerating the layout of the paper's Tables 1 and 4-6.
 
 pub mod counts;
-pub mod io;
 pub mod kernel;
 pub mod model;
 pub mod sampler;

@@ -176,6 +176,15 @@ pub trait ModelBackend: Send + Sync {
         Ok(self.gather_phi_batch(words))
     }
 
+    /// Digest of the saved bundle this backend was loaded from: the value
+    /// on the last line of its `header.tsv` (monolithic) or `manifest.tsv`
+    /// (sharded), which covers every byte of the model and is what the
+    /// fleet handshake compares. `None` for a model that was never loaded
+    /// from disk.
+    fn bundle_digest(&self) -> Option<u64> {
+        None
+    }
+
     /// Per-shard fleet health as a JSON array, when this backend fronts
     /// remote shard processes (`None` for in-memory backends). Rendered
     /// into the router's `/healthz` body.

@@ -13,22 +13,23 @@
 //! 3. the **topic model point estimate** — φ, the asymmetric α vector and
 //!    β — frozen for Eq. 7 fold-in.
 //!
-//! The on-disk layout is a directory of plain TSV files fronted by
-//! `header.tsv`, whose first line carries [`FROZEN_MODEL_FORMAT`]; loading
-//! any other version fails with an error naming both versions, never a
-//! panic.
+//! The on-disk layout is a directory fronted by `header.tsv`, whose first
+//! line carries [`FROZEN_MODEL_FORMAT`] and whose last line digests the
+//! whole bundle; loading any other version fails with an error naming
+//! both versions, never a panic. The file formats live in the crate's
+//! `io` module.
 
 use crate::backend::ModelBackend;
+use crate::io::{data_err, header_pairs, BundleWriter, Header, HeaderFields};
 use crate::trie::PhraseTrie;
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io;
 use std::path::Path;
-use topmine_corpus::{io as corpus_io, CorpusOptions, Document, StopwordSet, Vocab};
+use topmine_corpus::{CorpusOptions, Document, StopwordSet, Vocab};
 use topmine_lda::PhraseLda;
 use topmine_phrase::{PhraseConstructor, PhraseStats};
 
 /// Version tag on the first line of `header.tsv`.
-pub const FROZEN_MODEL_FORMAT: &str = "topmine-frozen-model/1";
+pub const FROZEN_MODEL_FORMAT: &str = "topmine-frozen-model/2";
 
 /// The preprocessing contract unseen text is held to (a persistable subset
 /// of `topmine_corpus::CorpusOptions` — the provenance switch is a training
@@ -120,6 +121,9 @@ pub struct FrozenModel {
     /// `preprocess` as options, for their term rule (not persisted
     /// separately).
     terms: CorpusOptions,
+    /// Digest of the bundle this model was loaded from (`None` if it was
+    /// never loaded from disk).
+    digest: Option<u64>,
 }
 
 /// A document preprocessed against a frozen vocabulary.
@@ -130,10 +134,6 @@ pub struct PreparedDoc {
     /// Surface tokens that survived filtering but are outside the frozen
     /// vocabulary (dropped from the stream).
     pub n_oov: usize,
-}
-
-fn data_err(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 pub(crate) fn remove_if_present(path: &Path) -> io::Result<()> {
@@ -163,78 +163,6 @@ pub(crate) fn prepare_with(
         id
     });
     PreparedDoc { doc, n_oov }
-}
-
-/// The `key<TAB>value` pairs both bundle headers share — shapes, Algorithm
-/// 2 parameters, preprocessing contract, α vector. `header.tsv` is exactly
-/// these; the sharded `manifest.tsv` wraps them with its shard topology.
-/// One builder, so the two layouts cannot drift field by field.
-pub(crate) fn bundle_header_pairs(
-    header: &ModelHeader,
-    preprocess: &PreprocessConfig,
-    min_support: u64,
-    alpha: &[f64],
-) -> Vec<(String, String)> {
-    let mut pairs: Vec<(String, String)> = vec![
-        ("n_topics".into(), header.n_topics.to_string()),
-        ("vocab_size".into(), header.vocab_size.to_string()),
-        ("n_docs".into(), header.n_docs.to_string()),
-        ("n_tokens".into(), header.n_tokens.to_string()),
-        ("seg_alpha".into(), format!("{:.17e}", header.seg_alpha)),
-        ("beta".into(), format!("{:.17e}", header.beta)),
-        ("min_support".into(), min_support.to_string()),
-        ("stem".into(), preprocess.stem.to_string()),
-        (
-            "remove_stopwords".into(),
-            preprocess.remove_stopwords.to_string(),
-        ),
-        ("min_token_len".into(), preprocess.min_token_len.to_string()),
-    ];
-    for (t, a) in alpha.iter().enumerate() {
-        pairs.push((format!("alpha{t}"), format!("{a:.17e}")));
-    }
-    pairs
-}
-
-/// Serialize a lexicon trie as `lexicon.tsv`: the `total_tokens` line,
-/// then `count<TAB>space-joined ids` in canonical (lexicographic) order.
-/// The one writer both bundle layouts share; [`load_lexicon`] is its
-/// inverse.
-pub(crate) fn save_lexicon_file(trie: &PhraseTrie, path: &Path) -> io::Result<()> {
-    let mut out = BufWriter::new(File::create(path)?);
-    writeln!(
-        out,
-        "total_tokens\t{}",
-        topmine_phrase::PhraseCounts::total_tokens(trie)
-    )?;
-    for (phrase, count) in trie.iter_phrases() {
-        write!(out, "{count}\t")?;
-        for (i, w) in phrase.iter().enumerate() {
-            if i > 0 {
-                write!(out, " ")?;
-            }
-            write!(out, "{w}")?;
-        }
-        writeln!(out)?;
-    }
-    out.flush()
-}
-
-/// Read an optional stop-word file (one word per line); a missing file is
-/// the empty list, matching the save-side "presence is meaning" rule.
-pub(crate) fn load_stopword_file(path: &Path) -> io::Result<Vec<String>> {
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    let reader = BufReader::new(File::open(path)?);
-    let mut words = Vec::new();
-    for line in reader.lines() {
-        let line = line?;
-        if !line.is_empty() {
-            words.push(line);
-        }
-    }
-    Ok(words)
 }
 
 impl FrozenModel {
@@ -272,6 +200,7 @@ impl FrozenModel {
             phi: model.phi(),
             alpha: model.alpha().to_vec(),
             terms,
+            digest: None,
         }
     }
 
@@ -295,6 +224,7 @@ impl FrozenModel {
             lexicon,
             phi,
             alpha,
+            digest: None,
         };
         model.validate().map_err(data_err)?;
         Ok(model)
@@ -388,207 +318,70 @@ impl FrozenModel {
 
     // ----- persistence ------------------------------------------------------
 
-    /// Write the bundle into `dir` (created if needed): `header.tsv`,
-    /// `vocab.tsv`, `lexicon.tsv`, `phi.tsv`, plus `stopwords.txt` and
-    /// `unstem.tsv` when applicable.
+    /// Write the bundle into `dir` (created if needed): `vocab.tsv`,
+    /// `lexicon.tsv`, `phi.bin`, plus `unstem.tsv` and `stopwords.txt`
+    /// when applicable, then `header.tsv` — last, as the commit point —
+    /// recording each file's digest.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
         // A sharded bundle previously saved here must not shadow this one:
         // `load_bundle` treats manifest.tsv as the sharded format's marker.
         remove_if_present(&dir.join("manifest.tsv"))?;
         crate::sharded::remove_stale_shards(dir, 0)?;
-        self.save_header(&dir.join("header.tsv"))?;
-        corpus_io::save_vocab(&self.vocab, &dir.join("vocab.tsv"))?;
-        self.save_lexicon(&dir.join("lexicon.tsv"))?;
-        topmine_lda::io::save_phi_matrix(&self.phi, &dir.join("phi.tsv"))?;
-        // The optional files must not survive from a previous bundle saved
-        // into the same directory: load() treats their presence as meaning.
-        let stopwords_path = dir.join("stopwords.txt");
-        if self.preprocess.stopwords.is_empty() {
-            remove_if_present(&stopwords_path)?;
-        } else {
-            let mut out = BufWriter::new(File::create(&stopwords_path)?);
-            for w in &self.preprocess.stopwords {
-                writeln!(out, "{w}")?;
-            }
-            out.flush()?;
-        }
-        let unstem_path = dir.join("unstem.tsv");
+        let mut out = BundleWriter::new(dir);
+        out.vocab("vocab.tsv", 0, self.vocab.iter().map(|(_, w)| w))?;
+        out.lexicon("lexicon.tsv", &self.lexicon)?;
+        out.phi("phi.bin", &self.phi, self.header.vocab_size)?;
+        // The header lists the optional files present; stale copies from a
+        // bundle saved here before are removed all the same.
         match &self.unstem {
-            None => remove_if_present(&unstem_path)?,
-            Some(unstem) => {
-                let mut out = BufWriter::new(File::create(&unstem_path)?);
-                for (id, surface) in unstem.iter().enumerate() {
-                    if !surface.is_empty() {
-                        writeln!(out, "{id}\t{surface}")?;
-                    }
-                }
-                out.flush()?;
-            }
+            Some(unstem) => out.unstem("unstem.tsv", 0, unstem)?,
+            None => remove_if_present(&dir.join("unstem.tsv"))?,
         }
-        Ok(())
-    }
-
-    fn save_header(&self, path: &Path) -> io::Result<()> {
-        let pairs = bundle_header_pairs(
-            &self.header,
-            &self.preprocess,
-            self.lexicon.min_support(),
-            &self.alpha,
-        );
-        topmine_lda::io::save_versioned_kv(path, FROZEN_MODEL_FORMAT, pairs)
-    }
-
-    fn save_lexicon(&self, path: &Path) -> io::Result<()> {
-        save_lexicon_file(&self.lexicon, path)
+        if self.preprocess.stopwords.is_empty() {
+            remove_if_present(&dir.join("stopwords.txt"))?;
+        } else {
+            out.stopwords("stopwords.txt", &self.preprocess.stopwords)?;
+        }
+        let fields = HeaderFields {
+            header: self.header.clone(),
+            preprocess: self.preprocess.clone(),
+            min_support: self.lexicon.min_support(),
+            alpha: self.alpha.clone(),
+        };
+        out.commit("header.tsv", FROZEN_MODEL_FORMAT, &header_pairs(&fields))
     }
 
     /// Load a bundle written by [`FrozenModel::save`]. The header's format
-    /// line is checked first; every other failure (missing file, bad
-    /// number, shape mismatch) is an `io::Error` naming the file and line.
+    /// line is checked first, then its digest, then each file against the
+    /// digest the header recorded; every failure (missing or modified
+    /// file, bad number, shape mismatch) is an `io::Error` naming the file.
     pub fn load(dir: &Path) -> io::Result<Self> {
-        let raw = RawHeader::load(&dir.join("header.tsv"))?;
-        let vocab = corpus_io::load_vocab(&dir.join("vocab.tsv"))?;
-        let lexicon = load_lexicon(&dir.join("lexicon.tsv"), raw.min_support)?;
-        let phi = topmine_lda::io::load_phi(&dir.join("phi.tsv"))?;
-        let stopwords = load_stopword_file(&dir.join("stopwords.txt"))?;
-        let unstem_path = dir.join("unstem.tsv");
-        let unstem = if unstem_path.exists() {
-            let mut table = vec![String::new(); vocab.len()];
-            let reader = BufReader::new(File::open(&unstem_path)?);
-            for (i, line) in reader.lines().enumerate() {
-                let line = line?;
-                if line.is_empty() {
-                    continue;
-                }
-                let (id_str, surface) = line.split_once('\t').ok_or_else(|| {
-                    data_err(format!("unstem line {}: not id<TAB>surface", i + 1))
-                })?;
-                let id: usize = id_str
-                    .parse()
-                    .map_err(|_| data_err(format!("unstem line {}: bad id {id_str:?}", i + 1)))?;
-                if id >= table.len() {
-                    return Err(data_err(format!(
-                        "unstem line {}: id {id} outside vocabulary",
-                        i + 1
-                    )));
-                }
-                table[id] = surface.to_string();
-            }
-            Some(table)
-        } else {
-            None
-        };
-        Self::from_parts(
-            ModelHeader {
-                n_topics: raw.n_topics,
-                vocab_size: raw.vocab_size,
-                n_docs: raw.n_docs,
-                n_tokens: raw.n_tokens,
-                seg_alpha: raw.seg_alpha,
-                beta: raw.beta,
-            },
-            PreprocessConfig {
-                stem: raw.stem,
-                remove_stopwords: raw.remove_stopwords,
-                min_token_len: raw.min_token_len,
-                stopwords,
-            },
-            vocab,
-            unstem,
-            lexicon,
-            phi,
-            raw.alpha,
-        )
-    }
-}
-
-/// Parsed `header.tsv` before assembly.
-struct RawHeader {
-    n_topics: usize,
-    vocab_size: usize,
-    n_docs: usize,
-    n_tokens: u64,
-    seg_alpha: f64,
-    beta: f64,
-    min_support: u64,
-    stem: bool,
-    remove_stopwords: bool,
-    min_token_len: usize,
-    alpha: Vec<f64>,
-}
-
-impl RawHeader {
-    fn load(path: &Path) -> io::Result<Self> {
-        // The versioned key<TAB>value plumbing (format line, line-numbered
-        // errors) is shared with the LDA bundle format.
-        let pairs = topmine_lda::io::read_versioned_kv(path, FROZEN_MODEL_FORMAT)?;
-        let mut n_topics = None;
-        let mut vocab_size = None;
-        let mut n_docs = None;
-        let mut n_tokens = None;
-        let mut seg_alpha = None;
-        let mut beta = None;
-        let mut min_support = None;
-        let mut stem = None;
-        let mut remove_stopwords = None;
-        let mut min_token_len = None;
-        let mut alphas: Vec<(usize, f64)> = Vec::new();
-        for (line_no, key, value) in pairs {
-            macro_rules! parse_into {
-                ($slot:ident) => {
-                    $slot = Some(value.parse().map_err(|_| {
-                        data_err(format!(
-                            "header line {line_no}: bad value for {key}: {value:?}"
-                        ))
-                    })?)
-                };
-            }
-            match key.as_str() {
-                "n_topics" => parse_into!(n_topics),
-                "vocab_size" => parse_into!(vocab_size),
-                "n_docs" => parse_into!(n_docs),
-                "n_tokens" => parse_into!(n_tokens),
-                "seg_alpha" => parse_into!(seg_alpha),
-                "beta" => parse_into!(beta),
-                "min_support" => parse_into!(min_support),
-                "stem" => parse_into!(stem),
-                "remove_stopwords" => parse_into!(remove_stopwords),
-                "min_token_len" => parse_into!(min_token_len),
-                k if k.starts_with("alpha") => {
-                    let t: usize = k["alpha".len()..]
-                        .parse()
-                        .map_err(|_| data_err(format!("header line {line_no}: bad key {k:?}")))?;
-                    let a: f64 = value.parse().map_err(|_| {
-                        data_err(format!(
-                            "header line {line_no}: bad value for {k}: {value:?}"
-                        ))
-                    })?;
-                    alphas.push((t, a));
-                }
-                other => {
-                    return Err(data_err(format!(
-                        "header line {line_no}: unknown key {other:?}"
-                    )))
-                }
-            }
-        }
-        let missing = |k: &str| data_err(format!("header.tsv missing {k}"));
-        let n_topics = n_topics.ok_or_else(|| missing("n_topics"))?;
-        let alpha = topmine_lda::io::assemble_alpha(alphas, n_topics, "header.tsv")?;
-        Ok(Self {
-            n_topics,
-            vocab_size: vocab_size.ok_or_else(|| missing("vocab_size"))?,
-            n_docs: n_docs.ok_or_else(|| missing("n_docs"))?,
-            n_tokens: n_tokens.ok_or_else(|| missing("n_tokens"))?,
-            seg_alpha: seg_alpha.ok_or_else(|| missing("seg_alpha"))?,
-            beta: beta.ok_or_else(|| missing("beta"))?,
-            min_support: min_support.ok_or_else(|| missing("min_support"))?,
-            stem: stem.ok_or_else(|| missing("stem"))?,
-            remove_stopwords: remove_stopwords.ok_or_else(|| missing("remove_stopwords"))?,
-            min_token_len: min_token_len.ok_or_else(|| missing("min_token_len"))?,
+        let mut header = Header::read(dir, "header.tsv", FROZEN_MODEL_FORMAT)?;
+        let HeaderFields {
+            header: model_header,
+            mut preprocess,
+            min_support,
             alpha,
-        })
+        } = header.take_fields()?;
+        header.finish()?;
+        let (k, v) = (model_header.n_topics, model_header.vocab_size);
+        let mut vocab = Vocab::new();
+        header.read_vocab("vocab.tsv", 0, v, |word| {
+            let id = vocab.len() as u32;
+            match vocab.intern(word) == id {
+                true => Ok(()),
+                false => Err(format!("duplicate word {word:?}")),
+            }
+        })?;
+        let unstem = header.read_unstem("unstem.tsv", 0, v)?;
+        let lexicon = header.read_lexicon("lexicon.tsv", min_support)?;
+        let phi = header.read_phi("phi.bin", k, v)?;
+        preprocess.stopwords = header.read_stopwords()?;
+        let mut model =
+            Self::from_parts(model_header, preprocess, vocab, unstem, lexicon, phi, alpha)?;
+        model.digest = Some(header.digest());
+        Ok(model)
     }
 }
 
@@ -610,6 +403,10 @@ impl ModelBackend for FrozenModel {
 
     fn format_tag(&self) -> &'static str {
         FROZEN_MODEL_FORMAT
+    }
+
+    fn bundle_digest(&self) -> Option<u64> {
+        self.digest
     }
 
     fn n_lexicon_phrases(&self) -> usize {
@@ -643,54 +440,6 @@ impl ModelBackend for FrozenModel {
     fn display_phrase(&self, ids: &[u32]) -> String {
         FrozenModel::display_phrase(self, ids)
     }
-}
-
-pub(crate) fn load_lexicon(path: &Path, min_support: u64) -> io::Result<PhraseTrie> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut lines = reader.lines();
-    let first = lines
-        .next()
-        .transpose()?
-        .ok_or_else(|| data_err("lexicon.tsv is empty".into()))?;
-    let total_tokens: u64 = match first.split_once('\t') {
-        Some(("total_tokens", v)) => v
-            .parse()
-            .map_err(|_| data_err(format!("lexicon line 1: bad total_tokens {v:?}")))?,
-        _ => {
-            return Err(data_err(
-                "lexicon line 1: expected total_tokens\t<count>".into(),
-            ))
-        }
-    };
-    let mut trie = PhraseTrie::new(total_tokens, min_support);
-    for (i, line) in lines.enumerate() {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        let line_no = i + 2;
-        let (count_str, ids) = line
-            .split_once('\t')
-            .ok_or_else(|| data_err(format!("lexicon line {line_no}: not count<TAB>ids")))?;
-        let count: u64 = count_str
-            .parse()
-            .map_err(|_| data_err(format!("lexicon line {line_no}: bad count {count_str:?}")))?;
-        let mut phrase = Vec::new();
-        for tok in ids.split_whitespace() {
-            phrase.push(
-                tok.parse::<u32>().map_err(|_| {
-                    data_err(format!("lexicon line {line_no}: bad word id {tok:?}"))
-                })?,
-            );
-        }
-        if phrase.is_empty() || count == 0 {
-            return Err(data_err(format!(
-                "lexicon line {line_no}: empty phrase or zero count"
-            )));
-        }
-        trie.insert(&phrase, count);
-    }
-    Ok(trie)
 }
 
 #[cfg(test)]
@@ -786,13 +535,26 @@ pub(crate) mod tests {
         m.save(&dir).unwrap();
         std::fs::write(dir.join("lexicon.tsv"), "total_tokens\t10\n5\t1 x\n").unwrap();
         let err = FrozenModel::load(&dir).unwrap_err().to_string();
-        assert!(err.contains("lexicon line 2"), "{err}");
+        assert!(err.contains("lexicon.tsv line 2"), "{err}");
+        // φ: a header that is not φ, then one well-formed value changed to
+        // another (only the digest can tell).
         m.save(&dir).unwrap();
-        std::fs::write(dir.join("phi.tsv"), "topic\tw0\n0\tnope\n").unwrap();
-        assert!(FrozenModel::load(&dir).is_err());
+        std::fs::write(dir.join("phi.bin"), "topic\tw0\n0\tnope\n").unwrap();
+        let err = FrozenModel::load(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("phi.bin"), "{err}");
+        m.save(&dir).unwrap();
+        let mut phi = std::fs::read(dir.join("phi.bin")).unwrap();
+        let last = phi.len() - 1;
+        phi[last] ^= 1;
+        std::fs::write(dir.join("phi.bin"), phi).unwrap();
+        let err = FrozenModel::load(&dir).unwrap_err().to_string();
+        assert!(err.contains("phi.bin: content digest"), "{err}");
         m.save(&dir).unwrap();
         std::fs::remove_file(dir.join("vocab.tsv")).unwrap();
-        assert!(FrozenModel::load(&dir).is_err());
+        let err = FrozenModel::load(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("vocab.tsv"), "{err}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -8,7 +8,8 @@
 //! The surface is deliberately tiny:
 //!
 //! * `GET /healthz` — liveness, model shape, shard count, uptime, bundle
-//!   and kernel versions, and the response-cache hit/miss counters;
+//!   and kernel versions, the bundle digest (for a model loaded from
+//!   disk), and the response-cache hit/miss counters;
 //! * `GET /model`   — bundle metadata (header + preprocessing contract);
 //! * `GET /metrics` — Prometheus text exposition of the serving metrics
 //!   (per-stage latency histograms, per-route/status counters);
@@ -669,9 +670,15 @@ fn route_inner(
             let fleet = fleet
                 .map(|json| format!(",\"fleet\":{json}"))
                 .unwrap_or_default();
+            // Provenance: the digest of the bundle served, absent for a
+            // model that was never loaded from disk.
+            let bundle = m
+                .bundle_digest()
+                .map(|d| format!(",\"bundle\":\"{d:016x}\""))
+                .unwrap_or_default();
             done(RouteResponse::json(format!(
-                "{{\"status\":\"{status}\",\"format\":{},\"version\":{},\"kernel_version\":{},\
-                 \"kernel\":\"frozen-phi\",\"uptime_seconds\":{},\
+                "{{\"status\":\"{status}\",\"format\":{}{bundle},\"version\":{},\
+                 \"kernel_version\":{},\"kernel\":\"frozen-phi\",\"uptime_seconds\":{},\
                  \"topics\":{},\"vocab\":{},\"shards\":{},\
                  \"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"capacity\":{}}}{fleet}}}",
                 json_string(m.format_tag()),

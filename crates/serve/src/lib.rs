@@ -12,7 +12,10 @@
 //!   immutable, versioned, single-directory bundle holding the
 //!   preprocessing contract (vocabulary, stemming, stop words), the phrase
 //!   lexicon as a prefix trie ([`PhraseTrie`]), and the topic model point
-//!   estimate (φ, α, β);
+//!   estimate (φ, α, β); every bundle file format — the versioned,
+//!   self-digesting header, binary `phi.bin`, the text tables — lives in
+//!   one private `io` module, so a bundle's digest covers every byte
+//!   of the model;
 //! * [`sharded`] — the **sharded artifact**: [`ShardedModel`], N
 //!   vocabulary-range shards (each its own vocab/lexicon/φ slice, loaded
 //!   from a `manifest.tsv` + `shard-K/` layout) composing a backend that
@@ -82,6 +85,7 @@ mod event_loop;
 pub mod frozen;
 pub mod http;
 pub mod infer;
+mod io;
 pub mod metrics;
 pub mod pool;
 pub mod router;
@@ -101,7 +105,7 @@ pub use infer::{
     infer_doc, infer_docs_amortized, BatchItem, DocInference, InferConfig, PhraseAssignment,
 };
 pub use metrics::{serve_metrics, ServeMetrics, Stage};
-pub use pool::{PoolConfig, ShardClient, ShardHealth, WireStats};
+pub use pool::{PoolConfig, ShardClient, ShardHealth};
 pub use router::{RemoteShardedModel, FLEET_MODEL_FORMAT};
 pub use shard::{ShardServer, ShardServerHandle, ShardSlice};
 pub use sharded::{ModelShard, ShardedModel, SHARDED_MODEL_FORMAT};

@@ -74,22 +74,8 @@ pub struct ExpectedShard {
     pub lo: u32,
     pub hi: u32,
     pub n_topics: u32,
-    /// [`wire::manifest_digest`] of the router's bundle.
+    /// Bundle digest ([`wire::manifest_digest`]) of the router's bundle.
     pub digest: u64,
-}
-
-/// Whole-fleet wire traffic counters, shared by every [`ShardClient`] of
-/// one router and read in-process through `RemoteShardedModel::wire_stats`
-/// (`/metrics` carries the same traffic per shard as `topmine_fleet_*`).
-#[derive(Debug, Default)]
-pub struct WireStats {
-    pub bytes_sent: AtomicU64,
-    pub bytes_received: AtomicU64,
-    pub frames_sent: AtomicU64,
-    pub frames_received: AtomicU64,
-    pub rpcs: AtomicU64,
-    pub retries: AtomicU64,
-    pub failures: AtomicU64,
 }
 
 /// Point-in-time health of one shard, as `/healthz` reports it.
@@ -147,7 +133,6 @@ pub struct ShardClient {
     down_until: Mutex<Option<Instant>>,
     consecutive_failures: AtomicU64,
     metrics: FleetShardMetrics,
-    stats: Arc<WireStats>,
 }
 
 /// An RPC that has been sent (or has already failed to send) and not yet
@@ -176,12 +161,7 @@ enum CallState {
 }
 
 impl ShardClient {
-    pub fn new(
-        expect: ExpectedShard,
-        addr: String,
-        config: PoolConfig,
-        stats: Arc<WireStats>,
-    ) -> Self {
+    pub fn new(expect: ExpectedShard, addr: String, config: PoolConfig) -> Self {
         Self {
             metrics: fleet_shard_metrics(expect.index),
             expect,
@@ -191,7 +171,6 @@ impl ShardClient {
             next_id: AtomicU64::new(1),
             down_until: Mutex::new(None),
             consecutive_failures: AtomicU64::new(0),
-            stats,
         }
     }
 
@@ -369,7 +348,6 @@ impl ShardClient {
     fn spawn_reader(&self, conn: &Arc<Conn>) {
         let conn = Arc::clone(conn);
         let metrics = self.metrics.clone();
-        let stats = Arc::clone(&self.stats);
         let _ = std::thread::Builder::new()
             .name(format!("fleet-reader-{}", self.expect.index))
             .spawn(move || {
@@ -386,8 +364,6 @@ impl ShardClient {
                             let n = frame.wire_len();
                             metrics.bytes_received.add(n);
                             metrics.frames_received.inc();
-                            stats.bytes_received.fetch_add(n, Ordering::Relaxed);
-                            stats.frames_received.fetch_add(1, Ordering::Relaxed);
                             let tx = conn.pending.lock().unwrap().remove(&frame.request_id);
                             if let Some(tx) = tx {
                                 let _ = tx.send(Ok(frame));
@@ -408,15 +384,11 @@ impl ShardClient {
     fn count_sent(&self, n: u64) {
         self.metrics.bytes_sent.add(n);
         self.metrics.frames_sent.inc();
-        self.stats.bytes_sent.fetch_add(n, Ordering::Relaxed);
-        self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
     }
 
     fn count_received(&self, n: u64) {
         self.metrics.bytes_received.add(n);
         self.metrics.frames_received.inc();
-        self.stats.bytes_received.fetch_add(n, Ordering::Relaxed);
-        self.stats.frames_received.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One send attempt on the pooled connection.
@@ -438,7 +410,6 @@ impl ShardClient {
         match wrote {
             Ok(n) => {
                 self.count_sent(n);
-                self.stats.rpcs.fetch_add(1, Ordering::Relaxed);
                 Ok(CallState::InFlight {
                     conn,
                     request_id,
@@ -467,7 +438,6 @@ impl ShardClient {
     ) -> Result<PendingCall, BackendError> {
         if let Some(until) = *self.down_until.lock().unwrap() {
             if Instant::now() < until {
-                self.stats.failures.fetch_add(1, Ordering::Relaxed);
                 self.metrics.failures.inc();
                 return Err(self.unavailable(format!(
                     "circuit open after {} consecutive failures",
@@ -520,7 +490,6 @@ impl ShardClient {
             }
             call.budget -= 1;
             self.metrics.retries.inc();
-            self.stats.retries.fetch_add(1, Ordering::Relaxed);
             let sleep = match self.clamp(call.deadline, call.next_backoff) {
                 Ok(d) => d,
                 Err(timeout) => {
@@ -601,7 +570,6 @@ impl ShardClient {
     fn mark_down(&self, failure: &BackendError) {
         self.consecutive_failures.fetch_add(1, Ordering::Relaxed);
         self.metrics.failures.inc();
-        self.stats.failures.fetch_add(1, Ordering::Relaxed);
         // Protocol disagreements open the circuit too: the peer is the
         // wrong software or the wrong model, and hammering it can't help.
         let _ = failure;
@@ -671,14 +639,16 @@ mod tests {
     use super::*;
     use crate::shard::{ShardServer, ShardSlice};
 
-    fn spawn_shard(digest: u64) -> (crate::shard::ShardServerHandle, ExpectedShard) {
-        let slice = ShardSlice::from_parts(0, 0, 3, digest, vec![vec![0.25, 0.5, 0.25]]).unwrap();
+    /// A one-topic shard `index` over word ids `[0, 3)`.
+    fn spawn_shard(index: usize, digest: u64) -> (crate::shard::ShardServerHandle, ExpectedShard) {
+        let slice =
+            ShardSlice::from_parts(index, 0, 3, digest, vec![vec![0.25, 0.5, 0.25]]).unwrap();
         let handle = ShardServer::bind("127.0.0.1:0", slice)
             .unwrap()
             .spawn()
             .unwrap();
         let expect = ExpectedShard {
-            index: 0,
+            index,
             lo: 0,
             hi: 3,
             n_topics: 1,
@@ -699,14 +669,14 @@ mod tests {
 
     #[test]
     fn pooled_calls_reuse_one_connection_and_pipeline() {
-        let (handle, expect) = spawn_shard(7);
-        let stats = Arc::new(WireStats::default());
-        let client = ShardClient::new(
-            expect,
-            handle.addr().to_string(),
-            quick_config(),
-            Arc::clone(&stats),
-        );
+        // The fleet series are process-global and labeled by shard index;
+        // no other test in this binary uses shard 9, so the deltas below
+        // count this test's traffic alone.
+        let (handle, expect) = spawn_shard(9, 7);
+        let series = fleet_shard_metrics(9);
+        let rpcs_before = series.rpc_seconds.snapshot().count();
+        let frames_before = series.frames_sent.get();
+        let client = ShardClient::new(expect, handle.addr().to_string(), quick_config());
         // Two overlapping calls: both started before either finishes.
         let a = client
             .start_call(
@@ -735,21 +705,16 @@ mod tests {
             vec![0.5]
         );
         // One handshake + two RPCs, all on one connection.
-        assert_eq!(stats.rpcs.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.frames_sent.load(Ordering::Relaxed), 3);
+        assert_eq!(series.rpc_seconds.snapshot().count() - rpcs_before, 2);
+        assert_eq!(series.frames_sent.get() - frames_before, 3);
         handle.shutdown();
     }
 
     #[test]
     fn digest_mismatch_is_a_protocol_error_not_a_retry() {
-        let (handle, mut expect) = spawn_shard(7);
+        let (handle, mut expect) = spawn_shard(0, 7);
         expect.digest = 8;
-        let client = ShardClient::new(
-            expect,
-            handle.addr().to_string(),
-            quick_config(),
-            Arc::new(WireStats::default()),
-        );
+        let client = ShardClient::new(expect, handle.addr().to_string(), quick_config());
         let err = client
             .call(Opcode::Ping, Vec::new(), Opcode::Pong, None)
             .unwrap_err();
@@ -760,15 +725,10 @@ mod tests {
 
     #[test]
     fn dead_shard_fails_bounded_then_circuit_opens_then_ping_recovers() {
-        let (handle, expect) = spawn_shard(7);
+        let (handle, expect) = spawn_shard(0, 7);
         let addr = handle.addr();
         handle.shutdown();
-        let client = ShardClient::new(
-            expect,
-            addr.to_string(),
-            quick_config(),
-            Arc::new(WireStats::default()),
-        );
+        let client = ShardClient::new(expect, addr.to_string(), quick_config());
         let started = Instant::now();
         let err = client
             .call(Opcode::Ping, Vec::new(), Opcode::Pong, None)

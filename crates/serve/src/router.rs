@@ -26,12 +26,11 @@
 
 use crate::backend::{BackendError, GatherOptions, ModelBackend};
 use crate::frozen::{ModelHeader, PreparedDoc, PreprocessConfig};
-use crate::pool::{ExpectedShard, PoolConfig, ShardClient, ShardHealth, WireStats};
+use crate::pool::{ExpectedShard, PoolConfig, ShardClient, ShardHealth};
 use crate::sharded::ShardedModel;
 use crate::wire::{self, Opcode};
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 use topmine_corpus::Document;
 
@@ -47,7 +46,6 @@ pub struct RemoteShardedModel {
     /// Phi-less local view: vocabulary, lexicons, α, display tables.
     local: ShardedModel,
     clients: Vec<ShardClient>,
-    stats: Arc<WireStats>,
 }
 
 impl RemoteShardedModel {
@@ -87,10 +85,13 @@ impl RemoteShardedModel {
                 ),
             ));
         }
-        let digest = wire::manifest_digest(dir)?;
+        // Every shard must advertise the digest of the bundle this view
+        // was loaded (and verified) from.
+        let digest = local
+            .bundle_digest()
+            .expect("a bundle loaded from disk carries its digest");
         let boundaries = local.boundaries().to_vec();
         let n_topics = local.n_topics() as u32;
-        let stats = Arc::new(WireStats::default());
         let clients = addrs
             .iter()
             .enumerate()
@@ -105,21 +106,10 @@ impl RemoteShardedModel {
                     },
                     addr.clone(),
                     config.clone(),
-                    Arc::clone(&stats),
                 )
             })
             .collect();
-        Ok(Self {
-            local,
-            clients,
-            stats,
-        })
-    }
-
-    /// Whole-fleet wire traffic counters: bytes, frames, RPCs, retries
-    /// and failures summed over every shard client.
-    pub fn wire_stats(&self) -> &WireStats {
-        &self.stats
+        Ok(Self { local, clients })
     }
 
     /// Ping every shard and return the per-shard health snapshot.
@@ -146,6 +136,10 @@ impl ModelBackend for RemoteShardedModel {
 
     fn format_tag(&self) -> &'static str {
         FLEET_MODEL_FORMAT
+    }
+
+    fn bundle_digest(&self) -> Option<u64> {
+        self.local.bundle_digest()
     }
 
     fn n_shards(&self) -> usize {

@@ -22,7 +22,8 @@
 //! connection is closed. A malformed frame can never panic the process or
 //! wedge the thread.
 
-use crate::sharded::RawManifest;
+use crate::io::data_err;
+use crate::sharded::Manifest;
 use crate::wire::{self, Frame, Opcode, ShardMeta, WireError, MAX_FRAME, WIRE_VERSION};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -30,10 +31,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-fn data_err(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
 
 /// One shard's worth of φ plus the identity the handshake advertises.
 #[derive(Debug, Clone)]
@@ -44,7 +41,8 @@ pub struct ShardSlice {
     /// One past the last owned global word id.
     pub hi: u32,
     pub n_topics: usize,
-    /// [`wire::manifest_digest`] of the bundle this slice came from.
+    /// Bundle digest ([`wire::manifest_digest`]) of the bundle this slice
+    /// came from.
     pub digest: u64,
     /// φ block, `n_topics` rows × `hi − lo` columns.
     phi: Vec<Vec<f64>>,
@@ -52,42 +50,30 @@ pub struct ShardSlice {
 
 impl ShardSlice {
     /// Load shard `index` of the sharded bundle at `dir`: the manifest
-    /// (for topology and the digest) plus that one shard's `phi.tsv`.
-    /// Nothing else is read — a shard process's footprint is its φ slice.
+    /// (for topology and the digest) plus that one shard's `phi.bin`, each
+    /// verified against its digest. Nothing else is read — a shard
+    /// process's footprint is its φ slice.
     pub fn load(dir: &Path, index: usize) -> io::Result<Self> {
-        let manifest = RawManifest::load(&dir.join("manifest.tsv"))?;
-        if index >= manifest.n_shards {
+        let manifest = Manifest::read(dir)?;
+        let n_shards = manifest.boundaries.len() - 1;
+        if index >= n_shards {
             return Err(data_err(format!(
-                "shard index {index} out of range: bundle has {} shards",
-                manifest.n_shards
+                "shard index {index} out of range: bundle has {n_shards} shards"
             )));
         }
-        let lo = manifest.shard_starts[index];
-        let hi = manifest
-            .shard_starts
-            .get(index + 1)
-            .copied()
-            .unwrap_or(manifest.vocab_size as u32);
-        if lo > hi {
-            return Err(data_err(format!(
-                "manifest.tsv: shard {index} range [{lo}, {hi}) is not ascending"
-            )));
-        }
-        let digest = wire::manifest_digest(dir)?;
-        let phi = topmine_lda::io::load_phi(&dir.join(format!("shard-{index}")).join("phi.tsv"))?;
-        let width = (hi - lo) as usize;
-        if phi.len() != manifest.n_topics || phi.iter().any(|row| row.len() != width) {
-            return Err(data_err(format!(
-                "shard-{index}/phi.tsv is not {} x {width} as the manifest requires",
-                manifest.n_topics
-            )));
-        }
+        let (lo, hi) = (manifest.boundaries[index], manifest.boundaries[index + 1]);
+        let n_topics = manifest.fields.header.n_topics;
+        let phi = manifest.header.read_phi(
+            &format!("shard-{index}/phi.bin"),
+            n_topics,
+            (hi - lo) as usize,
+        )?;
         Ok(Self {
             index,
             lo,
             hi,
-            n_topics: manifest.n_topics,
-            digest,
+            n_topics,
+            digest: manifest.header.digest(),
             phi,
         })
     }

@@ -30,36 +30,33 @@
 //!     vocab.tsv         global id<TAB>word, dense over the shard range
 //!     unstem.tsv        global id<TAB>surface (present iff training stemmed)
 //!     lexicon.tsv       total_tokens line + count<TAB>ids (first word in range)
-//!     phi.tsv           n_topics × range_width probability block
+//!     phi.bin           n_topics × range_width little-endian f64 block
 //!   shard-1/ …
 //! ```
 //!
-//! `manifest.tsv` rides the same versioned `key<TAB>value` machinery as
-//! every other bundle header ([`topmine_lda::io::read_versioned_kv`]);
-//! re-saving into a directory removes stale `shard-K/` directories beyond
-//! the new count and the monolithic format's marker files, so a bundle
-//! directory always holds exactly one loadable model.
+//! `manifest.tsv` is the same versioned, self-digesting header as the
+//! monolithic `header.tsv` (both formats live in the crate's `io`
+//! module): it lists the digest of every file above, so its own digest
+//! covers the whole model. Re-saving into a directory removes stale
+//! `shard-K/` directories beyond the new count and the monolithic
+//! format's files, so a bundle directory always holds exactly one
+//! loadable model.
 
 use crate::backend::ModelBackend;
 use crate::frozen::{
-    bundle_header_pairs, load_lexicon, load_stopword_file, prepare_with, remove_if_present,
-    save_lexicon_file, FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig,
+    prepare_with, remove_if_present, FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig,
 };
 use crate::infer::{infer_doc, DocInference, InferConfig};
+use crate::io::{data_err, header_pairs, BundleWriter, Header, HeaderFields};
 use crate::trie::PhraseTrie;
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io;
 use std::path::Path;
 use topmine_corpus::{CorpusOptions, Document};
 use topmine_phrase::{PhraseConstructor, PhraseCounts};
 use topmine_util::FxHashMap;
 
 /// Version tag on the first line of `manifest.tsv`.
-pub const SHARDED_MODEL_FORMAT: &str = "topmine-sharded-model/1";
-
-fn data_err(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
+pub const SHARDED_MODEL_FORMAT: &str = "topmine-sharded-model/2";
 
 /// One vocabulary-range shard: the slice of the model owned by word ids
 /// `[lo, hi)`.
@@ -121,6 +118,9 @@ pub struct ShardedModel {
     /// boundaries[i+1])`.
     boundaries: Vec<u32>,
     shards: Vec<ModelShard>,
+    /// Digest of the bundle this model was loaded from (`None` if it was
+    /// never loaded from disk); not part of equality.
+    digest: Option<u64>,
 }
 
 impl PartialEq for ShardedModel {
@@ -150,7 +150,7 @@ impl ShardedModel {
     /// the source model.
     pub fn from_frozen(model: &FrozenModel, n_shards: usize) -> io::Result<Self> {
         if n_shards == 0 {
-            return Err(data_err("shard count must be at least 1".into()));
+            return Err(data_err("shard count must be at least 1"));
         }
         let v = model.vocab_size();
         let k = model.n_topics();
@@ -196,6 +196,7 @@ impl ShardedModel {
             min_support,
             boundaries,
             shards,
+            digest: None,
         };
         sharded.validate().map_err(data_err)?;
         Ok(sharded)
@@ -342,33 +343,38 @@ impl ShardedModel {
 
     // ----- persistence ------------------------------------------------------
 
-    /// Write the sharded bundle into `dir` (created if needed). Stale
-    /// `shard-K/` directories beyond the new shard count and the
-    /// monolithic format's marker files are removed, so re-saving with a
-    /// different shard count (or over a monolithic bundle) leaves exactly
-    /// this model on disk.
+    /// Write the sharded bundle into `dir` (created if needed), with
+    /// `manifest.tsv` last as the commit point. Stale `shard-K/`
+    /// directories beyond the new shard count and the monolithic format's
+    /// files are removed, so re-saving with a different shard count (or
+    /// over a monolithic bundle) leaves exactly this model on disk.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let stopwords_path = dir.join("stopwords.txt");
+        let mut out = BundleWriter::new(dir);
         if self.preprocess.stopwords.is_empty() {
-            remove_if_present(&stopwords_path)?;
+            remove_if_present(&dir.join("stopwords.txt"))?;
         } else {
-            let mut out = BufWriter::new(File::create(&stopwords_path)?);
-            for w in &self.preprocess.stopwords {
-                writeln!(out, "{w}")?;
-            }
-            out.flush()?;
+            out.stopwords("stopwords.txt", &self.preprocess.stopwords)?;
         }
-
         for (i, shard) in self.shards.iter().enumerate() {
             let shard_dir = dir.join(format!("shard-{i}"));
             // Recreate from scratch so no stale file inside the shard
-            // directory (an old unstem.tsv, say) survives as meaning.
+            // directory survives.
             if shard_dir.exists() {
                 std::fs::remove_dir_all(&shard_dir)?;
             }
             std::fs::create_dir_all(&shard_dir)?;
-            shard.save(&shard_dir)?;
+            let rel = |file: &str| format!("shard-{i}/{file}");
+            out.vocab(
+                &rel("vocab.tsv"),
+                shard.lo,
+                shard.words.iter().map(String::as_str),
+            )?;
+            if let Some(unstem) = &shard.unstem {
+                out.unstem(&rel("unstem.tsv"), shard.lo, unstem)?;
+            }
+            out.lexicon(&rel("lexicon.tsv"), &shard.lexicon)?;
+            out.phi(&rel("phi.bin"), &shard.phi, shard.width())?;
         }
 
         // The manifest is the commit point: it goes down only after every
@@ -377,16 +383,16 @@ impl ShardedModel {
         // (manifest.tsv is what `load_bundle` keys the format on). It is
         // the shared bundle header plus the shard topology.
         let mut pairs = vec![("n_shards".to_string(), self.shards.len().to_string())];
-        pairs.extend(bundle_header_pairs(
-            &self.header,
-            &self.preprocess,
-            self.min_support,
-            &self.alpha,
-        ));
+        pairs.extend(header_pairs(&HeaderFields {
+            header: self.header.clone(),
+            preprocess: self.preprocess.clone(),
+            min_support: self.min_support,
+            alpha: self.alpha.clone(),
+        }));
         for (i, s) in self.shards.iter().enumerate() {
             pairs.push((format!("shard{i}_start"), s.lo.to_string()));
         }
-        topmine_lda::io::save_versioned_kv(&dir.join("manifest.tsv"), SHARDED_MODEL_FORMAT, pairs)?;
+        out.commit("manifest.tsv", SHARDED_MODEL_FORMAT, &pairs)?;
 
         // Only cleanup remains after the commit point: stale shard
         // directories beyond the new count are harmless to a loader (it
@@ -398,7 +404,7 @@ impl ShardedModel {
             "header.tsv",
             "vocab.tsv",
             "lexicon.tsv",
-            "phi.tsv",
+            "phi.bin",
             "unstem.tsv",
         ] {
             remove_if_present(&dir.join(stale))?;
@@ -407,8 +413,10 @@ impl ShardedModel {
     }
 
     /// Load a bundle written by [`ShardedModel::save`]. The manifest's
-    /// format line is checked first; every other failure (missing file,
-    /// bad number, shape mismatch) is an `io::Error` naming the file.
+    /// format line is checked first, then its digest, then each file
+    /// against the digest the manifest recorded; every failure (missing or
+    /// modified file, bad number, shape mismatch) is an `io::Error` naming
+    /// the file.
     pub fn load(dir: &Path) -> io::Result<Self> {
         Self::load_with(dir, true)
     }
@@ -421,76 +429,49 @@ impl ShardedModel {
     }
 
     fn load_with(dir: &Path, load_phi: bool) -> io::Result<Self> {
-        let manifest = RawManifest::load(&dir.join("manifest.tsv"))?;
-        let preprocess = PreprocessConfig {
-            stem: manifest.stem,
-            remove_stopwords: manifest.remove_stopwords,
-            min_token_len: manifest.min_token_len,
-            stopwords: load_stopword_file(&dir.join("stopwords.txt"))?,
-        };
-        let mut boundaries = manifest.shard_starts.clone();
-        boundaries.push(manifest.vocab_size as u32);
-        // Ranges must be checked before shard loading sizes anything by
-        // `hi - lo` (a corrupt manifest must be an error, not an underflow).
-        if boundaries.windows(2).any(|w| w[0] > w[1]) {
-            return Err(data_err(format!(
-                "manifest.tsv: shard ranges must ascend to vocab_size {}: {boundaries:?}",
-                manifest.vocab_size
-            )));
-        }
-        let mut shards = Vec::with_capacity(manifest.n_shards);
+        let Manifest {
+            header,
+            mut fields,
+            boundaries,
+        } = Manifest::read(dir)?;
+        fields.preprocess.stopwords = header.read_stopwords()?;
+        let k = fields.header.n_topics;
+        let mut shards = Vec::with_capacity(boundaries.len() - 1);
         for (i, w) in boundaries.windows(2).enumerate() {
-            shards.push(load_shard(
-                &dir.join(format!("shard-{i}")),
-                w[0],
-                w[1],
-                manifest.min_support,
-                load_phi,
-            )?);
+            let (lo, hi) = (w[0], w[1]);
+            let width = (hi - lo) as usize;
+            let rel = |file: &str| format!("shard-{i}/{file}");
+            let mut words = Vec::new();
+            header.read_vocab(&rel("vocab.tsv"), lo, width, |word| {
+                words.push(word.to_string());
+                Ok(())
+            })?;
+            shards.push(ModelShard {
+                lo,
+                hi,
+                term_ids: term_index(&words, lo),
+                words,
+                unstem: header.read_unstem(&rel("unstem.tsv"), lo, width)?,
+                lexicon: header.read_lexicon(&rel("lexicon.tsv"), fields.min_support)?,
+                phi: match load_phi {
+                    true => header.read_phi(&rel("phi.bin"), k, width)?,
+                    false => Vec::new(),
+                },
+            });
         }
         let model = Self {
-            header: ModelHeader {
-                n_topics: manifest.n_topics,
-                vocab_size: manifest.vocab_size,
-                n_docs: manifest.n_docs,
-                n_tokens: manifest.n_tokens,
-                seg_alpha: manifest.seg_alpha,
-                beta: manifest.beta,
-            },
-            terms: preprocess.corpus_options(),
-            preprocess,
-            alpha: manifest.alpha,
-            lexicon_total_tokens: shards
-                .first()
-                .map(|s: &ModelShard| PhraseCounts::total_tokens(&s.lexicon))
-                .unwrap_or(0),
-            min_support: manifest.min_support,
+            terms: fields.preprocess.corpus_options(),
+            header: fields.header,
+            preprocess: fields.preprocess,
+            alpha: fields.alpha,
+            lexicon_total_tokens: PhraseCounts::total_tokens(&shards[0].lexicon),
+            min_support: fields.min_support,
             boundaries,
             shards,
+            digest: Some(header.digest()),
         };
         model.validate_with(load_phi).map_err(data_err)?;
         Ok(model)
-    }
-}
-
-impl ModelShard {
-    fn save(&self, dir: &Path) -> io::Result<()> {
-        let mut out = BufWriter::new(File::create(dir.join("vocab.tsv"))?);
-        for (i, word) in self.words.iter().enumerate() {
-            writeln!(out, "{}\t{word}", self.lo + i as u32)?;
-        }
-        out.flush()?;
-        if let Some(unstem) = &self.unstem {
-            let mut out = BufWriter::new(File::create(dir.join("unstem.tsv"))?);
-            for (i, surface) in unstem.iter().enumerate() {
-                if !surface.is_empty() {
-                    writeln!(out, "{}\t{surface}", self.lo + i as u32)?;
-                }
-            }
-            out.flush()?;
-        }
-        save_lexicon_file(&self.lexicon, &dir.join("lexicon.tsv"))?;
-        topmine_lda::io::save_phi_matrix(&self.phi, &dir.join("phi.tsv"))
     }
 }
 
@@ -520,214 +501,46 @@ pub(crate) fn remove_stale_shards(dir: &Path, keep: usize) -> io::Result<()> {
     Ok(())
 }
 
-fn load_shard(
-    dir: &Path,
-    lo: u32,
-    hi: u32,
-    min_support: u64,
-    load_phi: bool,
-) -> io::Result<ModelShard> {
-    let name = dir
-        .file_name()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    let width = (hi - lo) as usize;
-    let mut words = Vec::with_capacity(width);
-    let reader = BufReader::new(File::open(dir.join("vocab.tsv"))?);
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        let (id_str, word) = line
-            .split_once('\t')
-            .ok_or_else(|| data_err(format!("{name}/vocab.tsv line {}: not id<TAB>word", i + 1)))?;
-        let id: u32 = id_str.parse().map_err(|_| {
+/// A verified `manifest.tsv`, parsed: the shared header fields plus the
+/// shard topology. `pub(crate)` because a shard process
+/// ([`crate::shard::ShardSlice`]) reads the manifest for topology and the
+/// digest without assembling a model.
+pub(crate) struct Manifest {
+    /// The verified header, for reading the files it lists.
+    pub(crate) header: Header,
+    pub(crate) fields: HeaderFields,
+    /// Range starts plus the trailing `vocab_size`, length `n_shards + 1`,
+    /// starting at 0 and ascending.
+    pub(crate) boundaries: Vec<u32>,
+}
+
+impl Manifest {
+    pub(crate) fn read(dir: &Path) -> io::Result<Self> {
+        let mut header = Header::read(dir, "manifest.tsv", SHARDED_MODEL_FORMAT)?;
+        let n_shards: usize = header.take("n_shards")?;
+        let fields = header.take_fields()?;
+        let mut boundaries: Vec<u32> = header.take_vec(|i| format!("shard{i}_start"), n_shards)?;
+        header.finish()?;
+        boundaries.push(u32::try_from(fields.header.vocab_size).map_err(|_| {
             data_err(format!(
-                "{name}/vocab.tsv line {}: bad id {id_str:?}",
-                i + 1
+                "manifest.tsv: vocab_size {} exceeds the u32 word-id space",
+                fields.header.vocab_size
             ))
-        })?;
-        if id != lo + words.len() as u32 {
+        })?);
+        // Ranges are checked before shard loading sizes anything by
+        // `hi - lo` (a bad manifest must be an error, not an underflow).
+        if boundaries[0] != 0 || boundaries.len() < 2 || boundaries.windows(2).any(|w| w[0] > w[1])
+        {
             return Err(data_err(format!(
-                "{name}/vocab.tsv line {}: id {id} out of order (expected {})",
-                i + 1,
-                lo + words.len() as u32
+                "manifest.tsv: shard ranges must start at 0 and ascend to vocab_size {}: \
+                 {boundaries:?}",
+                fields.header.vocab_size
             )));
-        }
-        words.push(word.to_string());
-    }
-    if words.len() != width {
-        return Err(data_err(format!(
-            "{name}/vocab.tsv has {} words for a range of width {width}",
-            words.len()
-        )));
-    }
-    let unstem_path = dir.join("unstem.tsv");
-    let unstem = if unstem_path.exists() {
-        let mut table = vec![String::new(); width];
-        let reader = BufReader::new(File::open(&unstem_path)?);
-        for (i, line) in reader.lines().enumerate() {
-            let line = line?;
-            if line.is_empty() {
-                continue;
-            }
-            let (id_str, surface) = line.split_once('\t').ok_or_else(|| {
-                data_err(format!(
-                    "{name}/unstem.tsv line {}: not id<TAB>surface",
-                    i + 1
-                ))
-            })?;
-            let id: u32 = id_str.parse().map_err(|_| {
-                data_err(format!(
-                    "{name}/unstem.tsv line {}: bad id {id_str:?}",
-                    i + 1
-                ))
-            })?;
-            if id < lo || id >= hi {
-                return Err(data_err(format!(
-                    "{name}/unstem.tsv line {}: id {id} outside shard range [{lo}, {hi})",
-                    i + 1
-                )));
-            }
-            table[(id - lo) as usize] = surface.to_string();
-        }
-        Some(table)
-    } else {
-        None
-    };
-    let lexicon = load_lexicon(&dir.join("lexicon.tsv"), min_support)?;
-    let phi = if load_phi {
-        topmine_lda::io::load_phi(&dir.join("phi.tsv"))?
-    } else {
-        Vec::new()
-    };
-    Ok(ModelShard {
-        lo,
-        hi,
-        term_ids: term_index(&words, lo),
-        words,
-        unstem,
-        lexicon,
-        phi,
-    })
-}
-
-/// Parsed `manifest.tsv` before assembly. `pub(crate)` because a shard
-/// process ([`crate::shard::ShardSlice`]) reads the manifest for topology
-/// and hyperparameters without assembling a full model.
-pub(crate) struct RawManifest {
-    pub(crate) n_shards: usize,
-    pub(crate) n_topics: usize,
-    pub(crate) vocab_size: usize,
-    pub(crate) n_docs: usize,
-    pub(crate) n_tokens: u64,
-    pub(crate) seg_alpha: f64,
-    pub(crate) beta: f64,
-    pub(crate) min_support: u64,
-    pub(crate) stem: bool,
-    pub(crate) remove_stopwords: bool,
-    pub(crate) min_token_len: usize,
-    pub(crate) alpha: Vec<f64>,
-    /// `shard{i}_start` values, dense and ascending, length `n_shards`.
-    pub(crate) shard_starts: Vec<u32>,
-}
-
-impl RawManifest {
-    pub(crate) fn load(path: &Path) -> io::Result<Self> {
-        let pairs = topmine_lda::io::read_versioned_kv(path, SHARDED_MODEL_FORMAT)?;
-        let mut n_shards = None;
-        let mut n_topics = None;
-        let mut vocab_size = None;
-        let mut n_docs = None;
-        let mut n_tokens = None;
-        let mut seg_alpha = None;
-        let mut beta = None;
-        let mut min_support = None;
-        let mut stem = None;
-        let mut remove_stopwords = None;
-        let mut min_token_len = None;
-        let mut alphas: Vec<(usize, f64)> = Vec::new();
-        let mut starts: Vec<(usize, u32)> = Vec::new();
-        for (line_no, key, value) in pairs {
-            macro_rules! parse_into {
-                ($slot:ident) => {
-                    $slot = Some(value.parse().map_err(|_| {
-                        data_err(format!(
-                            "manifest line {line_no}: bad value for {key}: {value:?}"
-                        ))
-                    })?)
-                };
-            }
-            match key.as_str() {
-                "n_shards" => parse_into!(n_shards),
-                "n_topics" => parse_into!(n_topics),
-                "vocab_size" => parse_into!(vocab_size),
-                "n_docs" => parse_into!(n_docs),
-                "n_tokens" => parse_into!(n_tokens),
-                "seg_alpha" => parse_into!(seg_alpha),
-                "beta" => parse_into!(beta),
-                "min_support" => parse_into!(min_support),
-                "stem" => parse_into!(stem),
-                "remove_stopwords" => parse_into!(remove_stopwords),
-                "min_token_len" => parse_into!(min_token_len),
-                k if k.starts_with("alpha") => {
-                    let t: usize = k["alpha".len()..]
-                        .parse()
-                        .map_err(|_| data_err(format!("manifest line {line_no}: bad key {k:?}")))?;
-                    let a: f64 = value.parse().map_err(|_| {
-                        data_err(format!(
-                            "manifest line {line_no}: bad value for {k}: {value:?}"
-                        ))
-                    })?;
-                    alphas.push((t, a));
-                }
-                k if k.starts_with("shard") && k.ends_with("_start") => {
-                    let i: usize = k["shard".len()..k.len() - "_start".len()]
-                        .parse()
-                        .map_err(|_| data_err(format!("manifest line {line_no}: bad key {k:?}")))?;
-                    let lo: u32 = value.parse().map_err(|_| {
-                        data_err(format!(
-                            "manifest line {line_no}: bad value for {k}: {value:?}"
-                        ))
-                    })?;
-                    starts.push((i, lo));
-                }
-                other => {
-                    return Err(data_err(format!(
-                        "manifest line {line_no}: unknown key {other:?}"
-                    )))
-                }
-            }
-        }
-        let missing = |k: &str| data_err(format!("manifest.tsv missing {k}"));
-        let n_shards = n_shards.ok_or_else(|| missing("n_shards"))?;
-        let n_topics = n_topics.ok_or_else(|| missing("n_topics"))?;
-        let alpha = topmine_lda::io::assemble_alpha(alphas, n_topics, "manifest.tsv")?;
-        starts.sort_by_key(|&(i, _)| i);
-        if starts.len() != n_shards || starts.iter().enumerate().any(|(i, &(j, _))| i != j) {
-            return Err(data_err(format!(
-                "manifest.tsv shard starts are not dense 0..{n_shards}"
-            )));
-        }
-        let shard_starts: Vec<u32> = starts.into_iter().map(|(_, lo)| lo).collect();
-        if shard_starts.first() != Some(&0) {
-            return Err(data_err("manifest.tsv: shard0_start must be 0".into()));
         }
         Ok(Self {
-            n_shards,
-            n_topics,
-            vocab_size: vocab_size.ok_or_else(|| missing("vocab_size"))?,
-            n_docs: n_docs.ok_or_else(|| missing("n_docs"))?,
-            n_tokens: n_tokens.ok_or_else(|| missing("n_tokens"))?,
-            seg_alpha: seg_alpha.ok_or_else(|| missing("seg_alpha"))?,
-            beta: beta.ok_or_else(|| missing("beta"))?,
-            min_support: min_support.ok_or_else(|| missing("min_support"))?,
-            stem: stem.ok_or_else(|| missing("stem"))?,
-            remove_stopwords: remove_stopwords.ok_or_else(|| missing("remove_stopwords"))?,
-            min_token_len: min_token_len.ok_or_else(|| missing("min_token_len"))?,
-            alpha,
-            shard_starts,
+            header,
+            fields,
+            boundaries,
         })
     }
 }
@@ -777,6 +590,10 @@ impl ModelBackend for ShardedModel {
 
     fn format_tag(&self) -> &'static str {
         SHARDED_MODEL_FORMAT
+    }
+
+    fn bundle_digest(&self) -> Option<u64> {
+        self.digest
     }
 
     fn n_shards(&self) -> usize {
@@ -1019,11 +836,19 @@ mod tests {
             body.replace(&format!("vocab_size\t{vocab_size}"), "vocab_size\t1"),
         )
         .unwrap();
+        // The edit alone is caught by the manifest's digest; resealed, it
+        // reaches the range check.
+        let err = ShardedModel::load(&dir).unwrap_err().to_string();
+        assert!(err.contains("manifest.tsv: content digest"), "{err}");
+        crate::io::reseal(&manifest);
         let err = ShardedModel::load(&dir).unwrap_err().to_string();
         assert!(err.contains("ascend"), "{err}");
         sharded.save(&dir).unwrap();
-        std::fs::write(dir.join("shard-0").join("phi.tsv"), "topic\tw0\n0\tnope\n").unwrap();
-        assert!(ShardedModel::load(&dir).is_err());
+        std::fs::write(dir.join("shard-0").join("phi.bin"), "topic\tw0\n0\tnope\n").unwrap();
+        let err = ShardedModel::load(&dir).unwrap_err().to_string();
+        assert!(err.contains("shard-0/phi.bin"), "{err}");
+        // The router's φ-less view does not read φ, so it still loads.
+        assert!(ShardedModel::load_without_phi(&dir).is_ok());
         let _ = std::fs::remove_dir_all(dir);
     }
 }

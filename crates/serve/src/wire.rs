@@ -34,10 +34,11 @@
 //!
 //! The `Hello`/`Meta` exchange is the handshake: the client proves it
 //! speaks this protocol version and learns the shard's identity — index,
-//! owned id range `[lo, hi)`, topic count, and the **model digest** (a hash
-//! of the bundle's `manifest.tsv` bytes). A router refuses to serve
-//! through a shard whose digest differs from its own bundle's, so a fleet
-//! can never silently mix artifact versions.
+//! owned id range `[lo, hi)`, topic count, and the **bundle digest**
+//! ([`manifest_digest`]), which covers every byte of the model. A router
+//! refuses to serve through a shard whose digest differs from its own
+//! bundle's, so shards of different fits (or of a modified copy) cannot
+//! be mixed into one fleet.
 //!
 //! Robustness contract (exercised by `tests/wire_robustness.rs`): a
 //! truncated frame, an oversize length prefix, an unknown opcode, or a
@@ -46,7 +47,6 @@
 //! timeouts or RPC deadlines).
 
 use std::fmt;
-use std::hash::Hasher;
 use std::io::{self, IoSlice, Read, Write};
 use std::path::Path;
 
@@ -287,7 +287,7 @@ pub struct ShardMeta {
     /// One past the last owned global word id.
     pub hi: u32,
     pub n_topics: u32,
-    /// Hash of the bundle's `manifest.tsv` bytes ([`manifest_digest`]).
+    /// The bundle digest ([`manifest_digest`]).
     pub digest: u64,
 }
 
@@ -419,16 +419,21 @@ pub fn decode_phi_block(
         .collect())
 }
 
-/// Hash of a sharded bundle's `manifest.tsv` bytes — the model digest the
-/// handshake compares. The manifest is written deterministically by
-/// [`ShardedModel::save`](crate::ShardedModel::save) (shapes, α, ε, shard
-/// topology), so every copy of the same artifact digests equally and any
-/// re-fit or re-shard changes it.
+/// The bundle digest of the sharded bundle at `bundle_dir` — the model
+/// digest the handshake compares. It is the value on the last line of
+/// `manifest.tsv`, a digest of every byte above it, and those bytes
+/// record the digest of every file the bundle holds (every φ block,
+/// vocabulary, lexicon, unstem table and the stop list). So two bundles
+/// share it only if their files are byte-identical: a re-fit that changes
+/// any φ value, a re-shard, or any edit changes it, up to 64-bit digest
+/// collisions. Reading it verifies the manifest's own digest.
 pub fn manifest_digest(bundle_dir: &Path) -> io::Result<u64> {
-    let bytes = std::fs::read(bundle_dir.join("manifest.tsv"))?;
-    let mut h = topmine_util::FxHasher::default();
-    h.write(&bytes);
-    Ok(h.finish())
+    let manifest = crate::io::Header::read(
+        bundle_dir,
+        "manifest.tsv",
+        crate::sharded::SHARDED_MODEL_FORMAT,
+    )?;
+    Ok(manifest.digest())
 }
 
 #[cfg(test)]

@@ -1,0 +1,225 @@
+//! Corrupt bundles are refused, never loaded: truncating any bundle file at
+//! any offset, flipping any single bit of it, or deleting an optional file
+//! its header lists makes every loader that reads the file fail with
+//! `InvalidData` naming it — never `Ok`, never a panic.
+//!
+//! Loaders covered: `load_bundle` on a monolithic and on a 2-shard bundle,
+//! the router's φ-less view (`RemoteShardedModel::connect_lazy`, which
+//! reads every file but the φ blocks), and `ShardSlice::load`, which reads
+//! the manifest and its own shard's `phi.bin`.
+
+mod fleet_common;
+
+use fleet_common::{fast_pool, fitted_model};
+use proptest::prelude::*;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
+use topmine_serve::{load_bundle, FrozenModel, RemoteShardedModel, ShardSlice, ShardedModel};
+
+fn model() -> &'static FrozenModel {
+    static MODEL: OnceLock<FrozenModel> = OnceLock::new();
+    MODEL.get_or_init(|| fitted_model(11))
+}
+
+/// Save `model()` under a fresh directory, monolithic (`shards == None`)
+/// or sharded.
+fn save(tag: &str, shards: Option<usize>) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("topmine-corrupt-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    match shards {
+        None => model().save(&dir).unwrap(),
+        Some(n) => ShardedModel::from_frozen(model(), n)
+            .unwrap()
+            .save(&dir)
+            .unwrap(),
+    }
+    dir
+}
+
+/// Every file of the bundle at `dir`, as paths relative to it, sorted.
+fn bundle_files(dir: &Path) -> Vec<String> {
+    fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                let rel = path.strip_prefix(root).unwrap();
+                out.push(rel.to_str().unwrap().replace('\\', "/"));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(dir, dir, &mut out);
+    out.sort();
+    out
+}
+
+/// Check that `result` is the refusal of a corrupt `rel`.
+fn refused<T>(result: io::Result<T>, rel: &str, loader: &str) -> Result<(), TestCaseError> {
+    match result {
+        Ok(_) => Err(TestCaseError::fail(format!(
+            "{loader} loaded a corrupt {rel}"
+        ))),
+        Err(e) => {
+            prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{}: {}", loader, e);
+            prop_assert!(
+                e.to_string().contains(rel),
+                "{} does not name {}: {}",
+                loader,
+                rel,
+                e
+            );
+            Ok(())
+        }
+    }
+}
+
+/// Run every loader that reads `rel` against the (now corrupt) bundle at
+/// `dir` and check each refuses it, naming `rel`.
+fn check_loaders(dir: &Path, rel: &str, n_shards: Option<usize>) -> Result<(), TestCaseError> {
+    refused(load_bundle(dir), rel, "load_bundle")?;
+    let Some(n) = n_shards else { return Ok(()) };
+    let addrs: Vec<String> = (0..n).map(|_| "127.0.0.1:9".to_string()).collect();
+    let router = RemoteShardedModel::connect_lazy(dir, &addrs, fast_pool());
+    if rel.ends_with("phi.bin") {
+        // The router's view does not read φ: it must still load.
+        prop_assert!(router.is_ok(), "router view failed on {}", rel);
+    } else {
+        refused(router, rel, "router view")?;
+    }
+    for k in 0..n {
+        let reads_it = rel == "manifest.tsv" || rel == format!("shard-{k}/phi.bin");
+        if reads_it {
+            refused(
+                ShardSlice::load(dir, k),
+                rel,
+                &format!("ShardSlice::load({k})"),
+            )?;
+        }
+    }
+    Ok(())
+}
+
+/// Write `bytes` over `dir/rel`, run the loaders, and restore the file.
+fn with_bytes(
+    dir: &Path,
+    rel: &str,
+    bytes: &[u8],
+    n_shards: Option<usize>,
+) -> Result<(), TestCaseError> {
+    let path = dir.join(rel);
+    let original = std::fs::read(&path).unwrap();
+    std::fs::write(&path, bytes).unwrap();
+    let outcome = check_loaders(dir, rel, n_shards);
+    std::fs::write(&path, original).unwrap();
+    outcome
+}
+
+/// Every file of the bundle, truncated at one offset and with one bit
+/// flipped (`pick` chooses both per file).
+fn corrupt_every_file(dir: &Path, n_shards: Option<usize>, pick: u64) -> Result<(), TestCaseError> {
+    for (i, rel) in bundle_files(dir).iter().enumerate() {
+        let bytes = std::fs::read(dir.join(rel)).unwrap();
+        let len = bytes.len() as u64;
+        let spread = pick.rotate_left(7 * i as u32);
+        let cut = (spread % len) as usize;
+        with_bytes(dir, rel, &bytes[..cut], n_shards)?;
+        let mut flipped = bytes.clone();
+        flipped[(spread / 8 % len) as usize] ^= 1 << (spread % 8);
+        with_bytes(dir, rel, &flipped, n_shards)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn truncated_or_bit_flipped_files_are_refused(pick in 0u64..u64::MAX) {
+        let mono = save(&format!("mono-{pick}"), None);
+        corrupt_every_file(&mono, None, pick)?;
+        let sharded = save(&format!("sharded-{pick}"), Some(2));
+        corrupt_every_file(&sharded, Some(2), pick)?;
+        // Restored, both load again.
+        prop_assert!(load_bundle(&mono).is_ok());
+        prop_assert!(load_bundle(&sharded).is_ok());
+        let _ = std::fs::remove_dir_all(mono);
+        let _ = std::fs::remove_dir_all(sharded);
+    }
+}
+
+#[test]
+fn every_truncation_and_bit_flip_of_the_headers_is_refused() {
+    // Exhaustive where the format is densest: every byte of the bundle
+    // header (its own digest line included) and of each φ header.
+    for (tag, n_shards) in [("walk-mono", None), ("walk-sharded", Some(2))] {
+        let dir = save(tag, n_shards);
+        for rel in bundle_files(&dir) {
+            let bytes = std::fs::read(dir.join(&rel)).unwrap();
+            let walked = match rel.as_str() {
+                "header.tsv" | "manifest.tsv" => bytes.len(),
+                r if r.ends_with("phi.bin") => 24,
+                _ => continue,
+            };
+            for cut in 0..walked {
+                with_bytes(&dir, &rel, &bytes[..cut], n_shards).unwrap();
+            }
+            for bit in 0..8 * walked {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                with_bytes(&dir, &rel, &flipped, n_shards).unwrap();
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn deleting_a_listed_optional_file_is_refused() {
+    for (tag, n_shards) in [("delete-mono", None), ("delete-sharded", Some(2))] {
+        let dir = save(tag, n_shards);
+        let optional: Vec<String> = bundle_files(&dir)
+            .into_iter()
+            .filter(|rel| rel.ends_with("stopwords.txt") || rel.ends_with("unstem.tsv"))
+            .collect();
+        // stopwords.txt, plus one unstem.tsv per shard (the model stems).
+        assert_eq!(optional.len(), 1 + n_shards.unwrap_or(1), "{optional:?}");
+        for rel in optional {
+            let path = dir.join(&rel);
+            let original = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            check_loaders(&dir, &rel, n_shards).unwrap();
+            std::fs::write(&path, original).unwrap();
+        }
+        assert!(load_bundle(&dir).is_ok());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn phi_headers_claiming_huge_shapes_fail_before_allocating() {
+    // K and width rewritten to sizes whose φ would not fit in memory (or
+    // in u64 bytes): the loader compares them with the bundle header and
+    // the real file length before allocating, so it fails instead of
+    // aborting on a huge allocation.
+    for (tag, n_shards, rel) in [
+        ("huge-mono", None, "phi.bin"),
+        ("huge-sharded", Some(2), "shard-1/phi.bin"),
+    ] {
+        let dir = save(tag, n_shards);
+        let bytes = std::fs::read(dir.join(rel)).unwrap();
+        for (k, width) in [
+            (1u64 << 20, 1u64 << 20),
+            (1 << 40, 1 << 40),
+            (u64::MAX, u64::MAX),
+        ] {
+            let mut huge = bytes.clone();
+            huge[8..16].copy_from_slice(&k.to_le_bytes());
+            huge[16..24].copy_from_slice(&width.to_le_bytes());
+            with_bytes(&dir, rel, &huge, n_shards).unwrap();
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}

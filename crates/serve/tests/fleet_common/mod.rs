@@ -16,6 +16,12 @@ use topmine_serve::{
 
 /// The same tiny three-topic corpus the sharded-equivalence suite fits.
 pub fn fitted_model(seed: u64) -> FrozenModel {
+    fitted_model_with(seed, 30)
+}
+
+/// [`fitted_model`] with `sweeps` Gibbs sweeps. No hyperparameter is
+/// optimized, so fits that differ only in `seed` share α and β.
+pub fn fitted_model_with(seed: u64, sweeps: usize) -> FrozenModel {
     let texts: Vec<String> = (0..30)
         .flat_map(|i| {
             [
@@ -29,7 +35,7 @@ pub fn fitted_model(seed: u64) -> FrozenModel {
     let (stats, seg) = Segmenter::with_params(5, 2.0).segment(&corpus);
     let grouped = GroupedDocs::from_segmentation(&corpus, &seg);
     let mut lda = PhraseLda::new(grouped, TopicModelConfig::new(3).with_seed(seed));
-    lda.run(30);
+    lda.run(sweeps);
     FrozenModel::freeze(&corpus, &stats, 2.0, &lda, &CorpusOptions::default())
 }
 

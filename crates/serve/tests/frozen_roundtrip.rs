@@ -1,6 +1,7 @@
 //! Property test: `FrozenModel::save`/`load` round-trips exactly for
 //! arbitrarily shaped models — any topic/vocabulary count, any lexicon,
-//! any preprocessing configuration, with and without unstem tables.
+//! any preprocessing configuration, with and without unstem tables — and a
+//! second save writes the same file set byte for byte.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -14,6 +15,16 @@ fn tmpdir(tag: u64) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// The names of the files in a bundle directory, sorted.
+fn bundle_files(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort_unstable();
+    names
 }
 
 /// Build a structurally valid model from free parameters.
@@ -100,18 +111,33 @@ proptest! {
         prop_assert_eq!(&loaded.header, &model.header);
         prop_assert_eq!(&loaded.preprocess, &model.preprocess);
         prop_assert_eq!(&loaded.lexicon, &model.lexicon);
-        // φ round-trips bit-exactly (17-significant-digit serialization).
-        prop_assert_eq!(&loaded.phi, &model.phi);
+        // φ round-trips bit for bit (phi.bin holds the raw little-endian
+        // f64s).
+        let bits = |phi: &[Vec<f64>]| -> Vec<u64> { phi.iter().flatten().map(|p| p.to_bits()).collect() };
+        prop_assert_eq!(bits(&loaded.phi), bits(&model.phi));
+        prop_assert_eq!(loaded.phi.len(), model.phi.len());
         prop_assert_eq!(&loaded.alpha, &model.alpha);
         prop_assert_eq!(loaded.vocab.len(), model.vocab.len());
         for (id, w) in model.vocab.iter() {
             prop_assert_eq!(loaded.vocab.word(id), w);
         }
         prop_assert_eq!(&loaded.unstem, &model.unstem);
-        // And a second save produces byte-identical files (canonical form).
+        // And a second save produces the same files, byte for byte
+        // (canonical form, so the bundle digest is stable too).
         let dir2 = tmpdir(seed ^ 0xdead_beef);
         loaded.save(&dir2).unwrap();
-        for file in ["header.tsv", "vocab.tsv", "lexicon.tsv", "phi.tsv"] {
+        let files = bundle_files(&dir);
+        prop_assert_eq!(&files, &bundle_files(&dir2));
+        let mut expected = vec!["header.tsv", "lexicon.tsv", "phi.bin", "vocab.tsv"];
+        if stem_flag == 1 {
+            expected.push("unstem.tsv");
+        }
+        if stopword_flag == 1 {
+            expected.push("stopwords.txt");
+        }
+        expected.sort_unstable();
+        prop_assert_eq!(&files, &expected);
+        for file in &files {
             let a = std::fs::read(dir.join(file)).unwrap();
             let b = std::fs::read(dir2.join(file)).unwrap();
             prop_assert_eq!(a, b, "{} not canonical", file);

@@ -1,7 +1,8 @@
 //! Metrics smoke test: boot a server, drive a few requests through it,
 //! then scrape `GET /metrics` and check the exposition is parseable and
 //! carries the core serving series. Also pins the `/healthz` contract
-//! (JSON content type, uptime, version, kernel fields).
+//! (JSON content type, uptime, version, kernel fields, and the bundle
+//! digest of a model loaded from disk).
 //!
 //! Everything lives in ONE `#[test]` on purpose: the obs registry is
 //! process-global, so separate tests would see each other's samples.
@@ -12,7 +13,7 @@ use std::sync::Arc;
 use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
-use topmine_serve::{FrozenModel, HttpServer, QueryEngine, ServerConfig};
+use topmine_serve::{load_bundle, FrozenModel, HttpServer, QueryEngine, ServerConfig};
 
 fn fitted_model() -> FrozenModel {
     let texts: Vec<String> = (0..30)
@@ -69,9 +70,28 @@ fn parse_sample(line: &str) -> (String, f64) {
     (series.to_string(), value)
 }
 
+/// The `"bundle"` value of a `/healthz` body: 16 lowercase hex digits.
+fn bundle_field(health: &str) -> Option<&str> {
+    let start = health.find("\"bundle\":\"")? + "\"bundle\":\"".len();
+    let value = &health[start..start + 16];
+    assert!(
+        value
+            .bytes()
+            .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')),
+        "{health}"
+    );
+    assert_eq!(&health[start + 16..start + 17], "\"", "{health}");
+    Some(value)
+}
+
 #[test]
 fn scrape_is_parseable_and_carries_core_series() {
-    let engine = Arc::new(QueryEngine::new(Arc::new(fitted_model()), 2));
+    // Served from a saved bundle, so /healthz carries its digest.
+    let dir = std::env::temp_dir().join(format!("topmine-metrics-smoke-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let model = fitted_model();
+    model.save(&dir).unwrap();
+    let engine = Arc::new(QueryEngine::new(load_bundle(&dir).unwrap(), 2));
     let handle = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
         .unwrap()
         .spawn()
@@ -89,6 +109,15 @@ fn scrape_is_parseable_and_carries_core_series() {
     assert!(body.contains("\"uptime_seconds\":"), "{body}");
     assert!(body.contains("\"version\":"), "{body}");
     assert!(body.contains("\"kernel_version\":"), "{body}");
+    // The bundle digest is the value on the last line of header.tsv.
+    let header = std::fs::read_to_string(dir.join("header.tsv")).unwrap();
+    let sealed = header
+        .lines()
+        .last()
+        .unwrap()
+        .strip_prefix("digest\t")
+        .unwrap();
+    assert_eq!(bundle_field(&body), Some(sealed), "{body}");
 
     // Drive traffic through every stage: two identical /infer calls (miss
     // then cache hit), one 404, one bad request.
@@ -205,6 +234,18 @@ fn scrape_is_parseable_and_carries_core_series() {
         })
         .expect("metrics route counter");
     assert_eq!(count, 1.0);
-
     handle.shutdown();
+
+    // A model that was never saved has no bundle digest to report.
+    let engine = Arc::new(QueryEngine::new(Arc::new(model), 1));
+    let handle = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let (status, _, body) = request(handle.addr(), "GET /healthz", "");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(bundle_field(&body), None, "{body}");
+    assert!(!body.contains("\"bundle\""), "{body}");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

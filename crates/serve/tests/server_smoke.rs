@@ -8,7 +8,9 @@ use std::sync::Arc;
 use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
-use topmine_serve::{FrontEnd, FrozenModel, HttpServer, QueryEngine, ServerConfig};
+use topmine_serve::{
+    FrontEnd, FrozenModel, HttpServer, QueryEngine, ServerConfig, FROZEN_MODEL_FORMAT,
+};
 
 fn fitted_model() -> FrozenModel {
     let texts: Vec<String> = (0..30)
@@ -72,7 +74,7 @@ fn concurrent_infer_requests_get_consistent_answers() {
     assert!(body.contains("\"topics\":2"), "{body}");
     let (status, body) = request(addr, "GET /model", "");
     assert_eq!(status, 200, "{body}");
-    assert!(body.contains("topmine-frozen-model/1"), "{body}");
+    assert!(body.contains(FROZEN_MODEL_FORMAT), "{body}");
     assert!(body.contains("\"lexicon_phrases\""), "{body}");
 
     // Concurrent clients: half send document A, half document B, all with

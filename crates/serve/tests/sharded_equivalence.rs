@@ -15,6 +15,7 @@ use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
 use topmine_serve::{
     load_bundle, FrozenModel, HttpServer, InferConfig, QueryEngine, ServerConfig, ShardedModel,
+    SHARDED_MODEL_FORMAT,
 };
 
 fn fitted_model(seed: u64) -> FrozenModel {
@@ -184,7 +185,7 @@ fn sharded_bundle_serves_over_http_end_to_end() {
     let (status, health) = request(sharded_server.addr(), "GET /healthz", "");
     assert_eq!(status, 200, "{health}");
     assert!(health.contains("\"shards\":3"), "{health}");
-    assert!(health.contains("topmine-sharded-model/1"), "{health}");
+    assert!(health.contains(SHARDED_MODEL_FORMAT), "{health}");
     assert!(health.contains("\"cache\""), "{health}");
 
     // Identical queries against both servers produce byte-identical

@@ -10,13 +10,12 @@
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use topmine_serve::pool::ExpectedShard;
 use topmine_serve::wire::{self, Opcode, ShardMeta};
 use topmine_serve::{
     BackendError, PoolConfig, ShardClient, ShardServer, ShardServerHandle, ShardSlice, WireError,
-    WireStats, WIRE_VERSION,
+    WIRE_VERSION,
 };
 
 fn test_slice() -> ShardSlice {
@@ -164,12 +163,7 @@ fn expected() -> ExpectedShard {
 }
 
 fn client_for(addr: std::net::SocketAddr) -> ShardClient {
-    ShardClient::new(
-        expected(),
-        addr.to_string(),
-        fast_config(),
-        Arc::new(WireStats::default()),
-    )
+    ShardClient::new(expected(), addr.to_string(), fast_config())
 }
 
 /// A fake shard: accepts connections forever, handing each to `behave`.
