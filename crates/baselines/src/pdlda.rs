@@ -26,7 +26,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use topmine_corpus::Corpus;
-use topmine_lda::kernel::sample_discrete;
+use topmine_lda::kernel::sample_cumulative;
 use topmine_lda::TopicSummary;
 use topmine_util::{FxHashMap, TopK};
 
@@ -298,9 +298,9 @@ impl PdLdaModel {
     /// One Gibbs sweep: resample each chunk's segmentation and topics.
     fn sweep(&mut self, corpus: &Corpus) {
         let k = self.cfg.n_topics;
-        // One reusable weight buffer for the joint (length, topic) draw —
-        // the hot loop allocates nothing per position.
-        let mut weights: Vec<f64> = Vec::with_capacity(self.cfg.max_ngram * k);
+        // One reusable buffer of running sums for the joint (length, topic)
+        // draw — the hot loop allocates nothing per position.
+        let mut cum: Vec<f64> = Vec::with_capacity(self.cfg.max_ngram * k);
         for d in 0..corpus.n_docs() {
             for (cs, ce) in corpus.docs[d].chunk_ranges() {
                 self.remove_doc_chunk(corpus, d, (cs, ce));
@@ -308,7 +308,8 @@ impl PdLdaModel {
                 let mut i = cs;
                 while i < ce {
                     let max_len = self.cfg.max_ngram.min(ce - i);
-                    weights.clear();
+                    cum.clear();
+                    let mut acc = 0.0;
                     for len in 1..=max_len {
                         for t in 0..k {
                             let topic_f = (self.cfg.alpha + self.n_dk[d * k + t] as f64)
@@ -327,10 +328,11 @@ impl PdLdaModel {
                                     self.v,
                                 );
                             }
-                            weights.push(topic_f * seq_p);
+                            acc += topic_f * seq_p;
+                            cum.push(acc);
                         }
                     }
-                    let choice = sample_discrete(&mut self.rng, &weights);
+                    let choice = sample_cumulative(&mut self.rng, &cum);
                     let len = choice / k + 1;
                     let t = (choice % k) as u16;
                     self.add_segment(corpus, d, (i as u32, (i + len) as u32, t));

@@ -16,7 +16,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use topmine_corpus::Corpus;
-use topmine_lda::kernel::sample_discrete;
+use topmine_lda::kernel::sample_cumulative;
 use topmine_lda::TopicSummary;
 use topmine_util::{FxHashMap, TopK};
 
@@ -126,16 +126,16 @@ impl TngModel {
             model.x.push(xs);
         }
 
-        // One weight buffer reused across all sweeps (2K joint (x, z)
+        // One running-sum buffer reused across all sweeps (2K joint (x, z)
         // states) — the fit loop allocates nothing per token or sweep.
-        let mut weights = vec![0.0f64; 2 * model.cfg.n_topics];
+        let mut cum = vec![0.0f64; 2 * model.cfg.n_topics];
         for _ in 0..model.cfg.iterations {
-            model.sweep(corpus, &mut rng, &mut weights);
+            model.sweep(corpus, &mut rng, &mut cum);
         }
         model
     }
 
-    fn sweep(&mut self, corpus: &Corpus, rng: &mut StdRng, weights: &mut [f64]) {
+    fn sweep(&mut self, corpus: &Corpus, rng: &mut StdRng, cum: &mut [f64]) {
         let k = self.cfg.n_topics;
         for (d, doc) in corpus.docs.iter().enumerate() {
             for (start, end) in doc.chunk_ranges() {
@@ -178,33 +178,45 @@ impl TngModel {
                     }
 
                     // --- jointly sample (x, z) ---
-                    let n_states = if prev.is_some() { 2 * k } else { k };
-                    for t in 0..k {
+                    // States are ordered (x = 0, t = 0..K) then (x = 1,
+                    // t = 0..K); their running sums accumulate in that
+                    // order. The status probabilities depend only on the
+                    // predecessor, not on t.
+                    let q = prev.map(|(pw, pz)| self.q.get(&(pz, pw)).copied().unwrap_or([0, 0]));
+                    let status = |x: usize, gamma: f64| match q {
+                        Some(q) => {
+                            (gamma + q[x] as f64)
+                                / (self.cfg.gamma0 + self.cfg.gamma1 + (q[0] + q[1]) as f64)
+                        }
+                        None => 1.0,
+                    };
+                    let status0 = status(0, self.cfg.gamma0);
+                    let mut acc = 0.0;
+                    for (t, slot) in cum[..k].iter_mut().enumerate() {
                         let doc_f = self.cfg.alpha + self.n_dk[d * k + t] as f64;
                         // x = 0: unigram emission.
                         let uni = (self.cfg.beta + self.n_wk[w as usize * k + t] as f64)
                             / (self.v as f64 * self.cfg.beta + self.n_k[t] as f64);
-                        let status0 = if let Some((pw, pz)) = prev {
-                            let q = self.q.get(&(pz, pw)).copied().unwrap_or([0, 0]);
-                            (self.cfg.gamma0 + q[0] as f64)
-                                / (self.cfg.gamma0 + self.cfg.gamma1 + (q[0] + q[1]) as f64)
-                        } else {
-                            1.0
-                        };
-                        weights[t] = doc_f * uni * status0;
-                        // x = 1: bigram emission from (t, prev word).
-                        if let Some((pw, pz)) = prev {
-                            let q = self.q.get(&(pz, pw)).copied().unwrap_or([0, 0]);
-                            let status1 = (self.cfg.gamma1 + q[1] as f64)
-                                / (self.cfg.gamma0 + self.cfg.gamma1 + (q[0] + q[1]) as f64);
+                        acc += doc_f * uni * status0;
+                        *slot = acc;
+                    }
+                    let n_states = if let Some((pw, _)) = prev {
+                        let status1 = status(1, self.cfg.gamma1);
+                        for (t, slot) in cum[k..2 * k].iter_mut().enumerate() {
+                            let doc_f = self.cfg.alpha + self.n_dk[d * k + t] as f64;
+                            // x = 1: bigram emission from (t, prev word).
                             let m =
                                 self.m_bigram.get(&(t as u16, pw, w)).copied().unwrap_or(0) as f64;
                             let mc = self.m_ctx.get(&(t as u16, pw)).copied().unwrap_or(0) as f64;
                             let big = (self.cfg.delta + m) / (self.v as f64 * self.cfg.delta + mc);
-                            weights[k + t] = doc_f * big * status1;
+                            acc += doc_f * big * status1;
+                            *slot = acc;
                         }
-                    }
-                    let choice = sample_discrete(rng, &weights[..n_states]);
+                        2 * k
+                    } else {
+                        k
+                    };
+                    let choice = sample_cumulative(rng, &cum[..n_states]);
                     let (new_x, new_z) = if choice < k {
                         (0u8, choice as u16)
                     } else {

@@ -210,9 +210,7 @@ fn bench_singleton_clique(c: &mut Criterion) {
 fn bench_sparse_kernel(c: &mut Criterion) {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use topmine_lda::kernel::{
-        sample_discrete, sample_singleton_sparse, DocBucket, SmoothingBucket,
-    };
+    use topmine_lda::kernel::{sample_clique, sample_singleton_sparse, DocBucket, SmoothingBucket};
 
     let k = 32usize;
     let v = 100_000usize;
@@ -267,12 +265,19 @@ fn bench_sparse_kernel(c: &mut Criterion) {
     group.bench_function("singleton_dense", |b| {
         let view = TrainView::new(&word_row, &n_k_moved, k, beta, v_beta);
         let mut scratch = CliqueScratch::default();
-        let mut weights = vec![0.0f64; k];
+        let mut cum = vec![0.0f64; k];
         let tokens = vec![0u32]; // word 0 of the single-row table
         let mut draw_rng = StdRng::seed_from_u64(7);
         b.iter(|| {
-            clique_posterior(&view, &alpha, &doc_ndk, &tokens, &mut scratch, &mut weights);
-            sample_discrete(&mut draw_rng, &weights)
+            sample_clique(
+                &mut draw_rng,
+                &view,
+                &alpha,
+                &doc_ndk,
+                &tokens,
+                &mut scratch,
+                &mut cum,
+            )
         });
     });
     group.finish();

@@ -21,8 +21,8 @@
 //!   (φ is fixed, so there is no Gamma-ratio correction).
 //!
 //! Keeping the loop here means training and serving can never drift: there
-//! is exactly one implementation of the posterior and one
-//! [`sample_discrete`].
+//! is exactly one implementation of the posterior and one draw
+//! ([`sample_clique`] over [`sample_cumulative`]).
 //!
 //! # Numerical contract
 //!
@@ -33,6 +33,22 @@
 //! in IEEE 754, so the *ratios* between weights — the only thing sampling
 //! consumes — are preserved bit-for-bit, and when no rescale triggers the
 //! computation is bit-identical to the pre-kernel per-topic loops.
+//!
+//! # One running-sum draw
+//!
+//! A dense draw walks K topics once. [`sample_clique`] accumulates the
+//! running sums `c_t = w_0 + … + w_t` left to right as the weights are
+//! formed (inside the weight loop for a singleton; in one pass after the
+//! product and rescale for a longer clique), draws `x = u · c_{K−1}` and
+//! bisects for the first `c_t > x`. Those are exactly the partial sums the
+//! earlier two-walk draw formed — its total (`Σ w`, left to right) and its
+//! second walk (`acc += w` until `x < acc`) — so the same RNG output picks
+//! the same topic and consumes the stream identically. Weights are
+//! non-negative, so the sums never decrease and the bisection is exact;
+//! the first sum above `x` always follows a strictly positive weight, so
+//! while the total is positive a zero-weight topic is never drawn.
+//! `crates/lda/tests/draw_oracle.rs` keeps the two-walk draw as a test
+//! oracle.
 //!
 //! # Sparse bucketed singleton kernel (`KERNEL_VERSION = 2`)
 //!
@@ -63,12 +79,14 @@ use rand::{Rng, RngCore};
 use topmine_util::FxHashMap;
 
 /// The RNG-consumption contract of the training sweeps. Version 1 was the
-/// dense [`clique_posterior`] + [`sample_discrete`] walk for every clique;
-/// version 2 routes singleton cliques through the bucketed sparse draw
+/// dense draw ([`sample_clique`]) for every clique; version 2 routes
+/// singleton cliques through the bucketed sparse draw
 /// ([`sample_singleton_sparse`]), which consumes a different (still fully
 /// deterministic) RNG stream. Chain digests in the determinism guards are
 /// re-recorded once per version bump and never otherwise. Multi-token
-/// cliques take the dense walk under either version.
+/// cliques take the dense draw under either version. Replacing the dense
+/// draw's two walks by one bisected running sum did not bump it: the
+/// pick and the RNG consumption are bit-identical (module docs).
 pub const KERNEL_VERSION: u32 = 2;
 
 /// Read-side abstraction over the word factor of Eq. 7.
@@ -132,19 +150,20 @@ impl CountsView for TrainView<'_> {
     }
 }
 
-/// Fold-in view over a frozen topic-major φ block (`K × n_words`, word ids
-/// document-local): `num = φ_{k,w}`, `den = 1`. φ is a fixed point
-/// estimate, so the Gamma-ratio multiplicity correction does not apply.
+/// Fold-in view over a frozen word-major φ block (`n_words × K`, word ids
+/// document-local): `num = φ_{k,w}` at `phi[w·K + k]`, `den = 1`. A
+/// token's K values are adjacent, so a clique's weight loop reads one
+/// contiguous run. φ is a fixed point estimate, so the Gamma-ratio
+/// multiplicity correction does not apply.
 pub struct FrozenPhiView<'a> {
     phi: &'a [f64],
-    n_words: usize,
     k: usize,
 }
 
 impl<'a> FrozenPhiView<'a> {
     pub fn new(phi: &'a [f64], n_words: usize, k: usize) -> Self {
         debug_assert_eq!(phi.len(), n_words * k);
-        Self { phi, n_words, k }
+        Self { phi, k }
     }
 }
 
@@ -158,7 +177,7 @@ impl CountsView for FrozenPhiView<'_> {
 
     #[inline]
     fn word_numerator(&self, w: u32, t: usize, _m: u32) -> f64 {
-        self.phi[t * self.n_words + w as usize]
+        self.phi[w as usize * self.k + t]
     }
 
     #[inline]
@@ -258,6 +277,21 @@ fn fill_multiplicities(tokens: &[u32], scratch: &mut CliqueScratch) {
 const RESCALE_LO: f64 = f64::from_bits(767 << 52); // 2^-256
 const RESCALE_HI: f64 = f64::from_bits(1279 << 52); // 2^256
 
+/// The Eq. 7 weight of topic `t` for a singleton clique `[w]`: the
+/// general product at s = 1 (`1.0 * x = x` and `y + 0.0 = y` are IEEE 754
+/// identities for the positive finite values here, so the two agree bit
+/// for bit).
+#[inline(always)]
+fn singleton_weight<V: CountsView>(
+    view: &V,
+    alpha: &[f64],
+    doc_ndk: &[u32],
+    w: u32,
+    t: usize,
+) -> f64 {
+    (alpha[t] + doc_ndk[t] as f64) * view.word_numerator(w, t, 0) / view.word_denominator(t, 0)
+}
+
 /// Compute the unnormalized Eq. 7 posterior over topics for one clique.
 ///
 /// * `view` — where the word factor reads from (live counts, gathered
@@ -270,8 +304,9 @@ const RESCALE_HI: f64 = f64::from_bits(1279 << 52); // 2^256
 ///
 /// Short cliques reproduce the historical per-topic product bit-for-bit;
 /// long cliques additionally rescale (exactly, see module docs) instead of
-/// underflowing to the all-zero vector that used to force
-/// [`sample_discrete`] into its uniform fallback.
+/// underflowing to the all-zero vector that used to force the draw into
+/// its uniform fallback. The samplers draw through [`sample_clique`],
+/// which forms the same weights; this entry point returns them.
 pub fn clique_posterior<V: CountsView>(
     view: &V,
     alpha: &[f64],
@@ -280,25 +315,59 @@ pub fn clique_posterior<V: CountsView>(
     scratch: &mut CliqueScratch,
     weights: &mut [f64],
 ) {
-    let k = view.n_topics();
-    debug_assert_eq!(weights.len(), k);
-    debug_assert_eq!(alpha.len(), k);
-    debug_assert_eq!(doc_ndk.len(), k);
-    // Singleton fast path: after segmentation most cliques are unigrams,
-    // where the Eq. 7 product collapses to one factor per topic — no
-    // multiplicity pass (m = 0 always), no `fill(1.0)` pre-pass, no
-    // rescale check. The arithmetic is operation-for-operation the general
-    // loop at s = 1: `1.0 * x = x` and `y + 0.0 = y` are IEEE 754
-    // identities for the positive finite values here, so the sampled chain
-    // is bit-identical to the general path.
     if let [w] = tokens {
+        // Singleton fast path: after segmentation most cliques are
+        // unigrams — no multiplicity pass, no `fill(1.0)`, no rescale.
         for (t, slot) in weights.iter_mut().enumerate() {
-            *slot = (alpha[t] + doc_ndk[t] as f64) * view.word_numerator(*w, t, 0)
-                / view.word_denominator(t, 0);
+            *slot = singleton_weight(view, alpha, doc_ndk, *w, t);
         }
-        debug_assert!(weights.iter().all(|w| w.is_finite()));
-        return;
+    } else {
+        clique_product(view, alpha, doc_ndk, tokens, scratch, weights);
     }
+}
+
+/// Draw a topic for one clique from its Eq. 7 posterior: the weights of
+/// [`clique_posterior`], turned into running sums in `cum` as they are
+/// formed, then one [`sample_cumulative`] draw. `cum` (length K) is
+/// scratch; it holds the running sums afterwards.
+pub fn sample_clique<R: RngCore, V: CountsView>(
+    rng: &mut R,
+    view: &V,
+    alpha: &[f64],
+    doc_ndk: &[u32],
+    tokens: &[u32],
+    scratch: &mut CliqueScratch,
+    cum: &mut [f64],
+) -> usize {
+    if let [w] = tokens {
+        let mut acc = 0.0;
+        for (t, slot) in cum.iter_mut().enumerate() {
+            acc += singleton_weight(view, alpha, doc_ndk, *w, t);
+            *slot = acc;
+        }
+    } else {
+        clique_product(view, alpha, doc_ndk, tokens, scratch, cum);
+        let mut acc = 0.0;
+        for slot in cum.iter_mut() {
+            acc += *slot;
+            *slot = acc;
+        }
+    }
+    sample_cumulative(rng, cum)
+}
+
+/// The multi-token Eq. 7 product over topics, written into `weights`.
+fn clique_product<V: CountsView>(
+    view: &V,
+    alpha: &[f64],
+    doc_ndk: &[u32],
+    tokens: &[u32],
+    scratch: &mut CliqueScratch,
+    weights: &mut [f64],
+) {
+    debug_assert_eq!(weights.len(), view.n_topics());
+    debug_assert_eq!(alpha.len(), view.n_topics());
+    debug_assert_eq!(doc_ndk.len(), view.n_topics());
     if V::USES_MULTIPLICITY {
         fill_multiplicities(tokens, scratch);
     }
@@ -340,45 +409,28 @@ pub fn clique_posterior<V: CountsView>(
     );
 }
 
-/// Sample an index proportional to `weights` (unnormalized, non-negative).
-/// This is the single definition shared by training and serving; the
-/// uniform fallback remains as a last-resort guard, but
-/// [`clique_posterior`]'s rescaling keeps well-formed inputs out of it.
+/// Draw an index from running sums `cum` (`cum[i] = w_0 + … + w_i`,
+/// accumulated left to right from 0.0 over non-negative weights): `x` is
+/// uniform below the last sum, and the pick is the first index whose sum
+/// exceeds `x`, found by bisection. An all-zero or non-finite total falls
+/// back to a uniform index, as a last-resort guard that
+/// [`clique_posterior`]'s rescaling keeps well-formed inputs out of.
+/// Consumes one `gen_range` call either way.
 #[inline]
-pub fn sample_discrete<R: RngCore>(rng: &mut R, weights: &[f64]) -> usize {
-    let total: f64 = weights.iter().sum();
+pub fn sample_cumulative<R: RngCore>(rng: &mut R, cum: &[f64]) -> usize {
+    let total = cum[cum.len() - 1];
     if total <= 0.0 || !total.is_finite() {
-        // Degenerate: all weights zero/over/underflowed — uniform fallback.
-        return rng.gen_range(0..weights.len());
+        return rng.gen_range(0..cum.len());
     }
-    cumulative_pick(weights, rng.gen_range(0.0..total))
+    first_above(cum, rng.gen_range(0.0..total))
 }
 
-/// First index whose cumulative weight exceeds `x`. When FP rounding in
-/// the accumulator lets `x` run past the final partial sum, the draw must
-/// still land on a *possible* outcome: walk back to the last index with a
-/// strictly positive weight (the old `len - 1` fallback could return a
-/// zero-probability index when the vector ends in zeros).
+/// First index whose running sum exceeds `x`. `x` lies below the last sum,
+/// so the index exists, and its weight (`cum[i] − cum[i − 1] > 0`) is
+/// strictly positive.
 #[inline]
-fn cumulative_pick(weights: &[f64], x: f64) -> usize {
-    let mut acc = 0.0;
-    for (i, &w) in weights.iter().enumerate() {
-        acc += w;
-        if x < acc {
-            return i;
-        }
-    }
-    last_positive(weights)
-}
-
-/// Largest index with a strictly positive weight; `len - 1` for an
-/// all-zero vector (callers guard `total > 0`, so that arm is defensive).
-#[inline]
-fn last_positive(weights: &[f64]) -> usize {
-    weights
-        .iter()
-        .rposition(|&w| w > 0.0)
-        .unwrap_or(weights.len().saturating_sub(1))
+fn first_above(cum: &[f64], x: f64) -> usize {
+    cum.partition_point(|&c| c <= x)
 }
 
 /// The per-document RNG stream of the thread-sharded sweep: a SplitMix64
@@ -690,8 +742,7 @@ impl DocBucket {
     /// `1 / (Vβ + N_k[t])` shared with [`SmoothingBucket::mark_dirty`].
     /// The running total accumulates one rounding error per update; the
     /// per-document rebuild in [`Self::begin_doc`] bounds the drift, and
-    /// the region walk clamps to the last positive entry (same guard class
-    /// as [`sample_discrete`]'s runoff fallback).
+    /// the region walk clamps to the last positive entry.
     #[inline]
     pub fn update_topic(&mut self, t: usize, ndk_t: u32, beta: f64, inv_den: f64) {
         let w = if ndk_t == 0 {
@@ -913,9 +964,9 @@ mod tests {
     #[test]
     fn long_clique_does_not_underflow_to_uniform() {
         // 200-token clique with tiny counts: the historical per-topic
-        // product underflows to an all-zero weight vector and
-        // sample_discrete degrades to a uniform draw. The kernel's exact
-        // rescaling must keep the posterior alive.
+        // product underflows to an all-zero weight vector and the draw
+        // degrades to its uniform fallback. The kernel's exact rescaling
+        // must keep the posterior alive.
         let k = 4;
         let v = 50usize;
         let mut n_wk = vec![0u32; v * k];
@@ -948,8 +999,18 @@ mod tests {
         // And sampling never takes the uniform-fallback branch: with these
         // weights every draw lands on topic 0.
         let mut rng = StdRng::seed_from_u64(9);
+        let mut cum = vec![0.0; k];
         for _ in 0..64 {
-            assert_eq!(sample_discrete(&mut rng, &weights), 0);
+            let t = sample_clique(
+                &mut rng,
+                &view,
+                &alpha,
+                &doc_ndk,
+                &tokens,
+                &mut scratch,
+                &mut cum,
+            );
+            assert_eq!(t, 0);
         }
     }
 
@@ -986,12 +1047,13 @@ mod tests {
     }
 
     #[test]
-    fn sample_discrete_is_proportional_and_deterministic() {
-        let weights = [1.0, 3.0, 0.0, 4.0];
+    fn running_sum_draw_is_proportional_and_deterministic() {
+        // Weights [1, 3, 0, 4] as running sums.
+        let cum = [1.0, 4.0, 4.0, 8.0];
         let mut rng = StdRng::seed_from_u64(11);
         let mut hits = [0usize; 4];
         for _ in 0..8000 {
-            hits[sample_discrete(&mut rng, &weights)] += 1;
+            hits[sample_cumulative(&mut rng, &cum)] += 1;
         }
         assert_eq!(hits[2], 0);
         assert!((hits[1] as f64 / hits[0] as f64 - 3.0).abs() < 0.5);
@@ -1000,31 +1062,34 @@ mod tests {
         let mut b = StdRng::seed_from_u64(5);
         for _ in 0..100 {
             assert_eq!(
-                sample_discrete(&mut a, &weights),
-                sample_discrete(&mut b, &weights)
+                sample_cumulative(&mut a, &cum),
+                sample_cumulative(&mut b, &cum)
             );
         }
     }
 
     #[test]
-    fn runoff_fallback_lands_on_the_last_positive_weight() {
-        // Regression: when FP rounding lets the draw run past the final
-        // partial sum, the old fallback returned `len - 1` even when that
-        // weight was exactly 0.0 — a zero-probability topic. The walk must
-        // clamp to the last positive index instead.
-        let trailing_zeros = [2.0, 1.0, 0.0, 0.0];
-        assert_eq!(cumulative_pick(&trailing_zeros, 3.0), 1);
-        assert_eq!(cumulative_pick(&trailing_zeros, f64::INFINITY), 1);
-        assert_eq!(cumulative_pick(&[0.0, 0.5, 0.0], 0.5), 1);
-        // Normal in-range draws are untouched.
-        assert_eq!(cumulative_pick(&trailing_zeros, 0.0), 0);
-        assert_eq!(cumulative_pick(&trailing_zeros, 1.9999), 0);
-        assert_eq!(cumulative_pick(&trailing_zeros, 2.5), 1);
+    fn draw_never_lands_on_a_zero_weight_topic() {
+        // A topic with zero weight repeats the previous running sum, so no
+        // `x` below the total can stop on it: the bisection lands on the
+        // next strictly larger sum. (The earlier two-walk draw needed a
+        // clamp here: its total and its walk were separate sums.)
+        let trailing_zeros = [2.0, 3.0, 3.0, 3.0]; // weights [2, 1, 0, 0]
+        assert_eq!(first_above(&trailing_zeros, 0.0), 0);
+        assert_eq!(first_above(&trailing_zeros, 1.9999), 0);
+        assert_eq!(first_above(&trailing_zeros, 2.0), 1);
+        assert_eq!(first_above(&trailing_zeros, 2.5), 1);
+        let below_total = f64::from_bits(3.0f64.to_bits() - 1);
+        assert_eq!(first_above(&trailing_zeros, below_total), 1);
+        let leading_zero = [0.0, 0.5, 0.5]; // weights [0, 0.5, 0]
+        assert_eq!(first_above(&leading_zero, 0.0), 1);
+        assert_eq!(first_above(&leading_zero, 0.4999), 1);
         // And sampling through the public entry point never yields a
         // zero-weight index.
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..4000 {
-            assert!(sample_discrete(&mut rng, &trailing_zeros) < 2);
+            assert!(sample_cumulative(&mut rng, &trailing_zeros) < 2);
+            assert_eq!(sample_cumulative(&mut rng, &leading_zero), 1);
         }
     }
 

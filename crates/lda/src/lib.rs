@@ -5,8 +5,9 @@
 //!   input is the singleton-group special case.
 //! * [`kernel`] — the shared Eq. 7 clique-posterior kernel behind a
 //!   [`kernel::CountsView`] seam (live counts, gathered snapshots, frozen
-//!   φ) plus the single `sample_discrete`; used by training *and* by
-//!   `topmine_serve`'s fold-in, so the two can never drift. Since
+//!   φ) plus the one bisected running-sum draw (`sample_clique`); used by
+//!   training *and* by `topmine_serve`'s fold-in, so the two can never
+//!   drift. Since
 //!   `kernel::KERNEL_VERSION` 2 it also hosts the bucketed
 //!   O(active-topics) singleton draw (smoothing/document/topic-word
 //!   decomposition with an alias-served smoothing bucket).

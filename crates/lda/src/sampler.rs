@@ -50,8 +50,8 @@
 
 use crate::counts::{nz_row_insert, nz_row_remove, TopicCounts};
 use crate::kernel::{
-    clique_posterior, doc_stream_seed, sample_discrete, sample_singleton_sparse_split,
-    CliqueScratch, DocBucket, FixedPhiView, SingletonBucket, SmoothingBucket, TrainView,
+    doc_stream_seed, sample_clique, sample_singleton_sparse_split, CliqueScratch, DocBucket,
+    FixedPhiView, SingletonBucket, SmoothingBucket, TrainView,
 };
 use crate::model::{GroupedDoc, GroupedDocs};
 use rand::rngs::StdRng;
@@ -141,8 +141,8 @@ impl TopicModelConfig {
 struct SweepScratch {
     /// Kernel scratch (within-clique multiplicities).
     clique: CliqueScratch,
-    /// Unnormalized posterior over topics (length K).
-    weights: Vec<f64>,
+    /// The dense draw's running sums over topics (length K).
+    cum: Vec<f64>,
     /// Word → epoch of the document that last claimed the slot (length V).
     stamp: Vec<u32>,
     /// Word → doc-local id, valid when `stamp[w]` equals the current epoch.
@@ -180,9 +180,9 @@ struct SweepScratch {
 impl SweepScratch {
     /// Size the K-dependent buffers (no-op once sized).
     fn prepare(&mut self, k: usize) {
-        if self.weights.len() != k {
-            self.weights.clear();
-            self.weights.resize(k, 0.0);
+        if self.cum.len() != k {
+            self.cum.clear();
+            self.cum.resize(k, 0.0);
         }
         if self.local_nk.len() != k {
             self.local_nk.clear();
@@ -420,16 +420,16 @@ impl PhraseLda {
                         self.beta,
                         v_beta,
                     );
-                    clique_posterior(
+                    draws.dense += 1;
+                    sample_clique(
+                        &mut self.rng,
                         &view,
                         &self.alpha,
                         self.counts.doc_row(d),
                         tokens,
                         &mut scratch.clique,
-                        &mut scratch.weights,
-                    );
-                    draws.dense += 1;
-                    sample_discrete(&mut self.rng, &scratch.weights) as u16
+                        &mut scratch.cum,
+                    ) as u16
                 };
                 self.z[d][g] = new;
                 self.counts.add_group(d, tokens, new);
@@ -731,7 +731,7 @@ impl PhraseLda {
 
         let mut log_lik = 0.0f64;
         let mut n = 0u64;
-        let mut weights = vec![0.0f64; self.k];
+        let mut cum = vec![0.0f64; self.k];
         let mut scratch = CliqueScratch::default();
 
         for doc in &heldout.docs {
@@ -766,15 +766,15 @@ impl PhraseLda {
                 for (gi, &(s, e)) in observed.iter().enumerate() {
                     let old = local_z[gi] as usize;
                     local_ndk[old] -= (e - s) as u32;
-                    clique_posterior(
+                    let new = sample_clique(
+                        &mut rng,
                         &view,
                         &self.alpha,
                         &local_ndk,
                         &doc.tokens[s..e],
                         &mut scratch,
-                        &mut weights,
+                        &mut cum,
                     );
-                    let new = sample_discrete(&mut rng, &weights);
                     local_z[gi] = new as u16;
                     local_ndk[new] += (e - s) as u32;
                 }
@@ -1102,16 +1102,16 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) {
                 // The same TrainView the sequential sweep uses, pointed at
                 // the doc-local gathered table instead of the global one.
                 let view = TrainView::new(&scratch.local_wk, &scratch.local_nk, k, beta, v_beta);
-                clique_posterior(
+                scratch.delta.draws.dense += 1;
+                sample_clique(
+                    &mut rng,
                     &view,
                     alpha,
                     ndk_row,
                     toks,
                     &mut scratch.clique,
-                    &mut scratch.weights,
-                );
-                scratch.delta.draws.dense += 1;
-                sample_discrete(&mut rng, &scratch.weights)
+                    &mut scratch.cum,
+                )
             };
 
             zs[g] = new as u16;

@@ -14,7 +14,7 @@
 //!    the frozen phrase counts, wherever they live;
 //! 3. **φ access** ([`ModelBackend::gather_phi`]) — the scatter-gather
 //!    primitive: fetch the φ columns for a document's words from whichever
-//!    shard owns them, as one dense topic-major table.
+//!    shard owns them, as one dense word-major table.
 //!
 //! Every implementation must be *bit-identical* to every other for the
 //! same fitted model: `gather_phi` returns the exact trained `f64`s and
@@ -138,9 +138,11 @@ pub trait ModelBackend: Send + Sync {
     fn segment(&self, doc: &Document) -> Vec<(u32, u32)>;
 
     /// Scatter-gather primitive: fetch `φ[·][w]` for each word of `words`
-    /// from its owning shard into one dense topic-major table — entry
-    /// `(t, j)` of the returned `n_topics × words.len()` row-major matrix
-    /// is the trained `φ[t][words[j]]`, bit-exact.
+    /// from its owning shard into one dense word-major table — entry
+    /// `(j, t)` of the returned `words.len() × n_topics` row-major matrix,
+    /// at `j · n_topics + t`, is the trained `φ[t][words[j]]`, bit-exact.
+    /// Word-major puts each word's K values side by side, which is the
+    /// order fold-in reads them in.
     fn gather_phi(&self, words: &[u32]) -> Vec<f64>;
 
     /// Batch scatter-gather: the same contract as

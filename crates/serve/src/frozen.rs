@@ -20,7 +20,9 @@
 //! `io` module.
 
 use crate::backend::ModelBackend;
-use crate::io::{data_err, header_pairs, BundleWriter, Header, HeaderFields};
+use crate::io::{
+    check_hyperparameters, data_err, header_pairs, BundleWriter, Header, HeaderFields,
+};
 use crate::trie::PhraseTrie;
 use std::io;
 use std::path::Path;
@@ -261,11 +263,7 @@ impl FrozenModel {
                 h.n_topics
             ));
         }
-        // NaN must fail too, so compare via the negation.
-        let positive = |x: f64| x > 0.0;
-        if !self.alpha.iter().copied().all(positive) || !positive(h.beta) {
-            return Err("hyperparameters must be positive".into());
-        }
+        check_hyperparameters(h, &self.alpha)?;
         if let Some(u) = &self.unstem {
             if u.len() != h.vocab_size {
                 return Err("unstem table length mismatch".into());
@@ -385,6 +383,21 @@ impl FrozenModel {
     }
 }
 
+/// Copy `φ[·][c]` for each column `c` of `columns` out of the topic-major
+/// rows `phi`, word-major: the K values of the j-th column land at
+/// `j · K .. (j + 1) · K`. The monolithic model and a shard process gather
+/// through here.
+pub(crate) fn gather_word_major(
+    phi: &[Vec<f64>],
+    columns: impl ExactSizeIterator<Item = usize>,
+) -> Vec<f64> {
+    let mut out = Vec::with_capacity(phi.len() * columns.len());
+    for c in columns {
+        out.extend(phi.iter().map(|row| row[c]));
+    }
+    out
+}
+
 /// The monolithic backend: one in-memory bundle answering every part of
 /// the contract locally (`gather_phi` copies the trained columns, which is
 /// bit-exact by construction).
@@ -422,15 +435,7 @@ impl ModelBackend for FrozenModel {
     }
 
     fn gather_phi(&self, words: &[u32]) -> Vec<f64> {
-        let k = self.header.n_topics;
-        let n = words.len();
-        let mut out = vec![0.0f64; k * n];
-        for (t, row) in self.phi.iter().enumerate() {
-            for (j, &w) in words.iter().enumerate() {
-                out[t * n + j] = row[w as usize];
-            }
-        }
-        out
+        gather_word_major(&self.phi, words.iter().map(|&w| w as usize))
     }
 
     fn display_word(&self, id: u32) -> &str {

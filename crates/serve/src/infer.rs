@@ -18,8 +18,9 @@
 //! 1. **scatter-gather**: the document's tokens are remapped onto a dense
 //!    local word table and the φ columns they touch are gathered from
 //!    their owning shards ([`ModelBackend::gather_phi`]) into one
-//!    cache-friendly topic-major block — a plain copy for the monolithic
-//!    backend, a fan-out for the sharded one;
+//!    word-major block — each word's K values adjacent, so a clique's
+//!    weight loop reads one contiguous run — a plain copy for the
+//!    monolithic backend, a fan-out for the sharded one;
 //! 2. **local Gibbs**: the fold-in sweeps run entirely against the
 //!    gathered block, touching no shard again.
 //!
@@ -30,19 +31,19 @@
 //!
 //! The per-clique posterior and the discrete draw are **not** implemented
 //! here: the sweeps call into `topmine_lda::kernel` (the same code training
-//! runs), through its frozen-φ [`FrozenPhiView`] — so serving inference can
-//! never drift from the trained model's Eq. 7.
+//! runs) — [`sample_clique`] through its frozen-φ [`FrozenPhiView`] — so
+//! serving inference can never drift from the trained model's Eq. 7.
 
 use crate::backend::{BackendError, GatherOptions, ModelBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use topmine_lda::kernel::{clique_posterior, sample_discrete, CliqueScratch, FrozenPhiView};
+use topmine_lda::kernel::{sample_clique, CliqueScratch, FrozenPhiView};
 use topmine_util::FxHashMap;
 
 /// Reusable fold-in buffers, kept thread-local so `QueryEngine` worker
 /// threads (and the HTTP connection handlers calling the inline path)
-/// stop re-allocating the remap/count/weight buffers on every request.
+/// stop re-allocating the remap/count/running-sum buffers on every request.
 /// Only the gathered φ block and the returned `DocInference` allocate per
 /// call. Contents are fully reset per document, so results are
 /// bit-identical to the allocate-per-call code.
@@ -53,7 +54,7 @@ struct InferScratch {
     local_tokens: Vec<u32>,
     local_ndk: Vec<u32>,
     z: Vec<u16>,
-    weights: Vec<f64>,
+    cum: Vec<f64>,
     clique: CliqueScratch,
 }
 
@@ -118,7 +119,7 @@ pub struct DocInference {
 }
 
 /// Run one document's fold-in Gibbs chain against a gathered φ view.
-/// `local_tokens` index columns of `view`; `spans` are the phrase cliques
+/// `local_tokens` index word rows of `view`; `spans` are the phrase cliques
 /// over it. Pure code motion out of [`infer_doc`] — same draw order, same
 /// arithmetic — so the per-document and batched paths share exactly one
 /// implementation of the chain (the pinned fold-in digest is the witness).
@@ -133,7 +134,7 @@ fn fold_in_chain(
     rng: &mut StdRng,
     local_ndk: &mut Vec<u32>,
     z: &mut Vec<u16>,
-    weights: &mut Vec<f64>,
+    cum: &mut Vec<f64>,
     clique: &mut CliqueScratch,
 ) {
     // Fold-in state: per-topic token counts for this document, one topic
@@ -147,23 +148,23 @@ fn fold_in_chain(
         z.push(t);
     }
 
-    if weights.len() != k {
-        weights.clear();
-        weights.resize(k, 0.0);
+    if cum.len() != k {
+        cum.clear();
+        cum.resize(k, 0.0);
     }
     for _ in 0..fold_iters {
         for (g, &(s, e)) in spans.iter().enumerate() {
             let old = z[g] as usize;
             local_ndk[old] -= e - s;
-            clique_posterior(
+            let new = sample_clique(
+                rng,
                 view,
                 alpha,
                 local_ndk,
                 &local_tokens[s as usize..e as usize],
                 clique,
-                weights,
-            );
-            let new = sample_discrete(rng, weights) as u16;
+                cum,
+            ) as u16;
             z[g] = new;
             local_ndk[new as usize] += e - s;
         }
@@ -193,7 +194,9 @@ fn assemble_inference(
 
     let mut ranked: Vec<(usize, f64)> = theta.iter().copied().enumerate().collect();
     // Ties break on the lower topic id so the ranking is deterministic.
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    // `total_cmp` orders finite values as `partial_cmp` does and never
+    // panics.
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     ranked.truncate(top_topics);
 
     let phrases = spans
@@ -270,7 +273,7 @@ pub fn try_infer_doc(
             scratch.local_tokens.push(id);
         }
         let n_local = scratch.distinct.len();
-        // Topic-major `k × n_local`: φ[t][distinct[j]] at `t * n_local + j`.
+        // Word-major `n_local × k`: φ[t][distinct[j]] at `j * k + t`.
         let gather = metrics.stage(crate::metrics::Stage::PhiGather).span();
         let phi = model.try_gather_phi(&scratch.distinct, gather_opts)?;
         gather.stop();
@@ -288,7 +291,7 @@ pub fn try_infer_doc(
             &mut rng,
             &mut scratch.local_ndk,
             &mut scratch.z,
-            &mut scratch.weights,
+            &mut scratch.cum,
             &mut scratch.clique,
         );
         fold.stop();
@@ -327,7 +330,7 @@ pub struct BatchItem {
 /// Bit-identical to calling [`infer_doc`] per document with the same
 /// seeds: the gathered entries are the exact trained `f64`s whichever
 /// table they sit in, each document's tokens index the same values, and
-/// each chain consumes its own freshly seeded RNG — only the column
+/// each chain consumes its own freshly seeded RNG — only the row
 /// *addressing* changes, never an operand or a draw.
 pub fn infer_docs_amortized(model: &dyn ModelBackend, items: &[BatchItem]) -> Vec<DocInference> {
     try_infer_docs_amortized(model, items, &GatherOptions::default()).unwrap_or_else(|e| {
@@ -393,7 +396,7 @@ pub fn try_infer_docs_amortized(
     // fully resets them, exactly as the thread-local scratch path does.
     let mut local_ndk: Vec<u32> = Vec::new();
     let mut z: Vec<u16> = Vec::new();
-    let mut weights: Vec<f64> = Vec::new();
+    let mut cum: Vec<f64> = Vec::new();
     let mut clique = CliqueScratch::default();
 
     let fold = metrics.stage(crate::metrics::Stage::FoldIn).span();
@@ -413,7 +416,7 @@ pub fn try_infer_docs_amortized(
                 &mut rng,
                 &mut local_ndk,
                 &mut z,
-                &mut weights,
+                &mut cum,
                 &mut clique,
             );
             assemble_inference(
@@ -542,6 +545,17 @@ mod tests {
         for (t, &th) in inf.theta.iter().enumerate() {
             assert!((th - m.alpha[t] / alpha_sum).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn a_nan_theta_ranks_without_panicking() {
+        // Every loader refuses an infinite α, whose θ is NaN; the ranking
+        // must still not panic on one.
+        let m = tiny_model();
+        let alpha = [f64::INFINITY, 1.0];
+        let inf = assemble_inference(&m, &alpha, 2, &[], &[], &[0, 0], &[], 2, 0);
+        assert!(inf.theta[0].is_nan());
+        assert_eq!(inf.top_topics.len(), 2);
     }
 
     #[test]

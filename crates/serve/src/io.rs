@@ -348,6 +348,36 @@ pub(crate) fn header_pairs(fields: &HeaderFields) -> Vec<(String, String)> {
 
 // ----- reading --------------------------------------------------------------
 
+/// The hyperparameters fold-in needs: at least one topic, a finite
+/// Algorithm 2 threshold, and α and β finite and positive (an infinite α
+/// makes θ NaN). The error names the key at fault. Loaders check this as
+/// they parse a bundle header; in-memory models check it in `validate`.
+pub(crate) fn check_hyperparameters(header: &ModelHeader, alpha: &[f64]) -> Result<(), String> {
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    if header.n_topics == 0 {
+        return Err("n_topics is 0: a model needs at least one topic".into());
+    }
+    if !header.seg_alpha.is_finite() {
+        return Err(format!(
+            "seg_alpha is {}: it must be finite",
+            header.seg_alpha
+        ));
+    }
+    if !positive(header.beta) {
+        return Err(format!(
+            "beta is {}: it must be finite and > 0",
+            header.beta
+        ));
+    }
+    match alpha.iter().position(|&a| !positive(a)) {
+        Some(t) => Err(format!(
+            "alpha{t} is {}: it must be finite and > 0",
+            alpha[t]
+        )),
+        None => Ok(()),
+    }
+}
+
 /// What both bundle headers carry. `preprocess.stopwords` is not a header
 /// pair: it is filled from `stopwords.txt` by [`Header::read_stopwords`].
 #[derive(Debug)]
@@ -495,7 +525,8 @@ impl Header {
         (0..n).map(|i| self.take(&key(i))).collect()
     }
 
-    /// Parse the pairs [`header_pairs`] writes.
+    /// Parse the pairs [`header_pairs`] writes, refusing hyperparameters
+    /// fold-in cannot use ([`check_hyperparameters`]).
     pub(crate) fn take_fields(&mut self) -> io::Result<HeaderFields> {
         let header = ModelHeader {
             n_topics: self.take("n_topics")?,
@@ -511,9 +542,12 @@ impl Header {
             min_token_len: self.take("min_token_len")?,
             stopwords: Vec::new(),
         };
+        let min_support = self.take("min_support")?;
+        let alpha = self.take_vec(|t| format!("alpha{t}"), header.n_topics)?;
+        check_hyperparameters(&header, &alpha).map_err(|msg| in_file(self.name, msg))?;
         Ok(HeaderFields {
-            min_support: self.take("min_support")?,
-            alpha: self.take_vec(|t| format!("alpha{t}"), header.n_topics)?,
+            min_support,
+            alpha,
             header,
             preprocess,
         })
@@ -695,26 +729,37 @@ impl Header {
         Ok(words)
     }
 
-    /// Read listed `phi.bin` file `rel` holding a `k × width` block.
+    /// Read listed `phi.bin` file `rel` holding a `k × width` block. Every
+    /// value must be finite and ≥ 0: fold-in draws from running sums of
+    /// φ products, which must not decrease. A value that breaks this is
+    /// reported once the digest has vouched for the bytes, so a corrupt
+    /// file still reads as corrupt.
     pub(crate) fn read_phi(&self, rel: &str, k: usize, width: usize) -> io::Result<Vec<Vec<f64>>> {
         let (file, recorded) = self.open(rel)?;
-        let (phi, actual) = read_phi_file(rel, file, k, width)?;
+        let (phi, actual, bad) = read_phi_file(rel, file, k, width)?;
         Self::verify(rel, recorded, actual)?;
-        Ok(phi)
+        match bad {
+            Some((t, c)) => Err(in_file(
+                rel,
+                format!(
+                    "value {} at row {t}, column {c}: every φ value must be finite and ≥ 0",
+                    phi[t][c]
+                ),
+            )),
+            None => Ok(phi),
+        }
     }
 }
 
-/// Read a `phi.bin` expected to hold `k × width` values, returning the
-/// rows and the file's digest. The header is checked against that shape
-/// and the shape against the file's real length before anything is
-/// allocated; `k` itself is bounded by the caller (a header's `n_topics`
-/// comes with that many α lines).
-fn read_phi_file(
-    rel: &str,
-    file: File,
-    k: usize,
-    width: usize,
-) -> io::Result<(Vec<Vec<f64>>, u64)> {
+/// A `phi.bin` read back: its rows, its digest, and the (row, column) of
+/// the first value that is negative or not finite, if any.
+type PhiFile = (Vec<Vec<f64>>, u64, Option<(usize, usize)>);
+
+/// Read a `phi.bin` expected to hold `k × width` values. The header is
+/// checked against that shape and the shape against the file's real
+/// length before anything is allocated; `k` itself is bounded by the
+/// caller (a header's `n_topics` comes with that many α lines).
+fn read_phi_file(rel: &str, file: File, k: usize, width: usize) -> io::Result<PhiFile> {
     let file_len = file.metadata().map_err(|e| in_file(rel, e))?.len();
     if file_len < PHI_HEADER_LEN {
         return Err(in_file(
@@ -769,17 +814,25 @@ fn read_phi_file(
     // is bounded by it (the row buffer is sized only once a row exists).
     let mut bytes = Vec::new();
     let mut phi = Vec::with_capacity(k);
-    for _ in 0..k {
+    let mut bad = None;
+    for t in 0..k {
         bytes.resize(8 * width, 0);
         input.read_exact(&mut bytes).map_err(|e| in_file(rel, e))?;
-        phi.push(
-            bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect(),
-        );
+        let row: Vec<f64> = bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .collect();
+        // Fails for NaN as well as for negative and infinite values. A
+        // fold without an early exit costs about a quarter of a
+        // `position` scan on a clean row; only a row that fails is
+        // searched for its first bad value.
+        let usable = |p: &f64| (*p >= 0.0) & (*p <= f64::MAX);
+        if bad.is_none() && !row.iter().fold(true, |ok, p| ok & usable(p)) {
+            bad = row.iter().position(|p| !usable(p)).map(|c| (t, c));
+        }
+        phi.push(row);
     }
-    Ok((phi, input.digest.finish()))
+    Ok((phi, input.digest.finish(), bad))
 }
 
 /// Recompute the digest line of a bundle header after a test edited it,
@@ -858,7 +911,9 @@ mod tests {
     }
 
     fn read(path: &Path, k: usize, width: usize) -> io::Result<(Vec<Vec<f64>>, u64)> {
-        read_phi_file("phi.bin", File::open(path).unwrap(), k, width)
+        let (phi, digest, bad) = read_phi_file("phi.bin", File::open(path).unwrap(), k, width)?;
+        assert_eq!(bad, None, "unusable φ value");
+        Ok((phi, digest))
     }
 
     fn bits(phi: &[Vec<f64>]) -> Vec<u64> {

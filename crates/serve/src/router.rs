@@ -12,12 +12,13 @@
 //! union of a whole dispatch batch's distinct words, PR 8) is grouped by
 //! owning shard and sent as **one `GatherPhiBatch` frame per shard**,
 //! pipelined over the per-shard pooled connection ([`ShardClient`]); the
-//! shard replies with the requested φ columns as raw `f64` bits and the
-//! router splices them into the dense topic-major table `gather_phi`
-//! promises. So the wire cost of serving a batch of B documents against S
-//! shards is ≤ S round-trips regardless of B — the comms analogue of the
-//! in-process batch amortization — and every value arrives bit-identical
-//! to the monolith's.
+//! shard replies with the requested φ columns as raw `f64` bits,
+//! word-major, and the router copies each word's K values into its row of
+//! the dense word-major table `gather_phi` promises. So the wire cost of
+//! serving a batch of B documents against S shards is ≤ S round-trips
+//! regardless of B — the comms analogue of the in-process batch
+//! amortization — and every value arrives bit-identical to the
+//! monolith's.
 //!
 //! Failures surface as [`BackendError`]s via the `try_` gather methods;
 //! the dispatcher maps them to 503/504 responses. Health and per-shard
@@ -180,7 +181,7 @@ impl ModelBackend for RemoteShardedModel {
 
     /// One frame per owning shard, all shards in flight at once. The
     /// response splice preserves `gather_phi`'s contract exactly: entry
-    /// `(t, j)` of the returned table is the trained `φ[t][words[j]]`,
+    /// `(j, t)` of the returned table is the trained `φ[t][words[j]]`,
     /// bit-identical to the in-process gather (values cross the wire as
     /// raw `f64` bits and are never transformed).
     fn try_gather_phi_batch(
@@ -196,19 +197,19 @@ impl ModelBackend for RemoteShardedModel {
         if n == 0 {
             return Ok(Vec::new());
         }
-        // Group requested columns by owning shard. Ids go out sorted per
-        // shard (the same run order the in-process batch gather uses);
-        // `cols` remembers where each answer lands in the output table.
+        // Group requested words by owning shard. Ids go out sorted per
+        // shard; `rows` remembers where each answer lands in the output
+        // table.
         let n_shards = self.clients.len();
         let mut ids: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        let mut cols: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_unstable_by_key(|&j| words[j as usize]);
         for &j in &order {
             let w = words[j as usize];
             let s = self.local.owner_index(w);
             ids[s].push(w);
-            cols[s].push(j as usize);
+            rows[s].push(j as usize);
         }
 
         // Fan out: start every shard's RPC before waiting on any, so the
@@ -240,12 +241,8 @@ impl ModelBackend for RemoteShardedModel {
                     detail: e.to_string(),
                 }
             })?;
-            for t in 0..k {
-                let row = &values[t * m..(t + 1) * m];
-                let out_row = &mut out[t * n..(t + 1) * n];
-                for (jj, &col) in cols[s].iter().enumerate() {
-                    out_row[col] = row[jj];
-                }
+            for (answer, &j) in values.chunks_exact(k).zip(&rows[s]) {
+                out[j * k..(j + 1) * k].copy_from_slice(answer);
             }
         }
         Ok(out)

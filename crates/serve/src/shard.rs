@@ -22,6 +22,7 @@
 //! connection is closed. A malformed frame can never panic the process or
 //! wedge the thread.
 
+use crate::frozen::gather_word_major;
 use crate::io::data_err;
 use crate::sharded::Manifest;
 use crate::wire::{self, Frame, Opcode, ShardMeta, WireError, MAX_FRAME, WIRE_VERSION};
@@ -115,11 +116,11 @@ impl ShardSlice {
         }
     }
 
-    /// Gather φ columns for owned global ids, topic-major (`n_topics × n`)
+    /// Gather φ columns for owned global ids, word-major (`n × n_topics`)
     /// — the same layout as
     /// [`ModelBackend::gather_phi`](crate::ModelBackend::gather_phi), so
-    /// the router splices shard answers without transposing. Ids outside
-    /// `[lo, hi)` are a request error, not a panic.
+    /// the router splices each answered word as one K-value copy. Ids
+    /// outside `[lo, hi)` are a request error, not a panic.
     pub fn gather(&self, ids: &[u32]) -> Result<Vec<f64>, String> {
         for &id in ids {
             if id < self.lo || id >= self.hi {
@@ -129,11 +130,10 @@ impl ShardSlice {
                 ));
             }
         }
-        let mut out = Vec::with_capacity(self.n_topics * ids.len());
-        for row in &self.phi {
-            out.extend(ids.iter().map(|&id| row[(id - self.lo) as usize]));
-        }
-        Ok(out)
+        Ok(gather_word_major(
+            &self.phi,
+            ids.iter().map(|&id| (id - self.lo) as usize),
+        ))
     }
 }
 
@@ -201,6 +201,11 @@ impl ShardServer {
                 break;
             }
             let Ok(stream) = stream else { continue };
+            // Replies are pipelined: with Nagle's algorithm on, the small
+            // tail of one reply waits for the router to acknowledge the
+            // tail of the reply before it, which a delayed ACK can hold
+            // for tens of milliseconds.
+            let _ = stream.set_nodelay(true);
             let token = stream.peer_addr().ok();
             // Register a handle to the socket so shutdown can sever the
             // connection even while its thread is blocked mid-read.
@@ -375,10 +380,10 @@ mod tests {
     }
 
     #[test]
-    fn gather_is_topic_major_and_range_checked() {
+    fn gather_is_word_major_and_range_checked() {
         let s = test_slice();
         let got = s.gather(&[12, 10]).unwrap();
-        assert_eq!(got, vec![0.3, 0.1, 0.7, 0.5]);
+        assert_eq!(got, vec![0.3, 0.7, 0.1, 0.5]);
         assert!(s.gather(&[14]).is_err());
         assert!(s.gather(&[9]).is_err());
         assert_eq!(s.gather(&[]).unwrap(), Vec::<f64>::new());
@@ -413,7 +418,7 @@ mod tests {
         assert_eq!((phi.request_id, phi.opcode), (7, Opcode::PhiBlock));
         assert_eq!(
             wire::decode_phi_block(&phi.payload, 2, 2).unwrap(),
-            vec![0.2, 0.4, 0.6, 0.8]
+            vec![0.2, 0.6, 0.4, 0.8]
         );
         let pong = wire::read_frame(&mut reader).unwrap();
         assert_eq!((pong.request_id, pong.opcode), (8, Opcode::Pong));

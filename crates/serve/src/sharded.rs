@@ -47,7 +47,9 @@ use crate::frozen::{
     prepare_with, remove_if_present, FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig,
 };
 use crate::infer::{infer_doc, DocInference, InferConfig};
-use crate::io::{data_err, header_pairs, BundleWriter, Header, HeaderFields};
+use crate::io::{
+    check_hyperparameters, data_err, header_pairs, BundleWriter, Header, HeaderFields,
+};
 use crate::trie::PhraseTrie;
 use std::io;
 use std::path::Path;
@@ -323,11 +325,7 @@ impl ShardedModel {
                 self.alpha.len()
             ));
         }
-        let positive = |x: f64| x > 0.0;
-        if !self.alpha.iter().copied().all(positive) || !positive(h.beta) {
-            return Err("hyperparameters must be positive".into());
-        }
-        Ok(())
+        check_hyperparameters(h, &self.alpha)
     }
 
     /// Infer topics for one unseen document with the configured seed.
@@ -612,55 +610,18 @@ impl ModelBackend for ShardedModel {
         PhraseConstructor::new(self.header.seg_alpha).construct_doc(doc, self)
     }
 
+    /// Each word's K values come from its owning shard as one word-major
+    /// row, so a batch needs no grouping by shard: the default
+    /// [`gather_phi_batch`](ModelBackend::gather_phi_batch) delegates here.
     fn gather_phi(&self, words: &[u32]) -> Vec<f64> {
         crate::metrics::serve_metrics()
             .sharded_gather_columns
             .record(words.len() as u64);
-        let k = self.header.n_topics;
-        let n = words.len();
-        let mut out = vec![0.0f64; k * n];
-        for (j, &w) in words.iter().enumerate() {
+        let mut out = Vec::with_capacity(self.header.n_topics * words.len());
+        for &w in words {
             let shard = self.shard_of(w);
             let local = (w - shard.lo) as usize;
-            for (t, row) in shard.phi.iter().enumerate() {
-                out[t * n + j] = row[local];
-            }
-        }
-        out
-    }
-
-    /// One fan-out per batch: columns are grouped by owning shard so each
-    /// shard's φ block is visited once per dispatch (the access pattern a
-    /// networked shard would serve as a single RPC), instead of paying a
-    /// `shard_of` binary search per word per document. Pure reorganization
-    /// of the copy loop — the gathered values are the exact bytes
-    /// [`gather_phi`](ModelBackend::gather_phi) returns.
-    fn gather_phi_batch(&self, words: &[u32]) -> Vec<f64> {
-        crate::metrics::serve_metrics()
-            .sharded_gather_columns
-            .record(words.len() as u64);
-        let k = self.header.n_topics;
-        let n = words.len();
-        let mut out = vec![0.0f64; k * n];
-        // Destination columns sorted by word id make shard runs contiguous.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&j| words[j as usize]);
-        let mut start = 0;
-        while start < n {
-            let shard = self.shard_of(words[order[start] as usize]);
-            let mut end = start + 1;
-            while end < n && words[order[end] as usize] < shard.hi {
-                end += 1;
-            }
-            let run = &order[start..end];
-            for (t, row) in shard.phi.iter().enumerate() {
-                let dst = &mut out[t * n..(t + 1) * n];
-                for &j in run {
-                    let w = words[j as usize];
-                    dst[j as usize] = row[(w - shard.lo) as usize];
-                }
-            }
-            start = end;
+            out.extend(shard.phi.iter().map(|row| row[local]));
         }
         out
     }
@@ -705,12 +666,13 @@ mod tests {
                 PhraseCounts::total_tokens(&sharded),
                 PhraseCounts::total_tokens(&m.lexicon)
             );
-            // φ gathers reproduce the trained columns bit-for-bit.
+            // φ gathers reproduce the trained columns bit-for-bit, word-major.
             let words: Vec<u32> = (0..m.vocab_size() as u32).collect();
             let gathered = ModelBackend::gather_phi(&sharded, &words);
-            for t in 0..m.n_topics() {
+            let k = m.n_topics();
+            for t in 0..k {
                 for (j, &w) in words.iter().enumerate() {
-                    assert_eq!(gathered[t * words.len() + j], m.phi[t][w as usize]);
+                    assert_eq!(gathered[j * k + t], m.phi[t][w as usize]);
                 }
             }
             // Display falls back identically.

@@ -27,10 +27,14 @@
 //! | 1  | `Hello`          | →   | magic `u32`, version `u16`                     |
 //! | 2  | `Meta`           | ←   | version `u16`, shard `u32`, lo `u32`, hi `u32`, topics `u32`, digest `u64` |
 //! | 3  | `GatherPhiBatch` | →   | n `u32`, then n global word ids `u32`          |
-//! | 4  | `PhiBlock`       | ←   | n `u32`, then `topics × n` φ values `u64` bits |
+//! | 4  | `PhiBlock`       | ←   | n `u32`, then `n × topics` φ values `u64` bits |
 //! | 5  | `Ping`           | →   | empty                                          |
 //! | 6  | `Pong`           | ←   | empty                                          |
 //! | 127| `Error`          | ←   | UTF-8 message                                  |
+//!
+//! A `PhiBlock` is word-major: the `topics` values of the first requested
+//! word, then those of the second, and so on (version 1 sent the block
+//! topic-major).
 //!
 //! The `Hello`/`Meta` exchange is the handshake: the client proves it
 //! speaks this protocol version and learns the shard's identity — index,
@@ -53,7 +57,8 @@ use std::path::Path;
 /// `"TPMW"` — the first four payload bytes of every `Hello`.
 pub const WIRE_MAGIC: u32 = 0x5450_4D57;
 /// Protocol version spoken by this build; bumped on any frame change.
-pub const WIRE_VERSION: u16 = 1;
+/// Version 2 made the `PhiBlock` body word-major.
+pub const WIRE_VERSION: u16 = 2;
 /// Hard cap on `len`: larger prefixes are rejected before any allocation.
 /// Generous for real traffic (a 64 MiB `PhiBlock` is ~8M φ values) while
 /// keeping a malicious or corrupt prefix from ballooning memory.
@@ -375,10 +380,10 @@ pub fn decode_gather(payload: &[u8]) -> Result<Vec<u32>, WireError> {
         .collect())
 }
 
-/// Serialize a φ block response: `n` then `n_topics × n` values as raw
-/// `f64` bits, topic-major — exactly the layout
+/// Serialize a φ block response: `n` then `n × n_topics` values as raw
+/// `f64` bits, word-major — exactly the layout
 /// [`ModelBackend::gather_phi`](crate::ModelBackend::gather_phi) returns,
-/// so the router splices shard responses without transposing.
+/// so the router splices each answered word as one K-value copy.
 pub fn encode_phi_block(n_words: usize, values: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + 8 * values.len());
     out.extend_from_slice(&(n_words as u32).to_le_bytes());
@@ -388,8 +393,9 @@ pub fn encode_phi_block(n_words: usize, values: &[f64]) -> Vec<u8> {
     out
 }
 
-/// Decode a φ block for `n_words` requested columns, returning the
-/// topic-major value vector (`n_topics` inferred from the length).
+/// Decode a φ block for `n_words` requested words, returning the
+/// word-major value vector (`n_words × n_topics`), checked against that
+/// shape.
 pub fn decode_phi_block(
     payload: &[u8],
     n_words: usize,

@@ -3,6 +3,10 @@
 //! its header lists makes every loader that reads the file fail with
 //! `InvalidData` naming it — never `Ok`, never a panic.
 //!
+//! A bundle whose digests are intact but whose values fold-in cannot use
+//! (an infinite α or `seg_alpha`, a negative or NaN φ value) is refused
+//! the same way, naming the key or the file.
+//!
 //! Loaders covered: `load_bundle` on a monolithic and on a 2-shard bundle,
 //! the router's φ-less view (`RemoteShardedModel::connect_lazy`, which
 //! reads every file but the φ blocks), and `ShardSlice::load`, which reads
@@ -22,11 +26,17 @@ fn model() -> &'static FrozenModel {
     MODEL.get_or_init(|| fitted_model(11))
 }
 
+/// A fresh, absent directory for `tag`.
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("topmine-corrupt-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 /// Save `model()` under a fresh directory, monolithic (`shards == None`)
 /// or sharded.
 fn save(tag: &str, shards: Option<usize>) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("topmine-corrupt-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_dir(tag);
     match shards {
         None => model().save(&dir).unwrap(),
         Some(n) => ShardedModel::from_frozen(model(), n)
@@ -222,4 +232,87 @@ fn phi_headers_claiming_huge_shapes_fail_before_allocating() {
         }
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// Check that `result` refuses a value fold-in cannot use, naming `what`
+/// (a header key, or the φ file) and `file`.
+fn refuses_value<T>(result: io::Result<T>, what: &str, file: &str, loader: &str) {
+    match result {
+        Ok(_) => panic!("{loader} loaded a bundle with a bad {what}"),
+        Err(e) => {
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{loader}: {e}");
+            let msg = e.to_string();
+            assert!(
+                msg.contains(what) && msg.contains(file),
+                "{loader} does not name {what} in {file}: {msg}"
+            );
+        }
+    }
+}
+
+#[test]
+fn sealed_bundles_with_values_that_break_fold_in_are_refused() {
+    // Saved through the savers, so every digest matches: only the values
+    // are wrong. An infinite α makes θ NaN; the draw needs finite,
+    // non-negative φ; an infinite threshold breaks Algorithm 2.
+    type Edit = fn(&mut FrozenModel);
+    let monolithic: [(&str, Edit, &str, &str); 4] = [
+        (
+            "alpha",
+            |m| m.alpha[0] = f64::INFINITY,
+            "alpha0",
+            "header.tsv",
+        ),
+        (
+            "seg",
+            |m| m.header.seg_alpha = f64::INFINITY,
+            "seg_alpha",
+            "header.tsv",
+        ),
+        ("phi-neg", |m| m.phi[1][2] = -1.0, "phi.bin", "phi.bin"),
+        ("phi-nan", |m| m.phi[1][2] = f64::NAN, "phi.bin", "phi.bin"),
+    ];
+    for (tag, edit, what, file) in monolithic {
+        let mut bad = model().clone();
+        edit(&mut bad);
+        let dir = fresh_dir(&format!("value-{tag}"));
+        bad.save(&dir).unwrap();
+        refuses_value(load_bundle(&dir), what, file, "load_bundle");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    // Sharded: word 2 lives in shard 0, so shard 1 still loads on its own.
+    let addrs = vec!["127.0.0.1:9".to_string(); 2];
+    for (tag, value) in [("phi-neg", -1.0), ("phi-nan", f64::NAN)] {
+        let mut bad = model().clone();
+        bad.phi[1][2] = value;
+        let dir = fresh_dir(&format!("value-sharded-{tag}"));
+        ShardedModel::from_frozen(&bad, 2)
+            .unwrap()
+            .save(&dir)
+            .unwrap();
+        let file = "shard-0/phi.bin";
+        refuses_value(load_bundle(&dir), file, file, "load_bundle");
+        refuses_value(ShardSlice::load(&dir, 0), file, file, "ShardSlice::load(0)");
+        assert!(ShardSlice::load(&dir, 1).is_ok());
+        // The router's view reads no φ.
+        assert!(RemoteShardedModel::connect_lazy(&dir, &addrs, fast_pool()).is_ok());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let mut bad = ShardedModel::from_frozen(model(), 2).unwrap();
+    bad.header.seg_alpha = f64::INFINITY;
+    let dir = fresh_dir("value-sharded-seg");
+    bad.save(&dir).unwrap();
+    let (what, file) = ("seg_alpha", "manifest.tsv");
+    refuses_value(load_bundle(&dir), what, file, "load_bundle");
+    refuses_value(
+        RemoteShardedModel::connect_lazy(&dir, &addrs, fast_pool()),
+        what,
+        file,
+        "router view",
+    );
+    for k in 0..2 {
+        refuses_value(ShardSlice::load(&dir, k), what, file, "ShardSlice::load");
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -7,16 +7,24 @@
 //! * **router side** — a rogue or stalled shard (garbage handshake,
 //!   silence, mid-RPC disconnect, oversize reply) surfaces as a typed
 //!   [`BackendError`] within its deadline; the client never hangs.
+//!
+//! Both sides refuse a peer speaking another wire version, naming both
+//! versions.
+
+mod fleet_common;
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 use topmine_serve::pool::ExpectedShard;
-use topmine_serve::wire::{self, Opcode, ShardMeta};
+use topmine_serve::wire::{self, Opcode, ShardMeta, WIRE_MAGIC};
 use topmine_serve::{
-    BackendError, PoolConfig, ShardClient, ShardServer, ShardServerHandle, ShardSlice, WireError,
-    WIRE_VERSION,
+    BackendError, PoolConfig, RemoteShardedModel, ShardClient, ShardServer, ShardServerHandle,
+    ShardSlice, WireError, WIRE_VERSION,
 };
+
+/// The wire version before this build's.
+const OLD_VERSION: u16 = WIRE_VERSION - 1;
 
 fn test_slice() -> ShardSlice {
     // 2 topics x ids [10, 14)
@@ -135,8 +143,34 @@ fn shard_survives_mid_frame_disconnect_and_keeps_serving() {
     assert_eq!((phi.request_id, phi.opcode), (5, Opcode::PhiBlock));
     assert_eq!(
         wire::decode_phi_block(&phi.payload, 2, 2).unwrap(),
-        vec![0.2, 0.3, 0.6, 0.7]
+        vec![0.2, 0.6, 0.3, 0.7]
     );
+    handle.shutdown();
+}
+
+#[test]
+fn shard_answers_an_old_version_hello_with_an_error_then_close() {
+    let handle = spawn_server();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut hello = WIRE_MAGIC.to_le_bytes().to_vec();
+    hello.extend_from_slice(&OLD_VERSION.to_le_bytes());
+    wire::write_frame(&mut writer, 4, Opcode::Hello, &[&hello]).unwrap();
+    let err = wire::read_frame(&mut reader).unwrap();
+    assert_eq!((err.request_id, err.opcode), (4, Opcode::Error));
+    let msg = String::from_utf8_lossy(&err.payload).into_owned();
+    assert!(
+        msg.contains(&format!("version {OLD_VERSION}")) && msg.contains(&WIRE_VERSION.to_string()),
+        "{msg}"
+    );
+    assert!(matches!(
+        wire::read_frame(&mut reader),
+        Err(WireError::Closed)
+    ));
     handle.shutdown();
 }
 
@@ -334,4 +368,37 @@ fn oversize_reply_length_prefix_cannot_wedge_the_client() {
         started.elapsed()
     );
     assert!(err.http_status() >= 500, "{err}");
+}
+
+#[test]
+fn router_refuses_a_shard_speaking_an_old_version() {
+    // A real one-shard bundle; the rogue shard answers every Hello with a
+    // Meta frame carrying the previous wire version (the version is
+    // checked before anything else in it).
+    let dir = fleet_common::save_sharded("old-wire", &fleet_common::fitted_model(3), 1);
+    let addr = rogue_shard(|stream| {
+        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        if let Ok(hello) = wire::read_frame(&mut reader) {
+            let meta = wire::encode_meta(&ShardMeta {
+                version: OLD_VERSION,
+                shard_index: 0,
+                lo: 0,
+                hi: 0,
+                n_topics: 0,
+                digest: 0,
+            });
+            let _ = wire::write_frame(&mut writer, hello.request_id, Opcode::Meta, &[&meta]);
+        }
+    });
+    let err = match RemoteShardedModel::connect(&dir, &[addr.to_string()], fast_config()) {
+        Ok(_) => panic!("connect accepted a shard speaking wire version {OLD_VERSION}"),
+        Err(e) => e.to_string(),
+    };
+    assert!(
+        err.contains(&format!("wire version {OLD_VERSION}"))
+            && err.contains(&format!("speaks {WIRE_VERSION}")),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }
