@@ -169,10 +169,7 @@ fn run_serve(opts: &ServeOptions) -> Result<(), String> {
         model.n_shards(),
         model.header().n_docs
     );
-    // Concurrency comes from the server's dispatcher workers (batches of
-    // queued requests, coalesced); the engine's own batch pool would sit
-    // idle behind HTTP, so keep it at one worker.
-    let engine = Arc::new(QueryEngine::new(model, 1));
+    let engine = Arc::new(QueryEngine::new(model, opts.n_threads));
     let server = HttpServer::bind(
         (opts.host.as_str(), opts.port),
         engine,

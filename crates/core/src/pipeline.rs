@@ -38,7 +38,7 @@ pub struct ToPMineConfig {
     /// apart lets the miner run, or be timed, at its own thread count.
     pub mine_threads: usize,
     /// Worker threads for the PhraseLDA Gibbs sweeps. `1` runs the exact
-    /// sequential chain; `T ≥ 2` runs thread-sharded snapshot sweeps that
+    /// sequential chain; `T ≥ 2` runs parallel snapshot sweeps that
     /// are bit-identical for every `T ≥ 2` (see `topmine_lda::sampler`).
     pub lda_threads: usize,
     /// RNG seed (initialization + sampling).

@@ -1,7 +1,7 @@
 //! The Gibbs count state: `N_dk`, `N_wk`, `N_k` behind one type.
 //!
 //! [`TopicCounts`] owns the three tables every reader of the sampler state
-//! goes through — the sequential sweep, the thread-sharded sweep's
+//! goes through — the sequential sweep, the parallel sweep's
 //! workers, φ/θ point estimates, perplexity, and Minka's fixed-point
 //! hyperparameter updates. Centralizing them keeps the add/remove
 //! bookkeeping in one place and gives the parallel scheduler a single
@@ -9,7 +9,7 @@
 //!
 //! # Parallel sweeps read the live tables
 //!
-//! The thread-sharded sweep samples every document against the
+//! The parallel sweep samples every document against the
 //! sweep-start `N_wk`/`N_k`. No copy is needed for that: nothing writes
 //! `N_wk`, `N_k` or the per-word nonzero index between a sweep's start and
 //! its barrier, because the merge
@@ -135,7 +135,7 @@ pub fn nz_row_remove(row: &mut [u16], len: &mut u16, t: u16) {
 
 /// Split-borrow of [`TopicCounts`] for one parallel sweep: the live
 /// `N_wk`/`N_k` and per-word nonzero index, shared read-only by every
-/// worker, plus `n_dk`/`nz_dk` chunked mutably per document shard. The nz
+/// worker, plus `n_dk`/`nz_dk` chunked mutably per document block. The nz
 /// indexes come as flat fixed-capacity-K rows plus their length arrays.
 pub struct SweepViews<'a> {
     pub n_wk: &'a [u32],
@@ -304,7 +304,7 @@ impl TopicCounts {
     /// Split-borrow for one parallel sweep: the live `N_wk`/`N_k` and
     /// per-word nonzero index (shared across worker threads, which only
     /// read them before the barrier merge), the mutable `N_dk` rows
-    /// (chunked per document shard), and `nz_dk` (chunked like `n_dk`).
+    /// (chunked per document block), and `nz_dk` (chunked like `n_dk`).
     #[inline]
     pub fn sweep_views(&mut self) -> SweepViews<'_> {
         SweepViews {

@@ -1,7 +1,7 @@
 //! The shared Eq. 7 clique-posterior kernel.
 //!
 //! Every Gibbs update in the workspace — training sweeps (sequential and
-//! thread-sharded), held-out fold-in, and the serving layer's frozen-φ
+//! parallel), held-out fold-in, and the serving layer's frozen-φ
 //! fold-in (`topmine_serve::infer`) — samples a topic for a *clique* of
 //! tokens from the same posterior shape:
 //!
@@ -110,7 +110,7 @@ pub trait CountsView {
 
 /// Training view over `N_wk`/`N_k` count tables: `num = β + N_wk + m`,
 /// `den = Vβ + N_k + j`. The sequential sweep points it at the live global
-/// tables; the thread-sharded sweep points it at a per-document gathered
+/// tables; the parallel sweep points it at a per-document gathered
 /// copy of the sweep snapshot (word ids document-local) — same math, so
 /// the two training paths cannot diverge in anything but schedule.
 pub struct TrainView<'a> {
@@ -357,6 +357,9 @@ pub fn sample_clique<R: RngCore, V: CountsView>(
 }
 
 /// The multi-token Eq. 7 product over topics, written into `weights`.
+/// Non-finite inputs (an infinite α, say) give non-finite weights, as
+/// they do for a singleton; the draw then takes [`sample_cumulative`]'s
+/// uniform fallback, in every build.
 fn clique_product<V: CountsView>(
     view: &V,
     alpha: &[f64],
@@ -402,11 +405,6 @@ fn clique_product<V: CountsView>(
             }
         }
     }
-    debug_assert!(
-        weights.iter().all(|w| w.is_finite()),
-        "non-finite sampling weight (group len {})",
-        tokens.len()
-    );
 }
 
 /// Draw an index from running sums `cum` (`cum[i] = w_0 + … + w_i`,
@@ -433,10 +431,10 @@ fn first_above(cum: &[f64], x: f64) -> usize {
     cum.partition_point(|&c| c <= x)
 }
 
-/// The per-document RNG stream of the thread-sharded sweep: a SplitMix64
-/// mix of `(seed, sweep, doc)`. Every document draws from its own stream,
-/// so the sampled chain is a function of the snapshot alone — independent
-/// of shard layout and thread count.
+/// The per-document RNG stream of the parallel sweep: a SplitMix64 mix of
+/// `(seed, sweep, doc)`. Every document draws from its own stream, so the
+/// sampled chain is a function of the snapshot alone — independent of
+/// which worker sweeps the document and of the thread count.
 #[inline]
 pub fn doc_stream_seed(seed: u64, sweep: u64, doc: u64) -> u64 {
     #[inline]
@@ -1090,6 +1088,39 @@ mod tests {
         for _ in 0..4000 {
             assert!(sample_cumulative(&mut rng, &trailing_zeros) < 2);
             assert_eq!(sample_cumulative(&mut rng, &leading_zero), 1);
+        }
+    }
+
+    #[test]
+    fn an_infinite_weight_draws_uniformly_for_every_clique_length() {
+        // A non-finite total takes the documented uniform fallback, for a
+        // singleton and a multi-word clique alike, in debug builds too.
+        let k = 5;
+        let n_wk = vec![1u32; 4 * k];
+        let n_k = vec![4u64; k];
+        let view = tiny_train_view(&n_wk, &n_k, k);
+        let mut alpha = vec![0.5; k];
+        alpha[2] = f64::INFINITY;
+        let doc_ndk = vec![0u32; k];
+        let mut scratch = CliqueScratch::default();
+        let mut cum = vec![0.0; k];
+        let mut rng = StdRng::seed_from_u64(4);
+        for tokens in [&[1u32][..], &[0, 3, 0]] {
+            let mut seen = [false; 5];
+            for _ in 0..200 {
+                let t = sample_clique(
+                    &mut rng,
+                    &view,
+                    &alpha,
+                    &doc_ndk,
+                    tokens,
+                    &mut scratch,
+                    &mut cum,
+                );
+                assert!(t < k, "clique {tokens:?} drew {t}");
+                seen[t] = true;
+            }
+            assert_eq!(seen, [true; 5], "clique {tokens:?}: not uniform");
         }
     }
 

@@ -25,14 +25,15 @@
 //!
 //! With `n_threads == 1` a sweep is the classic sequential scan: every
 //! update is visible to the next, the historical chain bit-for-bit. With
-//! `n_threads = T ≥ 2` the sweep is *thread-sharded* in the style of
+//! `n_threads = T ≥ 2` the sweep is a *snapshot sweep* in the style of
 //! Newman et al.'s AD-LDA ("Distributed Algorithms for Topic Models", JMLR
-//! 2009): documents are partitioned into contiguous shards, every document
-//! is sampled against `sweep-start N_wk/N_k + its own in-sweep delta` with
-//! an RNG stream derived from `(seed, sweep, doc)`, and the per-shard
-//! count deltas merge at a barrier. The sweep-start tables need no copy:
-//! workers read the live tables in place, because nothing writes them
-//! until the barrier merge runs after the join.
+//! 2009): blocks of [`DOC_BLOCK`] documents go to whichever worker is free
+//! next ([`topmine_util::par::for_each`], the workspace's one scheduler),
+//! every document is sampled against `sweep-start N_wk/N_k + its own
+//! in-sweep delta` with an RNG stream derived from `(seed, sweep, doc)`,
+//! and the per-worker count deltas merge at a barrier. The sweep-start
+//! tables need no copy: workers read the live tables in place, because
+//! nothing writes them until the barrier merge runs after the pass.
 //!
 //! Each document's delta is folded from only the cells it moved: when a
 //! clique changes topic, its tokens' (word, old) and (word, new) cells are
@@ -41,7 +42,7 @@
 //! thus costs what the sweep changed, not distinct words × K.
 //!
 //! Because each document's view and randomness are independent of which
-//! shard it landed in, the chain is **bit-identical for every `T ≥ 2`** —
+//! worker swept it, the chain is **bit-identical for every `T ≥ 2`** —
 //! the same determinism contract the serving layer proves for sharded
 //! inference. The parallel chain *does* differ from the sequential one
 //! (cross-document updates within a sweep are deferred to the barrier);
@@ -58,6 +59,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use topmine_obs::{DrawSplit, SweepTelemetry, TraceEvent, TraceSink};
+use topmine_util::par::{self, DOC_BLOCK};
 use topmine_util::stats::digamma;
 
 /// Sampler configuration.
@@ -130,9 +132,9 @@ impl TopicModelConfig {
 // [`PhraseLda::sweep_stats`] and consumed by the perfbench fit workload,
 // the `--progress` flag, and the `TOPMINE_TRACE` sink.
 
-/// Per-shard reusable sweep state: the scatter-gather buffers of the
-/// thread-sharded sweep, its merge delta, plus the kernel scratch and
-/// weight vector. One of these lives per worker shard (and one for the
+/// Per-worker reusable sweep state: the scatter-gather buffers of the
+/// parallel sweep, its merge delta, plus the kernel scratch and
+/// weight vector. One of these lives per worker (and one for the
 /// sequential path), allocated on first use and reused across documents
 /// *and* sweeps — buffers are cleared rather than freed, so the
 /// steady-state fit loop performs no per-clique, per-document or
@@ -173,8 +175,8 @@ struct SweepScratch {
     /// `(local word, topic)` cells the current document's topic changes
     /// touched, in the order they moved (repeats allowed).
     moved: Vec<(u32, u32)>,
-    /// The shard's contribution to this sweep's barrier merge.
-    delta: ShardDelta,
+    /// The worker's contribution to this sweep's barrier merge.
+    delta: WorkerDelta,
 }
 
 impl SweepScratch {
@@ -188,6 +190,21 @@ impl SweepScratch {
             self.local_nk.clear();
             self.local_nk.resize(k, 0);
         }
+    }
+
+    /// Start a parallel sweep: an empty delta, and the smoothing alias
+    /// table built over the sweep-start `N_k`. Every worker starts from
+    /// this state, before any block is handed out, so a document's draws
+    /// cannot depend on which worker sweeps it. Every document restarts
+    /// its local `N_k` from that table and resets the dirty set, so the
+    /// alias table never goes stale within a sweep.
+    fn begin_sweep(&mut self, alpha: &[f64], beta: f64, v_beta: f64, n_k: &[u64]) {
+        self.prepare(alpha.len());
+        self.delta.wk.clear();
+        self.delta.k.clear();
+        self.delta.k.resize(alpha.len(), 0);
+        self.delta.draws = DrawSplit::default();
+        self.smoothing.rebuild(alpha, beta, v_beta, n_k);
     }
 
     /// Advance the word-stamp epoch for a new document, (re)initializing
@@ -229,7 +246,7 @@ pub struct PhraseLda {
     rng: StdRng,
     sweeps_done: usize,
     config: TopicModelConfig,
-    /// One reusable scratch per worker shard (index 0 doubles as the
+    /// One reusable scratch per worker (index 0 doubles as the
     /// sequential sweep's scratch), persisted across sweeps.
     scratch: Vec<SweepScratch>,
     stats: SweepTelemetry,
@@ -300,7 +317,7 @@ impl PhraseLda {
     }
 
     /// One full Gibbs sweep over every group (Eq. 7 update per clique) —
-    /// sequential or thread-sharded according to `config.n_threads`.
+    /// sequential or parallel according to `config.n_threads`.
     pub fn step(&mut self) {
         let before = self.stats;
         let sweep_start = std::time::Instant::now();
@@ -447,16 +464,16 @@ impl PhraseLda {
         self.stats.draws.merge(&draws);
     }
 
-    /// One thread-sharded snapshot sweep (see module docs): bit-identical
-    /// for every `threads ≥ 2`, regardless of how many cores actually run.
+    /// One snapshot sweep over blocks of documents (see module docs):
+    /// bit-identical for every `threads ≥ 2`, regardless of how many cores
+    /// actually run or which worker runs which block.
     ///
     /// Workers read the live `N_wk`/`N_k` in place — the barrier merge
-    /// below is the only writer, and it runs after the join — so the
+    /// below is the only writer, and it runs after the pass — so the
     /// sweep-start state costs no copy, and the merge writes each delta
     /// entry once.
     fn sweep_parallel(&mut self, threads: usize) {
-        let n_docs = self.docs.n_docs();
-        if n_docs == 0 {
+        if self.docs.n_docs() == 0 {
             return;
         }
         // Sparse merge deltas index the V×K table through u32.
@@ -466,68 +483,59 @@ impl PhraseLda {
         );
         let k = self.k;
         let v_beta = self.v as f64 * self.beta;
-        let chunk = n_docs.div_ceil(threads.min(n_docs));
-        let shards = n_docs.div_ceil(chunk);
-        if self.scratch.len() < shards {
-            self.scratch.resize_with(shards, SweepScratch::default);
+        if self.scratch.len() < threads {
+            self.scratch.resize_with(threads, SweepScratch::default);
         }
         self.stats.parallel_sweeps += 1;
         let views = self.counts.sweep_views();
-        let (n_wk, n_k, ndk) = (views.n_wk, views.n_k, views.n_dk);
-        let (nz_wk, nz_wk_len) = (views.nz_wk, views.nz_wk_len);
-        let (nz_dk, nz_dk_len) = (views.nz_dk, views.nz_dk_len);
-        let sweep = self.sweeps_done as u64;
-        let seed = self.config.seed;
-        let alpha = &self.alpha;
-        let beta = self.beta;
-        let docs = &self.docs.docs;
-        let z = &mut self.z;
-        let scratches = &mut self.scratch;
-        // Scoped threads join when the scope ends (re-raising any worker
-        // panic), and each shard's delta stays in its scratch.
-        std::thread::scope(|scope| {
-            for (
-                si,
-                (((((doc_shard, z_shard), ndk_shard), nz_dk_shard), nz_dk_len_shard), scratch),
-            ) in docs
-                .chunks(chunk)
-                .zip(z.chunks_mut(chunk))
-                .zip(ndk.chunks_mut(chunk * k))
-                .zip(nz_dk.chunks_mut(chunk * k))
-                .zip(nz_dk_len.chunks_mut(chunk))
-                .zip(scratches.iter_mut())
-                .enumerate()
-            {
-                scope.spawn(move || {
-                    sweep_shard(
-                        ShardCtx {
-                            docs: doc_shard,
-                            z: z_shard,
-                            ndk: ndk_shard,
-                            nz_dk: nz_dk_shard,
-                            nz_dk_len: nz_dk_len_shard,
-                            n_wk,
-                            n_k,
-                            nz_wk,
-                            nz_wk_len,
-                            alpha,
-                            k,
-                            beta,
-                            v_beta,
-                            seed,
-                            sweep,
-                            first_doc: si * chunk,
-                        },
-                        scratch,
-                    )
-                });
-            }
-        });
+        let (n_wk, n_k, nz_wk, nz_wk_len) = (views.n_wk, views.n_k, views.nz_wk, views.nz_wk_len);
+        let (sweep, seed) = (self.sweeps_done as u64, self.config.seed);
+        let (alpha, beta) = (&self.alpha, self.beta);
+        let workers = &mut self.scratch[..threads];
+        for scratch in workers.iter_mut() {
+            scratch.begin_sweep(alpha, beta, v_beta, n_k);
+        }
+        let blocks = self
+            .docs
+            .docs
+            .chunks(DOC_BLOCK)
+            .zip(self.z.chunks_mut(DOC_BLOCK))
+            .zip(views.n_dk.chunks_mut(DOC_BLOCK * k))
+            .zip(views.nz_dk.chunks_mut(DOC_BLOCK * k))
+            .zip(views.nz_dk_len.chunks_mut(DOC_BLOCK))
+            .enumerate();
+        par::for_each(
+            blocks,
+            workers,
+            |scratch, (b, ((((docs, z), ndk), nz_dk), nz_dk_len))| {
+                sweep_block(
+                    BlockCtx {
+                        docs,
+                        z,
+                        ndk,
+                        nz_dk,
+                        nz_dk_len,
+                        n_wk,
+                        n_k,
+                        nz_wk,
+                        nz_wk_len,
+                        alpha,
+                        k,
+                        beta,
+                        v_beta,
+                        seed,
+                        sweep,
+                        first_doc: b * DOC_BLOCK,
+                    },
+                    scratch,
+                )
+            },
+        );
         // Barrier merge. Integer deltas commute and the nonzero lists are
-        // sorted sets, so the merged tables are independent of shard
-        // count and merge order.
+        // sorted sets, so the merged tables are independent of which worker
+        // swept which block and of merge order.
         let merge_start = std::time::Instant::now();
-        for scratch in &mut self.scratch[..shards] {
+        for scratch in &mut self.scratch[..threads] {
             let delta = &mut scratch.delta;
             self.stats.merge_delta_entries += delta.wk.len() as u64;
             self.counts.apply_delta(&delta.wk, &delta.k);
@@ -908,32 +916,32 @@ fn tally_draw(draws: &mut DrawSplit, bucket: SingletonBucket) {
     }
 }
 
-/// One shard's contribution to the barrier merge: sparse `(row-major
-/// index, delta)` pairs over `N_wk`, a dense `Δ N_k`, and the shard's
+/// One worker's contribution to the barrier merge: sparse `(row-major
+/// index, delta)` pairs over `N_wk`, a dense `Δ N_k`, and the worker's
 /// singleton-draw telemetry (merged into [`SweepTelemetry`] at the
-/// barrier, so workers never touch shared counters). Lives in the shard's
+/// barrier, so workers never touch shared counters). Lives in the worker's
 /// [`SweepScratch`] and is cleared, not freed, between sweeps; the merge
 /// shrinks `wk` only once a sweep fills less than half of it.
 #[derive(Debug, Clone, Default)]
-struct ShardDelta {
+struct WorkerDelta {
     wk: Vec<(u32, i32)>,
     k: Vec<i64>,
     draws: DrawSplit,
 }
 
-/// Everything one worker needs to sweep its contiguous document shard.
-struct ShardCtx<'a> {
+/// Everything one worker needs to sweep one block of documents.
+struct BlockCtx<'a> {
     docs: &'a [GroupedDoc],
     z: &'a mut [Vec<u16>],
-    /// The shard's `N_dk` rows (documents are partitioned, so these are
+    /// The block's `N_dk` rows (documents are partitioned, so these are
     /// exclusively owned and updated live, exactly as in the sequential
     /// sweep).
     ndk: &'a mut [u32],
-    /// The shard's per-document nonzero-topic rows (flat, capacity K per
+    /// The block's per-document nonzero-topic rows (flat, capacity K per
     /// doc), owned like `ndk` and kept in sync with it (whichever draw a
     /// clique takes, so the index never goes stale).
     nz_dk: &'a mut [u16],
-    /// Live lengths of the shard's `nz_dk` rows.
+    /// Live lengths of the block's `nz_dk` rows.
     nz_dk_len: &'a mut [u16],
     /// The live `N_wk`/`N_k`, unchanged until the barrier merge.
     n_wk: &'a [u32],
@@ -948,11 +956,12 @@ struct ShardCtx<'a> {
     v_beta: f64,
     seed: u64,
     sweep: u64,
+    /// Corpus index of the block's first document.
     first_doc: usize,
 }
 
-/// Sweep one shard against the sweep-start tables and leave its signed
-/// `(Δ N_wk, Δ N_k)` in `scratch.delta` for the barrier merge — `Δ N_wk`
+/// Sweep one block against the sweep-start tables and add its signed
+/// `(Δ N_wk, Δ N_k)` to `scratch.delta` for the barrier merge — `Δ N_wk`
 /// as a sparse `(index, delta)` list, so merge cost tracks how much
 /// actually changed rather than `V × K`.
 ///
@@ -960,11 +969,12 @@ struct ShardCtx<'a> {
 /// scatter-gather shape `topmine_serve::infer` uses), so the hot loop
 /// reads `sweep-start tables + own-document delta` without ever writing
 /// shared state — the result depends only on `(tables, doc, its RNG
-/// stream)`, never on shard layout. All buffers live in the caller-owned
-/// [`SweepScratch`] and persist across documents and sweeps, so the
-/// steady-state shard sweep allocates nothing.
-fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) {
-    let ShardCtx {
+/// stream)`, never on which worker runs the block. All buffers live in
+/// the worker's [`SweepScratch`], set up once per sweep by
+/// [`SweepScratch::begin_sweep`], and persist across documents and
+/// sweeps, so the steady-state sweep allocates nothing.
+fn sweep_block(ctx: BlockCtx<'_>, scratch: &mut SweepScratch) {
+    let BlockCtx {
         docs,
         z,
         ndk,
@@ -983,20 +993,6 @@ fn sweep_shard(ctx: ShardCtx<'_>, scratch: &mut SweepScratch) {
         first_doc,
     } = ctx;
     let v = n_wk.len() / k;
-    scratch.prepare(k);
-    let delta = &mut scratch.delta;
-    delta.wk.clear();
-    delta.k.clear();
-    delta.k.resize(k, 0);
-    delta.draws = DrawSplit::default();
-    // One alias rebuild per shard per sweep, against the sweep-start
-    // `N_k`. Every document restarts its local `N_k` from that table, so
-    // the per-document dirty set resets at doc boundaries — the alias
-    // table never goes stale within a sweep, and the draw is a function of
-    // (tables, doc, stream) exactly like the dense path, independent of
-    // shard layout.
-    scratch.smoothing.rebuild(alpha, beta, v_beta, n_k);
-
     for (i, doc) in docs.iter().enumerate() {
         if doc.group_ends.is_empty() {
             continue;
@@ -1431,8 +1427,8 @@ mod tests {
         m.run(3);
         m.check_counts().unwrap();
         assert!(m.perplexity().is_finite());
-        // Same corpus through the sharded path (more shards than non-empty
-        // docs, empty doc in its own shard).
+        // Same corpus through the parallel path (more workers than
+        // documents, an empty doc in the one block).
         let mut p = PhraseLda::new(docs, TopicModelConfig::new(2).with_seed(2).with_threads(4));
         p.run(3);
         p.check_counts().unwrap();

@@ -34,9 +34,15 @@ fn splitmix(x: &mut u64) -> u64 {
 /// The frozen corpus the digest below was recorded on. Self-contained
 /// (no rand/synth) so it can never drift with a dependency.
 fn guard_docs() -> GroupedDocs {
+    frozen_docs(30)
+}
+
+/// The first `n_docs` documents of the frozen guard stream: every prefix
+/// is the same, so `frozen_docs(30)` is `guard_docs()` at any length.
+fn frozen_docs(n_docs: usize) -> GroupedDocs {
     let mut s = 0xD1CEu64;
     let mut docs = Vec::new();
-    for _ in 0..30 {
+    for _ in 0..n_docs {
         let len = 20 + (splitmix(&mut s) % 40) as usize;
         let tokens: Vec<u32> = (0..len).map(|_| (splitmix(&mut s) % 40) as u32).collect();
         let mut group_ends = Vec::new();
@@ -152,6 +158,38 @@ fn parallel_chain_matches_recorded_digest() {
     }
 }
 
+/// The parallel chain on a corpus of three full 32-document blocks plus a
+/// partial one (109 documents), so the sweep's work queue hands out
+/// several blocks to every worker. Recorded on the static-shard sweep the
+/// block queue replaced: both sample the same chain.
+const MULTI_BLOCK_CHAIN_DIGEST: u64 = 0xcce4_4c30_1cba_4eb7;
+const MULTI_BLOCK_PERPLEXITY: f64 = 38.907_878_762_388_99;
+
+#[test]
+fn multi_block_parallel_chain_matches_recorded_digest() {
+    for threads in [2usize, 3, 7] {
+        let mut m = PhraseLda::new(
+            frozen_docs(109),
+            TopicModelConfig {
+                n_threads: threads,
+                ..digest_cfg()
+            },
+        );
+        m.run(30);
+        assert!(
+            (m.perplexity() - MULTI_BLOCK_PERPLEXITY).abs() < 1e-12,
+            "threads={threads}: multi-block perplexity drifted: got {:.17}",
+            m.perplexity()
+        );
+        assert_eq!(
+            chain_digest(&m),
+            MULTI_BLOCK_CHAIN_DIGEST,
+            "threads={threads}: multi-block chain digest drifted: got {:#018x}",
+            chain_digest(&m)
+        );
+    }
+}
+
 /// Random grouped corpus: `n_docs` docs over `vocab` words, group lengths
 /// in `1..=max_group`.
 fn random_docs(seed: u64, n_docs: usize, vocab: u32, max_group: usize) -> GroupedDocs {
@@ -195,7 +233,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// lda_threads ∈ {2, 3, 7}: identical perplexity, z-assignments, and φ
-    /// — the thread count must be invisible in the sampled chain.
+    /// — the thread count must be invisible in the sampled chain. Corpora
+    /// run from one document to several 32-document blocks plus a partial
+    /// one, so the work queue hands some workers many blocks and others
+    /// none.
     #[test]
     fn parallel_chain_is_identical_at_2_3_and_7_threads(
         corpus_seed in 0u64..1_000_000,
@@ -203,8 +244,9 @@ proptest! {
         k in 2usize..7,
         max_group in 1usize..6,
         sweeps in 1usize..12,
+        n_docs in 1usize..=103,
     ) {
-        let docs = random_docs(corpus_seed, 13, 25, max_group);
+        let docs = random_docs(corpus_seed, n_docs, 25, max_group);
         let base = fit(&docs, k, chain_seed, 2, sweeps);
         let base_phi = base.phi();
         let base_pp = base.perplexity();
@@ -248,15 +290,17 @@ proptest! {
     /// (document, word, topic) cell whose count the sweep changed: no cell
     /// emitted twice, no zero delta emitted. Checked sweep by sweep against
     /// counts rebuilt from z before and after, on documents with repeated
-    /// words and multi-token cliques.
+    /// words and multi-token cliques, over one block, several blocks and a
+    /// partial one.
     #[test]
     fn merge_emits_exactly_the_cells_each_document_moved(
         corpus_seed in 0u64..1_000_000,
         chain_seed in 0u64..1_000_000,
         k in 2usize..6,
         max_group in 2usize..6,
+        n_docs in 1usize..=103,
     ) {
-        let docs = random_docs(corpus_seed, 14, 9, max_group);
+        let docs = random_docs(corpus_seed, n_docs, 9, max_group);
         for threads in [2usize, 3, 7] {
             let mut m = PhraseLda::new(
                 docs.clone(),

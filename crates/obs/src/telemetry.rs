@@ -41,7 +41,7 @@ impl DrawSplit {
 pub struct SweepTelemetry {
     /// Total sweeps completed (sequential + parallel).
     pub sweeps: u64,
-    /// Sweeps that ran the thread-sharded path.
+    /// Sweeps that ran the parallel path.
     pub parallel_sweeps: u64,
     /// Sparse `N_wk` delta entries the parallel path's barrier merges
     /// applied: one per (document, word, topic) cell a sweep changed.

@@ -30,24 +30,26 @@
 //!
 //! # Parallel passes
 //!
-//! Both passes of a level over the documents (counting, then advancing the
-//! active sets) hand out blocks of 32 documents through one work queue, so
-//! skewed documents don't strand threads; one thread runs the same code
-//! inline. A counting worker routes each key into its own partition for
-//! the key's merge shard (`hash(key) % n_shards`). Merge shard `s` then
-//! reads only the partitions for `s`, sizes its destination from their
-//! lengths before the first insert, and sums them; addition commutes, so
-//! arrival order is irrelevant. Survivors are sorted by packed key before
-//! ids are assigned, so the result is bit-identical at every thread count.
-//! Every level's tables start at the minimum size, so a level's clears and
-//! scans cost what its own candidates need.
+//! Every pass of a level runs on [`topmine_util::par::for_each`], the
+//! workspace's one scheduler. Counting and advancing the active sets hand
+//! out blocks of [`DOC_BLOCK`] documents to whichever worker is free next,
+//! so skewed documents don't strand threads; the merge hands out one
+//! merge shard per unit. One thread runs the same code inline. A counting
+//! worker routes each key into its own partition for the key's merge
+//! shard (`hash(key) % n_shards`). Merge shard `s` then reads only the
+//! partitions for `s`, sizes its destination from their lengths before
+//! the first insert, and sums them; addition commutes, so arrival order is
+//! irrelevant. Survivors are sorted by packed key before ids are assigned,
+//! so the result is bit-identical at every thread count. Every level's
+//! tables start at the minimum size, so a level's clears and scans cost
+//! what its own candidates need.
 
 use crate::counter::{Phrase, PhraseStats};
 use crate::prefix::{fib_hash, U64Map};
-use std::sync::Mutex;
 use std::time::Instant;
 use topmine_corpus::{Corpus, Document};
 use topmine_obs::{MiningLevel, MiningTelemetry};
+use topmine_util::par::{self, DOC_BLOCK};
 use topmine_util::FxHashMap;
 
 /// Configuration for [`FrequentPhraseMiner`].
@@ -82,10 +84,8 @@ pub struct FrequentPhraseMiner {
     config: MinerConfig,
 }
 
-/// Documents per work-queue block.
-const BLOCK: usize = 32;
-
 /// One counting worker's scratch, kept across levels.
+#[derive(Default)]
 struct Worker {
     /// `parts[s]` counts the candidate keys whose [`shard_of`] is `s`.
     parts: Vec<U64Map>,
@@ -193,8 +193,8 @@ impl FrequentPhraseMiner {
                     part.reset(0);
                 }
             }
-            for_each_block(&mut states, BLOCK, &mut workers, |w, _, block| {
-                for st in block.iter() {
+            par::for_each(states.chunks(DOC_BLOCK), &mut workers, |w, block| {
+                for st in block {
                     w.occurrences += count_level_doc(&corpus.docs[st.doc_idx], st, n, &mut w.parts);
                 }
             });
@@ -248,7 +248,7 @@ impl FrequentPhraseMiner {
             // Advance active indices (line 7): a position stays active for
             // level n+1 iff its level-n candidate was countable and survived.
             let id_map = &id_map;
-            for_each_block(&mut states, BLOCK, &mut workers, |_, _, block| {
+            par::for_each(states.chunks_mut(DOC_BLOCK), &mut workers, |_, block| {
                 for st in block {
                     advance_state(&corpus.docs[st.doc_idx], st, n, id_map);
                 }
@@ -356,39 +356,6 @@ fn count_level_doc(doc: &Document, st: &DocState, n: usize, parts: &mut [U64Map]
     occ
 }
 
-/// Run `f(worker, first_index, block)` over `items` cut into blocks of
-/// `block` items, each block going to whichever worker is free next, so a
-/// run of long documents cannot strand the other threads. With one worker
-/// or one block it runs inline on the calling thread. Determinism never
-/// rests on the schedule: every pass either touches each item alone or
-/// sums into per-worker scratch that is folded commutatively afterwards.
-fn for_each_block<I: Send, W: Send>(
-    items: &mut [I],
-    block: usize,
-    workers: &mut [W],
-    f: impl Fn(&mut W, usize, &mut [I]) + Sync,
-) {
-    let n_blocks = items.len().div_ceil(block);
-    if workers.len() == 1 || n_blocks <= 1 {
-        let worker = &mut workers[0];
-        for (b, items) in items.chunks_mut(block).enumerate() {
-            f(worker, b * block, items);
-        }
-        return;
-    }
-    let queue = Mutex::new(items.chunks_mut(block).enumerate());
-    std::thread::scope(|scope| {
-        for worker in workers.iter_mut().take(n_blocks) {
-            let (queue, f) = (&queue, &f);
-            scope.spawn(move || loop {
-                let next = queue.lock().expect("a mining worker panicked").next();
-                let Some((b, items)) = next else { break };
-                f(worker, b * block, items);
-            });
-        }
-    });
-}
-
 /// Which merge shard owns a key. Any pure function of the key is correct,
 /// but a partition holds one shard's keys, so the shard must not be read
 /// off the top hash bits that pick a key's home slot: its keys would crowd
@@ -408,21 +375,19 @@ fn shard_of(key: u64, n_shards: usize) -> usize {
 /// is independent of which worker counted which occurrence — after
 /// reserving room for all of them: the entries arrive in their partitions'
 /// slot order, under which a growing table degrades into one long cluster
-/// (see [`crate::prefix`]). Shards partition the key space, so sorting the
-/// union of their survivors yields one canonical order at every thread
-/// count.
+/// (see [`crate::prefix`]). Each merging worker collects the survivors of
+/// the shards it ran; shards partition the key space, so sorting the union
+/// yields one canonical order at every thread count and schedule.
 fn merge_frequent(workers: &mut [Worker], eps: u64) -> (Vec<(u64, u64)>, u64) {
     let (first, rest) = workers
         .split_first_mut()
         .expect("at least one counting worker");
     let rest = &*rest;
     let mut merged: Vec<(Vec<(u64, u64)>, u64)> = vec![(Vec::new(), 0); first.parts.len()];
-    for_each_block(
-        &mut first.parts,
-        1,
+    par::for_each(
+        first.parts.iter_mut().enumerate(),
         &mut merged,
-        |(survivors, candidates), s, dst| {
-            let dst = &mut dst[0];
+        |(survivors, candidates), (s, dst)| {
             dst.reserve(rest.iter().map(|w| w.parts[s].len()).sum());
             for w in rest {
                 for (k, v) in w.parts[s].iter() {

@@ -6,13 +6,20 @@
 //! *rectified* phrase counts used for topical-frequency visualization —
 //! after segmentation, a quadratic pool of candidates has been reduced to at
 //! most a linear number of attested instances (paper §4.2).
+//!
+//! Algorithm 2 runs per document, so segmentation is one pass on
+//! [`topmine_util::par::for_each`]: blocks of [`DOC_BLOCK`] documents go to
+//! whichever worker is free next, and each block writes its spans into the
+//! preallocated output slots of its own documents. A document's spans
+//! depend only on the document and the mined statistics, so the result is
+//! the same at every thread count; one thread runs the pass inline.
 
 use crate::construction::{ConstructScratch, PhraseConstructor};
 use crate::counter::{Phrase, PhraseStats};
 use crate::miner::{FrequentPhraseMiner, MinerConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use topmine_corpus::Corpus;
 use topmine_obs::MiningTelemetry;
+use topmine_util::par::{self, DOC_BLOCK};
 use topmine_util::FxHashMap;
 
 /// Configuration for the end-to-end segmenter.
@@ -22,7 +29,8 @@ pub struct SegmenterConfig {
     pub miner: MinerConfig,
     /// Significance threshold α for Algorithm 2 (paper Figure 1 uses α = 5).
     pub alpha: f64,
-    /// Worker threads for the per-document construction pass.
+    /// Worker threads for the per-document construction pass; `1` runs it
+    /// inline on the calling thread.
     pub n_threads: usize,
 }
 
@@ -205,68 +213,19 @@ impl Segmenter {
     /// ablations share one mining pass this way).
     pub fn segment_with_stats(&self, corpus: &Corpus, stats: &PhraseStats) -> Segmentation {
         let ctor = PhraseConstructor::new(self.config.alpha);
-        let docs: Vec<SegmentedDoc> = if self.config.n_threads > 1 && corpus.docs.len() > 1 {
-            // Work-queue scheduling: fixed-size blocks of documents go to
-            // whichever worker is free next, so a run of long documents
-            // can't strand the other threads. Workers tag results with doc
-            // indices; placement below restores corpus order.
-            const BLOCK: usize = 32;
-            let n_threads = self.config.n_threads.min(corpus.docs.len());
-            let n_blocks = corpus.docs.len().div_ceil(BLOCK);
-            let cursor = AtomicUsize::new(0);
-            let per_worker: Vec<Vec<(usize, SegmentedDoc)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n_threads)
-                    .map(|_| {
-                        let cursor = &cursor;
-                        scope.spawn(move || {
-                            let mut scratch = ConstructScratch::default();
-                            let mut done = Vec::new();
-                            loop {
-                                let b = cursor.fetch_add(1, Ordering::Relaxed);
-                                if b >= n_blocks {
-                                    break;
-                                }
-                                let start = b * BLOCK;
-                                let end = (start + BLOCK).min(corpus.docs.len());
-                                for (i, doc) in corpus.docs[start..end].iter().enumerate() {
-                                    done.push((
-                                        start + i,
-                                        SegmentedDoc {
-                                            spans: ctor.construct_doc_with(
-                                                doc,
-                                                stats,
-                                                &mut scratch,
-                                            ),
-                                        },
-                                    ));
-                                }
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("segmentation worker panicked"))
-                    .collect()
-            });
-            let mut docs = vec![SegmentedDoc::default(); corpus.docs.len()];
-            for worker in per_worker {
-                for (i, sd) in worker {
-                    docs[i] = sd;
-                }
+        let mut docs = vec![SegmentedDoc::default(); corpus.docs.len()];
+        let mut scratch: Vec<ConstructScratch> = std::iter::repeat_with(Default::default)
+            .take(self.config.n_threads.max(1))
+            .collect();
+        let blocks = corpus
+            .docs
+            .chunks(DOC_BLOCK)
+            .zip(docs.chunks_mut(DOC_BLOCK));
+        par::for_each(blocks, &mut scratch, |scratch, (block, out)| {
+            for (doc, seg) in block.iter().zip(out) {
+                seg.spans = ctor.construct_doc_with(doc, stats, scratch);
             }
-            docs
-        } else {
-            let mut scratch = ConstructScratch::default();
-            corpus
-                .docs
-                .iter()
-                .map(|doc| SegmentedDoc {
-                    spans: ctor.construct_doc_with(doc, stats, &mut scratch),
-                })
-                .collect()
-        };
+        });
         let seg = Segmentation {
             docs,
             alpha: self.config.alpha,
@@ -352,18 +311,37 @@ mod tests {
 
     #[test]
     fn parallel_segmentation_matches_sequential() {
-        let corpus = svm_corpus();
-        let (stats, seq) = Segmenter::with_params(4, 3.0).segment(&corpus);
-        let par = Segmenter::new(SegmenterConfig {
-            miner: MinerConfig {
-                min_support: 4,
-                ..MinerConfig::default()
-            },
-            alpha: 3.0,
-            n_threads: 4,
-        })
-        .segment_with_stats(&corpus, &stats);
-        assert_eq!(seq.docs, par.docs);
+        // Two blocks (60 documents), and three documents — fewer than most
+        // thread counts below — one of them empty.
+        let mut b = CorpusBuilder::new(CorpusOptions::default());
+        b.add_document("support vector machines for data");
+        b.add_document("");
+        b.add_document("support vector machines");
+        for (corpus, min_support) in [(svm_corpus(), 4), (b.build(), 2)] {
+            let (stats, _) = Segmenter::with_params(min_support, 3.0).mine(&corpus);
+            // The reference: Algorithm 2 document by document, no scheduler.
+            let ctor = PhraseConstructor::new(3.0);
+            let mut scratch = ConstructScratch::default();
+            let sequential: Vec<SegmentedDoc> = corpus
+                .docs
+                .iter()
+                .map(|doc| SegmentedDoc {
+                    spans: ctor.construct_doc_with(doc, &stats, &mut scratch),
+                })
+                .collect();
+            for n_threads in [1usize, 2, 3, 7] {
+                let seg = Segmenter::new(SegmenterConfig {
+                    miner: MinerConfig {
+                        min_support,
+                        ..MinerConfig::default()
+                    },
+                    alpha: 3.0,
+                    n_threads,
+                })
+                .segment_with_stats(&corpus, &stats);
+                assert_eq!(seg.docs, sequential, "n_threads={n_threads}");
+            }
+        }
     }
 
     #[test]

@@ -1,95 +1,39 @@
-//! The concurrent query engine: a fixed pool of worker threads sharing one
+//! The query engine: batched fold-in inference over one shared
 //! `Arc<dyn ModelBackend>` — monolithic or sharded, the engine cannot
 //! tell.
 //!
 //! The backend is immutable after load, so workers need no locking — each
-//! fold-in pass touches only its own scratch state. Batch inference fans
-//! documents out over the pool and reassembles results in input order;
-//! document `i` always draws from [`InferConfig::seed_for_index`]`(i)`, so
-//! results are bit-identical whatever the worker count, scheduling, or
-//! shard count. Single-document [`QueryEngine::infer`] calls pass through
-//! a bounded LRU [`ResponseCache`] keyed on (bundle fingerprint, text,
-//! seed, iters, top) — inference is a pure function of that tuple, so a
-//! hit returns the identical result without re-running the chain. (The
-//! HTTP layer runs its own connection pool and calls the inline
-//! [`QueryEngine::infer`] path, so request handling never blocks a batch.)
+//! fold-in pass touches only its own scratch state.
+//! [`QueryEngine::infer_batch`] runs one document per unit on
+//! [`topmine_util::par::for_each`], the workspace's one scheduler, and
+//! writes each result into its input's slot; document `i` always draws
+//! from [`InferConfig::seed_for_index`]`(i)`, so results are bit-identical
+//! whatever the worker count, scheduling, or shard count. The workers live
+//! for one call, so a document that panics fails its own batch and
+//! nothing after it. Single-document [`QueryEngine::infer`] calls pass
+//! through a bounded LRU [`ResponseCache`] keyed on (bundle fingerprint,
+//! text, seed, iters, top) — inference is a pure function of that tuple,
+//! so a hit returns the identical result without re-running the chain.
+//! The HTTP layer's dispatchers call
+//! [`QueryEngine::try_infer_items_amortized`]: each coalesced batch probes
+//! the cache per item and folds the misses in over one shared φ gather.
 
 use crate::backend::{BackendError, GatherOptions, ModelBackend};
 use crate::cache::{CacheKey, CacheStats, ResponseCache};
 use crate::infer::{infer_doc, try_infer_docs_amortized, BatchItem, DocInference, InferConfig};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
+use std::sync::Arc;
+use topmine_util::par;
 
 /// Default bound of the response cache ([`QueryEngine::new`]); tune with
 /// [`QueryEngine::with_cache_capacity`].
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
-/// A minimal fixed-size thread pool (no external dependencies): jobs are
-/// closures drained from one shared queue; dropping the pool joins all
-/// workers after the queue empties.
-pub struct ThreadPool {
-    sender: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    pub fn new(n_threads: usize) -> Self {
-        let n_threads = n_threads.max(1);
-        let (sender, receiver) = channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let workers = (0..n_threads)
-            .map(|i| {
-                let receiver = Arc::clone(&receiver);
-                std::thread::Builder::new()
-                    .name(format!("topmine-serve-{i}"))
-                    .spawn(move || loop {
-                        // Hold the lock only for the dequeue, not the job.
-                        let job = match receiver.lock().expect("pool queue poisoned").recv() {
-                            Ok(job) => job,
-                            Err(_) => break, // all senders dropped
-                        };
-                        job();
-                    })
-                    .expect("failed to spawn worker thread")
-            })
-            .collect();
-        Self {
-            sender: Some(sender),
-            workers,
-        }
-    }
-
-    pub fn n_threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Enqueue a job; it runs on some worker as soon as one is free.
-    pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
-        self.sender
-            .as_ref()
-            .expect("pool already shut down")
-            .send(Box::new(job))
-            .expect("pool workers exited early");
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        drop(self.sender.take()); // close the queue; workers drain and exit
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
 /// Batched fold-in inference over a shared model backend, with a response
 /// cache in front of the single-document path.
 pub struct QueryEngine {
     model: Arc<dyn ModelBackend>,
-    pool: ThreadPool,
+    /// Workers for [`QueryEngine::infer_batch`].
+    n_threads: usize,
     cache: Option<ResponseCache>,
     /// Computed once: [`ModelBackend::fingerprint`] walks α, and the model
     /// never changes after load.
@@ -113,7 +57,7 @@ impl QueryEngine {
         let fingerprint = model.fingerprint();
         Self {
             model,
-            pool: ThreadPool::new(n_threads),
+            n_threads: n_threads.max(1),
             cache: (cache_capacity > 0).then(|| ResponseCache::new(cache_capacity)),
             fingerprint,
         }
@@ -124,7 +68,7 @@ impl QueryEngine {
     }
 
     pub fn n_threads(&self) -> usize {
-        self.pool.n_threads()
+        self.n_threads
     }
 
     /// Hit/miss counters of the response cache (all zero when caching is
@@ -161,40 +105,27 @@ impl QueryEngine {
         inference
     }
 
-    /// Fan a batch out over the pool; results come back in input order and
-    /// are independent of the worker count (per-index seeds). The batch
-    /// path bypasses the response cache (bulk workloads would churn it).
-    /// Must not be called from inside one of this engine's own jobs (it
-    /// waits for the fan-out to finish).
-    pub fn infer_batch<S: AsRef<str>>(
+    /// Infer every document, one document per unit over
+    /// [`QueryEngine::n_threads`] workers; results come back in input
+    /// order and are independent of the worker count (per-index seeds).
+    /// The batch path bypasses the response cache (bulk workloads would
+    /// churn it).
+    pub fn infer_batch<S: AsRef<str> + Sync>(
         &self,
         texts: &[S],
         config: &InferConfig,
     ) -> Vec<DocInference> {
-        let n = texts.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let (tx, rx) = channel::<(usize, DocInference)>();
-        for (i, text) in texts.iter().enumerate() {
-            let tx = tx.clone();
-            let model = Arc::clone(&self.model);
-            let text = text.as_ref().to_string();
-            let config = config.clone();
-            self.pool.execute(move || {
-                let inference = infer_doc(model.as_ref(), &text, &config, config.seed_for_index(i));
-                let _ = tx.send((i, inference));
-            });
-        }
-        drop(tx);
-        let mut results: Vec<Option<DocInference>> = (0..n).map(|_| None).collect();
-        for (i, inference) in rx {
-            results[i] = Some(inference);
-        }
+        let model = self.model.as_ref();
+        let mut results = vec![DocInference::default(); texts.len()];
+        let units = texts.iter().zip(&mut results).enumerate();
+        par::for_each(
+            units,
+            &mut vec![(); self.n_threads],
+            |_, (i, (text, out))| {
+                *out = infer_doc(model, text.as_ref(), config, config.seed_for_index(i))
+            },
+        );
         results
-            .into_iter()
-            .map(|r| r.expect("worker completed every index"))
-            .collect()
     }
 
     /// Cache-aware amortized batch on the calling thread: every item
@@ -266,8 +197,7 @@ impl QueryEngine {
     /// Amortized batch over one config: document `i` draws
     /// [`InferConfig::seed_for_index`]`(i)` — the same seeds as
     /// [`infer_batch`](QueryEngine::infer_batch) — but the whole batch
-    /// shares a single φ gather instead of fanning out per-document
-    /// gathers over the pool.
+    /// shares a single φ gather instead of one gather per document.
     pub fn infer_batch_amortized<S: AsRef<str>>(
         &self,
         texts: &[S],
@@ -290,21 +220,8 @@ impl QueryEngine {
 mod tests {
     use super::*;
     use crate::frozen::tests::tiny_model;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn pool_runs_all_jobs() {
-        let pool = ThreadPool::new(4);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..100 {
-            let counter = Arc::clone(&counter);
-            pool.execute(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(pool); // joins after the queue drains
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
-    }
+    use crate::frozen::{FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig};
+    use topmine_corpus::Document;
 
     #[test]
     fn batch_matches_single_and_is_ordered() {
@@ -335,8 +252,78 @@ mod tests {
             .collect();
         let cfg = InferConfig::default();
         let single = QueryEngine::new(model.clone(), 1).infer_batch(&texts, &cfg);
-        let many = QueryEngine::new(model.clone(), 8).infer_batch(&texts, &cfg);
-        assert_eq!(single, many);
+        for n_threads in [2usize, 3, 7] {
+            let many = QueryEngine::new(model.clone(), n_threads).infer_batch(&texts, &cfg);
+            assert_eq!(single, many, "n_threads={n_threads}");
+        }
+    }
+
+    /// Delegates to a frozen model, except that its φ gather panics on one
+    /// marker word — as `infer_doc` does when a remote shard is down.
+    struct FailsOnWord {
+        inner: FrozenModel,
+        marker: u32,
+    }
+
+    impl ModelBackend for FailsOnWord {
+        fn header(&self) -> &ModelHeader {
+            self.inner.header()
+        }
+        fn preprocess(&self) -> &PreprocessConfig {
+            ModelBackend::preprocess(&self.inner)
+        }
+        fn alpha(&self) -> &[f64] {
+            ModelBackend::alpha(&self.inner)
+        }
+        fn format_tag(&self) -> &'static str {
+            self.inner.format_tag()
+        }
+        fn n_lexicon_phrases(&self) -> usize {
+            self.inner.n_lexicon_phrases()
+        }
+        fn prepare(&self, text: &str) -> PreparedDoc {
+            self.inner.prepare(text)
+        }
+        fn segment(&self, doc: &Document) -> Vec<(u32, u32)> {
+            ModelBackend::segment(&self.inner, doc)
+        }
+        fn gather_phi(&self, words: &[u32]) -> Vec<f64> {
+            assert!(
+                !words.contains(&self.marker),
+                "gather failed on the marker word"
+            );
+            self.inner.gather_phi(words)
+        }
+        fn display_word(&self, id: u32) -> &str {
+            self.inner.display_word(id)
+        }
+    }
+
+    #[test]
+    fn a_failing_document_fails_its_batch_and_no_later_one() {
+        let inner = tiny_model();
+        let marker = inner.prepare("classification").doc.tokens[0];
+        let model = Arc::new(FailsOnWord { inner, marker });
+        let cfg = InferConfig::default();
+        let failing: Vec<String> = (0..6).map(|i| format!("classification task {i}")).collect();
+        let clean: Vec<String> = (0..6)
+            .map(|i| format!("mining frequent patterns number {i}"))
+            .collect();
+        for n_threads in [1usize, 3] {
+            let engine = QueryEngine::new(model.clone(), n_threads);
+            let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.infer_batch(&failing, &cfg)
+            }));
+            assert!(
+                failed.is_err(),
+                "n_threads={n_threads}: the batch must fail"
+            );
+            let batch = engine.infer_batch(&clean, &cfg);
+            for (i, (text, inference)) in clean.iter().zip(&batch).enumerate() {
+                let alone = model.inner.infer_seeded(text, &cfg, cfg.seed_for_index(i));
+                assert_eq!(*inference, alone, "n_threads={n_threads} doc {i}");
+            }
+        }
     }
 
     #[test]

@@ -36,13 +36,14 @@
 //! thread counts, and shard counts.
 
 use crate::dispatch::{DispatchOptions, InferJob, InferService, JobKind};
-use crate::engine::{QueryEngine, ThreadPool};
+use crate::engine::QueryEngine;
 use crate::infer::{DocInference, InferConfig};
 use crate::metrics::{serve_metrics, ServeMetrics, Stage};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use topmine_obs::Registry;
@@ -228,6 +229,61 @@ impl HttpServer {
             });
         }
         Ok(())
+    }
+}
+
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// The blocking front end's connection pool: a fixed set of threads
+/// draining one shared queue of connection jobs; dropping the pool joins
+/// all workers after the queue empties.
+struct ThreadPool {
+    sender: Option<Sender<Job>>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl ThreadPool {
+    fn new(n_threads: usize) -> Self {
+        let (sender, receiver) = channel::<Job>();
+        let receiver = Arc::new(Mutex::new(receiver));
+        let workers = (0..n_threads.max(1))
+            .map(|i| {
+                let receiver = Arc::clone(&receiver);
+                std::thread::Builder::new()
+                    .name(format!("topmine-serve-{i}"))
+                    .spawn(move || loop {
+                        // Hold the lock only for the dequeue, not the job.
+                        let job = match receiver.lock().expect("pool queue poisoned").recv() {
+                            Ok(job) => job,
+                            Err(_) => break, // all senders dropped
+                        };
+                        job();
+                    })
+                    .expect("failed to spawn worker thread")
+            })
+            .collect();
+        Self {
+            sender: Some(sender),
+            workers,
+        }
+    }
+
+    /// Enqueue a job; it runs on some worker as soon as one is free.
+    fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
+        self.sender
+            .as_ref()
+            .expect("pool already shut down")
+            .send(Box::new(job))
+            .expect("pool workers exited early");
+    }
+}
+
+impl Drop for ThreadPool {
+    fn drop(&mut self) {
+        drop(self.sender.take()); // close the queue; workers drain and exit
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
     }
 }
 
@@ -885,6 +941,21 @@ pub fn batch_inference_json(results: &[DocInference]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn pool_runs_all_jobs() {
+        let pool = ThreadPool::new(4);
+        let counter = Arc::new(AtomicUsize::new(0));
+        for _ in 0..100 {
+            let counter = Arc::clone(&counter);
+            pool.execute(move || {
+                counter.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        drop(pool); // joins after the queue drains
+        assert_eq!(counter.load(Ordering::SeqCst), 100);
+    }
 
     #[test]
     fn target_parsing() {

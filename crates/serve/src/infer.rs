@@ -104,7 +104,7 @@ pub struct PhraseAssignment {
 }
 
 /// The inference result for one document.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DocInference {
     /// Document-topic distribution θ_d (length = n_topics, sums to 1).
     pub theta: Vec<f64>,
@@ -556,6 +556,20 @@ mod tests {
         let inf = assemble_inference(&m, &alpha, 2, &[], &[], &[0, 0], &[], 2, 0);
         assert!(inf.theta[0].is_nan());
         assert_eq!(inf.top_topics.len(), 2);
+    }
+
+    #[test]
+    fn fold_in_with_an_infinite_alpha_does_not_panic() {
+        // Every loader refuses this model, but `alpha` is a public field.
+        // A multi-word clique's non-finite weights take the same uniform
+        // fallback as a singleton's, in debug builds too.
+        let mut m = tiny_model();
+        m.alpha[0] = f64::INFINITY;
+        let text = "support vector machines for classification";
+        let spans = ModelBackend::segment(&m, &m.prepare(text).doc);
+        assert!(spans.iter().any(|&(s, e)| e - s > 1), "{spans:?}");
+        let inf = infer_doc(&m, text, &InferConfig::default(), 7);
+        assert_eq!(inf.theta.len(), 2);
     }
 
     #[test]

@@ -27,9 +27,11 @@
 //!   (Eq. 7) to get θ, topic rankings, and per-phrase topic annotations —
 //!   deterministic given a seed;
 //! * [`engine`] / [`cache`] / [`http`] — the **query engine and server**:
-//!   an `Arc<dyn ModelBackend>`-sharing thread pool for batched inference
-//!   with a bounded LRU response cache in front of single-document
-//!   queries, fronted by a std-only HTTP/1.1 keep-alive server
+//!   batched inference over one shared `Arc<dyn ModelBackend>` (one
+//!   document per unit on the workspace's scheduler,
+//!   `topmine_util::par`), with a bounded LRU response cache in front of
+//!   single-document queries, fronted by a std-only HTTP/1.1 keep-alive
+//!   server
 //!   (`topmine serve`); `topmine infer` is the one-shot sibling. The
 //!   server runs one of two front ends over a shared admission pipeline
 //!   (`dispatch`): a single-threaded epoll event loop on Linux/x86-64
@@ -96,7 +98,7 @@ pub mod wire;
 
 pub use backend::{load_bundle, BackendError, GatherOptions, ModelBackend};
 pub use cache::{CacheStats, ResponseCache};
-pub use engine::{QueryEngine, ThreadPool, DEFAULT_CACHE_CAPACITY};
+pub use engine::{QueryEngine, DEFAULT_CACHE_CAPACITY};
 pub use frozen::{FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig, FROZEN_MODEL_FORMAT};
 pub use http::{
     batch_inference_json, inference_json, FrontEnd, HttpServer, ServerConfig, ServerHandle,

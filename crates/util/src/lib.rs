@@ -10,12 +10,17 @@
 //! * [`stats`] — means, variances, z-score standardization (the evaluation
 //!   protocol of the paper's §7.2 standardizes per-expert scores to z-scores),
 //!   and a numerically-stable running-moments accumulator.
+//! * [`par`] — the one scheduler for data-parallel passes: units of work
+//!   (blocks of [`par::DOC_BLOCK`] documents) go to whichever scoped worker
+//!   is free next. Mining, segmentation, Gibbs sweeps and batch inference
+//!   all run through it.
 //! * [`topk`] — bounded top-k selection used for topic visualization.
 //! * [`table`] — plain-text/markdown/TSV table writers for experiment output.
 //! * [`timing`] — stopwatch helpers for the runtime experiments (Figure 8,
 //!   Table 3).
 
 pub mod fx;
+pub mod par;
 pub mod stats;
 pub mod table;
 pub mod timing;
