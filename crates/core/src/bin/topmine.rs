@@ -18,7 +18,7 @@ use topmine::cli::{
 use topmine::ToPMine;
 use topmine_corpus::{io as corpus_io, CorpusOptions, StopwordSet};
 use topmine_serve::{
-    load_bundle, FrontEnd, HttpServer, InferConfig, ModelBackend, PoolConfig, QueryEngine,
+    load_bundle, HttpServer, InferConfig, ModelBackend, PoolConfig, QueryEngine,
     RemoteShardedModel, ServerConfig, ShardServer, ShardSlice, ShardedModel,
 };
 
@@ -184,7 +184,6 @@ fn run_serve(opts: &ServeOptions) -> Result<(), String> {
             max_batch: opts.max_batch,
             deadline: (opts.deadline_ms > 0)
                 .then(|| std::time::Duration::from_millis(opts.deadline_ms)),
-            front_end: FrontEnd::Auto,
         },
     )
     .map_err(|e| format!("binding {}:{}: {e}", opts.host, opts.port))?;

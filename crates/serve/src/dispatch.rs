@@ -1,13 +1,13 @@
 //! Admission control and batched dispatch for inference requests.
 //!
-//! Both HTTP front ends (the epoll event loop and the blocking fallback)
-//! funnel `/infer` and `/infer_batch` work through one [`InferService`]: a
-//! **bounded** queue of [`InferJob`]s drained by dispatcher workers. The
-//! bound is the backpressure contract — [`InferService::try_submit`]
-//! refuses instead of buffering without limit, and the front end turns the
-//! refusal into `429` + `Retry-After`. Deadlines are checked when a job
-//! reaches a dispatcher: a request that waited past its budget is answered
-//! `504` without burning a fold-in on an answer nobody is waiting for.
+//! Every HTTP connection thread funnels `/infer` and `/infer_batch` work
+//! through one [`InferService`]: a **bounded** queue of [`InferJob`]s
+//! drained by dispatcher workers. The bound is the backpressure contract —
+//! [`InferService::try_submit`] refuses instead of buffering without
+//! limit, and the front end turns the refusal into `429` + `Retry-After`.
+//! Deadlines are checked when a job reaches a dispatcher: a request that
+//! waited past its budget is answered `504` without burning a fold-in on an
+//! answer nobody is waiting for.
 //!
 //! Dispatchers drain greedily: whatever is queued when a worker wakes is
 //! coalesced (up to [`DispatchOptions::max_batch`] documents) into one

@@ -1,10 +1,13 @@
 //! A minimal std-only HTTP/1.1 front end for the query engine.
 //!
 //! No async runtime (the build is offline): a `std::net::TcpListener`
-//! accept loop hands each connection to a fixed worker pool. Connections
-//! are persistent: HTTP/1.1 requests default to keep-alive (HTTP/1.0 must
-//! ask for it), bounded by a per-connection request cap and an idle
-//! timeout between requests; `Connection: close` is honored per request.
+//! accept loop gives each connection its own thread, up to
+//! [`MAX_CONNECTIONS`] at once; one more is answered `503` and closed.
+//! Connections are persistent: HTTP/1.1 requests default to keep-alive
+//! (HTTP/1.0 must ask for it), bounded by a per-connection request cap and
+//! an idle timeout before each request; `Connection: close` is honored per
+//! request. A request must fully arrive within [`IO_TIMEOUT`] of its first
+//! byte, or it is answered `408` and the connection closed.
 //! The surface is deliberately tiny:
 //!
 //! * `GET /healthz` — liveness, model shape, shard count, uptime, bundle
@@ -20,15 +23,13 @@
 //!   same documents sent as sequential `/infer` calls with per-index
 //!   seeds.
 //!
-//! Two interchangeable front ends feed one shared admission pipeline
-//! ([`dispatch`](crate::dispatch)): the default on Linux/x86-64 is a
-//! single-threaded epoll event loop ([`event_loop`](crate::event_loop))
-//! that parses requests incrementally and answers the cheap read routes
-//! inline; elsewhere (or via [`ServerConfig::front_end`]) a
-//! thread-per-connection loop does the same job. Either way, inference
-//! requests enter a **bounded admission queue** — full queue ⇒ `429` +
-//! `Retry-After`, deadline expired while queued ⇒ `504` — and dispatcher
-//! workers drain them in batches that share one φ gather.
+//! The cheap read routes are answered on the connection's own thread, so
+//! they stay responsive while inference is saturated. Inference requests
+//! enter one shared **bounded admission queue**
+//! ([`dispatch`](crate::dispatch)) — full queue ⇒ `429` + `Retry-After`,
+//! deadline expired while queued ⇒ `504` — and dispatcher workers drain
+//! them in batches that share one φ gather; the connection's thread waits
+//! for its verdict.
 //!
 //! Responses are JSON (`/metrics` is text exposition), hand-rendered (no
 //! serde in the dependency set); floats use Rust's shortest round-trip
@@ -39,52 +40,47 @@ use crate::dispatch::{DispatchOptions, InferJob, InferService, JobKind};
 use crate::engine::QueryEngine;
 use crate::infer::{DocInference, InferConfig};
 use crate::metrics::{serve_metrics, ServeMetrics, Stage};
+use crate::registry::Connections;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use topmine_obs::Registry;
 
 /// Hard cap on request bodies (1 MiB) — inference input is one document.
-pub(crate) const MAX_BODY: usize = 1 << 20;
+const MAX_BODY: usize = 1 << 20;
 /// Hard cap on the request head (request line + headers). Enforced via
 /// `Read::take`, so a newline-free request line cannot allocate past it.
-pub(crate) const MAX_HEAD: usize = 16 << 10;
-/// Socket read/write timeout: a stalled or silent client (slowloris) frees
-/// its worker after this long instead of occupying it forever.
-pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(30);
+const MAX_HEAD: usize = 16 << 10;
+/// The budget of one request: its head and body must arrive within this
+/// long of its first byte, or it is answered `408` (a slowloris client
+/// cannot hold its connection thread past it). Also the socket write
+/// timeout.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// Requests served on one keep-alive connection before the server closes
-/// it (bounds how long one client can pin a worker).
-pub(crate) const MAX_REQUESTS_PER_CONN: usize = 100;
-/// Idle timeout between keep-alive requests: a connection holding no
-/// in-flight request frees its worker after this long.
-pub(crate) const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(5);
+/// it (bounds how long one client can pin a connection thread).
+const MAX_REQUESTS_PER_CONN: usize = 100;
+/// How long a connection may wait for the first byte of its next request,
+/// the first request included, before the server closes it.
+pub const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(5);
+/// Connection threads alive at once. A connection beyond the cap is
+/// answered `503` and closed without being read.
+pub const MAX_CONNECTIONS: usize = 256;
+/// How long a shutdown waits for in-flight responses before severing their
+/// connections.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// Most documents accepted in one `/infer_batch` body.
-pub(crate) const MAX_BATCH_DOCS: usize = 1024;
+const MAX_BATCH_DOCS: usize = 1024;
 /// `Retry-After` seconds advertised with a 429.
-pub(crate) const RETRY_AFTER_SECS: u64 = 1;
-
-/// Which connection front end drives the server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontEnd {
-    /// Event loop on Linux/x86-64, blocking elsewhere.
-    Auto,
-    /// Single-threaded epoll readiness loop (Linux/x86-64 only; falls back
-    /// to `Blocking` elsewhere).
-    EventLoop,
-    /// Thread-per-connection with a worker pool (the pre-event-loop
-    /// design, kept as the portable fallback).
-    Blocking,
-}
+const RETRY_AFTER_SECS: u64 = 1;
 
 /// Server tuning.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Dispatcher worker threads draining the admission queue (and, for
-    /// the blocking front end, the connection-handling pool size).
+    /// Dispatcher worker threads draining the admission queue. Connections
+    /// get a thread each, so this does not bound them.
     pub n_threads: usize,
     /// Default inference knobs; `/infer` query parameters override per
     /// request.
@@ -99,9 +95,6 @@ pub struct ServerConfig {
     /// a dispatcher (`504` if already expired). `None` disables; the
     /// `deadline_ms` query parameter overrides per request.
     pub deadline: Option<Duration>,
-    /// Connection front end ([`FrontEnd::Auto`] picks the event loop where
-    /// supported).
-    pub front_end: FrontEnd,
 }
 
 impl Default for ServerConfig {
@@ -112,7 +105,6 @@ impl Default for ServerConfig {
             queue_depth: 128,
             max_batch: 16,
             deadline: Some(Duration::from_secs(30)),
-            front_end: FrontEnd::Auto,
         }
     }
 }
@@ -121,6 +113,13 @@ impl Default for ServerConfig {
 pub struct HttpServer {
     listener: TcpListener,
     engine: Arc<QueryEngine>,
+    config: ServerConfig,
+}
+
+/// What every connection thread shares.
+struct Shared {
+    engine: Arc<QueryEngine>,
+    service: InferService,
     config: ServerConfig,
 }
 
@@ -147,21 +146,19 @@ impl HttpServer {
 
     /// Serve until the process exits (the CLI path).
     pub fn run(self) -> io::Result<()> {
-        let stop = Arc::new(AtomicBool::new(false));
-        self.serve(&stop)
+        self.serve(&AtomicBool::new(false));
+        Ok(())
     }
 
-    /// Serve on a background thread; the returned handle stops the accept
-    /// loop and joins it (tests, embedding).
+    /// Serve on a background thread; the returned handle shuts the server
+    /// down (tests, embedding).
     pub fn spawn(self) -> io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_loop = Arc::clone(&stop);
         let join = std::thread::Builder::new()
             .name("topmine-serve-accept".into())
-            .spawn(move || {
-                let _ = self.serve(&stop_loop);
-            })?;
+            .spawn(move || self.serve(&stop_loop))?;
         Ok(ServerHandle {
             addr,
             stop,
@@ -169,122 +166,68 @@ impl HttpServer {
         })
     }
 
-    /// The resolved front end for this build and config.
-    fn front_end(&self) -> FrontEnd {
-        match self.config.front_end {
-            FrontEnd::Blocking => FrontEnd::Blocking,
-            FrontEnd::Auto | FrontEnd::EventLoop => {
-                if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
-                    FrontEnd::EventLoop
-                } else {
-                    FrontEnd::Blocking
-                }
-            }
-        }
-    }
-
-    /// Run the selected front end over one shared admission pipeline. The
-    /// [`InferService`] outlives the front end and is dropped last, so a
-    /// shutdown drains: the front end stops accepting and finishes its
-    /// in-flight work, then the dispatchers finish every queued job.
-    fn serve(&self, stop: &Arc<AtomicBool>) -> io::Result<()> {
-        let service = Arc::new(InferService::start(
-            Arc::clone(&self.engine),
-            DispatchOptions {
-                queue_depth: self.config.queue_depth,
-                max_batch: self.config.max_batch,
-                n_workers: self.config.n_threads,
-            },
-        ));
-        match self.front_end() {
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            FrontEnd::EventLoop => crate::event_loop::run(
-                &self.listener,
+    /// Accept until `stop`, one thread per connection, then drain. The
+    /// [`InferService`] is dropped after the last connection thread, so
+    /// every admitted job is answered before the dispatchers exit.
+    fn serve(&self, stop: &AtomicBool) {
+        let shared = Arc::new(Shared {
+            engine: Arc::clone(&self.engine),
+            service: InferService::start(
                 Arc::clone(&self.engine),
-                Arc::clone(&service),
-                self.config.clone(),
-                stop,
+                DispatchOptions {
+                    queue_depth: self.config.queue_depth,
+                    max_batch: self.config.max_batch,
+                    n_workers: self.config.n_threads,
+                },
             ),
-            _ => self.accept_loop(stop, &service),
-        }
-    }
-
-    fn accept_loop(&self, stop: &AtomicBool, service: &Arc<InferService>) -> io::Result<()> {
-        let pool = ThreadPool::new(self.config.n_threads);
+            config: self.config.clone(),
+        });
+        let conns = Arc::new(Connections::default());
         for stream in self.listener.incoming() {
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue, // transient accept error; keep serving
-            };
-            let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+            let Ok(stream) = stream else { continue }; // transient accept error
+            if conns.len() >= MAX_CONNECTIONS {
+                refuse(&stream, "connection limit reached; retry shortly");
+                continue;
+            }
+            // Responses are small and written whole; with Nagle's
+            // algorithm on, a pipelined one can wait on a delayed ACK.
+            let _ = stream.set_nodelay(true);
             let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-            let engine = Arc::clone(&self.engine);
-            let service = Arc::clone(service);
-            let config = self.config.clone();
-            pool.execute(move || {
-                let _ = handle_connection(stream, &engine, &service, &config);
-            });
+            let stream = Arc::new(stream);
+            let registration = conns.register(&stream);
+            let (socket, shared) = (Arc::clone(&stream), Arc::clone(&shared));
+            let spawned = std::thread::Builder::new()
+                .name("topmine-serve-conn".into())
+                .spawn(move || {
+                    let _registration = registration;
+                    handle_connection(&socket, &shared);
+                });
+            if spawned.is_err() {
+                refuse(&stream, "cannot start a connection thread; retry shortly");
+            }
         }
-        Ok(())
+        // Drain: idle connections see end-of-file at once; one with a
+        // request in flight writes its response first.
+        conns.shutdown_all(Shutdown::Read);
+        if !conns.wait_empty(DRAIN_DEADLINE) {
+            conns.shutdown_all(Shutdown::Both);
+        }
     }
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// The blocking front end's connection pool: a fixed set of threads
-/// draining one shared queue of connection jobs; dropping the pool joins
-/// all workers after the queue empties.
-struct ThreadPool {
-    sender: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    fn new(n_threads: usize) -> Self {
-        let (sender, receiver) = channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let workers = (0..n_threads.max(1))
-            .map(|i| {
-                let receiver = Arc::clone(&receiver);
-                std::thread::Builder::new()
-                    .name(format!("topmine-serve-{i}"))
-                    .spawn(move || loop {
-                        // Hold the lock only for the dequeue, not the job.
-                        let job = match receiver.lock().expect("pool queue poisoned").recv() {
-                            Ok(job) => job,
-                            Err(_) => break, // all senders dropped
-                        };
-                        job();
-                    })
-                    .expect("failed to spawn worker thread")
-            })
-            .collect();
-        Self {
-            sender: Some(sender),
-            workers,
-        }
-    }
-
-    /// Enqueue a job; it runs on some worker as soon as one is free.
-    fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
-        self.sender
-            .as_ref()
-            .expect("pool already shut down")
-            .send(Box::new(job))
-            .expect("pool workers exited early");
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        drop(self.sender.take()); // close the queue; workers drain and exit
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
+/// Turn a connection away unread: `503` and a close. The write half is
+/// shut before the socket closes, so the client reads the response and
+/// then end-of-file even if its request bytes are still unread here.
+fn refuse(mut stream: &TcpStream, message: &str) {
+    serve_metrics().count_request("invalid", 503);
+    // Never stall the accept loop on a client's receive window.
+    let _ = stream.set_nonblocking(true);
+    let _ = stream
+        .write_all(render_response(503, &error_json(message), "application/json", true).as_bytes());
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 /// Handle to a spawned server; dropping it shuts the server down.
@@ -299,8 +242,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stop accepting and join the accept thread. In-flight connections
-    /// finish (the pool drains on drop).
+    /// Stop accepting and drain: idle keep-alive connections close at
+    /// once, and this returns when every in-flight response is written,
+    /// or after a 5 s drain deadline, when what is left is severed.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
     }
@@ -323,24 +267,24 @@ impl Drop for ServerHandle {
 
 // ----- request handling -----------------------------------------------------
 
-pub(crate) struct Request {
-    pub(crate) method: String,
-    pub(crate) path: String,
-    pub(crate) query: Vec<(String, String)>,
-    pub(crate) body: String,
+struct Request {
+    method: String,
+    path: String,
+    query: Vec<(String, String)>,
+    body: String,
     /// The client asked to end the connection after this response
     /// (`Connection: close`, or an HTTP/1.0 request without keep-alive).
-    pub(crate) close: bool,
+    close: bool,
 }
 
 #[derive(Debug, PartialEq)]
-pub(crate) struct HttpError {
-    pub(crate) status: u16,
-    pub(crate) message: String,
+struct HttpError {
+    status: u16,
+    message: String,
 }
 
 impl HttpError {
-    pub(crate) fn new(status: u16, message: impl Into<String>) -> Self {
+    fn new(status: u16, message: impl Into<String>) -> Self {
         Self {
             status,
             message: message.into(),
@@ -350,13 +294,13 @@ impl HttpError {
 
 /// A successful route result: a body plus its media type (JSON for the
 /// API routes, text exposition for `/metrics`).
-pub(crate) struct RouteResponse {
-    pub(crate) body: String,
-    pub(crate) content_type: &'static str,
+struct RouteResponse {
+    body: String,
+    content_type: &'static str,
 }
 
 impl RouteResponse {
-    pub(crate) fn json(body: String) -> Self {
+    fn json(body: String) -> Self {
         Self {
             body,
             content_type: "application/json",
@@ -364,115 +308,81 @@ impl RouteResponse {
     }
 }
 
-/// What a routed request needs next: an immediate response (the cheap read
-/// routes and every error), or a trip through the admission queue (the
-/// inference routes — the front end must not run fold-in inline).
-pub(crate) enum RouteOutcome {
-    Done(u16, RouteResponse),
-    Dispatch {
-        docs: Vec<String>,
-        config: InferConfig,
-        kind: JobKind,
-        /// Per-request deadline override from `deadline_ms`.
-        deadline: Option<Duration>,
-    },
+/// The read side of a connection. Each socket read waits only as long as
+/// is left: up to [`KEEP_ALIVE_IDLE`] for a request's first byte, then
+/// until the request's budget, counted from that byte, runs out. Re-arming
+/// the timeout before every read is what ends a client that drips one
+/// byte at a time; a fixed per-read timeout would wait on it forever.
+struct ConnReader<'a> {
+    stream: &'a TcpStream,
+    budget: Duration,
+    /// When the current request's first byte arrived; `None` until then.
+    first_byte: Option<Instant>,
 }
 
-/// The deadline instant for a request admitted now: the per-request
-/// override wins, else the server default, else none.
-pub(crate) fn effective_deadline(
-    request_override: Option<Duration>,
-    server_default: Option<Duration>,
-) -> Option<Instant> {
-    request_override
-        .or(server_default)
-        .map(|d| Instant::now() + d)
-}
-
-/// Serve one connection: up to [`MAX_REQUESTS_PER_CONN`] requests on a
-/// persistent connection, closing on client request, idle timeout, the
-/// cap, or any malformed request (framing is unreliable after one).
-fn handle_connection(
-    stream: TcpStream,
-    engine: &QueryEngine,
-    service: &Arc<InferService>,
-    config: &ServerConfig,
-) -> io::Result<()> {
-    // The reader owns the stream for the connection's lifetime (buffered
-    // bytes of a pipelined next request must survive between requests);
-    // responses go out through a cloned handle. The take-limit caps how
-    // much a connection can make us buffer per request: the head cap up
-    // front, widened to admit the (already length-checked) body once the
-    // headers are parsed, reset for the next request's head.
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream.take(MAX_HEAD as u64));
-    for served in 0..MAX_REQUESTS_PER_CONN {
-        if served > 0 {
-            reader.get_mut().set_limit(MAX_HEAD as u64);
-            let _ = reader
-                .get_ref()
-                .get_ref()
-                .set_read_timeout(Some(KEEP_ALIVE_IDLE));
+impl<'a> ConnReader<'a> {
+    fn new(stream: &'a TcpStream, budget: Duration) -> Self {
+        Self {
+            stream,
+            budget,
+            first_byte: None,
         }
+    }
+}
+
+impl Read for ConnReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let wait = match self.first_byte {
+            None => KEEP_ALIVE_IDLE,
+            Some(first) => self.budget.saturating_sub(first.elapsed()),
+        };
+        if wait.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(wait))?;
+        let mut stream = self.stream;
+        let n = stream.read(buf)?;
+        if n > 0 {
+            self.first_byte.get_or_insert_with(Instant::now);
+        }
+        Ok(n)
+    }
+}
+
+type RequestReader<'a> = BufReader<io::Take<ConnReader<'a>>>;
+
+/// Serve one connection on its own thread: up to
+/// [`MAX_REQUESTS_PER_CONN`] requests, closing on client request, idle
+/// timeout, the cap, or any malformed request (framing is unreliable after
+/// one).
+fn handle_connection(stream: &TcpStream, shared: &Shared) {
+    // The reader lives as long as the connection (buffered bytes of a
+    // pipelined next request must survive between requests). The
+    // take-limit caps how much a connection can make us buffer per
+    // request: the head cap up front, widened to admit the (already
+    // length-checked) body once the headers are parsed.
+    let mut reader = BufReader::new(ConnReader::new(stream, IO_TIMEOUT).take(MAX_HEAD as u64));
+    let mut writer = stream;
+    let metrics = serve_metrics();
+    for served in 0..MAX_REQUESTS_PER_CONN {
+        reader.get_mut().set_limit(MAX_HEAD as u64);
         let at_cap = served + 1 == MAX_REQUESTS_PER_CONN;
-        let metrics = serve_metrics();
-        match read_request(&mut reader) {
-            Ok(None) => break, // clean close (EOF or idle timeout)
+        match read_request(&mut reader, IO_TIMEOUT) {
+            Ok(None) => return, // clean close (EOF or idle timeout)
             Ok(Some(req)) => {
                 let handle_start = Instant::now();
                 let close = req.close || at_cap;
                 let route_label = ServeMetrics::route_label(&req.path);
-                let (status, resp) = match route(&req, engine, &config.infer_defaults) {
-                    RouteOutcome::Done(status, resp) => (status, resp),
-                    RouteOutcome::Dispatch {
-                        docs,
-                        config: infer_config,
-                        kind,
-                        deadline,
-                    } => {
-                        // Block this connection's thread on the dispatcher
-                        // verdict: the admission queue, not the connection
-                        // pool, is what bounds concurrent inference.
-                        let (tx, rx) = std::sync::mpsc::channel::<(u16, String)>();
-                        let job = InferJob {
-                            docs,
-                            config: infer_config,
-                            kind,
-                            deadline: effective_deadline(deadline, config.deadline),
-                            respond: Box::new(move |status, body| {
-                                let _ = tx.send((status, body));
-                            }),
-                        };
-                        match service.try_submit(job) {
-                            Ok(()) => match rx.recv() {
-                                Ok((status, body)) => (status, RouteResponse::json(body)),
-                                Err(_) => (
-                                    503,
-                                    RouteResponse::json(error_json(
-                                        "server shutting down before dispatch",
-                                    )),
-                                ),
-                            },
-                            Err(_job) => {
-                                metrics.requests_rejected_total.inc();
-                                (
-                                    429,
-                                    RouteResponse::json(error_json(
-                                        "admission queue full; retry shortly",
-                                    )),
-                                )
-                            }
-                        }
-                    }
-                };
+                let (status, resp) = route(&req, shared);
                 let serialize_span = metrics.stage(Stage::Serialize).span();
                 let payload = render_response(status, &resp.body, resp.content_type, close);
-                writer.write_all(payload.as_bytes())?;
-                writer.flush()?;
+                if writer.write_all(payload.as_bytes()).is_err() {
+                    return;
+                }
                 serialize_span.stop();
                 metrics.observe_request(route_label, status, handle_start.elapsed());
                 if close {
-                    break;
+                    return;
                 }
             }
             Err(e) => {
@@ -481,46 +391,50 @@ fn handle_connection(
                     render_response(e.status, &error_json(&e.message), "application/json", true)
                         .as_bytes(),
                 );
-                let _ = writer.flush();
-                break;
+                // Close without a reset: send FIN, then discard what the
+                // client still sends. Closing over unread bytes would reset
+                // the connection, which can destroy the response before
+                // the client reads it.
+                let _ = stream.shutdown(Shutdown::Write);
+                let mut rest = ConnReader::new(stream, KEEP_ALIVE_IDLE);
+                rest.first_byte = Some(Instant::now());
+                let _ = io::copy(&mut rest, &mut io::sink());
+                return;
             }
         }
     }
-    Ok(())
 }
 
-/// Read one request off the connection. `Ok(None)` means the client went
-/// away cleanly before sending one (EOF or idle timeout at a request
-/// boundary) — not an error, just the end of a keep-alive conversation.
-fn read_request(reader: &mut BufReader<io::Take<TcpStream>>) -> Result<Option<Request>, HttpError> {
-    let bad = |m: &str| HttpError::new(400, m);
+/// Read one request off the connection, all of it within `budget` of its
+/// first byte. `Ok(None)` means the client went away cleanly before
+/// sending one (EOF or idle timeout at a request boundary) — not an error,
+/// just the end of a keep-alive conversation.
+fn read_request(
+    reader: &mut RequestReader<'_>,
+    budget: Duration,
+) -> Result<Option<Request>, HttpError> {
+    // A pipelined request already buffered starts its clock now; any other
+    // starts it when its first byte arrives.
+    let buffered = !reader.buffer().is_empty();
+    let conn = reader.get_mut().get_mut();
+    conn.budget = budget;
+    conn.first_byte = buffered.then(Instant::now);
+
     let mut line = String::new();
     match reader.read_line(&mut line) {
         Ok(0) => return Ok(None),
         Ok(_) => {}
-        // An idle timeout with nothing read is the clean end of a
-        // keep-alive conversation; mid-request-line it is a client error.
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) && line.is_empty() =>
-        {
-            return Ok(None)
-        }
-        Err(_) => return Err(bad("unreadable request line")),
+        // Nothing of a request arrived: the idle end of a conversation.
+        Err(_) if reader.get_ref().get_ref().first_byte.is_none() => return Ok(None),
+        Err(e) => return Err(read_error(&e, "unreadable request line")),
     }
-    // A request is in flight: time the rest of the head + body read and
-    // parse as the `parse` stage. Starting after the first line keeps
-    // keep-alive idle waits (which block in the read above) out of the
-    // histogram.
-    let parse_start = std::time::Instant::now();
-    // A request is now in flight: the rest of it (headers + body) gets the
-    // full I/O timeout again, not the shorter between-requests idle one.
-    let _ = reader
+    // Time head and body from the request's first byte as the `parse`
+    // stage; keep-alive idle waits stay out of the histogram.
+    let parse_start = reader
         .get_ref()
         .get_ref()
-        .set_read_timeout(Some(IO_TIMEOUT));
+        .first_byte
+        .unwrap_or_else(Instant::now);
     let (method, target, keep_alive_default) = parse_request_line(&line)?;
 
     let mut content_length: Option<usize> = None;
@@ -530,7 +444,7 @@ fn read_request(reader: &mut BufReader<io::Take<TcpStream>>) -> Result<Option<Re
         let mut header = String::new();
         let n = reader
             .read_line(&mut header)
-            .map_err(|_| bad("unreadable header"))?;
+            .map_err(|e| read_error(&e, "unreadable header"))?;
         head_bytes += n;
         if n == 0 {
             // The head ended without a blank line: either the client hit
@@ -538,7 +452,7 @@ fn read_request(reader: &mut BufReader<io::Take<TcpStream>>) -> Result<Option<Re
             return if head_bytes >= MAX_HEAD {
                 Err(HttpError::new(431, "request head too large"))
             } else {
-                Err(bad("truncated request head"))
+                Err(HttpError::new(400, "truncated request head"))
             };
         }
         let header = header.trim_end_matches(['\r', '\n']);
@@ -557,8 +471,8 @@ fn read_request(reader: &mut BufReader<io::Take<TcpStream>>) -> Result<Option<Re
     let mut body = vec![0u8; content_length];
     reader
         .read_exact(&mut body)
-        .map_err(|_| bad("body shorter than content-length"))?;
-    let body = String::from_utf8(body).map_err(|_| bad("body is not UTF-8"))?;
+        .map_err(|e| read_error(&e, "body shorter than content-length"))?;
+    let body = String::from_utf8(body).map_err(|_| HttpError::new(400, "body is not UTF-8"))?;
 
     let (path, query) = parse_target(&target);
     serve_metrics()
@@ -573,11 +487,20 @@ fn read_request(reader: &mut BufReader<io::Take<TcpStream>>) -> Result<Option<Re
     }))
 }
 
+/// A failed read partway through a request: `408` once its budget ran
+/// out, else `400` with `message`.
+fn read_error(e: &io::Error, message: &str) -> HttpError {
+    match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+            HttpError::new(408, "timed out reading request")
+        }
+        _ => HttpError::new(400, message),
+    }
+}
+
 /// Parse an HTTP/1.x request line into `(method, target,
-/// keep_alive_default)`. Shared by the blocking reader and the event
-/// loop's incremental parser, so both front ends enforce identical
-/// request-line rules.
-pub(crate) fn parse_request_line(line: &str) -> Result<(String, String, bool), HttpError> {
+/// keep_alive_default)`.
+fn parse_request_line(line: &str) -> Result<(String, String, bool), HttpError> {
     let bad = |m: &str| HttpError::new(400, m);
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line"))?;
@@ -600,10 +523,10 @@ pub(crate) fn parse_request_line(line: &str) -> Result<(String, String, bool), H
 }
 
 /// Fold one header line (already stripped of its line terminator) into the
-/// request's framing state. Shared by both front ends: the
-/// Content-Length validation (pure digits, duplicates must agree) and the
-/// Connection token handling live exactly once.
-pub(crate) fn apply_header_line(
+/// request's framing state: Content-Length validation (pure digits,
+/// duplicates must agree), Connection tokens, and the refusal of any
+/// Transfer-Encoding.
+fn apply_header_line(
     header: &str,
     content_length: &mut Option<usize>,
     close: &mut bool,
@@ -626,6 +549,11 @@ pub(crate) fn apply_header_line(
                 }
                 _ => *content_length = Some(parsed),
             }
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // No transfer coding is spoken here. Framing such a body by
+            // Content-Length instead would parse its chunks as a second
+            // request.
+            return Err(HttpError::new(501, "Transfer-Encoding is not supported"));
         } else if name.eq_ignore_ascii_case("connection") {
             // Token list; "close" and "keep-alive" are what we honor.
             for token in value.split(',') {
@@ -643,7 +571,7 @@ pub(crate) fn apply_header_line(
 
 /// Split a request target into path and `key=value` query pairs (no
 /// percent-decoding: the API's parameters are plain integers).
-pub(crate) fn parse_target(target: &str) -> (String, Vec<(String, String)>) {
+fn parse_target(target: &str) -> (String, Vec<(String, String)>) {
     match target.split_once('?') {
         None => (target.to_string(), Vec::new()),
         Some((path, query)) => (
@@ -693,24 +621,18 @@ fn infer_config_from_query(
     Ok((cfg, deadline))
 }
 
-/// Route one parsed request. The cheap read routes are answered inline
-/// (the event loop relies on this to keep `/healthz` and `/metrics`
-/// responsive when the admission queue is saturated); the inference
-/// routes come back as [`RouteOutcome::Dispatch`] for the caller to
-/// submit.
-pub(crate) fn route(req: &Request, engine: &QueryEngine, defaults: &InferConfig) -> RouteOutcome {
-    match route_inner(req, engine, defaults) {
-        Ok(outcome) => outcome,
-        Err(e) => RouteOutcome::Done(e.status, RouteResponse::json(error_json(&e.message))),
-    }
+/// Route one parsed request to its status and response. The cheap read
+/// routes are answered inline; the inference routes wait on the admission
+/// queue.
+fn route(req: &Request, shared: &Shared) -> (u16, RouteResponse) {
+    route_inner(req, shared)
+        .unwrap_or_else(|e| (e.status, RouteResponse::json(error_json(&e.message))))
 }
 
-fn route_inner(
-    req: &Request,
-    engine: &QueryEngine,
-    defaults: &InferConfig,
-) -> Result<RouteOutcome, HttpError> {
-    let done = |resp: RouteResponse| Ok(RouteOutcome::Done(200, resp));
+fn route_inner(req: &Request, shared: &Shared) -> Result<(u16, RouteResponse), HttpError> {
+    let engine = &shared.engine;
+    let defaults = &shared.config.infer_defaults;
+    let done = |resp: RouteResponse| Ok((200, resp));
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             let m = engine.model();
@@ -785,12 +707,7 @@ fn route_inner(
             if req.body.is_empty() {
                 return Err(HttpError::new(400, "empty body: send the document text"));
             }
-            Ok(RouteOutcome::Dispatch {
-                docs: vec![req.body.clone()],
-                config: cfg,
-                kind: JobKind::Single,
-                deadline,
-            })
+            Ok(shared.infer(vec![req.body.clone()], cfg, JobKind::Single, deadline))
         }
         ("POST", "/infer_batch") => {
             let (cfg, deadline) = infer_config_from_query(&req.query, defaults)?;
@@ -815,12 +732,7 @@ fn route_inner(
                     format!("batch of {} documents exceeds {MAX_BATCH_DOCS}", docs.len()),
                 ));
             }
-            Ok(RouteOutcome::Dispatch {
-                docs,
-                config: cfg,
-                kind: JobKind::Batch,
-                deadline,
-            })
+            Ok(shared.infer(docs, cfg, JobKind::Batch, deadline))
         }
         (_, "/healthz" | "/model" | "/metrics" | "/infer" | "/infer_batch") => Err(HttpError::new(
             405,
@@ -830,7 +742,43 @@ fn route_inner(
     }
 }
 
-pub(crate) fn render_response(status: u16, body: &str, content_type: &str, close: bool) -> String {
+impl Shared {
+    /// Submit documents to the admission queue and wait on this thread for
+    /// the verdict: the queue, not the connection threads, bounds
+    /// concurrent inference. `deadline` overrides the server default.
+    fn infer(
+        &self,
+        docs: Vec<String>,
+        config: InferConfig,
+        kind: JobKind,
+        deadline: Option<Duration>,
+    ) -> (u16, RouteResponse) {
+        let (tx, rx) = std::sync::mpsc::channel::<(u16, String)>();
+        let job = InferJob {
+            docs,
+            config,
+            kind,
+            deadline: deadline
+                .or(self.config.deadline)
+                .map(|d| Instant::now() + d),
+            respond: Box::new(move |status, body| {
+                let _ = tx.send((status, body));
+            }),
+        };
+        let (status, body) = match self.service.try_submit(job) {
+            Ok(()) => rx
+                .recv()
+                .unwrap_or_else(|_| (503, error_json("server shutting down before dispatch"))),
+            Err(_job) => {
+                serve_metrics().requests_rejected_total.inc();
+                (429, error_json("admission queue full; retry shortly"))
+            }
+        };
+        (status, RouteResponse::json(body))
+    }
+}
+
+fn render_response(status: u16, body: &str, content_type: &str, close: bool) -> String {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -840,14 +788,15 @@ pub(crate) fn render_response(status: u16, body: &str, content_type: &str, close
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
         505 => "HTTP Version Not Supported",
         _ => "Error",
     };
     let connection = if close { "close" } else { "keep-alive" };
-    // Admission rejections advertise when to come back; both front ends
-    // render through here, so the header can never be forgotten.
+    // Admission rejections advertise when to come back; every response
+    // renders through here, so the header can never be forgotten.
     let retry_after = if status == 429 {
         format!("Retry-After: {RETRY_AFTER_SECS}\r\n")
     } else {
@@ -941,20 +890,80 @@ pub fn batch_inference_json(results: &[DocInference]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    /// A connected loopback pair: (client, server side).
+    fn loopback_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, server)
+    }
+
+    /// Read one request off `server` within `budget`; also how long it took.
+    fn read_within(
+        server: &TcpStream,
+        budget: Duration,
+    ) -> (Result<Option<Request>, HttpError>, Duration) {
+        let mut reader = BufReader::new(ConnReader::new(server, budget).take(MAX_HEAD as u64));
+        let started = Instant::now();
+        let result = read_request(&mut reader, budget);
+        (result, started.elapsed())
+    }
+
+    const BUDGET: Duration = Duration::from_millis(100);
+
+    fn timed_out() -> Option<HttpError> {
+        Some(HttpError::new(408, "timed out reading request"))
+    }
 
     #[test]
-    fn pool_runs_all_jobs() {
-        let pool = ThreadPool::new(4);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..100 {
-            let counter = Arc::clone(&counter);
-            pool.execute(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(pool); // joins after the queue drains
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
+    fn a_stalled_body_is_answered_408_when_the_budget_runs_out() {
+        let (mut client, server) = loopback_pair();
+        client
+            .write_all(b"POST /infer HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc")
+            .unwrap();
+        let (result, elapsed) = read_within(&server, BUDGET);
+        assert_eq!(result.err(), timed_out());
+        assert!(elapsed >= BUDGET, "{elapsed:?}");
+    }
+
+    #[test]
+    fn a_dripped_head_is_answered_408_though_every_read_makes_progress() {
+        let (client, server) = loopback_pair();
+        client.set_nodelay(true).unwrap();
+        let head = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+        let drip_every = Duration::from_millis(30);
+        let drip = std::thread::spawn(move || {
+            let mut client = client;
+            for byte in head {
+                if client.write_all(&[*byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(drip_every);
+            }
+        });
+        // Each read returns a byte well inside any per-read timeout; only
+        // the whole-request budget ends the drip.
+        let (result, elapsed) = read_within(&server, BUDGET);
+        assert_eq!(result.err(), timed_out());
+        assert!(elapsed < drip_every * head.len() as u32, "{elapsed:?}");
+        drop(server);
+        drip.join().unwrap();
+    }
+
+    #[test]
+    fn the_budget_starts_at_the_first_byte() {
+        // An idle wait longer than the budget is not counted against it
+        // (bare `\n` line ends are accepted too).
+        let (mut client, server) = loopback_pair();
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(BUDGET * 2);
+            client.write_all(b"GET /model HTTP/1.1\n\n").unwrap();
+            client
+        });
+        let (result, _) = read_within(&server, BUDGET);
+        let req = result.expect("request").expect("not an idle close");
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("GET", "/model"));
+        drop(late.join().unwrap());
     }
 
     #[test]

@@ -33,10 +33,10 @@
 //!   single-document queries, fronted by a std-only HTTP/1.1 keep-alive
 //!   server
 //!   (`topmine serve`); `topmine infer` is the one-shot sibling. The
-//!   server runs one of two front ends over a shared admission pipeline
-//!   (`dispatch`): a single-threaded epoll event loop on Linux/x86-64
-//!   (`event_loop`, raw syscalls — no libc) or a portable blocking
-//!   accept loop. Inference requests pass through a **bounded admission
+//!   server gives each connection its own thread (at most
+//!   [`http::MAX_CONNECTIONS`]; one more is answered `503`) over a shared
+//!   admission pipeline (`dispatch`), on any platform std supports.
+//!   Inference requests pass through a **bounded admission
 //!   queue** (overflow ⇒ `429` + `Retry-After`, deadline expiry ⇒ `504`)
 //!   and are drained in coalesced batches that share one φ gather across
 //!   documents (`/infer_batch`, or adjacent queued `/infer` requests) —
@@ -82,14 +82,13 @@ pub mod backend;
 pub mod cache;
 mod dispatch;
 pub mod engine;
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-mod event_loop;
 pub mod frozen;
 pub mod http;
 pub mod infer;
 mod io;
 pub mod metrics;
 pub mod pool;
+mod registry;
 pub mod router;
 pub mod shard;
 pub mod sharded;
@@ -100,9 +99,7 @@ pub use backend::{load_bundle, BackendError, GatherOptions, ModelBackend};
 pub use cache::{CacheStats, ResponseCache};
 pub use engine::{QueryEngine, DEFAULT_CACHE_CAPACITY};
 pub use frozen::{FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig, FROZEN_MODEL_FORMAT};
-pub use http::{
-    batch_inference_json, inference_json, FrontEnd, HttpServer, ServerConfig, ServerHandle,
-};
+pub use http::{batch_inference_json, inference_json, HttpServer, ServerConfig, ServerHandle};
 pub use infer::{
     infer_doc, infer_docs_amortized, BatchItem, DocInference, InferConfig, PhraseAssignment,
 };

@@ -326,6 +326,7 @@ fn status_label(status: u16) -> &'static str {
         413 => "413",
         429 => "429",
         431 => "431",
+        501 => "501",
         503 => "503",
         504 => "504",
         505 => "505",

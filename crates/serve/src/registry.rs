@@ -1,0 +1,84 @@
+//! The live connections of one server, kept so a shutdown can reach
+//! sockets whose threads are blocked in a read.
+//!
+//! Both servers run a thread per connection: the HTTP front end
+//! ([`crate::http`]) and the shard server ([`crate::shard`]). Each
+//! registers a connection on accept and holds the returned
+//! [`Registration`] for as long as the connection's thread runs; dropping
+//! it deregisters the connection. A shutdown shuts every live socket down
+//! with the [`Shutdown`] it needs: the read half for the HTTP drain, both
+//! halves to sever a shard's in-flight RPCs.
+
+use std::collections::HashMap;
+use std::net::{Shutdown, TcpStream};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
+
+#[derive(Default)]
+pub(crate) struct Connections {
+    live: Mutex<Live>,
+    /// Signalled when the last live connection deregisters.
+    emptied: Condvar,
+}
+
+#[derive(Default)]
+struct Live {
+    next_id: u64,
+    sockets: HashMap<u64, Arc<TcpStream>>,
+}
+
+/// One registered connection; dropping it deregisters the connection.
+pub(crate) struct Registration {
+    conns: Arc<Connections>,
+    id: u64,
+}
+
+impl Connections {
+    /// Register `stream` as live until the returned registration drops.
+    pub fn register(self: &Arc<Self>, stream: &Arc<TcpStream>) -> Registration {
+        let mut live = self.lock();
+        let id = live.next_id;
+        live.next_id += 1;
+        live.sockets.insert(id, Arc::clone(stream));
+        Registration {
+            conns: Arc::clone(self),
+            id,
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.lock().sockets.len()
+    }
+
+    /// Shut every live socket down with `how`. A read blocked on a socket
+    /// whose read half is shut returns end-of-file.
+    pub fn shutdown_all(&self, how: Shutdown) {
+        for socket in self.lock().sockets.values() {
+            let _ = socket.shutdown(how);
+        }
+    }
+
+    /// Wait at most `timeout` for every connection to deregister; returns
+    /// whether they all did.
+    pub fn wait_empty(&self, timeout: Duration) -> bool {
+        let (live, _) = self
+            .emptied
+            .wait_timeout_while(self.lock(), timeout, |live| !live.sockets.is_empty())
+            .expect("connection registry poisoned");
+        live.sockets.is_empty()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Live> {
+        self.live.lock().expect("connection registry poisoned")
+    }
+}
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        let mut live = self.conns.lock();
+        live.sockets.remove(&self.id);
+        if live.sockets.is_empty() {
+            self.conns.emptied.notify_all();
+        }
+    }
+}

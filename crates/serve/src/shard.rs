@@ -11,8 +11,9 @@
 //! parameter-server split demands: workers own slices of φ, everything
 //! else is the caller's problem.
 //!
-//! Concurrency model: thread-per-connection, mirroring the blocking HTTP
-//! front end. Each connection's frames are answered in arrival order —
+//! Concurrency model: a thread per connection, as in the HTTP front end,
+//! each registered in the same connection registry so a shutdown can
+//! sever it. Each connection's frames are answered in arrival order —
 //! pipelining on one connection overlaps network with compute, and the
 //! router opens one connection per shard, so a shard serves its whole
 //! fleet role with a handful of threads.
@@ -24,13 +25,14 @@
 
 use crate::frozen::gather_word_major;
 use crate::io::data_err;
+use crate::registry::Connections;
 use crate::sharded::Manifest;
 use crate::wire::{self, Frame, Opcode, ShardMeta, WireError, MAX_FRAME, WIRE_VERSION};
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// One shard's worth of φ plus the identity the handshake advertises.
@@ -150,7 +152,7 @@ pub struct ShardServer {
 pub struct ShardServerHandle {
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Arc<Connections>,
     join: Option<JoinHandle<()>>,
 }
 
@@ -170,7 +172,7 @@ impl ShardServer {
     pub fn spawn(self) -> io::Result<ShardServerHandle> {
         let addr = self.listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns = Arc::new(Connections::default());
         let join = {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
@@ -189,13 +191,11 @@ impl ShardServer {
     /// Accept-and-serve on the calling thread until the process dies —
     /// the `topmine serve-shard` entry point.
     pub fn run(self) -> io::Result<()> {
-        let stop = AtomicBool::new(false);
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        self.accept_loop(&stop, &conns);
+        self.accept_loop(&AtomicBool::new(false), &Arc::new(Connections::default()));
         Ok(())
     }
 
-    fn accept_loop(self, stop: &AtomicBool, conns: &Arc<Mutex<Vec<TcpStream>>>) {
+    fn accept_loop(self, stop: &AtomicBool, conns: &Arc<Connections>) {
         for stream in self.listener.incoming() {
             if stop.load(Ordering::SeqCst) {
                 break;
@@ -206,31 +206,16 @@ impl ShardServer {
             // tail of the reply before it, which a delayed ACK can hold
             // for tens of milliseconds.
             let _ = stream.set_nodelay(true);
-            let token = stream.peer_addr().ok();
-            // Register a handle to the socket so shutdown can sever the
-            // connection even while its thread is blocked mid-read.
-            if let Ok(clone) = stream.try_clone() {
-                conns.lock().unwrap().push(clone);
-            }
+            // Registered so a shutdown can sever the connection even while
+            // its thread is blocked mid-read.
+            let stream = Arc::new(stream);
+            let registration = conns.register(&stream);
             let slice = Arc::clone(&self.slice);
-            let conns = Arc::clone(conns);
             let _ = std::thread::Builder::new()
                 .name(format!("shard-{}-conn", slice.index))
                 .spawn(move || {
-                    let sock = stream.try_clone().ok();
-                    serve_connection(&slice, stream);
-                    // The registry clone keeps the fd alive after the
-                    // serving thread's handles drop, so the peer would
-                    // never see FIN — shut the socket down explicitly,
-                    // then deregister (which also sweeps any other
-                    // entries whose sockets are already dead).
-                    if let Some(sock) = sock {
-                        let _ = sock.shutdown(std::net::Shutdown::Both);
-                    }
-                    conns
-                        .lock()
-                        .unwrap()
-                        .retain(|c| c.peer_addr().is_ok_and(|a| Some(a) != token));
+                    let _registration = registration;
+                    serve_connection(&slice, &stream);
                 });
         }
     }
@@ -248,12 +233,11 @@ impl ShardServerHandle {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        for conn in self.conns.lock().unwrap().drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
+        // Joined first, so no connection registers after the severing.
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
+        self.conns.shutdown_all(Shutdown::Both);
     }
 }
 
@@ -261,11 +245,8 @@ impl ShardServerHandle {
 /// first frame must be a valid `Hello`; afterwards `GatherPhiBatch` and
 /// `Ping` may arrive in any number and are answered in order under their
 /// request ids.
-fn serve_connection(slice: &ShardSlice, stream: TcpStream) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
+fn serve_connection(slice: &ShardSlice, stream: &TcpStream) {
+    let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
 
     // Handshake first: anything else on a fresh connection is a protocol

@@ -4,8 +4,8 @@
 //! `/infer` with the same per-index seeds — the shared φ gather is an
 //! implementation detail, never an observable one. Plus the admission
 //! pipeline's contract: per-document cache probes inside a batch, the
-//! deadline path (`504`), and byte-parity between the epoll event loop
-//! and the blocking fallback front end.
+//! deadline path (`504`), and a shutdown that drains in-flight requests
+//! while closing idle connections at once.
 
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -15,8 +15,8 @@ use topmine_corpus::{corpus_from_texts, CorpusOptions, Document};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
 use topmine_serve::{
-    batch_inference_json, infer_doc, inference_json, FrontEnd, FrozenModel, HttpServer,
-    InferConfig, ModelBackend, ModelHeader, PreparedDoc, PreprocessConfig, QueryEngine,
+    batch_inference_json, http::KEEP_ALIVE_IDLE, infer_doc, inference_json, FrozenModel,
+    HttpServer, InferConfig, ModelBackend, ModelHeader, PreparedDoc, PreprocessConfig, QueryEngine,
     ServerConfig, ShardedModel,
 };
 
@@ -375,48 +375,84 @@ fn requests_queued_past_their_deadline_get_504() {
     server.shutdown();
 }
 
-// ----- front-end parity: event loop ≡ blocking -----------------------------
-
 #[test]
-fn blocking_front_end_serves_byte_identical_responses() {
-    let frozen = fitted_model();
-    let servers: Vec<_> = [FrontEnd::EventLoop, FrontEnd::Blocking]
-        .into_iter()
-        .map(|front_end| {
-            let engine = Arc::new(QueryEngine::new(Arc::new(frozen.clone()), 1));
-            HttpServer::bind(
-                "127.0.0.1:0",
-                engine,
-                ServerConfig {
-                    front_end,
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("bind")
-            .spawn()
-            .expect("spawn")
-        })
-        .collect();
+fn shutdown_drains_in_flight_requests_and_closes_idle_connections() {
+    let backend = Arc::new(GatedBackend::new(Arc::new(fitted_model().clone())));
+    let engine = Arc::new(QueryEngine::with_cache_capacity(
+        Arc::clone(&backend) as Arc<dyn ModelBackend>,
+        1,
+        0,
+    ));
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        engine,
+        ServerConfig {
+            n_threads: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind")
+    .spawn()
+    .expect("spawn");
+    let addr = server.addr();
 
-    let doc = "support vector machines for the data streams";
-    let batch = "support vector machines\nmining frequent patterns\n";
-    for (head, body) in [
-        ("GET /model", ""),
-        ("POST /infer?seed=42&iters=25", doc),
-        ("POST /infer_batch?seed=42&iters=25", batch),
-        ("POST /infer?bogus=1", doc),
-        ("GET /nowhere", ""),
-    ] {
-        let responses: Vec<_> = servers
-            .iter()
-            .map(|s| request(s.addr(), head, body))
-            .collect();
-        assert_eq!(
-            responses[0], responses[1],
-            "front ends diverged on {head:?}"
-        );
+    // An idle keep-alive connection: one request served, then nothing.
+    let mut idle = TcpStream::connect(addr).expect("connect");
+    idle.write_all(b"GET /model HTTP/1.1\r\nHost: x\r\n\r\n")
+        .unwrap();
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        idle.read_exact(&mut byte).expect("response head");
+        head.push(byte[0]);
     }
-    for server in servers {
+    let head = String::from_utf8(head).unwrap();
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(head.contains("Connection: keep-alive"), "{head}");
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("content-length")
+        .parse()
+        .unwrap();
+    idle.read_exact(&mut vec![0u8; length])
+        .expect("response body");
+
+    // A request in flight, held inside the gated gather.
+    let in_flight =
+        std::thread::spawn(move || request(addr, "POST /infer", "support vector machines"));
+    backend.wait_arrivals(1);
+
+    let started = std::time::Instant::now();
+    let shutdown = std::thread::spawn(move || {
         server.shutdown();
-    }
+        std::time::Instant::now()
+    });
+    // The idle connection ends at once, not after the keep-alive limit.
+    idle.set_read_timeout(Some(KEEP_ALIVE_IDLE * 2)).unwrap();
+    let mut rest = Vec::new();
+    idle.read_to_end(&mut rest)
+        .expect("EOF on the idle connection");
+    assert!(rest.is_empty(), "{rest:?}");
+    let idle_closed = started.elapsed();
+    assert!(
+        idle_closed < KEEP_ALIVE_IDLE / 2,
+        "idle connection closed after {idle_closed:?}"
+    );
+
+    // The drain waits for the in-flight request, which is answered.
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    assert!(
+        !shutdown.is_finished(),
+        "shutdown returned with a request in flight"
+    );
+    let opened = std::time::Instant::now();
+    backend.open();
+    let (status, body) = in_flight.join().unwrap();
+    assert_eq!(status, 200, "{body}");
+    let returned = shutdown.join().unwrap();
+    assert!(
+        returned >= opened,
+        "shutdown returned before the gate opened"
+    );
 }

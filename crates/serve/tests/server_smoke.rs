@@ -9,7 +9,7 @@ use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
 use topmine_serve::{
-    FrontEnd, FrozenModel, HttpServer, QueryEngine, ServerConfig, FROZEN_MODEL_FORMAT,
+    http::MAX_CONNECTIONS, FrozenModel, HttpServer, QueryEngine, ServerConfig, FROZEN_MODEL_FORMAT,
 };
 
 fn fitted_model() -> FrozenModel {
@@ -318,38 +318,82 @@ fn server_matches_direct_engine_inference() {
 fn half_closed_client_still_gets_its_response() {
     // A client may shut down its write half right after a `Connection:
     // close` request; the server must still answer before closing.
-    let model = Arc::new(fitted_model());
-    for front_end in [FrontEnd::EventLoop, FrontEnd::Blocking] {
-        let engine = Arc::new(QueryEngine::new(model.clone(), 1));
-        let handle = HttpServer::bind(
-            "127.0.0.1:0",
-            engine,
-            ServerConfig {
-                front_end,
-                ..ServerConfig::default()
-            },
-        )
+    let engine = Arc::new(QueryEngine::new(Arc::new(fitted_model()), 1));
+    let handle = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
         .unwrap()
         .spawn()
         .unwrap();
-        let body = "support vector machines";
-        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
-        write!(
-            stream,
-            "POST /infer HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )
+    let body = "support vector machines";
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    write!(
+        stream,
+        "POST /infer HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
         .unwrap();
-        stream.shutdown(std::net::Shutdown::Write).unwrap();
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(
+        response.starts_with("HTTP/1.1 200"),
+        "answered a half-closed client with {response:?}"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn connections_beyond_the_cap_get_503_until_one_closes() {
+    let engine = Arc::new(QueryEngine::new(Arc::new(fitted_model()), 1));
+    let handle = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let addr = handle.addr();
+    // Idle connections, each holding a connection thread. The server
+    // accepts in order, so all of them are registered before the next.
+    let mut held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    let mut refused = TcpStream::connect(addr).expect("connect");
+    refused
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut response = String::new();
+    refused
+        .read_to_string(&mut response)
+        .expect("503, then EOF");
+    assert!(
+        response.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+        "{response:?}"
+    );
+    assert!(response.contains("Connection: close\r\n"), "{response:?}");
+
+    // Once one held connection closes, a fresh one is served.
+    drop(held.pop());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        // A refusal may reset the connection under an unread request, so
+        // only a whole response counts.
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let _ = stream.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
         let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
+        let _ = stream.read_to_string(&mut response);
+        if response.starts_with("HTTP/1.1 200") {
+            break;
+        }
         assert!(
-            response.starts_with("HTTP/1.1 200"),
-            "{front_end:?} answered a half-closed client with {response:?}"
+            response.is_empty() || response.starts_with("HTTP/1.1 503"),
+            "{response:?}"
         );
-        handle.shutdown();
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no connection slot came free"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
     }
+    drop(held);
+    handle.shutdown();
 }
