@@ -105,41 +105,25 @@ fn run_fit(opts: &CliOptions) -> Result<(), String> {
     if let Some(dir) = &opts.save_model {
         let dir = Path::new(dir);
         let frozen = model.freeze(&corpus, &corpus_options);
-        match opts.shards {
-            Some(n) => {
-                let sharded = ShardedModel::from_frozen(&frozen, n)
-                    .map_err(|e| format!("sharding model: {e}"))?;
-                sharded
-                    .save(dir)
-                    .map_err(|e| format!("writing sharded model bundle: {e}"))?;
-                eprintln!(
-                    "sharded model ({} topics, {} words, {} lexicon phrases, {n} shards) \
-                     written to {}",
-                    sharded.n_topics(),
-                    sharded.vocab_size(),
-                    sharded.n_phrases(),
-                    dir.display()
-                );
-            }
-            None => {
-                frozen
-                    .save(dir)
-                    .map_err(|e| format!("writing model bundle: {e}"))?;
-                eprintln!(
-                    "frozen model ({} topics, {} words, {} lexicon phrases) written to {}",
-                    frozen.n_topics(),
-                    frozen.vocab_size(),
-                    frozen.lexicon.n_phrases(),
-                    dir.display()
-                );
-            }
-        }
+        // Both write the one layout; one shard is written straight from
+        // the frozen model, with no copy.
+        let saved = match opts.shards {
+            1 => frozen.save(dir),
+            n => ShardedModel::from_frozen(&frozen, n).and_then(|sharded| sharded.save(dir)),
+        };
+        saved.map_err(|e| format!("writing model bundle: {e}"))?;
+        eprintln!(
+            "frozen model ({} topics, {} words, {} lexicon phrases, {} shard(s)) written to {}",
+            frozen.n_topics(),
+            frozen.vocab_size(),
+            frozen.lexicon.n_phrases(),
+            opts.shards,
+            dir.display()
+        );
     }
     Ok(())
 }
 
-/// Load either bundle layout (monolithic `header.tsv` or sharded
-/// `manifest.tsv`), auto-detected.
 fn load_model(dir: &str) -> Result<Arc<dyn ModelBackend>, String> {
     load_bundle(Path::new(dir)).map_err(|e| format!("loading model {dir}: {e}"))
 }

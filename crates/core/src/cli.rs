@@ -4,10 +4,10 @@
 //! `clap`) and lives here, separate from the binary, so it is unit-testable.
 //!
 //! Four commands share the binary: the original fit path (no subcommand,
-//! for compatibility), `topmine serve` (load a frozen bundle and answer
+//! for compatibility), `topmine serve` (load a model bundle and answer
 //! HTTP queries — in-process, or routing φ gathers to a fleet of shard
 //! processes via `--fleet`), `topmine serve-shard` (host one shard of a
-//! sharded bundle over the binary wire protocol), and `topmine infer`
+//! bundle over the binary wire protocol), and `topmine infer`
 //! (one-shot fold-in over a file).
 
 use crate::pipeline::ToPMineConfig;
@@ -40,10 +40,9 @@ pub struct CliOptions {
     pub filter_background: bool,
     /// Freeze the fitted model into a serving bundle at this directory.
     pub save_model: Option<String>,
-    /// Partition the saved bundle into this many vocabulary-range shards
-    /// (`None` = the monolithic single-directory layout). Requires
-    /// `save_model`.
-    pub shards: Option<usize>,
+    /// How many vocabulary-range shards the saved bundle holds (at least
+    /// 1, the default). A count other than 1 requires `save_model`.
+    pub shards: usize,
     /// Print periodic per-sweep telemetry (sweep rate, singleton-draw
     /// bucket split) to stderr during the Gibbs fit.
     pub progress: bool,
@@ -67,7 +66,7 @@ impl Default for CliOptions {
             remove_stopwords: true,
             filter_background: false,
             save_model: None,
-            shards: None,
+            shards: 1,
             progress: false,
         }
     }
@@ -102,16 +101,16 @@ topmine — scalable topical phrase mining (El-Kishky et al., VLDB 2014)
 USAGE:
     topmine --input FILE [OPTIONS]          fit a model (mine + segment + PhraseLDA)
     topmine serve --model DIR --port N      serve a frozen model over HTTP
-    topmine serve-shard --model DIR --shard K   host one shard of a sharded
-                                            bundle over the binary wire protocol
+    topmine serve-shard --model DIR --shard K   host one shard of a bundle
+                                            over the binary wire protocol
     topmine infer --model DIR --input FILE  one-shot fold-in inference
 
 FIT OPTIONS:
     --input FILE          text corpus, one document per line (required)
     --output-dir DIR      write vocab.tsv/docs.txt/topics.txt here
     --save-model DIR      freeze the fitted model into a serving bundle
-    --shards N            partition the saved bundle into N vocabulary-range
-                          shards (requires --save-model)  [default: monolithic]
+    --shards N            vocabulary-range shards in the saved bundle
+                          (N > 1 requires --save-model)  [default: 1]
     --topics K            number of topics              [default: 10]
     --iterations N        Gibbs sweeps                  [default: 500]
     --min-support N       phrase minimum support        [default: auto]
@@ -133,7 +132,7 @@ FIT OPTIONS:
     --help                print this message
 
 SERVE OPTIONS:
-    --model DIR           frozen bundle from --save-model (required)
+    --model DIR           bundle from --save-model (required)
     --port N              TCP port (0 = ephemeral)      [default: 7878]
     --host ADDR           bind address                  [default: 127.0.0.1]
     --threads N           dispatcher worker threads     [default: 4]
@@ -147,13 +146,12 @@ SERVE OPTIONS:
     --deadline-ms N       default per-request deadline; queued
                           past it answers 504 (0 = none) [default: 30000]
     --fleet ADDRS         comma-separated shard addresses (host:port, one per
-                          shard, in shard order); the model dir must be a
-                          sharded bundle and phi gathers are routed to the
-                          fleet over the wire protocol instead of loaded
-                          in-process
+                          shard of the bundle, in shard order); phi gathers
+                          are routed to the fleet over the wire protocol
+                          instead of loaded in-process
 
 SERVE-SHARD OPTIONS:
-    --model DIR           sharded bundle from --save-model --shards (required)
+    --model DIR           bundle from --save-model, any --shards (required)
     --shard K             which shard directory to host (required)
     --port N              TCP port (0 = ephemeral)      [default: 7979]
     --host ADDR           bind address                  [default: 127.0.0.1]
@@ -161,7 +159,7 @@ SERVE-SHARD OPTIONS:
                           `listening on HOST:PORT` once ready
 
 INFER OPTIONS:
-    --model DIR           frozen bundle from --save-model (required)
+    --model DIR           bundle from --save-model (required)
     --input FILE          documents to infer, one per line (required)
     --threads N           inference worker threads      [default: 1]
     --iters N             fold-in sweeps                [default: 20]
@@ -172,7 +170,7 @@ INFER OPTIONS:
 /// Options of `topmine serve`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeOptions {
-    /// Frozen-model bundle directory.
+    /// Model bundle directory (from `--save-model`).
     pub model_dir: String,
     pub host: String,
     pub port: u16,
@@ -214,7 +212,7 @@ impl Default for ServeOptions {
 /// Options of `topmine serve-shard`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeShardOptions {
-    /// Sharded bundle directory (must contain `manifest.tsv`).
+    /// Model bundle directory (from `--save-model`, any shard count).
     pub model_dir: String,
     /// Which `shard-K/` directory to host.
     pub shard: usize,
@@ -498,7 +496,7 @@ where
                 if n == 0 {
                     return Err("--shards must be at least 1".into());
                 }
-                opts.shards = Some(n);
+                opts.shards = n;
             }
             "--no-stem" => opts.stem = false,
             "--keep-stopwords" => opts.remove_stopwords = false,
@@ -510,7 +508,7 @@ where
     if opts.input.is_empty() {
         return Err("--input is required".into());
     }
-    if opts.shards.is_some() && opts.save_model.is_none() {
+    if opts.shards > 1 && opts.save_model.is_none() {
         return Err("--shards requires --save-model".into());
     }
     Ok(Some(opts))
@@ -641,12 +639,14 @@ mod tests {
         ])
         .unwrap()
         .unwrap();
-        assert_eq!(opts.shards, Some(4));
-        assert!(parse(&["--input", "c.txt", "--save-model", "b"])
-            .unwrap()
-            .unwrap()
-            .shards
-            .is_none());
+        assert_eq!(opts.shards, 4);
+        assert_eq!(
+            parse(&["--input", "c.txt", "--save-model", "b"])
+                .unwrap()
+                .unwrap()
+                .shards,
+            1
+        );
         assert!(parse(&["--input", "c.txt", "--shards", "4"]).is_err());
         assert!(parse(&["--input", "c.txt", "--save-model", "b", "--shards", "0"]).is_err());
         assert!(parse(&["--input", "c.txt", "--save-model", "b", "--shards", "x"]).is_err());

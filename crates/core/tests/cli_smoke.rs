@@ -149,9 +149,18 @@ fn save_model_then_infer_roundtrip() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr:\n{stderr}");
     assert!(stderr.contains("frozen model"), "stderr:\n{stderr}");
-    for file in ["header.tsv", "vocab.tsv", "lexicon.tsv", "phi.bin"] {
+    // The default save is the one-shard bundle.
+    for file in [
+        "manifest.tsv",
+        "stopwords.txt",
+        "shard-0/vocab.tsv",
+        "shard-0/unstem.tsv",
+        "shard-0/lexicon.tsv",
+        "shard-0/phi.bin",
+    ] {
         assert!(bundle.join(file).is_file(), "missing {file}");
     }
+    assert!(!bundle.join("shard-1").exists());
 
     // One-shot inference over unseen text; JSON-lines on stdout.
     let unseen = dir.join("unseen.txt");

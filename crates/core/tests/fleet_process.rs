@@ -1,9 +1,9 @@
-//! Fleet serving with **real processes**: fit once, save both bundle
-//! layouts, spawn one `topmine serve-shard` process per shard plus a
-//! `topmine serve --fleet` router, and byte-compare `/infer` and
-//! `/infer_batch` responses against a monolithic in-process server. This
-//! is the tentpole's acceptance test at the outermost boundary — separate
-//! address spaces, loopback TCP, the shipped binary.
+//! Fleet serving with **real processes**: fit once, save the bundle with
+//! one and with three shards, spawn one `topmine serve-shard` process per
+//! shard plus a `topmine serve --fleet` router, and byte-compare `/infer`
+//! and `/infer_batch` responses against an in-process server. This is the
+//! fleet's acceptance test at the outermost boundary — separate address
+//! spaces, loopback TCP, the shipped binary.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -155,7 +155,8 @@ fn three_process_fleet_matches_the_monolith_byte_for_byte() {
     let sharded = dir.join("sharded");
 
     // Two identical fits (same flags, same seed — the fit is deterministic
-    // and sharding only changes the bundle layout), saved both ways.
+    // and the shard count only changes how the bundle is cut), saved with
+    // the default single shard and with three.
     for (bundle, shards) in [(&mono, None), (&sharded, Some("3"))] {
         let mut cmd = bin();
         cmd.args([
@@ -323,6 +324,126 @@ fn serve_shard_rejects_out_of_range_and_monolithic_bundles() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("out of range"), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A fit saved with a plain `--save-model` into `dir/bundle`.
+fn default_save(dir: &std::path::Path) -> PathBuf {
+    let input = dir.join("corpus.txt");
+    std::fs::write(&input, CORPUS).unwrap();
+    let bundle = dir.join("bundle");
+    let out = bin()
+        .args([
+            "--input",
+            input.to_str().unwrap(),
+            "--topics",
+            "2",
+            "--iterations",
+            "30",
+            "--min-support",
+            "3",
+            "--seed",
+            "7",
+            "--save-model",
+            bundle.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "fit failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    bundle
+}
+
+#[test]
+fn one_serve_shard_hosts_a_default_save() {
+    let dir = scratch_dir("default");
+    let bundle = default_save(&dir);
+    assert!(bundle.join("manifest.tsv").is_file());
+    assert!(bundle.join("shard-0").join("phi.bin").is_file());
+
+    let (_shard, shard_addr) = spawn_shard(&bundle, 0);
+    let (_router, router_addr) = spawn_server(&bundle, Some(&shard_addr));
+    let (_local, local_addr) = spawn_server(&bundle, None);
+    let doc = "frequent pattern mining for data streams and query expansion";
+    let (rs, rb) = request(&router_addr, "POST /infer?seed=5&iters=25", doc);
+    let (ls, lb) = request(&local_addr, "POST /infer?seed=5&iters=25", doc);
+    assert_eq!((rs, ls), (200, 200), "router: {rb}\nin-process: {lb}");
+    assert_eq!(
+        rb, lb,
+        "one-shard fleet /infer diverged from in-process serve"
+    );
+    let batch = "mining frequent patterns\nquery expansion for retrieval\nlatent semantic indexing";
+    let (rs, rb) = request(&router_addr, "POST /infer_batch?seed=11&iters=20", batch);
+    let (ls, lb) = request(&local_addr, "POST /infer_batch?seed=11&iters=20", batch);
+    assert_eq!((rs, ls), (200, 200), "router: {rb}\nin-process: {lb}");
+    assert_eq!(
+        rb, lb,
+        "one-shard fleet /infer_batch diverged from in-process serve"
+    );
+    assert!(rb.starts_with("{\"batch_size\":3"), "{rb}");
+
+    // The bundle has one shard, so there is no shard 1 to host.
+    let out = bin()
+        .args([
+            "serve-shard",
+            "--model",
+            bundle.to_str().unwrap(),
+            "--shard",
+            "1",
+            "--port",
+            "0",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("out of range 0..1"), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_retired_header_tsv_bundle_is_refused_naming_the_manifest() {
+    let dir = scratch_dir("retired");
+    let bundle = default_save(&dir);
+    // The retired monolithic layout: the same tables at the top level,
+    // fronted by `header.tsv` instead of `manifest.tsv` over `shard-0/`.
+    let retired = dir.join("retired");
+    std::fs::create_dir_all(&retired).unwrap();
+    for file in ["vocab.tsv", "unstem.tsv", "lexicon.tsv", "phi.bin"] {
+        std::fs::copy(bundle.join("shard-0").join(file), retired.join(file)).unwrap();
+    }
+    std::fs::copy(bundle.join("stopwords.txt"), retired.join("stopwords.txt")).unwrap();
+    let manifest = std::fs::read_to_string(bundle.join("manifest.tsv")).unwrap();
+    let header: String = manifest
+        .replace("topmine-sharded-model/2", "topmine-frozen-model/2")
+        .replace("shard-0/", "")
+        .lines()
+        .filter(|line| !line.starts_with("n_shards\t") && !line.starts_with("shard0_start\t"))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    std::fs::write(retired.join("header.tsv"), header).unwrap();
+
+    let unseen = dir.join("unseen.txt");
+    std::fs::write(&unseen, "frequent pattern mining for streams\n").unwrap();
+    let out = bin()
+        .args([
+            "infer",
+            "--model",
+            retired.to_str().unwrap(),
+            "--input",
+            unseen.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("manifest.tsv"), "stderr:\n{stderr}");
     assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

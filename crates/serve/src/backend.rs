@@ -1,10 +1,11 @@
 //! The `ModelBackend` seam: everything below the HTTP layer talks to a
 //! fitted model through this trait, so the serving stack is agnostic to
-//! how the model is materialized in memory — one monolithic
-//! [`FrozenModel`](crate::FrozenModel) bundle, or a
+//! how the model is materialized in memory — the fit's in-memory
+//! [`FrozenModel`](crate::FrozenModel), a
 //! [`ShardedModel`](crate::ShardedModel) composed of vocabulary-range
 //! shards in the parameter-server style (LightLDA's vocabulary-sliced
-//! workers are the reference design).
+//! workers are the reference design), or a router fronting shard
+//! processes ([`RemoteShardedModel`](crate::RemoteShardedModel)).
 //!
 //! The contract is the three things fold-in inference needs:
 //!
@@ -22,7 +23,7 @@
 //! [`infer_doc`](crate::infer::infer_doc) produces the same θ, ranking,
 //! and annotations whatever the backend or shard count.
 
-use crate::frozen::{FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig};
+use crate::frozen::{ModelHeader, PreparedDoc, PreprocessConfig};
 use crate::sharded::ShardedModel;
 use std::fmt;
 use std::hash::Hasher;
@@ -120,8 +121,8 @@ pub trait ModelBackend: Send + Sync {
     /// The on-disk format tag this backend was (or would be) persisted as.
     fn format_tag(&self) -> &'static str;
 
-    /// How many vocabulary-range shards compose this backend (1 for the
-    /// monolithic bundle).
+    /// How many vocabulary-range shards compose this backend (1 for an
+    /// in-memory [`FrozenModel`](crate::FrozenModel)).
     fn n_shards(&self) -> usize {
         1
     }
@@ -179,10 +180,9 @@ pub trait ModelBackend: Send + Sync {
     }
 
     /// Digest of the saved bundle this backend was loaded from: the value
-    /// on the last line of its `header.tsv` (monolithic) or `manifest.tsv`
-    /// (sharded), which covers every byte of the model and is what the
-    /// fleet handshake compares. `None` for a model that was never loaded
-    /// from disk.
+    /// on the last line of its `manifest.tsv`, which covers every byte of
+    /// the model and is what the fleet handshake compares. `None` for a
+    /// model that was never loaded from disk.
     fn bundle_digest(&self) -> Option<u64> {
         None
     }
@@ -240,28 +240,12 @@ pub trait ModelBackend: Send + Sync {
     }
 }
 
-/// Load a serving bundle from `dir`, auto-detecting the layout: a
-/// `manifest.tsv` marks the sharded format
-/// ([`SHARDED_MODEL_FORMAT`](crate::SHARDED_MODEL_FORMAT)), a
-/// `header.tsv` the monolithic one
-/// ([`FROZEN_MODEL_FORMAT`](crate::FROZEN_MODEL_FORMAT)). Both savers
-/// clean the other format's marker files, so a bundle directory is never
-/// ambiguous.
+/// Load the serving bundle at `dir` ([`SHARDED_MODEL_FORMAT`](crate::SHARDED_MODEL_FORMAT),
+/// any shard count) as a [`ShardedModel`] — what
+/// [`FrozenModel::save`](crate::FrozenModel::save) and
+/// [`ShardedModel::save`] write.
 pub fn load_bundle(dir: &Path) -> io::Result<Arc<dyn ModelBackend>> {
-    if dir.join("manifest.tsv").exists() {
-        Ok(Arc::new(ShardedModel::load(dir)?))
-    } else if dir.join("header.tsv").exists() {
-        Ok(Arc::new(FrozenModel::load(dir)?))
-    } else {
-        Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!(
-                "{}: neither manifest.tsv (sharded bundle) nor header.tsv \
-                 (monolithic bundle) found",
-                dir.display()
-            ),
-        ))
-    }
+    Ok(Arc::new(ShardedModel::load(dir)?))
 }
 
 #[cfg(test)]
@@ -284,14 +268,19 @@ mod tests {
     }
 
     #[test]
-    fn load_bundle_detects_both_layouts() {
+    fn load_bundle_reads_every_save_as_one_layout() {
         let dir = std::env::temp_dir().join(format!("topmine-backend-load-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let m = tiny_model();
         m.save(&dir).unwrap();
         let backend = load_bundle(&dir).unwrap();
-        assert_eq!(backend.format_tag(), crate::FROZEN_MODEL_FORMAT);
+        assert_eq!(backend.format_tag(), crate::SHARDED_MODEL_FORMAT);
         assert_eq!(backend.n_shards(), 1);
+        // The digest is the value on the manifest's last line.
+        let manifest = std::fs::read_to_string(dir.join("manifest.tsv")).unwrap();
+        let sealed = manifest.lines().last().unwrap().strip_prefix("digest\t");
+        let digest = backend.bundle_digest().map(|d| format!("{d:016x}"));
+        assert_eq!(digest.as_deref(), sealed);
         ShardedModel::from_frozen(&m, 2)
             .unwrap()
             .save(&dir)

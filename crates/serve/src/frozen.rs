@@ -1,5 +1,5 @@
-//! The frozen-model artifact: an immutable, versioned, single-directory
-//! bundle holding everything fold-in inference over unseen text needs.
+//! The frozen model: everything fold-in inference over unseen text needs,
+//! captured from a fitted run.
 //!
 //! A [`FrozenModel`] captures the three layers of a fitted ToPMine run:
 //!
@@ -13,25 +13,22 @@
 //! 3. the **topic model point estimate** — φ, the asymmetric α vector and
 //!    β — frozen for Eq. 7 fold-in.
 //!
-//! The on-disk layout is a directory fronted by `header.tsv`, whose first
-//! line carries [`FROZEN_MODEL_FORMAT`] and whose last line digests the
-//! whole bundle; loading any other version fails with an error naming
-//! both versions, never a panic. The file formats live in the crate's
-//! `io` module.
+//! It is the fit's in-memory output and the reference backend the sharded
+//! and fleet backends are checked against. [`FrozenModel::save`] writes
+//! it as a one-shard bundle in the one on-disk layout,
+//! [`SHARDED_MODEL_FORMAT`] (see [`crate::sharded`]), which
+//! [`load_bundle`](crate::load_bundle) reads back as a
+//! [`ShardedModel`](crate::ShardedModel).
 
 use crate::backend::ModelBackend;
-use crate::io::{
-    check_hyperparameters, data_err, header_pairs, BundleWriter, Header, HeaderFields,
-};
+use crate::io::{check_hyperparameters, data_err, HeaderFields};
+use crate::sharded::{save_bundle, ShardFiles, SHARDED_MODEL_FORMAT};
 use crate::trie::PhraseTrie;
 use std::io;
 use std::path::Path;
 use topmine_corpus::{CorpusOptions, Document, StopwordSet, Vocab};
 use topmine_lda::PhraseLda;
 use topmine_phrase::{PhraseConstructor, PhraseStats};
-
-/// Version tag on the first line of `header.tsv`.
-pub const FROZEN_MODEL_FORMAT: &str = "topmine-frozen-model/2";
 
 /// The preprocessing contract unseen text is held to (a persistable subset
 /// of `topmine_corpus::CorpusOptions` — the provenance switch is a training
@@ -123,9 +120,6 @@ pub struct FrozenModel {
     /// `preprocess` as options, for their term rule (not persisted
     /// separately).
     terms: CorpusOptions,
-    /// Digest of the bundle this model was loaded from (`None` if it was
-    /// never loaded from disk).
-    digest: Option<u64>,
 }
 
 /// A document preprocessed against a frozen vocabulary.
@@ -136,14 +130,6 @@ pub struct PreparedDoc {
     /// Surface tokens that survived filtering but are outside the frozen
     /// vocabulary (dropped from the stream).
     pub n_oov: usize,
-}
-
-pub(crate) fn remove_if_present(path: &Path) -> io::Result<()> {
-    match std::fs::remove_file(path) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e),
-    }
 }
 
 /// Normalize unseen text with a frozen preprocessing contract and map it
@@ -202,7 +188,6 @@ impl FrozenModel {
             phi: model.phi(),
             alpha: model.alpha().to_vec(),
             terms,
-            digest: None,
         }
     }
 
@@ -226,7 +211,6 @@ impl FrozenModel {
             lexicon,
             phi,
             alpha,
-            digest: None,
         };
         model.validate().map_err(data_err)?;
         Ok(model)
@@ -314,78 +298,31 @@ impl FrozenModel {
         PhraseConstructor::new(self.header.seg_alpha).construct_doc(doc, &self.lexicon)
     }
 
-    // ----- persistence ------------------------------------------------------
-
-    /// Write the bundle into `dir` (created if needed): `vocab.tsv`,
-    /// `lexicon.tsv`, `phi.bin`, plus `unstem.tsv` and `stopwords.txt`
-    /// when applicable, then `header.tsv` — last, as the commit point —
-    /// recording each file's digest.
+    /// Write the model into `dir` as a one-shard bundle: exactly the files
+    /// `ShardedModel::from_frozen(self, 1)?.save(dir)` writes, streamed
+    /// from this model's own vocabulary, unstem table, lexicon and φ rows.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        // A sharded bundle previously saved here must not shadow this one:
-        // `load_bundle` treats manifest.tsv as the sharded format's marker.
-        remove_if_present(&dir.join("manifest.tsv"))?;
-        crate::sharded::remove_stale_shards(dir, 0)?;
-        let mut out = BundleWriter::new(dir);
-        out.vocab("vocab.tsv", 0, self.vocab.iter().map(|(_, w)| w))?;
-        out.lexicon("lexicon.tsv", &self.lexicon)?;
-        out.phi("phi.bin", &self.phi, self.header.vocab_size)?;
-        // The header lists the optional files present; stale copies from a
-        // bundle saved here before are removed all the same.
-        match &self.unstem {
-            Some(unstem) => out.unstem("unstem.tsv", 0, unstem)?,
-            None => remove_if_present(&dir.join("unstem.tsv"))?,
-        }
-        if self.preprocess.stopwords.is_empty() {
-            remove_if_present(&dir.join("stopwords.txt"))?;
-        } else {
-            out.stopwords("stopwords.txt", &self.preprocess.stopwords)?;
-        }
         let fields = HeaderFields {
             header: self.header.clone(),
             preprocess: self.preprocess.clone(),
             min_support: self.lexicon.min_support(),
             alpha: self.alpha.clone(),
         };
-        out.commit("header.tsv", FROZEN_MODEL_FORMAT, &header_pairs(&fields))
-    }
-
-    /// Load a bundle written by [`FrozenModel::save`]. The header's format
-    /// line is checked first, then its digest, then each file against the
-    /// digest the header recorded; every failure (missing or modified
-    /// file, bad number, shape mismatch) is an `io::Error` naming the file.
-    pub fn load(dir: &Path) -> io::Result<Self> {
-        let mut header = Header::read(dir, "header.tsv", FROZEN_MODEL_FORMAT)?;
-        let HeaderFields {
-            header: model_header,
-            mut preprocess,
-            min_support,
-            alpha,
-        } = header.take_fields()?;
-        header.finish()?;
-        let (k, v) = (model_header.n_topics, model_header.vocab_size);
-        let mut vocab = Vocab::new();
-        header.read_vocab("vocab.tsv", 0, v, |word| {
-            let id = vocab.len() as u32;
-            match vocab.intern(word) == id {
-                true => Ok(()),
-                false => Err(format!("duplicate word {word:?}")),
-            }
-        })?;
-        let unstem = header.read_unstem("unstem.tsv", 0, v)?;
-        let lexicon = header.read_lexicon("lexicon.tsv", min_support)?;
-        let phi = header.read_phi("phi.bin", k, v)?;
-        preprocess.stopwords = header.read_stopwords()?;
-        let mut model =
-            Self::from_parts(model_header, preprocess, vocab, unstem, lexicon, phi, alpha)?;
-        model.digest = Some(header.digest());
-        Ok(model)
+        let shard = ShardFiles {
+            lo: 0,
+            words: self.vocab.iter().map(|(_, word)| word),
+            unstem: self.unstem.as_deref(),
+            lexicon: &self.lexicon,
+            phi: &self.phi,
+            width: self.header.vocab_size,
+        };
+        save_bundle(dir, &fields, std::iter::once(shard))
     }
 }
 
 /// Copy `φ[·][c]` for each column `c` of `columns` out of the topic-major
 /// rows `phi`, word-major: the K values of the j-th column land at
-/// `j · K .. (j + 1) · K`. The monolithic model and a shard process gather
+/// `j · K .. (j + 1) · K`. The in-memory model and a shard process gather
 /// through here.
 pub(crate) fn gather_word_major(
     phi: &[Vec<f64>],
@@ -398,9 +335,9 @@ pub(crate) fn gather_word_major(
     out
 }
 
-/// The monolithic backend: one in-memory bundle answering every part of
-/// the contract locally (`gather_phi` copies the trained columns, which is
-/// bit-exact by construction).
+/// The reference backend: the fitted model in memory, answering every part
+/// of the contract locally (`gather_phi` copies the trained columns, which
+/// is bit-exact by construction).
 impl ModelBackend for FrozenModel {
     fn header(&self) -> &ModelHeader {
         &self.header
@@ -414,12 +351,9 @@ impl ModelBackend for FrozenModel {
         &self.alpha
     }
 
+    /// The layout [`FrozenModel::save`] writes.
     fn format_tag(&self) -> &'static str {
-        FROZEN_MODEL_FORMAT
-    }
-
-    fn bundle_digest(&self) -> Option<u64> {
-        self.digest
+        SHARDED_MODEL_FORMAT
     }
 
     fn n_lexicon_phrases(&self) -> usize {
@@ -450,6 +384,7 @@ impl ModelBackend for FrozenModel {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::ShardedModel;
     use topmine_corpus::{corpus_from_texts, CorpusOptions};
     use topmine_lda::{GroupedDocs, TopicModelConfig};
     use topmine_phrase::Segmenter;
@@ -494,20 +429,14 @@ pub(crate) mod tests {
 
     #[test]
     fn save_load_roundtrip_is_exact() {
+        // The save is the one-shard bundle: it loads back as the model's
+        // one-shard partition.
         let dir = tmpdir("roundtrip");
         let m = tiny_model();
         m.save(&dir).unwrap();
-        let loaded = FrozenModel::load(&dir).unwrap();
-        assert_eq!(loaded.header, m.header);
-        assert_eq!(loaded.preprocess, m.preprocess);
-        assert_eq!(loaded.phi, m.phi);
-        assert_eq!(loaded.alpha, m.alpha);
-        assert_eq!(loaded.lexicon, m.lexicon);
-        assert_eq!(loaded.vocab.len(), m.vocab.len());
-        for (id, w) in m.vocab.iter() {
-            assert_eq!(loaded.vocab.word(id), w);
-        }
-        assert_eq!(loaded.unstem, m.unstem);
+        let loaded = ShardedModel::load(&dir).unwrap();
+        assert_eq!(loaded, ShardedModel::from_frozen(&m, 1).unwrap());
+        assert_eq!(ModelBackend::format_tag(&loaded), m.format_tag());
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -516,20 +445,20 @@ pub(crate) mod tests {
         let dir = tmpdir("version");
         let m = tiny_model();
         m.save(&dir).unwrap();
-        let header = dir.join("header.tsv");
-        let body = std::fs::read_to_string(&header).unwrap();
-        std::fs::write(
-            &header,
-            body.replace(FROZEN_MODEL_FORMAT, "topmine-frozen-model/99"),
-        )
-        .unwrap();
-        let err = FrozenModel::load(&dir).unwrap_err().to_string();
-        assert!(err.contains("topmine-frozen-model/99"), "{err}");
-        assert!(err.contains(FROZEN_MODEL_FORMAT), "{err}");
-        // Header-less bundles are refused too.
-        std::fs::write(&header, "n_topics\t2\n").unwrap();
-        let err = FrozenModel::load(&dir).unwrap_err().to_string();
-        assert!(err.contains("versioned header"), "{err}");
+        // Another format tag on the manifest is refused naming both.
+        let manifest = dir.join("manifest.tsv");
+        let body = std::fs::read_to_string(&manifest).unwrap();
+        let retired = body.replace(SHARDED_MODEL_FORMAT, "topmine-frozen-model/2");
+        std::fs::write(&manifest, &retired).unwrap();
+        let err = ShardedModel::load(&dir).unwrap_err().to_string();
+        assert!(err.contains("topmine-frozen-model/2"), "{err}");
+        assert!(err.contains(SHARDED_MODEL_FORMAT), "{err}");
+        // A directory without a manifest (a bundle in the retired
+        // `header.tsv` layout) is refused naming the manifest.
+        std::fs::rename(&manifest, dir.join("header.tsv")).unwrap();
+        let err = ShardedModel::load(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(err.to_string().starts_with("manifest.tsv: "), "{err}");
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -538,28 +467,29 @@ pub(crate) mod tests {
         let dir = tmpdir("corrupt");
         let m = tiny_model();
         m.save(&dir).unwrap();
-        std::fs::write(dir.join("lexicon.tsv"), "total_tokens\t10\n5\t1 x\n").unwrap();
-        let err = FrozenModel::load(&dir).unwrap_err().to_string();
-        assert!(err.contains("lexicon.tsv line 2"), "{err}");
+        let shard = dir.join("shard-0");
+        std::fs::write(shard.join("lexicon.tsv"), "total_tokens\t10\n5\t1 x\n").unwrap();
+        let err = ShardedModel::load(&dir).unwrap_err().to_string();
+        assert!(err.contains("shard-0/lexicon.tsv line 2"), "{err}");
         // φ: a header that is not φ, then one well-formed value changed to
         // another (only the digest can tell).
         m.save(&dir).unwrap();
-        std::fs::write(dir.join("phi.bin"), "topic\tw0\n0\tnope\n").unwrap();
-        let err = FrozenModel::load(&dir).unwrap_err();
+        std::fs::write(shard.join("phi.bin"), "topic\tw0\n0\tnope\n").unwrap();
+        let err = ShardedModel::load(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("phi.bin"), "{err}");
+        assert!(err.to_string().contains("shard-0/phi.bin"), "{err}");
         m.save(&dir).unwrap();
-        let mut phi = std::fs::read(dir.join("phi.bin")).unwrap();
+        let mut phi = std::fs::read(shard.join("phi.bin")).unwrap();
         let last = phi.len() - 1;
         phi[last] ^= 1;
-        std::fs::write(dir.join("phi.bin"), phi).unwrap();
-        let err = FrozenModel::load(&dir).unwrap_err().to_string();
-        assert!(err.contains("phi.bin: content digest"), "{err}");
+        std::fs::write(shard.join("phi.bin"), phi).unwrap();
+        let err = ShardedModel::load(&dir).unwrap_err().to_string();
+        assert!(err.contains("shard-0/phi.bin: content digest"), "{err}");
         m.save(&dir).unwrap();
-        std::fs::remove_file(dir.join("vocab.tsv")).unwrap();
-        let err = FrozenModel::load(&dir).unwrap_err();
+        std::fs::remove_file(shard.join("vocab.tsv")).unwrap();
+        let err = ShardedModel::load(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("vocab.tsv"), "{err}");
+        assert!(err.to_string().contains("shard-0/vocab.tsv"), "{err}");
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -568,7 +498,7 @@ pub(crate) mod tests {
         let dir = tmpdir("overwrite");
         // First bundle: stemmed + stopwords → writes both optional files.
         tiny_model().save(&dir).unwrap();
-        assert!(dir.join("unstem.tsv").exists());
+        assert!(dir.join("shard-0/unstem.tsv").exists());
         assert!(dir.join("stopwords.txt").exists());
         // Second bundle into the same directory: raw preprocessing, so the
         // optional files must disappear, and the reload must reflect it.
@@ -582,10 +512,10 @@ pub(crate) mod tests {
         model.run(5);
         let raw = FrozenModel::freeze(&corpus, &stats, 2.0, &model, &CorpusOptions::raw());
         raw.save(&dir).unwrap();
-        assert!(!dir.join("unstem.tsv").exists());
+        assert!(!dir.join("shard-0/unstem.tsv").exists());
         assert!(!dir.join("stopwords.txt").exists());
-        let loaded = FrozenModel::load(&dir).unwrap();
-        assert!(loaded.unstem.is_none());
+        let loaded = ShardedModel::load(&dir).unwrap();
+        assert_eq!(loaded, ShardedModel::from_frozen(&raw, 1).unwrap());
         assert!(loaded.preprocess.stopwords.is_empty());
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -40,7 +40,7 @@ use crate::dispatch::{DispatchOptions, InferJob, InferService, JobKind};
 use crate::engine::QueryEngine;
 use crate::infer::{DocInference, InferConfig};
 use crate::metrics::{serve_metrics, ServeMetrics, Stage};
-use crate::registry::Connections;
+use crate::registry::{Connections, ACCEPT_RETRY_PAUSE};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -187,7 +187,10 @@ impl HttpServer {
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            let Ok(stream) = stream else { continue }; // transient accept error
+            let Ok(stream) = stream else {
+                std::thread::sleep(ACCEPT_RETRY_PAUSE);
+                continue;
+            };
             if conns.len() >= MAX_CONNECTIONS {
                 refuse(&stream, "connection limit reached; retry shortly");
                 continue;

@@ -2,10 +2,9 @@
 //! header, binary φ, the text tables, and the content digest that ties
 //! them together.
 //!
-//! Both layouts — the monolithic bundle ([`FrozenModel`](crate::FrozenModel),
-//! fronted by `header.tsv`) and the sharded one
-//! ([`ShardedModel`](crate::ShardedModel), fronted by `manifest.tsv` over
-//! `shard-K/` directories) — are built from the same files:
+//! The one bundle layout ([`crate::sharded`]: `manifest.tsv` over
+//! `shard-K/` directories, one shard for a default save) is built from
+//! these files:
 //!
 //! * **`vocab.tsv`** — `id<TAB>word`, ids dense and ascending from the
 //!   first id the file owns;
@@ -322,10 +321,10 @@ impl<'a> BundleWriter<'a> {
     }
 }
 
-/// The `key<TAB>value` pairs both bundle headers share — shapes,
+/// The model's `key<TAB>value` pairs in the manifest — shapes,
 /// Algorithm 2 parameters, preprocessing flags, α vector.
-/// [`Header::take_fields`] is its inverse; the sharded manifest wraps
-/// these with its shard topology.
+/// [`Header::take_fields`] is its inverse; the manifest wraps these with
+/// its shard topology.
 pub(crate) fn header_pairs(fields: &HeaderFields) -> Vec<(String, String)> {
     let (header, p) = (&fields.header, &fields.preprocess);
     let mut pairs: Vec<(String, String)> = vec![
@@ -378,8 +377,9 @@ pub(crate) fn check_hyperparameters(header: &ModelHeader, alpha: &[f64]) -> Resu
     }
 }
 
-/// What both bundle headers carry. `preprocess.stopwords` is not a header
-/// pair: it is filled from `stopwords.txt` by [`Header::read_stopwords`].
+/// What the manifest carries about the model. `preprocess.stopwords` is
+/// not a header pair: it is filled from `stopwords.txt` by
+/// [`Header::read_stopwords`] and written there by the saver.
 #[derive(Debug)]
 pub(crate) struct HeaderFields {
     pub(crate) header: ModelHeader,
@@ -1094,21 +1094,21 @@ mod tests {
     fn version_mismatch_is_a_clean_error() {
         let dir = tmpdir("version");
         BundleWriter::new(&dir)
-            .commit("header.tsv", "topmine-test/1", &[])
+            .commit("manifest.tsv", "topmine-test/1", &[])
             .unwrap();
         // Another version is refused naming both, not mis-parsed.
-        let err = Header::read(&dir, "header.tsv", "topmine-test/2").unwrap_err();
+        let err = Header::read(&dir, "manifest.tsv", "topmine-test/2").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let msg = err.to_string();
-        assert!(msg.starts_with("header.tsv: "), "{msg}");
+        assert!(msg.starts_with("manifest.tsv: "), "{msg}");
         assert!(msg.contains("\"topmine-test/1\""), "{msg}");
         assert!(msg.contains("\"topmine-test/2\""), "{msg}");
         // So are header-less and empty files.
-        std::fs::write(dir.join("header.tsv"), "n_topics\t3\n").unwrap();
-        let err = Header::read(&dir, "header.tsv", "topmine-test/1").unwrap_err();
+        std::fs::write(dir.join("manifest.tsv"), "n_topics\t3\n").unwrap();
+        let err = Header::read(&dir, "manifest.tsv", "topmine-test/1").unwrap_err();
         assert!(err.to_string().contains("versioned header"), "{err}");
-        std::fs::write(dir.join("header.tsv"), "").unwrap();
-        let err = Header::read(&dir, "header.tsv", "topmine-test/1").unwrap_err();
+        std::fs::write(dir.join("manifest.tsv"), "").unwrap();
+        let err = Header::read(&dir, "manifest.tsv", "topmine-test/1").unwrap_err();
         assert!(err.to_string().contains("empty"), "{err}");
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -1119,13 +1119,13 @@ mod tests {
         // `take_fields` is their inverse.
         let dir = tmpdir("hyper");
         BundleWriter::new(&dir)
-            .commit("header.tsv", "topmine-test/1", &header_pairs(&fields()))
+            .commit("manifest.tsv", "topmine-test/1", &header_pairs(&fields()))
             .unwrap();
-        let text = std::fs::read_to_string(dir.join("header.tsv")).unwrap();
+        let text = std::fs::read_to_string(dir.join("manifest.tsv")).unwrap();
         assert!(text.contains("n_topics\t3\n"), "{text}");
         assert!(text.contains("beta\t"), "{text}");
         assert!(text.contains("alpha2\t"), "{text}");
-        let mut header = Header::read(&dir, "header.tsv", "topmine-test/1").unwrap();
+        let mut header = Header::read(&dir, "manifest.tsv", "topmine-test/1").unwrap();
         let back = header.take_fields().unwrap();
         header.finish().unwrap();
         let want = fields();

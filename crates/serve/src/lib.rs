@@ -8,18 +8,19 @@
 //! * [`backend`] — the **seam**: [`ModelBackend`], the trait everything
 //!   below the HTTP layer talks to, so nothing assumes the model is one
 //!   in-memory bundle;
-//! * [`frozen`] — the **monolithic artifact**: [`FrozenModel`], an
-//!   immutable, versioned, single-directory bundle holding the
+//! * [`frozen`] — the **fitted model in memory**: [`FrozenModel`], the
 //!   preprocessing contract (vocabulary, stemming, stop words), the phrase
 //!   lexicon as a prefix trie ([`PhraseTrie`]), and the topic model point
-//!   estimate (φ, α, β); every bundle file format — the versioned,
-//!   self-digesting header, binary `phi.bin`, the text tables — lives in
-//!   one private `io` module, so a bundle's digest covers every byte
-//!   of the model;
-//! * [`sharded`] — the **sharded artifact**: [`ShardedModel`], N
-//!   vocabulary-range shards (each its own vocab/lexicon/φ slice, loaded
-//!   from a `manifest.tsv` + `shard-K/` layout) composing a backend that
-//!   serves bit-identically to the monolith at every shard count;
+//!   estimate (φ, α, β); the reference backend every other one is checked
+//!   against, saved as a one-shard bundle;
+//! * [`sharded`] — the **bundle**: [`ShardedModel`], N vocabulary-range
+//!   shards (each its own vocab/lexicon/φ slice) composing a backend that
+//!   serves bit-identically to the [`FrozenModel`] at every shard count,
+//!   and the one on-disk layout, a `manifest.tsv` over `shard-K/`
+//!   directories, which [`load_bundle`] reads whatever the shard count;
+//!   every bundle file format — the versioned, self-digesting manifest,
+//!   binary `phi.bin`, the text tables — lives in one private `io`
+//!   module, so a bundle's digest covers every byte of the model;
 //! * [`infer`] — **fold-in inference**: segment unseen text with the
 //!   frozen lexicon (Algorithm 2 against the trie), scatter-gather the φ
 //!   columns the document touches from their owning shards, then run a
@@ -50,7 +51,7 @@
 //!   persistent pooled connections ([`RemoteShardedModel`]), with
 //!   deadline propagation, bounded retry/backoff, fail-fast 503s, and
 //!   per-shard health in `/healthz` + `/metrics` — still bit-identical
-//!   to the in-process monolith.
+//!   to the in-process model.
 //!
 //! # Quickstart
 //!
@@ -98,7 +99,7 @@ pub mod wire;
 pub use backend::{load_bundle, BackendError, GatherOptions, ModelBackend};
 pub use cache::{CacheStats, ResponseCache};
 pub use engine::{QueryEngine, DEFAULT_CACHE_CAPACITY};
-pub use frozen::{FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig, FROZEN_MODEL_FORMAT};
+pub use frozen::{FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig};
 pub use http::{batch_inference_json, inference_json, HttpServer, ServerConfig, ServerHandle};
 pub use infer::{
     infer_doc, infer_docs_amortized, BatchItem, DocInference, InferConfig, PhraseAssignment,

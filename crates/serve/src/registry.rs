@@ -14,6 +14,12 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
+/// How long both accept loops pause after a failed `accept`. When the
+/// process is out of file descriptors the pending connection stays
+/// queued, so an immediate retry fails again at once and spins the accept
+/// thread; the pause leaves the CPU to the connections that can close.
+pub(crate) const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(5);
+
 #[derive(Default)]
 pub(crate) struct Connections {
     live: Mutex<Live>,

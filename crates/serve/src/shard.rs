@@ -25,7 +25,7 @@
 
 use crate::frozen::gather_word_major;
 use crate::io::data_err;
-use crate::registry::Connections;
+use crate::registry::{Connections, ACCEPT_RETRY_PAUSE};
 use crate::sharded::Manifest;
 use crate::wire::{self, Frame, Opcode, ShardMeta, WireError, MAX_FRAME, WIRE_VERSION};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -52,7 +52,7 @@ pub struct ShardSlice {
 }
 
 impl ShardSlice {
-    /// Load shard `index` of the sharded bundle at `dir`: the manifest
+    /// Load shard `index` of the bundle at `dir`: the manifest
     /// (for topology and the digest) plus that one shard's `phi.bin`, each
     /// verified against its digest. Nothing else is read — a shard
     /// process's footprint is its φ slice.
@@ -61,7 +61,7 @@ impl ShardSlice {
         let n_shards = manifest.boundaries.len() - 1;
         if index >= n_shards {
             return Err(data_err(format!(
-                "shard index {index} out of range: bundle has {n_shards} shards"
+                "shard index {index} out of range 0..{n_shards}: the bundle has {n_shards} shard(s)"
             )));
         }
         let (lo, hi) = (manifest.boundaries[index], manifest.boundaries[index + 1]);
@@ -200,7 +200,10 @@ impl ShardServer {
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            let Ok(stream) = stream else { continue };
+            let Ok(stream) = stream else {
+                std::thread::sleep(ACCEPT_RETRY_PAUSE);
+                continue;
+            };
             // Replies are pipelined: with Nagle's algorithm on, the small
             // tail of one reply waits for the router to acknowledge the
             // tail of the reply before it, which a delayed ACK can hold

@@ -1,5 +1,6 @@
-//! The sharded frozen model: N vocabulary-range shards composing one
-//! logical [`FrozenModel`](crate::FrozenModel)-equivalent backend.
+//! The sharded frozen model, and the one on-disk bundle layout: N
+//! vocabulary-range shards composing one logical
+//! [`FrozenModel`](crate::FrozenModel)-equivalent backend.
 //!
 //! The partitioning follows the parameter-server cut used by distributed
 //! topic-model servers (LightLDA's vocabulary-sliced workers): the word-id
@@ -16,9 +17,9 @@
 //! Because phrase ownership is determined by the first word, every count
 //! Algorithm 2 asks for lives wholly in one shard, and fold-in gathers
 //! each word's φ column from exactly one shard: inference through a
-//! [`ShardedModel`] is **bit-identical** to the monolithic bundle at every
-//! shard count (the proptest in `tests/sharded_equivalence.rs` is the
-//! acceptance bar).
+//! [`ShardedModel`] is **bit-identical** to the in-memory
+//! [`FrozenModel`](crate::FrozenModel) at every shard count (the proptest
+//! in `tests/sharded_equivalence.rs` is the acceptance bar).
 //!
 //! # On-disk layout
 //!
@@ -34,18 +35,17 @@
 //!   shard-1/ …
 //! ```
 //!
-//! `manifest.tsv` is the same versioned, self-digesting header as the
-//! monolithic `header.tsv` (both formats live in the crate's `io`
-//! module): it lists the digest of every file above, so its own digest
-//! covers the whole model. Re-saving into a directory removes stale
-//! `shard-K/` directories beyond the new count and the monolithic
-//! format's files, so a bundle directory always holds exactly one
-//! loadable model.
+//! Every bundle has this layout, [`SHARDED_MODEL_FORMAT`]: a default save
+//! ([`FrozenModel::save`](crate::FrozenModel::save)) is the one-shard
+//! case, written by the same private writer as [`ShardedModel::save`].
+//! `manifest.tsv` is the versioned, self-digesting bundle header (the file
+//! formats live in the crate's `io` module): it lists the digest of every
+//! file above, so its own digest covers the whole model. Re-saving into a
+//! directory removes stale `shard-K/` directories beyond the new count, so
+//! a bundle directory holds exactly one model.
 
 use crate::backend::ModelBackend;
-use crate::frozen::{
-    prepare_with, remove_if_present, FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig,
-};
+use crate::frozen::{prepare_with, FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig};
 use crate::infer::{infer_doc, DocInference, InferConfig};
 use crate::io::{
     check_hyperparameters, data_err, header_pairs, BundleWriter, Header, HeaderFields,
@@ -146,7 +146,7 @@ fn term_index(words: &[String], lo: u32) -> FxHashMap<String, u32> {
 }
 
 impl ShardedModel {
-    /// Partition a monolithic model into `n_shards` contiguous
+    /// Partition an in-memory frozen model into `n_shards` contiguous
     /// vocabulary ranges (near-equal widths; shards may be empty when
     /// `n_shards > vocab_size`). The composition serves bit-identically to
     /// the source model.
@@ -341,73 +341,27 @@ impl ShardedModel {
 
     // ----- persistence ------------------------------------------------------
 
-    /// Write the sharded bundle into `dir` (created if needed), with
-    /// `manifest.tsv` last as the commit point. Stale `shard-K/`
-    /// directories beyond the new shard count and the monolithic format's
-    /// files are removed, so re-saving with a different shard count (or
-    /// over a monolithic bundle) leaves exactly this model on disk.
+    /// Write the bundle into `dir` (created if needed), one `shard-K/`
+    /// directory per shard, with `manifest.tsv` last as the commit point.
+    /// Stale `shard-K/` directories beyond the new shard count are
+    /// removed, so re-saving with a different count leaves exactly this
+    /// model on disk.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let mut out = BundleWriter::new(dir);
-        if self.preprocess.stopwords.is_empty() {
-            remove_if_present(&dir.join("stopwords.txt"))?;
-        } else {
-            out.stopwords("stopwords.txt", &self.preprocess.stopwords)?;
-        }
-        for (i, shard) in self.shards.iter().enumerate() {
-            let shard_dir = dir.join(format!("shard-{i}"));
-            // Recreate from scratch so no stale file inside the shard
-            // directory survives.
-            if shard_dir.exists() {
-                std::fs::remove_dir_all(&shard_dir)?;
-            }
-            std::fs::create_dir_all(&shard_dir)?;
-            let rel = |file: &str| format!("shard-{i}/{file}");
-            out.vocab(
-                &rel("vocab.tsv"),
-                shard.lo,
-                shard.words.iter().map(String::as_str),
-            )?;
-            if let Some(unstem) = &shard.unstem {
-                out.unstem(&rel("unstem.tsv"), shard.lo, unstem)?;
-            }
-            out.lexicon(&rel("lexicon.tsv"), &shard.lexicon)?;
-            out.phi(&rel("phi.bin"), &shard.phi, shard.width())?;
-        }
-
-        // The manifest is the commit point: it goes down only after every
-        // shard directory is complete, so a mid-save failure over a
-        // monolithic bundle never shadows the still-loadable old model
-        // (manifest.tsv is what `load_bundle` keys the format on). It is
-        // the shared bundle header plus the shard topology.
-        let mut pairs = vec![("n_shards".to_string(), self.shards.len().to_string())];
-        pairs.extend(header_pairs(&HeaderFields {
+        let fields = HeaderFields {
             header: self.header.clone(),
             preprocess: self.preprocess.clone(),
             min_support: self.min_support,
             alpha: self.alpha.clone(),
-        }));
-        for (i, s) in self.shards.iter().enumerate() {
-            pairs.push((format!("shard{i}_start"), s.lo.to_string()));
-        }
-        out.commit("manifest.tsv", SHARDED_MODEL_FORMAT, &pairs)?;
-
-        // Only cleanup remains after the commit point: stale shard
-        // directories beyond the new count are harmless to a loader (it
-        // reads exactly 0..n_shards), as are the monolithic format's files
-        // (manifest.tsv wins detection; `FrozenModel::save` removes
-        // manifest.tsv in the other direction).
-        remove_stale_shards(dir, self.shards.len())?;
-        for stale in [
-            "header.tsv",
-            "vocab.tsv",
-            "lexicon.tsv",
-            "phi.bin",
-            "unstem.tsv",
-        ] {
-            remove_if_present(&dir.join(stale))?;
-        }
-        Ok(())
+        };
+        let shards = self.shards.iter().map(|s| ShardFiles {
+            lo: s.lo,
+            words: s.words.iter().map(String::as_str),
+            unstem: s.unstem.as_deref(),
+            lexicon: &s.lexicon,
+            phi: &s.phi,
+            width: s.width(),
+        });
+        save_bundle(dir, &fields, shards)
     }
 
     /// Load a bundle written by [`ShardedModel::save`]. The manifest's
@@ -444,10 +398,16 @@ impl ShardedModel {
                 words.push(word.to_string());
                 Ok(())
             })?;
+            let term_ids = term_index(&words, lo);
+            // A word listed twice keeps one id, so the index comes out short.
+            if term_ids.len() != words.len() {
+                let msg = format!("{}: a word is listed twice", rel("vocab.tsv"));
+                return Err(data_err(msg));
+            }
             shards.push(ModelShard {
                 lo,
                 hi,
-                term_ids: term_index(&words, lo),
+                term_ids,
                 words,
                 unstem: header.read_unstem(&rel("unstem.tsv"), lo, width)?,
                 lexicon: header.read_lexicon(&rel("lexicon.tsv"), fields.min_support)?,
@@ -473,16 +433,77 @@ impl ShardedModel {
     }
 }
 
-/// Remove `shard-K/` directories with `K >= keep` (stale remnants of a
-/// bundle saved with more shards, or of a sharded bundle being replaced by
-/// a monolithic one when `keep == 0`).
-pub(crate) fn remove_stale_shards(dir: &Path, keep: usize) -> io::Result<()> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
+/// What one `shard-K/` directory holds, borrowed from the model being
+/// saved: each shard of a [`ShardedModel`], or a whole
+/// [`FrozenModel`] as the one shard.
+pub(crate) struct ShardFiles<'a, W> {
+    /// First owned word id.
+    pub(crate) lo: u32,
+    /// The words of ids `lo..`, in id order.
+    pub(crate) words: W,
+    pub(crate) unstem: Option<&'a [String]>,
+    pub(crate) lexicon: &'a PhraseTrie,
+    /// `n_topics` rows of `width` values.
+    pub(crate) phi: &'a [Vec<f64>],
+    pub(crate) width: usize,
+}
+
+/// Write a bundle of `shards` into `dir` (created if needed):
+/// `stopwords.txt`, each `shard-K/` directory recreated from scratch, then
+/// `manifest.tsv` as the commit point, recording every file's digest. Only
+/// cleanup follows the commit: `shard-K/` directories beyond the new count,
+/// which a loader never reads, are removed.
+pub(crate) fn save_bundle<'a, W: Iterator<Item = &'a str>>(
+    dir: &Path,
+    fields: &HeaderFields,
+    shards: impl Iterator<Item = ShardFiles<'a, W>>,
+) -> io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let mut out = BundleWriter::new(dir);
+    if fields.preprocess.stopwords.is_empty() {
+        remove_if_present(&dir.join("stopwords.txt"))?;
+    } else {
+        out.stopwords("stopwords.txt", &fields.preprocess.stopwords)?;
+    }
+    let mut starts = Vec::new();
+    for (i, shard) in shards.enumerate() {
+        let shard_dir = dir.join(format!("shard-{i}"));
+        // Recreated, so no stale file inside the shard directory survives.
+        if shard_dir.exists() {
+            std::fs::remove_dir_all(&shard_dir)?;
+        }
+        std::fs::create_dir_all(&shard_dir)?;
+        let rel = |file: &str| format!("shard-{i}/{file}");
+        out.vocab(&rel("vocab.tsv"), shard.lo, shard.words)?;
+        if let Some(unstem) = shard.unstem {
+            out.unstem(&rel("unstem.tsv"), shard.lo, unstem)?;
+        }
+        out.lexicon(&rel("lexicon.tsv"), shard.lexicon)?;
+        out.phi(&rel("phi.bin"), shard.phi, shard.width)?;
+        starts.push(shard.lo);
+    }
+    // The shared bundle header plus the shard topology.
+    let mut pairs = vec![("n_shards".to_string(), starts.len().to_string())];
+    pairs.extend(header_pairs(fields));
+    for (i, lo) in starts.iter().enumerate() {
+        pairs.push((format!("shard{i}_start"), lo.to_string()));
+    }
+    out.commit("manifest.tsv", SHARDED_MODEL_FORMAT, &pairs)?;
+    remove_stale_shards(dir, starts.len())
+}
+
+fn remove_if_present(path: &Path) -> io::Result<()> {
+    match std::fs::remove_file(path) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(e),
+    }
+}
+
+/// Remove `shard-K/` directories with `K >= keep`: stale remnants of a
+/// bundle saved with more shards.
+fn remove_stale_shards(dir: &Path, keep: usize) -> io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let Some(index) = name
@@ -752,25 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_save_replaces_a_monolithic_bundle() {
-        let dir = tmpdir("replace");
-        let m = tiny_model();
-        m.save(&dir).unwrap();
-        assert!(dir.join("header.tsv").exists());
-        ShardedModel::from_frozen(&m, 2)
-            .unwrap()
-            .save(&dir)
-            .unwrap();
-        assert!(!dir.join("header.tsv").exists());
-        assert!(dir.join("manifest.tsv").exists());
-        // And the other direction: a monolithic save clears shard state.
-        m.save(&dir).unwrap();
-        assert!(!dir.join("manifest.tsv").exists());
-        assert!(!dir.join("shard-0").exists());
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn version_mismatch_and_corruption_are_clean_errors() {
         let dir = tmpdir("corrupt");
         let sharded = ShardedModel::from_frozen(&tiny_model(), 2).unwrap();
@@ -805,6 +807,15 @@ mod tests {
         crate::io::reseal(&manifest);
         let err = ShardedModel::load(&dir).unwrap_err().to_string();
         assert!(err.contains("ascend"), "{err}");
+        // A word twice in one shard's vocabulary, under intact digests.
+        let mut twice = sharded.clone();
+        twice.shards[1].words[1] = twice.shards[1].words[0].clone();
+        twice.save(&dir).unwrap();
+        let err = ShardedModel::load(&dir).unwrap_err().to_string();
+        assert!(
+            err.contains("shard-1/vocab.tsv: a word is listed twice"),
+            "{err}"
+        );
         sharded.save(&dir).unwrap();
         std::fs::write(dir.join("shard-0").join("phi.bin"), "topic\tw0\n0\tnope\n").unwrap();
         let err = ShardedModel::load(&dir).unwrap_err().to_string();

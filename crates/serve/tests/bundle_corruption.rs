@@ -7,10 +7,12 @@
 //! (an infinite α or `seg_alpha`, a negative or NaN φ value) is refused
 //! the same way, naming the key or the file.
 //!
-//! Loaders covered: `load_bundle` on a monolithic and on a 2-shard bundle,
-//! the router's φ-less view (`RemoteShardedModel::connect_lazy`, which
-//! reads every file but the φ blocks), and `ShardSlice::load`, which reads
-//! the manifest and its own shard's `phi.bin`.
+//! Bundles covered: the one-shard bundle of a default save
+//! (`FrozenModel::save`) and a 2-shard bundle. Loaders covered, on both:
+//! `load_bundle`, the router's φ-less view
+//! (`RemoteShardedModel::connect_lazy`, which reads every file but the φ
+//! blocks), and `ShardSlice::load`, which reads the manifest and its own
+//! shard's `phi.bin`.
 
 mod fleet_common;
 
@@ -33,13 +35,13 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Save `model()` under a fresh directory, monolithic (`shards == None`)
-/// or sharded.
-fn save(tag: &str, shards: Option<usize>) -> PathBuf {
+/// Save `model()` under a fresh directory: one shard through the default
+/// save, `FrozenModel::save`; more through `ShardedModel::save`.
+fn save(tag: &str, n_shards: usize) -> PathBuf {
     let dir = fresh_dir(tag);
-    match shards {
-        None => model().save(&dir).unwrap(),
-        Some(n) => ShardedModel::from_frozen(model(), n)
+    match n_shards {
+        1 => model().save(&dir).unwrap(),
+        n => ShardedModel::from_frozen(model(), n)
             .unwrap()
             .save(&dir)
             .unwrap(),
@@ -88,10 +90,9 @@ fn refused<T>(result: io::Result<T>, rel: &str, loader: &str) -> Result<(), Test
 
 /// Run every loader that reads `rel` against the (now corrupt) bundle at
 /// `dir` and check each refuses it, naming `rel`.
-fn check_loaders(dir: &Path, rel: &str, n_shards: Option<usize>) -> Result<(), TestCaseError> {
+fn check_loaders(dir: &Path, rel: &str, n_shards: usize) -> Result<(), TestCaseError> {
     refused(load_bundle(dir), rel, "load_bundle")?;
-    let Some(n) = n_shards else { return Ok(()) };
-    let addrs: Vec<String> = (0..n).map(|_| "127.0.0.1:9".to_string()).collect();
+    let addrs = vec!["127.0.0.1:9".to_string(); n_shards];
     let router = RemoteShardedModel::connect_lazy(dir, &addrs, fast_pool());
     if rel.ends_with("phi.bin") {
         // The router's view does not read φ: it must still load.
@@ -99,7 +100,7 @@ fn check_loaders(dir: &Path, rel: &str, n_shards: Option<usize>) -> Result<(), T
     } else {
         refused(router, rel, "router view")?;
     }
-    for k in 0..n {
+    for k in 0..n_shards {
         let reads_it = rel == "manifest.tsv" || rel == format!("shard-{k}/phi.bin");
         if reads_it {
             refused(
@@ -113,12 +114,7 @@ fn check_loaders(dir: &Path, rel: &str, n_shards: Option<usize>) -> Result<(), T
 }
 
 /// Write `bytes` over `dir/rel`, run the loaders, and restore the file.
-fn with_bytes(
-    dir: &Path,
-    rel: &str,
-    bytes: &[u8],
-    n_shards: Option<usize>,
-) -> Result<(), TestCaseError> {
+fn with_bytes(dir: &Path, rel: &str, bytes: &[u8], n_shards: usize) -> Result<(), TestCaseError> {
     let path = dir.join(rel);
     let original = std::fs::read(&path).unwrap();
     std::fs::write(&path, bytes).unwrap();
@@ -129,7 +125,7 @@ fn with_bytes(
 
 /// Every file of the bundle, truncated at one offset and with one bit
 /// flipped (`pick` chooses both per file).
-fn corrupt_every_file(dir: &Path, n_shards: Option<usize>, pick: u64) -> Result<(), TestCaseError> {
+fn corrupt_every_file(dir: &Path, n_shards: usize, pick: u64) -> Result<(), TestCaseError> {
     for (i, rel) in bundle_files(dir).iter().enumerate() {
         let bytes = std::fs::read(dir.join(rel)).unwrap();
         let len = bytes.len() as u64;
@@ -148,14 +144,14 @@ proptest! {
 
     #[test]
     fn truncated_or_bit_flipped_files_are_refused(pick in 0u64..u64::MAX) {
-        let mono = save(&format!("mono-{pick}"), None);
-        corrupt_every_file(&mono, None, pick)?;
-        let sharded = save(&format!("sharded-{pick}"), Some(2));
-        corrupt_every_file(&sharded, Some(2), pick)?;
+        let one = save(&format!("one-{pick}"), 1);
+        corrupt_every_file(&one, 1, pick)?;
+        let sharded = save(&format!("sharded-{pick}"), 2);
+        corrupt_every_file(&sharded, 2, pick)?;
         // Restored, both load again.
-        prop_assert!(load_bundle(&mono).is_ok());
+        prop_assert!(load_bundle(&one).is_ok());
         prop_assert!(load_bundle(&sharded).is_ok());
-        let _ = std::fs::remove_dir_all(mono);
+        let _ = std::fs::remove_dir_all(one);
         let _ = std::fs::remove_dir_all(sharded);
     }
 }
@@ -164,12 +160,12 @@ proptest! {
 fn every_truncation_and_bit_flip_of_the_headers_is_refused() {
     // Exhaustive where the format is densest: every byte of the bundle
     // header (its own digest line included) and of each φ header.
-    for (tag, n_shards) in [("walk-mono", None), ("walk-sharded", Some(2))] {
+    for (tag, n_shards) in [("walk-one", 1), ("walk-sharded", 2)] {
         let dir = save(tag, n_shards);
         for rel in bundle_files(&dir) {
             let bytes = std::fs::read(dir.join(&rel)).unwrap();
             let walked = match rel.as_str() {
-                "header.tsv" | "manifest.tsv" => bytes.len(),
+                "manifest.tsv" => bytes.len(),
                 r if r.ends_with("phi.bin") => 24,
                 _ => continue,
             };
@@ -188,14 +184,14 @@ fn every_truncation_and_bit_flip_of_the_headers_is_refused() {
 
 #[test]
 fn deleting_a_listed_optional_file_is_refused() {
-    for (tag, n_shards) in [("delete-mono", None), ("delete-sharded", Some(2))] {
+    for (tag, n_shards) in [("delete-one", 1), ("delete-sharded", 2)] {
         let dir = save(tag, n_shards);
         let optional: Vec<String> = bundle_files(&dir)
             .into_iter()
             .filter(|rel| rel.ends_with("stopwords.txt") || rel.ends_with("unstem.tsv"))
             .collect();
         // stopwords.txt, plus one unstem.tsv per shard (the model stems).
-        assert_eq!(optional.len(), 1 + n_shards.unwrap_or(1), "{optional:?}");
+        assert_eq!(optional.len(), 1 + n_shards, "{optional:?}");
         for rel in optional {
             let path = dir.join(&rel);
             let original = std::fs::read(&path).unwrap();
@@ -215,8 +211,8 @@ fn phi_headers_claiming_huge_shapes_fail_before_allocating() {
     // the real file length before allocating, so it fails instead of
     // aborting on a huge allocation.
     for (tag, n_shards, rel) in [
-        ("huge-mono", None, "phi.bin"),
-        ("huge-sharded", Some(2), "shard-1/phi.bin"),
+        ("huge-one", 1, "shard-0/phi.bin"),
+        ("huge-sharded", 2, "shard-1/phi.bin"),
     ] {
         let dir = save(tag, n_shards);
         let bytes = std::fs::read(dir.join(rel)).unwrap();
@@ -256,28 +252,46 @@ fn sealed_bundles_with_values_that_break_fold_in_are_refused() {
     // are wrong. An infinite α makes θ NaN; the draw needs finite,
     // non-negative φ; an infinite threshold breaks Algorithm 2.
     type Edit = fn(&mut FrozenModel);
-    let monolithic: [(&str, Edit, &str, &str); 4] = [
+    let one_shard: [(&str, Edit, &str, &str); 4] = [
         (
             "alpha",
             |m| m.alpha[0] = f64::INFINITY,
             "alpha0",
-            "header.tsv",
+            "manifest.tsv",
         ),
         (
             "seg",
             |m| m.header.seg_alpha = f64::INFINITY,
             "seg_alpha",
-            "header.tsv",
+            "manifest.tsv",
         ),
-        ("phi-neg", |m| m.phi[1][2] = -1.0, "phi.bin", "phi.bin"),
-        ("phi-nan", |m| m.phi[1][2] = f64::NAN, "phi.bin", "phi.bin"),
+        (
+            "phi-neg",
+            |m| m.phi[1][2] = -1.0,
+            "shard-0/phi.bin",
+            "shard-0/phi.bin",
+        ),
+        (
+            "phi-nan",
+            |m| m.phi[1][2] = f64::NAN,
+            "shard-0/phi.bin",
+            "shard-0/phi.bin",
+        ),
     ];
-    for (tag, edit, what, file) in monolithic {
+    let addrs = vec!["127.0.0.1:9".to_string()];
+    for (tag, edit, what, file) in one_shard {
         let mut bad = model().clone();
         edit(&mut bad);
         let dir = fresh_dir(&format!("value-{tag}"));
         bad.save(&dir).unwrap();
         refuses_value(load_bundle(&dir), what, file, "load_bundle");
+        refuses_value(ShardSlice::load(&dir, 0), what, file, "ShardSlice::load(0)");
+        let router = RemoteShardedModel::connect_lazy(&dir, &addrs, fast_pool());
+        match file {
+            "manifest.tsv" => refuses_value(router, what, file, "router view"),
+            // The router's view reads no φ.
+            _ => assert!(router.is_ok()),
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
-use topmine_serve::{inference_json, FrozenModel, InferConfig, QueryEngine};
+use topmine_serve::{inference_json, load_bundle, FrozenModel, InferConfig, QueryEngine};
 
 fn fitted_model() -> FrozenModel {
     let texts: Vec<String> = (0..40)
@@ -94,7 +94,7 @@ fn theta_is_identical_across_thread_counts_and_reloads() {
         std::env::temp_dir().join(format!("topmine-serve-determinism-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     model.save(&dir).unwrap();
-    let reloaded = FrozenModel::load(&dir).unwrap();
+    let reloaded = load_bundle(&dir).unwrap();
 
     let texts: Vec<String> = (0..10)
         .map(|i| format!("a study of support vector machines and data streams, part {i}"))
@@ -106,10 +106,10 @@ fn theta_is_identical_across_thread_counts_and_reloads() {
     };
 
     // Three engines: in-memory 1 thread, in-memory 6 threads, reloaded
-    // bundle 3 threads. All must agree exactly.
+    // (one-shard) bundle 3 threads. All must agree exactly.
     let baseline = QueryEngine::new(Arc::new(model), 1).infer_batch(&texts, &cfg);
     let wide = QueryEngine::new(Arc::new(fitted_model()), 6).infer_batch(&texts, &cfg);
-    let from_disk = QueryEngine::new(Arc::new(reloaded), 3).infer_batch(&texts, &cfg);
+    let from_disk = QueryEngine::new(reloaded, 3).infer_batch(&texts, &cfg);
     assert_eq!(baseline, wide);
     assert_eq!(baseline, from_disk);
 

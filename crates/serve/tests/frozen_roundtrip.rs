@@ -1,30 +1,79 @@
-//! Property test: `FrozenModel::save`/`load` round-trips exactly for
-//! arbitrarily shaped models — any topic/vocabulary count, any lexicon,
-//! any preprocessing configuration, with and without unstem tables — and a
-//! second save writes the same file set byte for byte.
+//! Property tests of the one bundle layout, for arbitrarily shaped models
+//! — any topic/vocabulary count, any lexicon, any preprocessing
+//! configuration, with and without unstem tables — at shard counts 1–4: a
+//! saved bundle loads back as exactly the partition that was saved, a
+//! second save writes the same file set byte for byte, and
+//! `FrozenModel::save` writes the very bytes of the one-shard
+//! `ShardedModel::save`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::{Path, PathBuf};
 use topmine_corpus::Vocab;
-use topmine_serve::{FrozenModel, ModelHeader, PhraseTrie, PreprocessConfig};
+use topmine_serve::{
+    FrozenModel, ModelBackend, ModelHeader, PhraseTrie, PreprocessConfig, ShardedModel,
+};
 
-fn tmpdir(tag: u64) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("topmine-frozen-prop-{tag}-{}", std::process::id()));
+fn tmpdir(name: &str, tag: u64) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "topmine-bundle-prop-{name}-{tag}-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
-/// The names of the files in a bundle directory, sorted.
-fn bundle_files(dir: &std::path::Path) -> Vec<String> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    names.sort_unstable();
-    names
+/// Every file of the bundle at `dir`, as paths relative to it, sorted.
+fn bundle_files(dir: &Path) -> Vec<String> {
+    fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                let rel = path.strip_prefix(root).unwrap();
+                out.push(rel.to_str().unwrap().replace('\\', "/"));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(dir, dir, &mut out);
+    out.sort();
+    out
+}
+
+/// The files an `n_shards` bundle holds: the manifest, the stop list when
+/// the contract removes stop words, and per shard the vocabulary, lexicon
+/// and φ, plus the unstem table when training stemmed.
+fn expected_files(n_shards: usize, stem: bool, stopwords: bool) -> Vec<String> {
+    let mut files = vec!["manifest.tsv".to_string()];
+    if stopwords {
+        files.push("stopwords.txt".into());
+    }
+    for k in 0..n_shards {
+        let mut shard = vec!["lexicon.tsv", "phi.bin", "vocab.tsv"];
+        if stem {
+            shard.push("unstem.tsv");
+        }
+        files.extend(shard.iter().map(|f| format!("shard-{k}/{f}")));
+    }
+    files.sort();
+    files
+}
+
+/// Check that the trees at `a` and `b` hold the same files, byte for byte.
+fn same_tree(a: &Path, b: &Path) -> Result<Vec<String>, TestCaseError> {
+    let files = bundle_files(a);
+    prop_assert_eq!(&files, &bundle_files(b));
+    for file in &files {
+        let (x, y) = (
+            std::fs::read(a.join(file)).unwrap(),
+            std::fs::read(b.join(file)).unwrap(),
+        );
+        prop_assert!(x == y, "{} differs", file);
+    }
+    Ok(files)
 }
 
 /// Build a structurally valid model from free parameters.
@@ -103,46 +152,44 @@ proptest! {
         seed in 0u64..1_000_000,
         stem_flag in 0u8..2,
         stopword_flag in 0u8..2,
+        shards in 1usize..5,
     ) {
-        let model = build_model(k, v, seed, stem_flag == 1, stopword_flag == 1);
-        let dir = tmpdir(seed ^ (k as u64) << 32 ^ v as u64);
-        model.save(&dir).unwrap();
-        let loaded = FrozenModel::load(&dir).unwrap();
-        prop_assert_eq!(&loaded.header, &model.header);
-        prop_assert_eq!(&loaded.preprocess, &model.preprocess);
-        prop_assert_eq!(&loaded.lexicon, &model.lexicon);
+        let (stem, stopwords) = (stem_flag == 1, stopword_flag == 1);
+        let model = build_model(k, v, seed, stem, stopwords);
+        let sharded = ShardedModel::from_frozen(&model, shards).unwrap();
+        let dir = tmpdir("save", seed);
+        sharded.save(&dir).unwrap();
+        let loaded = ShardedModel::load(&dir).unwrap();
+        prop_assert_eq!(&loaded, &sharded);
         // φ round-trips bit for bit (phi.bin holds the raw little-endian
         // f64s).
-        let bits = |phi: &[Vec<f64>]| -> Vec<u64> { phi.iter().flatten().map(|p| p.to_bits()).collect() };
-        prop_assert_eq!(bits(&loaded.phi), bits(&model.phi));
-        prop_assert_eq!(loaded.phi.len(), model.phi.len());
-        prop_assert_eq!(&loaded.alpha, &model.alpha);
-        prop_assert_eq!(loaded.vocab.len(), model.vocab.len());
-        for (id, w) in model.vocab.iter() {
-            prop_assert_eq!(loaded.vocab.word(id), w);
-        }
-        prop_assert_eq!(&loaded.unstem, &model.unstem);
-        // And a second save produces the same files, byte for byte
-        // (canonical form, so the bundle digest is stable too).
-        let dir2 = tmpdir(seed ^ 0xdead_beef);
+        let words: Vec<u32> = (0..v as u32).collect();
+        let bits = |phi: Vec<f64>| -> Vec<u64> { phi.iter().map(|p| p.to_bits()).collect() };
+        prop_assert_eq!(bits(loaded.gather_phi(&words)), bits(model.gather_phi(&words)));
+        // A second save produces the same files, byte for byte (canonical
+        // form, so the bundle digest is stable too).
+        let dir2 = tmpdir("resave", seed);
         loaded.save(&dir2).unwrap();
-        let files = bundle_files(&dir);
-        prop_assert_eq!(&files, &bundle_files(&dir2));
-        let mut expected = vec!["header.tsv", "lexicon.tsv", "phi.bin", "vocab.tsv"];
-        if stem_flag == 1 {
-            expected.push("unstem.tsv");
-        }
-        if stopword_flag == 1 {
-            expected.push("stopwords.txt");
-        }
-        expected.sort_unstable();
-        prop_assert_eq!(&files, &expected);
-        for file in &files {
-            let a = std::fs::read(dir.join(file)).unwrap();
-            let b = std::fs::read(dir2.join(file)).unwrap();
-            prop_assert_eq!(a, b, "{} not canonical", file);
-        }
+        let files = same_tree(&dir, &dir2)?;
+        prop_assert_eq!(files, expected_files(shards, stem, stopwords));
         let _ = std::fs::remove_dir_all(dir);
         let _ = std::fs::remove_dir_all(dir2);
+    }
+
+    #[test]
+    fn frozen_save_writes_the_one_shard_bundle(
+        k in 1usize..6,
+        v in 1usize..40,
+        seed in 0u64..1_000_000,
+        stem_flag in 0u8..2,
+        stopword_flag in 0u8..2,
+    ) {
+        let model = build_model(k, v, seed, stem_flag == 1, stopword_flag == 1);
+        let (frozen, one) = (tmpdir("frozen", seed), tmpdir("one-shard", seed));
+        model.save(&frozen).unwrap();
+        ShardedModel::from_frozen(&model, 1).unwrap().save(&one).unwrap();
+        same_tree(&frozen, &one)?;
+        let _ = std::fs::remove_dir_all(frozen);
+        let _ = std::fs::remove_dir_all(one);
     }
 }

@@ -109,9 +109,9 @@ fn scrape_is_parseable_and_carries_core_series() {
     assert!(body.contains("\"uptime_seconds\":"), "{body}");
     assert!(body.contains("\"version\":"), "{body}");
     assert!(body.contains("\"kernel_version\":"), "{body}");
-    // The bundle digest is the value on the last line of header.tsv.
-    let header = std::fs::read_to_string(dir.join("header.tsv")).unwrap();
-    let sealed = header
+    // The bundle digest is the value on the last line of manifest.tsv.
+    let manifest = std::fs::read_to_string(dir.join("manifest.tsv")).unwrap();
+    let sealed = manifest
         .lines()
         .last()
         .unwrap()

@@ -9,7 +9,7 @@ use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
 use topmine_serve::{
-    http::MAX_CONNECTIONS, FrozenModel, HttpServer, QueryEngine, ServerConfig, FROZEN_MODEL_FORMAT,
+    http::MAX_CONNECTIONS, FrozenModel, HttpServer, QueryEngine, ServerConfig, SHARDED_MODEL_FORMAT,
 };
 
 fn fitted_model() -> FrozenModel {
@@ -74,7 +74,7 @@ fn concurrent_infer_requests_get_consistent_answers() {
     assert!(body.contains("\"topics\":2"), "{body}");
     let (status, body) = request(addr, "GET /model", "");
     assert_eq!(status, 200, "{body}");
-    assert!(body.contains(FROZEN_MODEL_FORMAT), "{body}");
+    assert!(body.contains(SHARDED_MODEL_FORMAT), "{body}");
     assert!(body.contains("\"lexicon_phrases\""), "{body}");
 
     // Concurrent clients: half send document A, half document B, all with
@@ -247,11 +247,13 @@ fn malformed_framing_and_versions_are_rejected() {
         ),
         400
     );
-    // Identical duplicates carry one unambiguous framing; serve them.
+    // Identical duplicates carry one unambiguous framing; serve them. The
+    // close lets `raw_status` read to end-of-file without waiting out the
+    // keep-alive idle limit.
     assert_eq!(
         raw_status(
             addr,
-            "POST /infer?seed=1&iters=5 HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\ntext"
+            "POST /infer?seed=1&iters=5 HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\nContent-Length: 4\r\nConnection: close\r\n\r\ntext"
         ),
         200
     );

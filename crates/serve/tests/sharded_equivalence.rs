@@ -123,7 +123,7 @@ fn sharded_bundle_roundtrips_and_resave_cleans_stale_shards() {
         assert_eq!(frozen.infer(text, &cfg), loaded.infer(text, &cfg));
     }
     // Re-save with fewer shards: stale shard directories must disappear
-    // and the auto-detecting loader must see exactly the new bundle.
+    // and `load_bundle` must see exactly the new bundle.
     let narrow = ShardedModel::from_frozen(&frozen, 2).unwrap();
     narrow.save(&dir).unwrap();
     for stale in 2..7 {

@@ -1,10 +1,10 @@
 //! Serving: train → freeze → save → load → query, end to end.
 //!
-//! Fits a small ToPMine model on surface text, freezes it into a
-//! single-directory bundle (what `topmine --save-model` writes), reloads
-//! it, and answers queries two ways: through the in-process
-//! `QueryEngine`, and over HTTP against a `topmine_serve::HttpServer`
-//! bound to an ephemeral port (what `topmine serve` runs).
+//! Fits a small ToPMine model on surface text, freezes it and saves it as
+//! a one-shard bundle (what `topmine --save-model` writes), reloads it,
+//! and answers queries two ways: through the in-process `QueryEngine`,
+//! and over HTTP against a `topmine_serve::HttpServer` bound to an
+//! ephemeral port (what `topmine serve` runs).
 //!
 //! Run: `cargo run --release --example serving`
 
@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use topmine_repro::corpus::{CorpusBuilder, CorpusOptions};
 use topmine_repro::serve::{
-    FrozenModel, HttpServer, InferConfig, QueryEngine, ServerConfig, ShardedModel,
+    load_bundle, HttpServer, InferConfig, QueryEngine, ServerConfig, ShardedModel,
 };
 use topmine_repro::synth::{generator, Profile};
 use topmine_repro::topmine::{ToPMine, ToPMineConfig};
@@ -46,18 +46,18 @@ fn main() {
     let _ = std::fs::remove_dir_all(&bundle);
     let frozen = model.freeze(&corpus, &CorpusOptions::default());
     frozen.save(&bundle).expect("save bundle");
-    let loaded = FrozenModel::load(&bundle).expect("load bundle");
+    let loaded = load_bundle(&bundle).expect("load bundle");
     println!(
-        "frozen bundle at {}: {} topics, vocabulary {}, {} lexicon phrases",
+        "bundle at {}: {} topics, vocabulary {}, {} lexicon phrases, {} shard(s)",
         bundle.display(),
         loaded.n_topics(),
         loaded.vocab_size(),
-        loaded.lexicon.n_phrases()
+        loaded.n_lexicon_phrases(),
+        loaded.n_shards()
     );
 
     // --- in-process inference ----------------------------------------------
-    let sharded = ShardedModel::from_frozen(&loaded, 3).expect("shard bundle");
-    let engine = Arc::new(QueryEngine::new(Arc::new(loaded), 2));
+    let engine = Arc::new(QueryEngine::new(loaded, 2));
     let query = &texts[0];
     let inference = engine.infer(query, &InferConfig::default());
     println!("\nquery: {query}");
@@ -66,10 +66,11 @@ fn main() {
         println!("  phrase {:?} -> topic {}", p.text, p.topic);
     }
 
-    // --- the same answer from a sharded backend ------------------------------
-    // Partition the bundle into vocabulary-range shards (what
+    // --- the same answer from more shards -----------------------------------
+    // Partition the model into vocabulary-range shards (what
     // `topmine --save-model dir --shards 3` writes): inference
-    // scatter-gathers over the shards and is bit-identical to the monolith.
+    // scatter-gathers over the shards and is bit-identical to one shard.
+    let sharded = ShardedModel::from_frozen(&frozen, 3).expect("shard model");
     let sharded_engine = QueryEngine::new(Arc::new(sharded), 2);
     let sharded_inference = sharded_engine.infer(query, &InferConfig::default());
     assert_eq!(

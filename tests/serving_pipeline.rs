@@ -3,7 +3,7 @@
 //! topics.
 
 use std::sync::Arc;
-use topmine_repro::serve::{load_bundle, FrozenModel, InferConfig, QueryEngine, ShardedModel};
+use topmine_repro::serve::{load_bundle, InferConfig, QueryEngine, ShardedModel};
 use topmine_repro::topmine::{ToPMine, ToPMineConfig};
 
 #[test]
@@ -22,14 +22,12 @@ fn fitted_pipeline_freezes_and_answers_queries() {
     let frozen = model.freeze(corpus, &topmine_repro::corpus::CorpusOptions::raw());
     frozen.validate().unwrap();
 
-    // Round-trip through disk.
+    // Round-trip through disk: the save is the one-shard bundle.
     let dir = std::env::temp_dir().join(format!("topmine-serving-int-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     frozen.save(&dir).unwrap();
-    let loaded = FrozenModel::load(&dir).unwrap();
-    assert_eq!(loaded.header, frozen.header);
-    assert_eq!(loaded.phi, frozen.phi);
-    assert_eq!(loaded.lexicon, frozen.lexicon);
+    let loaded = ShardedModel::load(&dir).unwrap();
+    assert_eq!(loaded, ShardedModel::from_frozen(&frozen, 1).unwrap());
 
     // Query a training-like document: the engine should segment known
     // phrases and produce a proper θ.
@@ -47,9 +45,9 @@ fn fitted_pipeline_freezes_and_answers_queries() {
     assert_eq!(inference.theta.len(), synth.n_topics);
     assert!(!inference.phrases.is_empty());
 
-    // Shard the same fitted model, round-trip it through the sharded
-    // bundle layout, and serve through the auto-detecting loader: the
-    // answer must be bit-identical to the monolithic engine's.
+    // Save the same fitted model as 3 shards over the one-shard bundle
+    // and serve it through `load_bundle`: the answer must be
+    // bit-identical to the one-shard engine's.
     let sharded = ShardedModel::from_frozen(&frozen, 3).unwrap();
     sharded.save(&dir).unwrap();
     let backend = load_bundle(&dir).unwrap();
