@@ -77,7 +77,7 @@ fn ablation_chunking(synth: &SynthCorpus) {
         table.row([
             label.to_string(),
             stats.n_frequent_ngrams().to_string(),
-            stats.max_len.to_string(),
+            stats.max_len().to_string(),
             format!("{:.3}", t.elapsed().as_secs_f64()),
         ]);
     }
@@ -104,7 +104,7 @@ fn ablation_doc_pruning(synth: &SynthCorpus) {
             stats.n_frequent_ngrams().to_string(),
             format!("{:.3}", t.elapsed().as_secs_f64()),
         ]);
-        results.push(stats.ngram_counts);
+        results.push(stats);
     }
     println!("{}", table.to_aligned());
     println!(
@@ -178,18 +178,21 @@ fn ablation_min_support(synth: &SynthCorpus) {
         // A mined n-gram is "correct" if it is a planted phrase or a
         // contiguous sub-phrase of one (sub-phrases necessarily co-occur).
         let mut hits = 0usize;
-        for p in stats.ngram_counts.keys() {
+        let ngrams: Vec<Vec<u32>> = stats
+            .phrases()
+            .into_iter()
+            .filter(|(p, _)| p.len() > 1)
+            .map(|(p, _)| p)
+            .collect();
+        for p in &ngrams {
             let sub_of_planted = planted
                 .iter()
-                .any(|pl| pl.len() >= p.len() && pl.windows(p.len()).any(|w| w == p.as_ref()));
+                .any(|pl| pl.len() >= p.len() && pl.windows(p.len()).any(|w| w == p.as_slice()));
             if sub_of_planted {
                 hits += 1;
             }
         }
-        let found: usize = planted
-            .iter()
-            .filter(|p| stats.ngram_counts.contains_key(**p))
-            .count();
+        let found: usize = planted.iter().filter(|p| stats.count(p) > 0).count();
         table.row([
             eps.to_string(),
             stats.n_frequent_ngrams().to_string(),
@@ -324,13 +327,12 @@ fn ablation_scoring_measure(synth: &SynthCorpus) {
     let l = stats.total_tokens;
     let mut by_sig = TopK::new(100);
     let mut by_pmi = TopK::new(100);
-    let mut bigrams: Vec<(&[u32], u64)> = stats
-        .ngram_counts
+    // Lexicographic order, so equal scores rank the same on every run.
+    let phrases = stats.phrases();
+    let bigrams = phrases
         .iter()
         .filter(|(p, _)| p.len() == 2)
-        .map(|(p, &c)| (p.as_ref(), c))
-        .collect();
-    bigrams.sort();
+        .map(|(p, c)| (p.as_slice(), *c));
     for (p, c) in bigrams {
         let (f1, f2) = (stats.count(&p[..1]), stats.count(&p[1..]));
         by_sig.push(significance(c, f1, f2, l), p);

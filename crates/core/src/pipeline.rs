@@ -146,8 +146,8 @@ pub struct ToPMineModel {
 }
 
 impl ToPMineModel {
-    /// Freeze the fitted model into a serving artifact: the phrase lexicon
-    /// becomes a prefix trie, φ/α/β are captured as point estimates, and
+    /// Freeze the fitted model into a serving artifact: the mined phrase
+    /// lexicon is kept as is, φ/α/β are captured as point estimates, and
     /// `options` records the preprocessing contract unseen text will be
     /// held to. See `topmine_serve` for inference and the query server.
     pub fn freeze(

@@ -5,6 +5,10 @@
 //! over the window must stay far below one second per second, and once the
 //! connections close it must serve again.
 //!
+//! Out of descriptors, `serve` also sheds its idlest keep-alive
+//! connections, so a new connection is served well before any idle one
+//! would time out, while a request already in flight keeps its connection.
+//!
 //! Linux only: the CPU time comes from `/proc/<pid>/stat`.
 #![cfg(target_os = "linux")]
 
@@ -167,6 +171,30 @@ fn healthz(addr: &str) -> u16 {
     }
 }
 
+/// One `GET /healthz` on a fresh connection, without retries: the status,
+/// and how long the response took from connecting.
+fn healthz_once(addr: &str) -> (u16, Duration) {
+    let start = Instant::now();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(SERVED_WITHIN + Duration::from_secs(5)))
+        .unwrap();
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    if let Err(e) = stream.read_to_string(&mut response) {
+        panic!("/healthz unanswered after {:?}: {e}", start.elapsed());
+    }
+    let status = response.split_whitespace().nth(1).unwrap().parse().unwrap();
+    (status, start.elapsed())
+}
+
+/// How soon a new connection must be answered at the descriptor limit:
+/// far less than `KEEP_ALIVE_IDLE` (5 s), after which an idle connection
+/// closes on its own.
+const SERVED_WITHIN: Duration = Duration::from_secs(1);
+
 fn assert_waits(share: f64, who: &str) {
     assert!(
         share < 0.25,
@@ -182,6 +210,39 @@ fn serve_waits_when_out_of_descriptors() {
     assert_waits(cpu_share_while_held(&server, &addr), "serve");
     assert_eq!(healthz(&addr), 200);
     drop(server);
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn serve_sheds_idle_connections_at_its_descriptor_limit() {
+    let (dir, bundle) = fit_bundle("shed");
+    let model = bundle.to_str().unwrap();
+    let (server, addr) = spawn(&["serve", "--model", model, "--port", "0"], true);
+    // A request in flight: its head stops before the blank line.
+    let mut in_flight = TcpStream::connect(&addr).unwrap();
+    in_flight
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let held: Vec<TcpStream> = (0..HELD)
+        .map(|_| TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(200));
+    let (status, took) = healthz_once(&addr);
+    assert_eq!(status, 200);
+    assert!(
+        took < SERVED_WITHIN,
+        "/healthz took {took:?} at the descriptor limit"
+    );
+    // The request in flight was not shed: finished now, it is answered.
+    in_flight
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    in_flight.write_all(b"Connection: close\r\n\r\n").unwrap();
+    let mut response = String::new();
+    in_flight.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200"), "{response:?}");
+    drop((held, server));
     std::fs::remove_dir_all(dir).unwrap();
 }
 

@@ -14,15 +14,22 @@
 //! constituent sub-phrases (not against all their unigrams), which is the
 //! paper's answer to the "free-rider" problem.
 //!
-//! Complexity: each chunk of length `m` performs at most `m−1` merges, each
-//! `O(log m)` heap work (lazy deletion via version stamps), matching the
-//! paper's `O(log N_d)` per-merge claim.
+//! Every live phrase instance keeps its lexicon node ([`PhraseStats`]), so
+//! scoring a candidate reads `f(left)` and `f(right)` by node id and finds
+//! `left ⊕ right` by `|right|` child lookups from `left`'s node; an accepted
+//! merge hands that node to the merged instance. A pair whose concatenation
+//! the lexicon does not count (count 0) is never a candidate, whatever `α`.
 //!
-//! The node arrays and the heap live in a reusable [`ConstructScratch`] —
-//! one per worker thread — so constructing a corpus allocates per *document*
-//! (the output spans), not per chunk or per merge.
+//! Complexity: each chunk of length `m` performs at most `m−1` merges. Each
+//! candidate costs `O(log m)` heap work (lazy deletion via version stamps),
+//! matching the paper's `O(log N_d)` per-merge claim, plus `|right|` child
+//! lookups.
+//!
+//! The instance arrays and the heap live in a reusable [`ConstructScratch`]
+//! — one per worker thread — so constructing a corpus allocates per
+//! *document* (the output spans), not per chunk or per merge.
 
-use crate::counter::PhraseCounts;
+use crate::counter::PhraseStats;
 use crate::significance::significance;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -60,6 +67,8 @@ struct Candidate {
     right: u32,
     left_version: u32,
     right_version: u32,
+    /// Lexicon node of the merged phrase.
+    merged: u32,
 }
 
 impl PartialEq for Candidate {
@@ -84,9 +93,9 @@ impl Ord for Candidate {
     }
 }
 
-/// Reusable Algorithm 2 working memory: the linked-list node arrays and the
-/// candidate max-heap. Each worker thread keeps one scratch and reuses it
-/// for every chunk it constructs; `reset` keeps all allocations, so
+/// Reusable Algorithm 2 working memory: the linked-list instance arrays and
+/// the candidate max-heap. Each worker thread keeps one scratch and reuses
+/// it for every chunk it constructs; `reset` keeps all allocations, so
 /// steady-state construction allocates nothing beyond the output spans.
 #[derive(Debug, Default)]
 pub struct ConstructScratch {
@@ -96,6 +105,9 @@ pub struct ConstructScratch {
     next: Vec<i32>,
     alive: Vec<bool>,
     version: Vec<u32>,
+    /// Each instance's lexicon node; `None` for a token outside the
+    /// lexicon's vocabulary (it never merges).
+    node: Vec<Option<u32>>,
     heap: BinaryHeap<Candidate>,
 }
 
@@ -104,8 +116,10 @@ impl ConstructScratch {
         Self::default()
     }
 
-    /// Re-initialize for a chunk of `n` tokens, keeping capacity.
-    fn reset(&mut self, n: usize) {
+    /// Re-initialize for `tokens`, one instance per token, keeping
+    /// capacity.
+    fn reset(&mut self, tokens: &[u32], lexicon: &PhraseStats) {
+        let n = tokens.len();
         self.start.clear();
         self.start.extend(0..n as u32);
         self.end.clear();
@@ -119,25 +133,35 @@ impl ConstructScratch {
         self.alive.resize(n, true);
         self.version.clear();
         self.version.resize(n, 0);
+        self.node.clear();
+        self.node.extend(tokens.iter().map(|&w| lexicon.unigram(w)));
         self.heap.clear();
     }
 
-    fn span<'t>(&self, tokens: &'t [u32], i: u32) -> &'t [u32] {
-        &tokens[self.start[i as usize] as usize..self.end[i as usize] as usize]
-    }
-
-    /// Score the merge of nodes `(a, b)` and push it if it can ever be taken.
-    fn push_candidate<C: PhraseCounts + ?Sized>(
+    /// Score the merge of instances `(a, b)` and push it if it can ever be
+    /// taken: the lexicon counts the merged phrase and its score reaches
+    /// `alpha`.
+    fn push_candidate(
         &mut self,
         tokens: &[u32],
-        stats: &C,
+        lexicon: &PhraseStats,
         alpha: f64,
         a: u32,
         b: u32,
     ) {
-        let merged = &tokens[self.start[a as usize] as usize..self.end[b as usize] as usize];
-        let (f1, f2, f12) = stats.merge_counts(self.span(tokens, a), self.span(tokens, b), merged);
-        let sig = significance(f12, f1, f2, stats.total_tokens());
+        let (a_node, b_node) = (self.node[a as usize], self.node[b as usize]);
+        let right = &tokens[self.start[b as usize] as usize..self.end[b as usize] as usize];
+        let Some(merged) =
+            a_node.and_then(|a| right.iter().try_fold(a, |node, &w| lexicon.child(node, w)))
+        else {
+            return;
+        };
+        let f12 = lexicon.node_count(merged);
+        if f12 == 0 {
+            return;
+        }
+        let count = |node: Option<u32>| node.map_or(0, |n| lexicon.node_count(n));
+        let sig = significance(f12, count(a_node), count(b_node), lexicon.total_tokens);
         // Entries below α can never be merged (their score is immutable until
         // a neighbor merge invalidates them), so skip the heap traffic.
         if sig >= alpha {
@@ -147,6 +171,7 @@ impl ConstructScratch {
                 right: b,
                 left_version: self.version[a as usize],
                 right_version: self.version[b as usize],
+                merged,
             });
         }
     }
@@ -154,9 +179,9 @@ impl ConstructScratch {
 
 /// Run Algorithm 2 on one chunk. If `trace` is given, every merge is
 /// recorded in order.
-pub fn construct_chunk<C: PhraseCounts + ?Sized>(
+pub fn construct_chunk(
     tokens: &[u32],
-    stats: &C,
+    stats: &PhraseStats,
     alpha: f64,
     trace: Option<&mut MergeTrace>,
 ) -> ChunkPartition {
@@ -169,9 +194,9 @@ pub fn construct_chunk<C: PhraseCounts + ?Sized>(
 /// Run Algorithm 2 on one chunk using caller-provided scratch, appending
 /// spans shifted by `offset` (the chunk's document offset) to `out`. Trace
 /// spans are shifted the same way; trace iterations restart per chunk.
-pub fn construct_chunk_into<C: PhraseCounts + ?Sized>(
+pub fn construct_chunk_into(
     tokens: &[u32],
-    stats: &C,
+    stats: &PhraseStats,
     alpha: f64,
     mut trace: Option<&mut MergeTrace>,
     scratch: &mut ConstructScratch,
@@ -182,7 +207,7 @@ pub fn construct_chunk_into<C: PhraseCounts + ?Sized>(
     if n == 0 {
         return;
     }
-    scratch.reset(n);
+    scratch.reset(tokens, stats);
     for i in 0..n.saturating_sub(1) as u32 {
         scratch.push_candidate(tokens, stats, alpha, i, i + 1);
     }
@@ -210,6 +235,7 @@ pub fn construct_chunk_into<C: PhraseCounts + ?Sized>(
         iteration += 1;
         // Merge b into a.
         scratch.end[a] = scratch.end[b];
+        scratch.node[a] = Some(cand.merged);
         scratch.alive[b] = false;
         scratch.version[a] = scratch.version[a].wrapping_add(1);
         let after = scratch.next[b];
@@ -252,11 +278,7 @@ impl PhraseConstructor {
     }
 
     /// Partition a whole document; spans are document-relative.
-    pub fn construct_doc<C: PhraseCounts + ?Sized>(
-        &self,
-        doc: &Document,
-        stats: &C,
-    ) -> Vec<(u32, u32)> {
+    pub fn construct_doc(&self, doc: &Document, stats: &PhraseStats) -> Vec<(u32, u32)> {
         let mut scratch = ConstructScratch::default();
         self.construct_doc_with(doc, stats, &mut scratch)
     }
@@ -264,10 +286,10 @@ impl PhraseConstructor {
     /// Partition a whole document reusing caller-provided scratch — the
     /// allocation-free path: per document only the returned span vector is
     /// allocated.
-    pub fn construct_doc_with<C: PhraseCounts + ?Sized>(
+    pub fn construct_doc_with(
         &self,
         doc: &Document,
-        stats: &C,
+        stats: &PhraseStats,
         scratch: &mut ConstructScratch,
     ) -> Vec<(u32, u32)> {
         let mut spans = Vec::with_capacity(doc.n_tokens());
@@ -287,10 +309,10 @@ impl PhraseConstructor {
 
     /// Same, also returning the concatenated merge trace (chunk-relative
     /// spans are shifted to document offsets).
-    pub fn construct_doc_traced<C: PhraseCounts + ?Sized>(
+    pub fn construct_doc_traced(
         &self,
         doc: &Document,
-        stats: &C,
+        stats: &PhraseStats,
     ) -> (Vec<(u32, u32)>, MergeTrace) {
         let mut scratch = ConstructScratch::default();
         let mut trace = MergeTrace::new();
@@ -313,24 +335,14 @@ impl PhraseConstructor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counter::PhraseStats;
-    use topmine_util::FxHashMap;
 
-    /// Hand-assembled stats: unigram counts + frequent n-gram counts.
+    /// Hand-assembled lexicon: unigram counts + frequent n-gram counts.
     fn stats(unigrams: Vec<u64>, ngrams: &[(&[u32], u64)], total: u64) -> PhraseStats {
-        let mut map: FxHashMap<Box<[u32]>, u64> = FxHashMap::default();
-        let mut max_len = 1;
+        let mut lexicon = PhraseStats::new(unigrams, total, 1);
         for (p, c) in ngrams {
-            map.insert(p.to_vec().into_boxed_slice(), *c);
-            max_len = max_len.max(p.len());
+            lexicon.insert(p, *c).unwrap();
         }
-        PhraseStats {
-            unigram_counts: unigrams,
-            ngram_counts: map,
-            total_tokens: total,
-            min_support: 1,
-            max_len,
-        }
+        lexicon
     }
 
     fn spans_of(tokens: &[u32], st: &PhraseStats, alpha: f64) -> Vec<(u32, u32)> {
@@ -359,10 +371,32 @@ mod tests {
 
     #[test]
     fn unseen_pairs_never_merge() {
-        // Even with an absurdly permissive (finite) α, a pair whose merge
-        // was never observed as a frequent phrase cannot merge.
+        // Whatever α, even −∞, a pair whose merge was never observed as a
+        // frequent phrase cannot merge; a NaN α merges nothing at all.
         let st = stats(vec![100, 100], &[], 10_000);
-        assert_eq!(spans_of(&[0, 1], &st, -1e300), vec![(0, 1), (1, 2)]);
+        let singletons = vec![(0, 1), (1, 2), (2, 3)];
+        for alpha in [-1e300, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(spans_of(&[0, 1, 0], &st, alpha), singletons, "α = {alpha}");
+        }
+        let st = stats(vec![100, 100], &[(&[0, 1], 90)], 10_000);
+        assert_eq!(
+            spans_of(&[0, 1, 0], &st, f64::NEG_INFINITY),
+            vec![(0, 2), (2, 3)]
+        );
+        assert_eq!(spans_of(&[0, 1, 0], &st, f64::NAN), singletons);
+        // A pair whose concatenation is only implied by a longer phrase (a
+        // node with count 0) is unseen too, so the trigram cannot form.
+        let st = stats(vec![100, 100], &[(&[0, 1, 0], 90)], 10_000);
+        assert_eq!(spans_of(&[0, 1, 0], &st, f64::NEG_INFINITY), singletons);
+    }
+
+    #[test]
+    fn tokens_outside_the_vocabulary_stay_singletons() {
+        let st = stats(vec![50, 50], &[(&[0, 1], 45)], 100_000);
+        assert_eq!(
+            spans_of(&[7, 0, 1, 9], &st, 3.0),
+            vec![(0, 1), (1, 3), (3, 4)]
+        );
     }
 
     #[test]

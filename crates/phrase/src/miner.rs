@@ -18,15 +18,17 @@
 //! per-document work by the (constant) chunk size and makes the whole miner
 //! effectively linear in corpus size.
 //!
-//! # Prefix-id counting
+//! # Node-id counting
 //!
-//! The miner ([`FrequentPhraseMiner::mine`]) never hashes a
-//! phrase while counting. Each frequent (n−1)-gram gets a dense `u32` id at
-//! its level (at level 2 the id of a unigram is the word id itself), so a
-//! level-n candidate is the pair `(prefix_id, next_word)` packed into one
-//! `u64` and counted in flat open-addressing [`U64Map`] tables — no
-//! per-occurrence allocation, no variable-length hashing. Word-id phrases
-//! are materialized only for candidates that survive min-support.
+//! The miner ([`FrequentPhraseMiner::mine`]) never hashes a phrase, and
+//! never materializes one. It fills the lexicon ([`PhraseStats`]) as it
+//! goes: every frequent (n−1)-gram is a dense `u32` node (a unigram's node
+//! is its word id), so a level-n candidate is the pair `(prefix_node,
+//! next_word)` packed into one `u64` and counted in flat open-addressing
+//! [`U64Map`] tables — no per-occurrence allocation, no variable-length
+//! hashing. The level's survivors become the prefix nodes' children, and
+//! each active position is retagged with its n-gram's node by one child
+//! lookup.
 //!
 //! # Parallel passes
 //!
@@ -39,12 +41,12 @@
 //! shard (`hash(key) % n_shards`). Merge shard `s` then reads only the
 //! partitions for `s`, sizes its destination from their lengths before
 //! the first insert, and sums them; addition commutes, so arrival order is
-//! irrelevant. Survivors are sorted by packed key before ids are assigned,
-//! so the result is bit-identical at every thread count. Every level's
-//! tables start at the minimum size, so a level's clears and scans cost
-//! what its own candidates need.
+//! irrelevant. Survivors are sorted by packed key before they get their
+//! node ids, so the lexicon is bit-identical at every thread count. Every
+//! level's tables start at the minimum size, so a level's clears and scans
+//! cost what its own candidates need.
 
-use crate::counter::{Phrase, PhraseStats};
+use crate::counter::PhraseStats;
 use crate::prefix::{fib_hash, U64Map};
 use std::time::Instant;
 use topmine_corpus::{Corpus, Document};
@@ -96,9 +98,9 @@ struct Worker {
 /// Per-document mining state.
 struct DocState {
     doc_idx: usize,
-    /// Sorted `(position, prefix_id)` pairs: the positions whose
-    /// current-level (n−1)-gram is frequent, each tagged with that gram's
-    /// dense id. At level 2 the id is the word id itself.
+    /// Sorted `(position, node)` pairs: the positions whose current-level
+    /// (n−1)-gram is frequent, each tagged with that gram's lexicon node.
+    /// At level 2 the node is the word id itself.
     active: Vec<(u32, u32)>,
 }
 
@@ -139,7 +141,8 @@ impl FrequentPhraseMiner {
         let mut tel = MiningTelemetry::default();
 
         // Initialize per-document active sets (line 2): every position whose
-        // unigram is frequent, tagged with the word id as its prefix id.
+        // unigram is frequent, tagged with its unigram node (the word id).
+        let unigrams = stats.unigram_counts();
         let mut states: Vec<DocState> = corpus
             .docs
             .iter()
@@ -151,16 +154,15 @@ impl FrequentPhraseMiner {
                     .tokens
                     .iter()
                     .enumerate()
-                    .filter(|&(_, &t)| stats.unigram_counts[t as usize] >= eps)
+                    .filter(|&(_, &t)| unigrams[t as usize] >= eps)
                     .map(|(i, &t)| (i as u32, t))
                     .collect(),
             })
             .collect();
         states.retain(|s| !s.active.is_empty() || self.config.disable_doc_pruning);
 
-        // Scratch reused across levels: each worker's count partitions (one
-        // per merge shard; worker 0's double as the merge tables), the
-        // survivor→id table, and the double-buffered phrase arena. Counting
+        // Each worker's count partitions (one per merge shard; worker 0's
+        // double as the merge tables), reused across levels. Counting
         // therefore allocates nothing per occurrence (a table grows
         // O(log size) times per level).
         let n_threads = self.config.n_threads.max(1);
@@ -170,11 +172,6 @@ impl FrequentPhraseMiner {
                 occurrences: 0,
             })
             .collect();
-        let mut id_map = U64Map::new();
-        // Word ids of the previous level's frequent (n−1)-grams, stride
-        // (n−1), indexed by prefix id. Empty at level 2 (prefix = word id).
-        let mut arena: Vec<u32> = Vec::new();
-        let mut next_arena: Vec<u32> = Vec::new();
 
         let mut n = 2usize; // current candidate length (line 4)
         while !states.is_empty() {
@@ -201,8 +198,8 @@ impl FrequentPhraseMiner {
             let occurrences = workers.iter().map(|w| w.occurrences).sum();
 
             // Deterministic merge + min-support prune (line 22's filter):
-            // survivors arrive sorted by packed key, which fixes the id
-            // assignment below independently of thread count.
+            // survivors arrive sorted by packed key, which fixes their node
+            // ids independently of thread count.
             let (survivors, candidates) = merge_frequent(&mut workers, eps);
 
             if survivors.is_empty() {
@@ -217,40 +214,15 @@ impl FrequentPhraseMiner {
                 });
                 break;
             }
-            assert!(
-                survivors.len() < u32::MAX as usize,
-                "too many frequent phrases at one level for u32 prefix ids"
-            );
-            stats.max_len = n;
-
-            // Materialize the survivors (the only place phrases are built)
-            // and assign their dense ids for the next level.
-            next_arena.clear();
-            id_map.reset(survivors.len());
-            stats.ngram_counts.reserve(survivors.len());
-            for (idx, &(key, count)) in survivors.iter().enumerate() {
-                let prefix = (key >> 32) as u32;
-                let word = key as u32;
-                let start = next_arena.len();
-                if n == 2 {
-                    next_arena.push(prefix);
-                } else {
-                    let p = prefix as usize * (n - 1);
-                    next_arena.extend_from_slice(&arena[p..p + (n - 1)]);
-                }
-                next_arena.push(word);
-                let phrase: Phrase = next_arena[start..].to_vec().into_boxed_slice();
-                stats.ngram_counts.insert(phrase, count);
-                id_map.set(key, idx as u64);
-            }
-            std::mem::swap(&mut arena, &mut next_arena);
+            // The survivors become children of their prefix nodes.
+            stats.add_level(&survivors, n);
 
             // Advance active indices (line 7): a position stays active for
             // level n+1 iff its level-n candidate was countable and survived.
-            let id_map = &id_map;
+            let lexicon = &stats;
             par::for_each(states.chunks_mut(DOC_BLOCK), &mut workers, |_, block| {
                 for st in block {
-                    advance_state(&corpus.docs[st.doc_idx], st, n, id_map);
+                    advance_state(&corpus.docs[st.doc_idx], st, n, lexicon);
                 }
             });
 
@@ -292,13 +264,7 @@ impl FrequentPhraseMiner {
                 unigram_counts[t as usize] += 1;
             }
         }
-        PhraseStats {
-            unigram_counts,
-            ngram_counts: FxHashMap::default(),
-            total_tokens,
-            min_support: eps,
-            max_len: 1,
-        }
+        PhraseStats::new(unigram_counts, total_tokens, eps)
     }
 }
 
@@ -334,7 +300,7 @@ impl<'a> ChunkEnds<'a> {
 ///
 /// A candidate at active position `i` is counted iff `i+1` is also active
 /// (both constituent (n−1)-grams frequent — downward closure) and the n-gram
-/// fits inside `i`'s chunk. The candidate key is the position's prefix id
+/// fits inside `i`'s chunk. The candidate key is the position's node
 /// packed with the word that extends it — one `u64`, no allocation.
 #[inline]
 fn count_level_doc(doc: &Document, st: &DocState, n: usize, parts: &mut [U64Map]) -> u64 {
@@ -406,14 +372,14 @@ fn merge_frequent(workers: &mut [Worker], eps: u64) -> (Vec<(u64, u64)>, u64) {
 
 /// Rebuild one document's active set after level `n`: position `i` survives
 /// iff the pair `(i, i+1)` was countable at level n and its n-gram is in
-/// `id_map` (i.e. met min-support); the entry is retagged with the n-gram's
-/// dense id. Rewrites `active` in place (the write cursor never passes the
-/// read cursor).
-fn advance_state(doc: &Document, st: &mut DocState, n: usize, id_map: &U64Map) {
+/// the lexicon (i.e. met min-support); the entry is retagged with the
+/// n-gram's node. Rewrites `active` in place (the write cursor never passes
+/// the read cursor).
+fn advance_state(doc: &Document, st: &mut DocState, n: usize, lexicon: &PhraseStats) {
     let mut w = 0usize;
     let mut chunks = ChunkEnds::new(doc);
     for r in 0..st.active.len().saturating_sub(1) {
-        let (pos, pid) = st.active[r];
+        let (pos, node) = st.active[r];
         if st.active[r + 1].0 != pos + 1 {
             continue;
         }
@@ -421,9 +387,8 @@ fn advance_state(doc: &Document, st: &mut DocState, n: usize, id_map: &U64Map) {
         if i + n > chunks.end_of(i) {
             continue;
         }
-        let key = ((pid as u64) << 32) | doc.tokens[i + n - 1] as u64;
-        if let Some(id) = id_map.get(key) {
-            st.active[w] = (pos, id as u32);
+        if let Some(child) = lexicon.child(node, doc.tokens[i + n - 1]) {
+            st.active[w] = (pos, child);
             w += 1;
         }
     }
@@ -431,15 +396,16 @@ fn advance_state(doc: &Document, st: &mut DocState, n: usize, id_map: &U64Map) {
 }
 
 /// Reference miner used by tests: enumerate every within-chunk n-gram
-/// (2 ≤ n ≤ `max_len`), count by type, and keep those meeting support.
-/// Quadratic, but obviously correct. Probes with the borrowed window first
-/// and allocates a key only on first insert.
+/// (2 ≤ n ≤ `max_len`), count by type, and keep those meeting support, in
+/// lexicographic order (the order of [`PhraseStats::phrases`]). Quadratic,
+/// but obviously correct. Probes with the borrowed window first and
+/// allocates a key only on first insert.
 pub fn naive_frequent_phrases(
     corpus: &Corpus,
     min_support: u64,
     max_len: usize,
-) -> FxHashMap<Phrase, u64> {
-    let mut all: FxHashMap<Phrase, u64> = FxHashMap::default();
+) -> Vec<(Vec<u32>, u64)> {
+    let mut all: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
     for doc in &corpus.docs {
         for chunk in doc.chunks() {
             for n in 2..=max_len.min(chunk.len()) {
@@ -447,14 +413,16 @@ pub fn naive_frequent_phrases(
                     if let Some(c) = all.get_mut(window) {
                         *c += 1;
                     } else {
-                        all.insert(window.to_vec().into_boxed_slice(), 1);
+                        all.insert(window.to_vec(), 1);
                     }
                 }
             }
         }
     }
-    all.retain(|_, c| *c >= min_support);
-    all
+    let mut frequent: Vec<(Vec<u32>, u64)> =
+        all.into_iter().filter(|&(_, c)| c >= min_support).collect();
+    frequent.sort_unstable();
+    frequent
 }
 
 #[cfg(test)]
@@ -521,7 +489,7 @@ mod tests {
         assert_eq!(stats.count(&[0, 1]), 3);
         assert_eq!(stats.count(&[1, 2]), 0); // once only
         assert_eq!(stats.total_tokens, 8);
-        assert_eq!(stats.max_len, 2);
+        assert_eq!(stats.max_len(), 2);
     }
 
     #[test]
@@ -531,7 +499,7 @@ mod tests {
         let c = corpus(&[&[&[0, 1, 2]], &[&[0, 1, 2]]]);
         let stats = FrequentPhraseMiner::new(2).mine(&c);
         assert_eq!(stats.count(&[0, 1, 2]), 2);
-        assert_eq!(stats.max_len, 3);
+        assert_eq!(stats.max_len(), 3);
         // Nothing of length 4 exists.
         assert_eq!(stats.count(&[0, 1, 2, 0]), 0);
     }
@@ -575,7 +543,7 @@ mod tests {
             ..MinerConfig::default()
         };
         let stats = FrequentPhraseMiner::with_config(cfg).mine(&c);
-        assert_eq!(stats.max_len, 2);
+        assert_eq!(stats.max_len(), 2);
         assert_eq!(stats.count(&[0, 1, 2]), 0);
         assert_eq!(stats.count(&[0, 1]), 2);
     }
@@ -596,8 +564,7 @@ mod tests {
             ..MinerConfig::default()
         })
         .mine(&c);
-        assert_eq!(with.ngram_counts, without.ngram_counts);
-        assert_eq!(with.max_len, without.max_len);
+        assert_eq!(with, without);
     }
 
     #[test]
@@ -610,8 +577,8 @@ mod tests {
             ..MinerConfig::default()
         })
         .mine(&c);
-        assert_eq!(seq.ngram_counts, par.ngram_counts);
-        assert_eq!(seq.unigram_counts, par.unigram_counts);
+        assert_eq!(seq, par);
+        assert_eq!(seq.unigram_counts(), par.unigram_counts());
     }
 
     #[test]
@@ -638,7 +605,12 @@ mod tests {
         let c = corpus(&doc_refs);
         let stats = FrequentPhraseMiner::new(3).mine(&c);
         let naive = naive_frequent_phrases(&c, 3, 32);
-        assert_eq!(stats.ngram_counts, naive);
+        let mined: Vec<(Vec<u32>, u64)> = stats
+            .phrases()
+            .into_iter()
+            .filter(|(p, _)| p.len() > 1)
+            .collect();
+        assert_eq!(mined, naive);
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Open-addressing `u64 → u64` table for prefix-id candidate counting.
+//! Open-addressing `u64 → u64` table for node-id candidate counting and
+//! the lexicon's child links.
 //!
 //! The Algorithm 1 hot loop increments one counter per window occurrence.
 //! A general-purpose `HashMap<Box<[u32]>, u64>` pays for that with a heap
 //! allocation per *probe miss*, variable-length hashing per probe, and
-//! pointer-chasing comparisons. Candidates in the prefix-id scheme are a
-//! single packed `u64` (`prefix_id << 32 | next_word`), so the table below
-//! is all a level needs: linear probing over two flat arrays and Fibonacci
-//! hashing (one multiply).
+//! pointer-chasing comparisons. Candidates in the node-id scheme are a
+//! single packed `u64` (`prefix_node << 32 | next_word`), so the table
+//! below is all a level needs: linear probing over two flat arrays and
+//! Fibonacci hashing (one multiply). The lexicon maps the same packed keys
+//! to child nodes in one such table.
 //!
 //! A table must never be filled while smaller than its final size when its
 //! keys arrive in another table's slot order. Slot order is sorted by the
@@ -16,10 +18,10 @@
 //! copy before the first insert (`U64Map::reserve`); keys counted in
 //! document order arrive in hash-random order and may grow a table freely.
 //!
-//! `u64::MAX` is the reserved empty-slot sentinel. Packed candidate keys
-//! can never collide with it: the miner asserts both the vocabulary size
-//! and every level's survivor count stay below `u32::MAX`, so the low half
-//! of a key is at most `u32::MAX - 1` — a real key is never all-ones.
+//! `u64::MAX` is the reserved empty-slot sentinel. Packed keys can never
+//! collide with it: the lexicon keeps the vocabulary size below
+//! `u32::MAX`, so the low half of a key (a word id) is at most
+//! `u32::MAX - 2` — a real key is never all-ones.
 
 /// Reserved key marking an empty slot.
 pub const EMPTY_KEY: u64 = u64::MAX;

@@ -15,12 +15,15 @@
 //! the same at every thread count; one thread runs the pass inline.
 
 use crate::construction::{ConstructScratch, PhraseConstructor};
-use crate::counter::{Phrase, PhraseStats};
+use crate::counter::PhraseStats;
 use crate::miner::{FrequentPhraseMiner, MinerConfig};
 use topmine_corpus::Corpus;
 use topmine_obs::MiningTelemetry;
 use topmine_util::par::{self, DOC_BLOCK};
 use topmine_util::FxHashMap;
+
+/// A phrase *type*: its word ids, in order.
+pub type Phrase = Box<[u32]>;
 
 /// Configuration for the end-to-end segmenter.
 #[derive(Debug, Clone)]

@@ -1,34 +1,46 @@
 //! Algorithm 2 against an independent oracle: [`construct_chunk`] (a
-//! max-heap with lazy invalidation) must take exactly the merges of a
-//! naive reference that rescans every adjacent pair each round and merges
-//! the most significant one, leftmost on ties, while its score is at least
-//! α.
+//! max-heap with lazy invalidation over lexicon node ids) must take
+//! exactly the merges of a naive reference that rescans every adjacent
+//! pair each round and merges the most significant one, leftmost on ties,
+//! while its score is at least α — never a pair whose concatenation was
+//! never seen, whatever α.
 //!
 //! Chunks are short (≤ 14 tokens) over a vocabulary of ≤ 4 words, and the
 //! counts are small, so equal scores — and with them the tie-break — come
-//! up often. Both the final partition and the merge sequence (spans and
-//! scores) must agree.
+//! up often. The reference reads its own count table; `construct_chunk`
+//! reads a lexicon built from that table, in which a phrase whose prefix
+//! has count 0 hangs below an implied node. Both the final partition and
+//! the merge sequence (spans and scores) must agree.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use topmine_phrase::{construct_chunk, significance, MergeTrace, PhraseCounts};
+use topmine_phrase::{construct_chunk, significance, MergeTrace, PhraseStats};
 
-const ALPHAS: [f64; 6] = [-1.0, 0.0, 1.0, 2.0, 3.0, 5.0];
+const ALPHAS: [f64; 7] = [f64::NEG_INFINITY, -1.0, 0.0, 1.0, 2.0, 3.0, 5.0];
 
 /// A count table of its own, so the oracle shares no code with the
-/// miner's `PhraseStats`.
+/// lexicon.
 struct Counts {
     counts: HashMap<Vec<u32>, u64>,
     total: u64,
 }
 
-impl PhraseCounts for Counts {
+impl Counts {
     fn count(&self, phrase: &[u32]) -> u64 {
         self.counts.get(phrase).copied().unwrap_or(0)
     }
 
-    fn total_tokens(&self) -> u64 {
-        self.total
+    /// The lexicon holding this table's nonzero counts over a vocabulary
+    /// of `vocab` words.
+    fn lexicon(&self, vocab: u32) -> PhraseStats {
+        let unigrams = (0..vocab).map(|w| self.count(&[w])).collect();
+        let mut lexicon = PhraseStats::new(unigrams, self.total, 1);
+        for (phrase, &count) in &self.counts {
+            if phrase.len() > 1 && count > 0 {
+                lexicon.insert(phrase, count).unwrap();
+            }
+        }
+        lexicon
     }
 }
 
@@ -62,8 +74,8 @@ fn counts_for(tokens: &[u32], seed: u64, total: u64) -> Counts {
 type Merge = ((u32, u32), (u32, u32), f64);
 
 /// The reference: every round, score every adjacent pair of the current
-/// partition and merge the best one (the leftmost among equal best
-/// scores) if it reaches `alpha`.
+/// partition whose concatenation has a count and merge the best one (the
+/// leftmost among equal best scores) if it reaches `alpha`.
 fn naive_construct(tokens: &[u32], counts: &Counts, alpha: f64) -> (Vec<(u32, u32)>, Vec<Merge>) {
     let mut spans: Vec<(u32, u32)> = (0..tokens.len() as u32).map(|i| (i, i + 1)).collect();
     let mut merges = Vec::new();
@@ -72,8 +84,12 @@ fn naive_construct(tokens: &[u32], counts: &Counts, alpha: f64) -> (Vec<(u32, u3
         let mut best: Option<(f64, usize)> = None;
         for j in 0..spans.len().saturating_sub(1) {
             let (a, b) = (spans[j], spans[j + 1]);
+            let f12 = counts.count(slice((a.0, b.1)));
+            if f12 == 0 {
+                continue;
+            }
             let sig = significance(
-                counts.count(slice((a.0, b.1))),
+                f12,
                 counts.count(slice(a)),
                 counts.count(slice(b)),
                 counts.total,
@@ -103,7 +119,7 @@ proptest! {
         vocab in 1u32..5,
         len in 0usize..15,
         draws in prop::collection::vec(0u64..u64::MAX, 15),
-        alpha_idx in 0usize..6,
+        alpha_idx in 0usize..7,
         total in 8u64..40,
         seeds in prop::collection::vec(0u64..u64::MAX, 10),
     ) {
@@ -113,8 +129,9 @@ proptest! {
         for &seed in &seeds {
             let counts = counts_for(&tokens, seed, total);
             let (want_spans, want_merges) = naive_construct(&tokens, &counts, alpha);
+            let lexicon = counts.lexicon(vocab);
             let mut trace = MergeTrace::new();
-            let got = construct_chunk(&tokens, &counts, alpha, Some(&mut trace));
+            let got = construct_chunk(&tokens, &lexicon, alpha, Some(&mut trace));
             let got_merges: Vec<Merge> = trace
                 .iter()
                 .map(|m| (m.left, m.right, m.significance))

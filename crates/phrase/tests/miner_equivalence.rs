@@ -1,8 +1,9 @@
-//! The prefix-id mining contract, enforced: [`FrequentPhraseMiner::mine`]
-//! produces exactly the frequent phrases of the quadratic
-//! enumerate-everything oracle ([`naive_frequent_phrases`]) on every
-//! configuration, at 1 thread (every pass inline) and at 2, 3 and 7
-//! (the work queue, partitioned counting and the key-sharded merge).
+//! The node-id mining contract, enforced: the lexicon
+//! [`FrequentPhraseMiner::mine`] fills holds exactly the frequent phrases
+//! and counts of the quadratic enumerate-everything oracle
+//! ([`naive_frequent_phrases`]) on every configuration, at 1 thread (every
+//! pass inline) and at 2, 3 and 7 (the work queue, partitioned counting
+//! and the key-sharded merge).
 //!
 //! The comparison is exact: frequency is anti-monotone, so every
 //! occurrence of a frequent n-gram sits on positions Algorithm 1 keeps
@@ -69,7 +70,7 @@ fn assert_matches_oracle(corpus: &Corpus, config: &MinerConfig) -> Result<(), Te
         config.max_phrase_len
     };
     let naive = naive_frequent_phrases(corpus, config.min_support, cap);
-    let max_len = naive.keys().map(|p| p.len()).max().unwrap_or(1);
+    let max_len = naive.iter().map(|(p, _)| p.len()).max().unwrap_or(1);
     let mut unigrams = vec![0u64; corpus.vocab.len()];
     for doc in &corpus.docs {
         for &t in &doc.tokens {
@@ -85,21 +86,33 @@ fn assert_matches_oracle(corpus: &Corpus, config: &MinerConfig) -> Result<(), Te
         };
         let (stats, tel) =
             FrequentPhraseMiner::with_config(config.clone()).mine_with_telemetry(corpus);
+        let ngrams: Vec<(Vec<u32>, u64)> = stats
+            .phrases()
+            .into_iter()
+            .filter(|(p, _)| p.len() > 1)
+            .collect();
         prop_assert_eq!(
-            &stats.ngram_counts,
+            &ngrams,
             &naive,
-            "ngram map diverged at {} threads (cfg {:?})",
+            "lexicon n-grams diverged at {} threads (cfg {:?})",
             threads,
             config
         );
+        // Every frequent n-gram is found by its count, and nothing else is
+        // counted: the lexicon's phrases are the frequent unigrams' nodes
+        // plus the n-grams above.
+        for (phrase, count) in &naive {
+            prop_assert_eq!(stats.count(phrase), *count);
+        }
+        prop_assert_eq!(stats.n_frequent_ngrams(), naive.len());
         prop_assert_eq!(
-            &stats.unigram_counts,
-            &unigrams,
+            stats.unigram_counts(),
+            &unigrams[..],
             "unigrams diverged at {} threads",
             threads
         );
         prop_assert_eq!(stats.total_tokens, total_tokens);
-        prop_assert_eq!(stats.max_len, max_len);
+        prop_assert_eq!(stats.max_len(), max_len);
         prop_assert_eq!(stats.min_support, config.min_support);
         // Telemetry must agree with the result it describes.
         prop_assert_eq!(tel.frequent(), naive.len() as u64);

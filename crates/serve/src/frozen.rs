@@ -6,10 +6,9 @@
 //! 1. the **preprocessing contract** — vocabulary, stemming/stop-word
 //!    configuration — so unseen text is normalized exactly as the training
 //!    corpus was;
-//! 2. the **phrase lexicon** as a [`PhraseTrie`], so unseen documents are
-//!    segmented by the same Algorithm 2 pass (via
-//!    `topmine_phrase`'s construction, which is generic over
-//!    [`PhraseCounts`](topmine_phrase::PhraseCounts));
+//! 2. the **phrase lexicon** — the miner's own [`PhraseStats`], node ids
+//!    and all — so unseen documents are segmented by the same Algorithm 2
+//!    pass `topmine_phrase` runs in training;
 //! 3. the **topic model point estimate** — φ, the asymmetric α vector and
 //!    β — frozen for Eq. 7 fold-in.
 //!
@@ -23,7 +22,6 @@
 use crate::backend::ModelBackend;
 use crate::io::{check_hyperparameters, data_err, HeaderFields};
 use crate::sharded::{save_bundle, ShardFiles, SHARDED_MODEL_FORMAT};
-use crate::trie::PhraseTrie;
 use std::io;
 use std::path::Path;
 use topmine_corpus::{CorpusOptions, Document, StopwordSet, Vocab};
@@ -112,7 +110,8 @@ pub struct FrozenModel {
     /// Display table: most frequent surface form per stem id (empty string
     /// = fall back to the vocab word). Present iff training stemmed.
     pub unstem: Option<Vec<String>>,
-    pub lexicon: PhraseTrie,
+    /// Every frequent phrase with its training count, plus every word's.
+    pub lexicon: PhraseStats,
     /// Topic-word point estimate, `n_topics × vocab_size`.
     pub phi: Vec<Vec<f64>>,
     /// Asymmetric document-topic Dirichlet, length `n_topics`.
@@ -184,7 +183,7 @@ impl FrozenModel {
             preprocess,
             vocab: corpus.vocab.clone(),
             unstem: corpus.unstem.clone(),
-            lexicon: PhraseTrie::from_stats(stats),
+            lexicon: stats.clone(),
             phi: model.phi(),
             alpha: model.alpha().to_vec(),
             terms,
@@ -198,7 +197,7 @@ impl FrozenModel {
         preprocess: PreprocessConfig,
         vocab: Vocab,
         unstem: Option<Vec<String>>,
-        lexicon: PhraseTrie,
+        lexicon: PhraseStats,
         phi: Vec<Vec<f64>>,
         alpha: Vec<f64>,
     ) -> io::Result<Self> {
@@ -245,6 +244,13 @@ impl FrozenModel {
                 "alpha has {} entries, header says {} topics",
                 self.alpha.len(),
                 h.n_topics
+            ));
+        }
+        if self.lexicon.vocab_size() != h.vocab_size {
+            return Err(format!(
+                "lexicon covers {} words, header says vocab_size {}",
+                self.lexicon.vocab_size(),
+                h.vocab_size
             ));
         }
         check_hyperparameters(h, &self.alpha)?;
@@ -305,7 +311,7 @@ impl FrozenModel {
         let fields = HeaderFields {
             header: self.header.clone(),
             preprocess: self.preprocess.clone(),
-            min_support: self.lexicon.min_support(),
+            min_support: self.lexicon.min_support,
             alpha: self.alpha.clone(),
         };
         let shard = ShardFiles {

@@ -40,7 +40,7 @@ use crate::dispatch::{DispatchOptions, InferJob, InferService, JobKind};
 use crate::engine::QueryEngine;
 use crate::infer::{DocInference, InferConfig};
 use crate::metrics::{serve_metrics, ServeMetrics, Stage};
-use crate::registry::{Connections, ACCEPT_RETRY_PAUSE};
+use crate::registry::{Connections, Registration, ACCEPT_RETRY_PAUSE};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -188,6 +188,11 @@ impl HttpServer {
                 break;
             }
             let Ok(stream) = stream else {
+                // Most likely out of descriptors, with the pending
+                // connection still queued: free one held by an idle
+                // keep-alive connection, so the queue moves before any of
+                // them reaches `KEEP_ALIVE_IDLE`.
+                conns.shed_idlest();
                 std::thread::sleep(ACCEPT_RETRY_PAUSE);
                 continue;
             };
@@ -204,10 +209,7 @@ impl HttpServer {
             let (socket, shared) = (Arc::clone(&stream), Arc::clone(&shared));
             let spawned = std::thread::Builder::new()
                 .name("topmine-serve-conn".into())
-                .spawn(move || {
-                    let _registration = registration;
-                    handle_connection(&socket, &shared);
-                });
+                .spawn(move || handle_connection(&socket, &registration, &shared));
             if spawned.is_err() {
                 refuse(&stream, "cannot start a connection thread; retry shortly");
             }
@@ -316,17 +318,21 @@ impl RouteResponse {
 /// until the request's budget, counted from that byte, runs out. Re-arming
 /// the timeout before every read is what ends a client that drips one
 /// byte at a time; a fixed per-read timeout would wait on it forever.
+/// While it waits for a first byte the connection is marked idle, so the
+/// accept loop may shed it.
 struct ConnReader<'a> {
     stream: &'a TcpStream,
+    registration: &'a Registration,
     budget: Duration,
     /// When the current request's first byte arrived; `None` until then.
     first_byte: Option<Instant>,
 }
 
 impl<'a> ConnReader<'a> {
-    fn new(stream: &'a TcpStream, budget: Duration) -> Self {
+    fn new(stream: &'a TcpStream, registration: &'a Registration, budget: Duration) -> Self {
         Self {
             stream,
+            registration,
             budget,
             first_byte: None,
         }
@@ -343,8 +349,16 @@ impl Read for ConnReader<'_> {
             return Err(io::ErrorKind::TimedOut.into());
         }
         self.stream.set_read_timeout(Some(wait))?;
+        let idle = self.first_byte.is_none();
+        if idle {
+            self.registration.set_idle(true);
+        }
         let mut stream = self.stream;
-        let n = stream.read(buf)?;
+        let n = stream.read(buf);
+        if idle {
+            self.registration.set_idle(false);
+        }
+        let n = n?;
         if n > 0 {
             self.first_byte.get_or_insert_with(Instant::now);
         }
@@ -356,15 +370,16 @@ type RequestReader<'a> = BufReader<io::Take<ConnReader<'a>>>;
 
 /// Serve one connection on its own thread: up to
 /// [`MAX_REQUESTS_PER_CONN`] requests, closing on client request, idle
-/// timeout, the cap, or any malformed request (framing is unreliable after
-/// one).
-fn handle_connection(stream: &TcpStream, shared: &Shared) {
+/// timeout, being shed, the cap, or any malformed request (framing is
+/// unreliable after one). The connection is deregistered on return.
+fn handle_connection(stream: &TcpStream, registration: &Registration, shared: &Shared) {
     // The reader lives as long as the connection (buffered bytes of a
     // pipelined next request must survive between requests). The
     // take-limit caps how much a connection can make us buffer per
     // request: the head cap up front, widened to admit the (already
     // length-checked) body once the headers are parsed.
-    let mut reader = BufReader::new(ConnReader::new(stream, IO_TIMEOUT).take(MAX_HEAD as u64));
+    let mut reader =
+        BufReader::new(ConnReader::new(stream, registration, IO_TIMEOUT).take(MAX_HEAD as u64));
     let mut writer = stream;
     let metrics = serve_metrics();
     for served in 0..MAX_REQUESTS_PER_CONN {
@@ -399,7 +414,7 @@ fn handle_connection(stream: &TcpStream, shared: &Shared) {
                 // the connection, which can destroy the response before
                 // the client reads it.
                 let _ = stream.shutdown(Shutdown::Write);
-                let mut rest = ConnReader::new(stream, KEEP_ALIVE_IDLE);
+                let mut rest = ConnReader::new(stream, registration, KEEP_ALIVE_IDLE);
                 rest.first_byte = Some(Instant::now());
                 let _ = io::copy(&mut rest, &mut io::sink());
                 return;
@@ -906,7 +921,10 @@ mod tests {
         server: &TcpStream,
         budget: Duration,
     ) -> (Result<Option<Request>, HttpError>, Duration) {
-        let mut reader = BufReader::new(ConnReader::new(server, budget).take(MAX_HEAD as u64));
+        let conns = Arc::new(Connections::default());
+        let registration = conns.register(&Arc::new(server.try_clone().unwrap()));
+        let mut reader =
+            BufReader::new(ConnReader::new(server, &registration, budget).take(MAX_HEAD as u64));
         let started = Instant::now();
         let result = read_request(&mut reader, budget);
         (result, started.elapsed())

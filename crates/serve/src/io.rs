@@ -11,7 +11,8 @@
 //! * **`unstem.tsv`** — `id<TAB>surface` for the ids that have a display
 //!   surface (present iff training stemmed);
 //! * **`lexicon.tsv`** — a `total_tokens<TAB>L` line, then
-//!   `count<TAB>space-joined ids` in canonical order;
+//!   `count<TAB>space-joined ids` for every phrase whose first word the
+//!   file owns, in lexicographic word-id order;
 //! * **`stopwords.txt`** — one stop word per line (present iff the
 //!   contract removes stop words);
 //! * **`phi.bin`** — φ in binary: a 24-byte header (magic `"TPMP"`,
@@ -35,12 +36,13 @@
 //! writes or reads.
 
 use crate::frozen::{ModelHeader, PreprocessConfig};
-use crate::trie::PhraseTrie;
 use std::fmt::Display;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use topmine_phrase::PhraseStats;
 
 /// `"TPMP"`: the first four bytes of every `phi.bin`.
 const PHI_MAGIC: [u8; 4] = *b"TPMP";
@@ -242,15 +244,17 @@ impl<'a> BundleWriter<'a> {
         })
     }
 
-    /// `lexicon.tsv`, in the trie's canonical (lexicographic) order.
-    pub(crate) fn lexicon(&mut self, rel: &str, trie: &PhraseTrie) -> io::Result<()> {
+    /// `lexicon.tsv`: the phrases of `lexicon` whose first word is in
+    /// `first_words`, in lexicographic word-id order.
+    pub(crate) fn lexicon(
+        &mut self,
+        rel: &str,
+        lexicon: &PhraseStats,
+        first_words: Range<u32>,
+    ) -> io::Result<()> {
         self.write(rel, |out| {
-            writeln!(
-                out,
-                "total_tokens\t{}",
-                topmine_phrase::PhraseCounts::total_tokens(trie)
-            )?;
-            for (phrase, count) in trie.iter_phrases() {
+            writeln!(out, "total_tokens\t{}", lexicon.total_tokens)?;
+            lexicon.try_for_each_phrase(first_words, |phrase, count| {
                 write!(out, "{count}\t")?;
                 for (i, w) in phrase.iter().enumerate() {
                     if i > 0 {
@@ -258,9 +262,8 @@ impl<'a> BundleWriter<'a> {
                     }
                     write!(out, "{w}")?;
                 }
-                writeln!(out)?;
-            }
-            Ok(())
+                writeln!(out)
+            })
         })
     }
 
@@ -685,20 +688,30 @@ impl Header {
         Ok(Some(table))
     }
 
-    pub(crate) fn read_lexicon(&self, rel: &str, min_support: u64) -> io::Result<PhraseTrie> {
-        let mut trie: Option<PhraseTrie> = None;
+    /// Read `lexicon.tsv` for the phrases whose first word is in
+    /// `first_words` into `lexicon`, returning the file's `total_tokens`. A
+    /// word id outside the lexicon's vocabulary, a first word outside
+    /// `first_words`, or a phrase listed twice (here or in a file read
+    /// before into the same lexicon) is an error naming the line.
+    pub(crate) fn read_lexicon(
+        &self,
+        rel: &str,
+        first_words: Range<u32>,
+        lexicon: &mut PhraseStats,
+    ) -> io::Result<u64> {
+        let mut total = None;
         let mut phrase = Vec::new();
         self.read_lines(rel, |line| {
-            let Some(trie) = trie.as_mut() else {
-                let total = line
+            if total.is_none() {
+                let text = line
                     .strip_prefix("total_tokens\t")
                     .ok_or("expected total_tokens<TAB><count>")?;
-                let total = total
+                let value = text
                     .parse()
-                    .map_err(|_| format!("bad total_tokens {total:?}"))?;
-                trie = Some(PhraseTrie::new(total, min_support));
+                    .map_err(|_| format!("bad total_tokens {text:?}"))?;
+                total = Some(value);
                 return Ok(());
-            };
+            }
             let (count, ids) = line.split_once('\t').ok_or("not count<TAB>ids")?;
             let count: u64 = count.parse().map_err(|_| format!("bad count {count:?}"))?;
             phrase.clear();
@@ -708,13 +721,15 @@ impl Header {
                         .map_err(|_| format!("bad word id {id:?}"))?,
                 );
             }
-            if phrase.is_empty() || count == 0 {
-                return Err("empty phrase or zero count".into());
+            match phrase.first() {
+                Some(w) if !first_words.contains(w) => Err(format!(
+                    "first word {w} outside the shard's range [{}, {})",
+                    first_words.start, first_words.end
+                )),
+                _ => lexicon.insert(&phrase, count),
             }
-            trie.insert(&phrase, count);
-            Ok(())
         })?;
-        trie.ok_or_else(|| in_file(rel, "empty: expected a total_tokens line"))
+        total.ok_or_else(|| in_file(rel, "empty: expected a total_tokens line"))
     }
 
     /// The stop list: `stopwords.txt` if the header lists it, else empty.
@@ -1142,15 +1157,16 @@ mod tests {
         std::fs::create_dir_all(dir.join("shard-1")).unwrap();
         let words = ["alpha", "beta", "gamma"];
         let surfaces: Vec<String> = vec!["Alpha".into(), String::new(), "Gammas".into()];
-        let mut lexicon = PhraseTrie::new(40, 2);
-        lexicon.insert(&[7], 9);
-        lexicon.insert(&[7, 8], 3);
+        let mut lexicon = PhraseStats::new(vec![0; 10], 40, 2);
+        lexicon.insert(&[7], 9).unwrap();
+        lexicon.insert(&[7, 8], 3).unwrap();
+        lexicon.insert(&[6, 7], 2).unwrap();
         let phi = vec![vec![0.5, 0.25, 0.25], vec![0.125, 0.375, 0.5]];
         let mut w = BundleWriter::new(&dir);
         w.vocab("shard-1/vocab.tsv", 7, words.iter().copied())
             .unwrap();
         w.unstem("shard-1/unstem.tsv", 7, &surfaces).unwrap();
-        w.lexicon("shard-1/lexicon.tsv", &lexicon).unwrap();
+        w.lexicon("shard-1/lexicon.tsv", &lexicon, 7..10).unwrap();
         w.phi("shard-1/phi.bin", &phi, 3).unwrap();
         w.commit("manifest.tsv", "topmine-test/1", &[]).unwrap();
 
@@ -1167,9 +1183,45 @@ mod tests {
             header.read_unstem("shard-1/unstem.tsv", 7, 3).unwrap(),
             Some(surfaces)
         );
-        assert_eq!(
-            header.read_lexicon("shard-1/lexicon.tsv", 2).unwrap(),
-            lexicon
+        // The file holds the phrases starting in the shard's range only.
+        let mut back = PhraseStats::new(vec![0; 10], 0, 2);
+        let total = header
+            .read_lexicon("shard-1/lexicon.tsv", 7..10, &mut back)
+            .unwrap();
+        assert_eq!(total, 40);
+        assert_eq!(back.phrases(), vec![(vec![7], 9), (vec![7, 8], 3)]);
+        // Read into a range or vocabulary it does not fit, or twice, the
+        // same file is refused at its first offending line.
+        let err = header
+            .read_lexicon(
+                "shard-1/lexicon.tsv",
+                0..7,
+                &mut PhraseStats::new(vec![0; 10], 0, 2),
+            )
+            .unwrap_err();
+        assert!(
+            err.to_string().contains(
+                "shard-1/lexicon.tsv line 2: first word 7 outside the shard's range [0, 7)"
+            ),
+            "{err}"
+        );
+        let err = header
+            .read_lexicon(
+                "shard-1/lexicon.tsv",
+                7..10,
+                &mut PhraseStats::new(vec![0; 8], 0, 2),
+            )
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("line 3: word id 8 outside"),
+            "{err}"
+        );
+        let err = header
+            .read_lexicon("shard-1/lexicon.tsv", 7..10, &mut back)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("line 2: phrase listed twice"),
+            "{err}"
         );
         let loaded = header.read_phi("shard-1/phi.bin", 2, 3).unwrap();
         assert_eq!(bits(&loaded), bits(&phi));

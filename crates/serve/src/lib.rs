@@ -10,11 +10,13 @@
 //!   in-memory bundle;
 //! * [`frozen`] — the **fitted model in memory**: [`FrozenModel`], the
 //!   preprocessing contract (vocabulary, stemming, stop words), the phrase
-//!   lexicon as a prefix trie ([`PhraseTrie`]), and the topic model point
-//!   estimate (φ, α, β); the reference backend every other one is checked
-//!   against, saved as a one-shard bundle;
+//!   lexicon (the miner's [`PhraseStats`](topmine_phrase::PhraseStats):
+//!   dense phrase node ids, a child map and a count per node), and the
+//!   topic model point estimate (φ, α, β); the reference backend every
+//!   other one is checked against, saved as a one-shard bundle;
 //! * [`sharded`] — the **bundle**: [`ShardedModel`], N vocabulary-range
-//!   shards (each its own vocab/lexicon/φ slice) composing a backend that
+//!   shards (each its own vocab/φ slice and `lexicon.tsv`, the lexicon
+//!   itself held whole in one node space) composing a backend that
 //!   serves bit-identically to the [`FrozenModel`] at every shard count,
 //!   and the one on-disk layout, a `manifest.tsv` over `shard-K/`
 //!   directories, which [`load_bundle`] reads whatever the shard count;
@@ -22,7 +24,7 @@
 //!   binary `phi.bin`, the text tables — lives in one private `io`
 //!   module, so a bundle's digest covers every byte of the model;
 //! * [`infer`] — **fold-in inference**: segment unseen text with the
-//!   frozen lexicon (Algorithm 2 against the trie), scatter-gather the φ
+//!   frozen lexicon (Algorithm 2 on its node ids), scatter-gather the φ
 //!   columns the document touches from their owning shards, then run a
 //!   short fixed-φ Gibbs chain preserving the phrase-clique constraint
 //!   (Eq. 7) to get θ, topic rankings, and per-phrase topic annotations —
@@ -93,7 +95,6 @@ mod registry;
 pub mod router;
 pub mod shard;
 pub mod sharded;
-pub mod trie;
 pub mod wire;
 
 pub use backend::{load_bundle, BackendError, GatherOptions, ModelBackend};
@@ -109,5 +110,4 @@ pub use pool::{PoolConfig, ShardClient, ShardHealth};
 pub use router::{RemoteShardedModel, FLEET_MODEL_FORMAT};
 pub use shard::{ShardServer, ShardServerHandle, ShardSlice};
 pub use sharded::{ModelShard, ShardedModel, SHARDED_MODEL_FORMAT};
-pub use trie::PhraseTrie;
 pub use wire::{WireError, MAX_FRAME, WIRE_VERSION};

@@ -8,11 +8,16 @@
 //! it deregisters the connection. A shutdown shuts every live socket down
 //! with the [`Shutdown`] it needs: the read half for the HTTP drain, both
 //! halves to sever a shard's in-flight RPCs.
+//!
+//! An HTTP connection is marked idle while its thread waits for the first
+//! byte of a request. Out of descriptors, the HTTP accept loop sheds the
+//! connection idle the longest ([`Connections::shed_idlest`]), as nginx
+//! drains idle keep-alive connections; a request in flight is never shed.
 
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long both accept loops pause after a failed `accept`. When the
 /// process is out of file descriptors the pending connection stays
@@ -30,7 +35,14 @@ pub(crate) struct Connections {
 #[derive(Default)]
 struct Live {
     next_id: u64,
-    sockets: HashMap<u64, Arc<TcpStream>>,
+    sockets: HashMap<u64, Conn>,
+}
+
+struct Conn {
+    socket: Arc<TcpStream>,
+    /// When the connection's thread began waiting for a request's first
+    /// byte; `None` while a request is in flight.
+    idle_since: Option<Instant>,
 }
 
 /// One registered connection; dropping it deregisters the connection.
@@ -45,7 +57,11 @@ impl Connections {
         let mut live = self.lock();
         let id = live.next_id;
         live.next_id += 1;
-        live.sockets.insert(id, Arc::clone(stream));
+        let conn = Conn {
+            socket: Arc::clone(stream),
+            idle_since: None,
+        };
+        live.sockets.insert(id, conn);
         Registration {
             conns: Arc::clone(self),
             id,
@@ -59,8 +75,23 @@ impl Connections {
     /// Shut every live socket down with `how`. A read blocked on a socket
     /// whose read half is shut returns end-of-file.
     pub fn shutdown_all(&self, how: Shutdown) {
-        for socket in self.lock().sockets.values() {
-            let _ = socket.shutdown(how);
+        for conn in self.lock().sockets.values() {
+            let _ = conn.socket.shutdown(how);
+        }
+    }
+
+    /// Shut the read half of the connection idle the longest, if one is,
+    /// so its thread sees end-of-file and exits, freeing its descriptor.
+    pub fn shed_idlest(&self) {
+        let mut live = self.lock();
+        let idlest = live
+            .sockets
+            .values_mut()
+            .filter(|conn| conn.idle_since.is_some())
+            .min_by_key(|conn| conn.idle_since);
+        if let Some(conn) = idlest {
+            conn.idle_since = None;
+            let _ = conn.socket.shutdown(Shutdown::Read);
         }
     }
 
@@ -76,6 +107,16 @@ impl Connections {
 
     fn lock(&self) -> MutexGuard<'_, Live> {
         self.live.lock().expect("connection registry poisoned")
+    }
+}
+
+impl Registration {
+    /// Mark the connection idle (`true`: waiting for a request's first
+    /// byte, so it may be shed) or busy.
+    pub fn set_idle(&self, idle: bool) {
+        if let Some(conn) = self.conns.lock().sockets.get_mut(&self.id) {
+            conn.idle_since = idle.then(Instant::now);
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 //!
 //! The split follows the parameter-server observation that only one part
 //! of a fitted model is big: φ. The router loads everything *else* from
-//! its own copy of the bundle — vocabulary, lexicon tries, display
+//! its own copy of the bundle — vocabulary, the phrase lexicon, display
 //! tables, hyperparameters — so `prepare`, `segment`, and response
 //! rendering stay local and bit-identical to the in-process backends, and
 //! exactly one operation crosses the wire: the φ gather.

@@ -8,18 +8,18 @@
 //!
 //! * the **vocabulary slice** for its range (word strings and the unstem
 //!   display table), so term→id resolution scatters across shards;
-//! * the **lexicon slice**: every stored phrase whose *first* word falls
-//!   in the range, as its own [`PhraseTrie`] (all tries share the global
-//!   `L` and `ε`, so Eq. 1 significance is computed on identical numbers);
+//! * the **lexicon slice** on disk: every stored phrase whose *first* word
+//!   falls in the range, in its `lexicon.tsv`;
 //! * the **φ slice**: the `n_topics × range_width` block of trained
 //!   topic-word columns.
 //!
-//! Because phrase ownership is determined by the first word, every count
-//! Algorithm 2 asks for lives wholly in one shard, and fold-in gathers
-//! each word's φ column from exactly one shard: inference through a
-//! [`ShardedModel`] is **bit-identical** to the in-memory
-//! [`FrozenModel`](crate::FrozenModel) at every shard count (the proptest
-//! in `tests/sharded_equivalence.rs` is the acceptance bar).
+//! In memory the model holds one lexicon ([`PhraseStats`]), read from
+//! every shard's `lexicon.tsv` and written back per shard in the same
+//! lexicographic order, so segmentation walks the same node ids whatever
+//! the shard count. Fold-in gathers each word's φ column from exactly one
+//! shard: inference through a [`ShardedModel`] is **bit-identical** to the
+//! in-memory [`FrozenModel`](crate::FrozenModel) at every shard count (the
+//! proptest in `tests/sharded_equivalence.rs` is the acceptance bar).
 //!
 //! # On-disk layout
 //!
@@ -50,11 +50,10 @@ use crate::infer::{infer_doc, DocInference, InferConfig};
 use crate::io::{
     check_hyperparameters, data_err, header_pairs, BundleWriter, Header, HeaderFields,
 };
-use crate::trie::PhraseTrie;
 use std::io;
 use std::path::Path;
 use topmine_corpus::{CorpusOptions, Document};
-use topmine_phrase::{PhraseConstructor, PhraseCounts};
+use topmine_phrase::{PhraseConstructor, PhraseStats};
 use topmine_util::FxHashMap;
 
 /// Version tag on the first line of `manifest.tsv`.
@@ -75,9 +74,6 @@ pub struct ModelShard {
     /// Display table slice (empty string = fall back to `words`); present
     /// iff training stemmed.
     pub(crate) unstem: Option<Vec<String>>,
-    /// Phrases whose first word is in `[lo, hi)`; shares the global `L`
-    /// and `ε` with every other shard.
-    pub lexicon: PhraseTrie,
     /// φ block, `n_topics` rows × `hi − lo` columns (empty in a router's
     /// phi-less local view — see [`ShardedModel::load_without_phi`]).
     pub(crate) phi: Vec<Vec<f64>>,
@@ -97,7 +93,6 @@ impl PartialEq for ModelShard {
             && self.hi == other.hi
             && self.words == other.words
             && self.unstem == other.unstem
-            && self.lexicon == other.lexicon
             && self.phi == other.phi
     }
 }
@@ -111,10 +106,8 @@ pub struct ShardedModel {
     /// `preprocess` as options, for their term rule (not persisted
     /// separately).
     terms: CorpusOptions,
-    /// Global `L` shared by every shard trie.
-    lexicon_total_tokens: u64,
-    /// Global ε shared by every shard trie.
-    min_support: u64,
+    /// The phrase lexicon of every shard, one node space.
+    pub lexicon: PhraseStats,
     /// Range starts, length `n_shards + 1`; `boundaries[0] == 0`, last
     /// entry == `vocab_size`. Shard `i` owns `[boundaries[i],
     /// boundaries[i+1])`.
@@ -130,8 +123,7 @@ impl PartialEq for ShardedModel {
         self.header == other.header
             && self.preprocess == other.preprocess
             && self.alpha == other.alpha
-            && self.lexicon_total_tokens == other.lexicon_total_tokens
-            && self.min_support == other.min_support
+            && self.lexicon == other.lexicon
             && self.boundaries == other.boundaries
             && self.shards == other.shards
     }
@@ -157,9 +149,7 @@ impl ShardedModel {
         let v = model.vocab_size();
         let k = model.n_topics();
         let boundaries: Vec<u32> = (0..=n_shards).map(|i| (i * v / n_shards) as u32).collect();
-        let total_tokens = PhraseCounts::total_tokens(&model.lexicon);
-        let min_support = model.lexicon.min_support();
-        let mut shards: Vec<ModelShard> = boundaries
+        let shards: Vec<ModelShard> = boundaries
             .windows(2)
             .map(|w| {
                 let (lo, hi) = (w[0], w[1]);
@@ -175,7 +165,6 @@ impl ShardedModel {
                         .unstem
                         .as_ref()
                         .map(|u| u[lo as usize..hi as usize].to_vec()),
-                    lexicon: PhraseTrie::new(total_tokens, min_support),
                     phi: model
                         .phi
                         .iter()
@@ -185,17 +174,12 @@ impl ShardedModel {
             })
             .collect();
         debug_assert!(shards.iter().all(|s| s.phi.len() == k));
-        for (phrase, count) in model.lexicon.iter_phrases() {
-            let owner = boundaries.partition_point(|&b| b <= phrase[0]) - 1;
-            shards[owner].lexicon.insert(&phrase, count);
-        }
         let sharded = Self {
             header: model.header.clone(),
             preprocess: model.preprocess.clone(),
             alpha: model.alpha.clone(),
             terms: model.preprocess.corpus_options(),
-            lexicon_total_tokens: total_tokens,
-            min_support,
+            lexicon: model.lexicon.clone(),
             boundaries,
             shards,
             digest: None,
@@ -247,9 +231,9 @@ impl ShardedModel {
         &self.shards
     }
 
-    /// Total stored phrases across all shard lexicons.
+    /// Phrases with a count in the lexicon, over every shard.
     pub fn n_phrases(&self) -> usize {
-        self.shards.iter().map(|s| s.lexicon.n_phrases()).sum()
+        self.lexicon.n_phrases()
     }
 
     /// Structural invariants every loaded/assembled sharded model
@@ -311,13 +295,13 @@ impl ShardedModel {
             if s.unstem.is_some() != self.shards[0].unstem.is_some() {
                 return Err("shards disagree on unstem table presence".into());
             }
-            if PhraseCounts::total_tokens(&s.lexicon) != self.lexicon_total_tokens
-                || s.lexicon.min_support() != self.min_support
-            {
-                return Err(format!(
-                    "shard {i} lexicon disagrees on total tokens or min support"
-                ));
-            }
+        }
+        if self.lexicon.vocab_size() != h.vocab_size {
+            return Err(format!(
+                "lexicon covers {} words, header says vocab_size {}",
+                self.lexicon.vocab_size(),
+                h.vocab_size
+            ));
         }
         if self.alpha.len() != k {
             return Err(format!(
@@ -350,14 +334,14 @@ impl ShardedModel {
         let fields = HeaderFields {
             header: self.header.clone(),
             preprocess: self.preprocess.clone(),
-            min_support: self.min_support,
+            min_support: self.lexicon.min_support,
             alpha: self.alpha.clone(),
         };
         let shards = self.shards.iter().map(|s| ShardFiles {
             lo: s.lo,
             words: s.words.iter().map(String::as_str),
             unstem: s.unstem.as_deref(),
-            lexicon: &s.lexicon,
+            lexicon: &self.lexicon,
             phi: &s.phi,
             width: s.width(),
         });
@@ -388,20 +372,20 @@ impl ShardedModel {
         } = Manifest::read(dir)?;
         fields.preprocess.stopwords = header.read_stopwords()?;
         let k = fields.header.n_topics;
+        let rel = |i: usize, file: &str| format!("shard-{i}/{file}");
         let mut shards = Vec::with_capacity(boundaries.len() - 1);
         for (i, w) in boundaries.windows(2).enumerate() {
             let (lo, hi) = (w[0], w[1]);
             let width = (hi - lo) as usize;
-            let rel = |file: &str| format!("shard-{i}/{file}");
             let mut words = Vec::new();
-            header.read_vocab(&rel("vocab.tsv"), lo, width, |word| {
+            header.read_vocab(&rel(i, "vocab.tsv"), lo, width, |word| {
                 words.push(word.to_string());
                 Ok(())
             })?;
             let term_ids = term_index(&words, lo);
             // A word listed twice keeps one id, so the index comes out short.
             if term_ids.len() != words.len() {
-                let msg = format!("{}: a word is listed twice", rel("vocab.tsv"));
+                let msg = format!("{}: a word is listed twice", rel(i, "vocab.tsv"));
                 return Err(data_err(msg));
             }
             shards.push(ModelShard {
@@ -409,21 +393,35 @@ impl ShardedModel {
                 hi,
                 term_ids,
                 words,
-                unstem: header.read_unstem(&rel("unstem.tsv"), lo, width)?,
-                lexicon: header.read_lexicon(&rel("lexicon.tsv"), fields.min_support)?,
+                unstem: header.read_unstem(&rel(i, "unstem.tsv"), lo, width)?,
                 phi: match load_phi {
-                    true => header.read_phi(&rel("phi.bin"), k, width)?,
+                    true => header.read_phi(&rel(i, "phi.bin"), k, width)?,
                     false => Vec::new(),
                 },
             });
+        }
+        // One lexicon from every shard's file, sized once the vocabulary
+        // files have vouched for `vocab_size`.
+        let mut lexicon =
+            PhraseStats::new(vec![0; fields.header.vocab_size], 0, fields.min_support);
+        for (i, s) in shards.iter().enumerate() {
+            let file = rel(i, "lexicon.tsv");
+            let total = header.read_lexicon(&file, s.lo..s.hi, &mut lexicon)?;
+            if i == 0 {
+                lexicon.total_tokens = total;
+            } else if total != lexicon.total_tokens {
+                return Err(data_err(format!(
+                    "{file}: total_tokens {total} disagrees with shard-0's {}",
+                    lexicon.total_tokens
+                )));
+            }
         }
         let model = Self {
             terms: fields.preprocess.corpus_options(),
             header: fields.header,
             preprocess: fields.preprocess,
             alpha: fields.alpha,
-            lexicon_total_tokens: PhraseCounts::total_tokens(&shards[0].lexicon),
-            min_support: fields.min_support,
+            lexicon,
             boundaries,
             shards,
             digest: Some(header.digest()),
@@ -442,7 +440,9 @@ pub(crate) struct ShardFiles<'a, W> {
     /// The words of ids `lo..`, in id order.
     pub(crate) words: W,
     pub(crate) unstem: Option<&'a [String]>,
-    pub(crate) lexicon: &'a PhraseTrie,
+    /// The whole lexicon; the shard's file lists the phrases whose first
+    /// word it owns.
+    pub(crate) lexicon: &'a PhraseStats,
     /// `n_topics` rows of `width` values.
     pub(crate) phi: &'a [Vec<f64>],
     pub(crate) width: usize,
@@ -478,7 +478,8 @@ pub(crate) fn save_bundle<'a, W: Iterator<Item = &'a str>>(
         if let Some(unstem) = shard.unstem {
             out.unstem(&rel("unstem.tsv"), shard.lo, unstem)?;
         }
-        out.lexicon(&rel("lexicon.tsv"), shard.lexicon)?;
+        let owned = shard.lo..shard.lo + shard.width as u32;
+        out.lexicon(&rel("lexicon.tsv"), shard.lexicon, owned)?;
         out.phi(&rel("phi.bin"), shard.phi, shard.width)?;
         starts.push(shard.lo);
     }
@@ -564,36 +565,6 @@ impl Manifest {
     }
 }
 
-/// Algorithm 2's count oracle, routed: a phrase lives wholly in the shard
-/// owning its first word, so every lookup is one shard-local trie probe.
-impl PhraseCounts for ShardedModel {
-    fn count(&self, phrase: &[u32]) -> u64 {
-        match phrase.first() {
-            Some(&w) if (w as usize) < self.header.vocab_size => {
-                self.shard_of(w).lexicon.count(phrase)
-            }
-            _ => 0,
-        }
-    }
-
-    fn total_tokens(&self) -> u64 {
-        self.lexicon_total_tokens
-    }
-
-    /// `left` and `merged` share a first word, so their owner is resolved
-    /// once; only `right` may scatter to a different shard.
-    fn merge_counts(&self, left: &[u32], right: &[u32], merged: &[u32]) -> (u64, u64, u64) {
-        let (f1, f12) = match left.first() {
-            Some(&w) if (w as usize) < self.header.vocab_size => {
-                let owner = &self.shard_of(w).lexicon;
-                (owner.count(left), owner.count(merged))
-            }
-            _ => (0, 0),
-        };
-        (f1, self.count(right), f12)
-    }
-}
-
 impl ModelBackend for ShardedModel {
     fn header(&self) -> &ModelHeader {
         &self.header
@@ -628,7 +599,7 @@ impl ModelBackend for ShardedModel {
     }
 
     fn segment(&self, doc: &Document) -> Vec<(u32, u32)> {
-        PhraseConstructor::new(self.header.seg_alpha).construct_doc(doc, self)
+        PhraseConstructor::new(self.header.seg_alpha).construct_doc(doc, &self.lexicon)
     }
 
     /// Each word's K values come from its owning shard as one word-major
@@ -677,16 +648,9 @@ mod tests {
             let sharded = ShardedModel::from_frozen(&m, n).unwrap();
             assert_eq!(sharded.n_shards(), n);
             assert_eq!(sharded.n_phrases(), m.lexicon.n_phrases());
+            assert_eq!(sharded.lexicon, m.lexicon);
             let total_words: usize = sharded.shards().iter().map(ModelShard::width).sum();
             assert_eq!(total_words, m.vocab_size());
-            // Every count the monolithic trie knows is routed correctly.
-            for (phrase, count) in m.lexicon.iter_phrases() {
-                assert_eq!(PhraseCounts::count(&sharded, &phrase), count);
-            }
-            assert_eq!(
-                PhraseCounts::total_tokens(&sharded),
-                PhraseCounts::total_tokens(&m.lexicon)
-            );
             // φ gathers reproduce the trained columns bit-for-bit, word-major.
             let words: Vec<u32> = (0..m.vocab_size() as u32).collect();
             let gathered = ModelBackend::gather_phi(&sharded, &words);

@@ -4,8 +4,10 @@
 //! `InvalidData` naming it — never `Ok`, never a panic.
 //!
 //! A bundle whose digests are intact but whose values fold-in cannot use
-//! (an infinite α or `seg_alpha`, a negative or NaN φ value) is refused
-//! the same way, naming the key or the file.
+//! (an infinite α or `seg_alpha`, a negative or NaN φ value, a lexicon
+//! line with a word id outside the vocabulary, a first word outside its
+//! shard's range, or a phrase listed twice) is refused the same way,
+//! naming the key, or the file and line.
 //!
 //! Bundles covered: the one-shard bundle of a default save
 //! (`FrozenModel::save`) and a 2-shard bundle. Loaders covered, on both:
@@ -246,6 +248,107 @@ fn refuses_value<T>(result: io::Result<T>, what: &str, file: &str, loader: &str)
     }
 }
 
+/// The bundle content digest, read off its description in the serve
+/// crate's `io` module: the Fx word step over little-endian 8-byte words
+/// (a zero-padded tail last), the length folded in, then the murmur3
+/// finalizer.
+fn digest(bytes: &[u8]) -> u64 {
+    let mut state = 0x243f_6a88_85a3_08d3u64;
+    let mut mix = |word: u64| {
+        state = (state.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    };
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        mix(u64::from_le_bytes(word));
+    }
+    mix(bytes.len() as u64);
+    let mut h = state;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// Append `line` to bundle file `rel` under `dir` and seal the edit: the
+/// manifest records the file's new digest and is re-digested, so only the
+/// appended value is wrong. Returns the appended line's number.
+fn append_sealed(dir: &Path, rel: &str, line: &str) -> usize {
+    let path = dir.join(rel);
+    let mut text = std::fs::read_to_string(&path).unwrap();
+    text.push_str(line);
+    text.push('\n');
+    std::fs::write(&path, &text).unwrap();
+    let manifest = dir.join("manifest.tsv");
+    let listed = format!("file\t{rel}\t");
+    let mut body = String::new();
+    for old in std::fs::read_to_string(&manifest).unwrap().lines() {
+        if old.starts_with("digest\t") {
+            break;
+        }
+        match old.starts_with(&listed) {
+            true => body.push_str(&format!("{listed}{:016x}\n", digest(text.as_bytes()))),
+            false => body.push_str(&format!("{old}\n")),
+        }
+    }
+    let sealed = format!("{body}digest\t{:016x}\n", digest(body.as_bytes()));
+    std::fs::write(&manifest, sealed).unwrap();
+    text.lines().count()
+}
+
+/// Lexicon lines that would put a phrase where no lookup finds it, or
+/// index past the unigram nodes, under intact digests.
+fn refuses_sealed_lexicon_lines() {
+    let v = model().vocab_size() as u32;
+    let sharded = ShardedModel::from_frozen(model(), 2).unwrap();
+    let shard1_lo = sharded.shards()[1].lo;
+    let first = model().lexicon.phrases()[0].0.clone();
+    let listed: Vec<String> = first.iter().map(u32::to_string).collect();
+    // (tag, shards, line appended to shard-0/lexicon.tsv, the refusal)
+    let cases = [
+        (
+            "word-id",
+            1,
+            format!("3\t0 {v}"),
+            format!("word id {v} outside the vocabulary of {v}"),
+        ),
+        (
+            "first-word-vocab",
+            1,
+            format!("3\t{} 0", v + 5),
+            format!("first word {} outside the shard's range [0, {v})", v + 5),
+        ),
+        (
+            "first-word-shard",
+            2,
+            format!("3\t{shard1_lo} 0"),
+            format!("first word {shard1_lo} outside the shard's range [0, {shard1_lo})"),
+        ),
+        (
+            "twice",
+            1,
+            format!("7\t{}", listed.join(" ")),
+            "phrase listed twice".to_string(),
+        ),
+    ];
+    for (tag, n_shards, line, what) in cases {
+        let dir = save(&format!("lexicon-{tag}"), n_shards);
+        let rel = "shard-0/lexicon.tsv";
+        let line_no = append_sealed(&dir, rel, &line);
+        let file = format!("{rel} line {line_no}");
+        refuses_value(load_bundle(&dir), &what, &file, "load_bundle");
+        let addrs = vec!["127.0.0.1:9".to_string(); n_shards];
+        refuses_value(
+            RemoteShardedModel::connect_lazy(&dir, &addrs, fast_pool()),
+            &what,
+            &file,
+            "router view",
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 #[test]
 fn sealed_bundles_with_values_that_break_fold_in_are_refused() {
     // Saved through the savers, so every digest matches: only the values
@@ -329,4 +432,5 @@ fn sealed_bundles_with_values_that_break_fold_in_are_refused() {
         refuses_value(ShardSlice::load(&dir, k), what, file, "ShardSlice::load");
     }
     let _ = std::fs::remove_dir_all(dir);
+    refuses_sealed_lexicon_lines();
 }

@@ -11,9 +11,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 use topmine_corpus::Vocab;
-use topmine_serve::{
-    FrozenModel, ModelBackend, ModelHeader, PhraseTrie, PreprocessConfig, ShardedModel,
-};
+use topmine_phrase::PhraseStats;
+use topmine_serve::{FrozenModel, ModelBackend, ModelHeader, PreprocessConfig, ShardedModel};
 
 fn tmpdir(name: &str, tag: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -94,14 +93,16 @@ fn build_model(k: usize, v: usize, seed: u64, stem: bool, stopwords: bool) -> Fr
     let alpha: Vec<f64> = (0..k).map(|_| rng.gen_range(0.01..5.0)).collect();
     // Random lexicon: unigrams for every word, a handful of n-grams.
     let total_tokens = rng.gen_range(100u64..10_000);
-    let mut lexicon = PhraseTrie::new(total_tokens, rng.gen_range(1u64..6));
-    for w in 0..v as u32 {
-        lexicon.insert(&[w], rng.gen_range(1u64..50));
-    }
+    let unigrams = (0..v).map(|_| rng.gen_range(1u64..50)).collect();
+    let mut lexicon = PhraseStats::new(unigrams, total_tokens, rng.gen_range(1u64..6));
     for _ in 0..rng.gen_range(0usize..8) {
         let len = rng.gen_range(2usize..5);
         let phrase: Vec<u32> = (0..len).map(|_| rng.gen_range(0..v as u32)).collect();
-        lexicon.insert(&phrase, rng.gen_range(1u64..20));
+        let count = rng.gen_range(1u64..20);
+        // A phrase drawn twice keeps its first count.
+        if lexicon.count(&phrase) == 0 {
+            lexicon.insert(&phrase, count).unwrap();
+        }
     }
     let unstem = stem.then(|| {
         (0..v)

@@ -29,7 +29,7 @@ fn main() {
     println!(
         "mined {} frequent n-grams (longest: {} words) from {} tokens\n",
         stats.n_frequent_ngrams(),
-        stats.max_len,
+        stats.max_len(),
         stats.total_tokens
     );
 

@@ -18,9 +18,8 @@ use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use topmine_corpus::{io, porter_stem, Corpus, CorpusBuilder, CorpusOptions, StopwordSet};
-use topmine_serve::{
-    FrozenModel, ModelBackend, ModelHeader, PhraseTrie, PreprocessConfig, ShardedModel,
-};
+use topmine_phrase::PhraseStats;
+use topmine_serve::{FrozenModel, ModelBackend, ModelHeader, PreprocessConfig, ShardedModel};
 use topmine_synth::{profile_config, CorpusGenerator, Profile};
 
 // ---------------------------------------------------------------------------
@@ -311,7 +310,7 @@ fn assert_same_prepare(
         PreprocessConfig::from_corpus_options(options),
         vocab.clone(),
         None,
-        PhraseTrie::new(corpus.n_tokens() as u64, 1),
+        PhraseStats::new(vec![0; v], corpus.n_tokens() as u64, 1),
         vec![vec![1.0 / v as f64; v]],
         vec![0.1],
     )
