@@ -336,6 +336,22 @@ mod tests {
     }
 
     #[test]
+    fn listing_includes_unigrams_and_ngrams() {
+        // Every seen unigram and every stored n-gram, with its count; the
+        // unseen word 3 is not listed.
+        let listed = sample().phrases();
+        let expected: Vec<(Vec<u32>, u64)> = vec![
+            (vec![0], 10),
+            (vec![0, 1], 5),
+            (vec![0, 1, 2], 4),
+            (vec![1], 7),
+            (vec![2], 6),
+            (vec![2, 0], 3),
+        ];
+        assert_eq!(listed, expected);
+    }
+
+    #[test]
     fn listing_is_lexicographic_complete_and_rebuilds_the_lexicon() {
         let s = sample();
         let phrases = s.phrases();
