@@ -105,13 +105,9 @@ fn run_fit(opts: &CliOptions) -> Result<(), String> {
     if let Some(dir) = &opts.save_model {
         let dir = Path::new(dir);
         let frozen = model.freeze(&corpus, &corpus_options);
-        // Both write the one layout; one shard is written straight from
-        // the frozen model, with no copy.
-        let saved = match opts.shards {
-            1 => frozen.save(dir),
-            n => ShardedModel::from_frozen(&frozen, n).and_then(|sharded| sharded.save(dir)),
-        };
-        saved.map_err(|e| format!("writing model bundle: {e}"))?;
+        ShardedModel::from_frozen(&frozen, opts.shards)
+            .and_then(|sharded| sharded.save(dir))
+            .map_err(|e| format!("writing model bundle: {e}"))?;
         eprintln!(
             "frozen model ({} topics, {} words, {} lexicon phrases, {} shard(s)) written to {}",
             frozen.n_topics(),
@@ -149,7 +145,7 @@ fn run_serve(opts: &ServeOptions) -> Result<(), String> {
         "model: {} topics, vocabulary {}, {} lexicon phrases, {} shard(s) (trained on {} docs)",
         model.n_topics(),
         model.vocab_size(),
-        model.n_lexicon_phrases(),
+        model.local().lexicon.n_phrases(),
         model.n_shards(),
         model.header().n_docs
     );

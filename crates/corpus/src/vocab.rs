@@ -11,9 +11,39 @@ pub struct Vocab {
     index: FxHashMap<String, u32>,
 }
 
+/// Two vocabularies are equal when they list the same words in the same
+/// order (the index is a function of the list).
+impl PartialEq for Vocab {
+    fn eq(&self, other: &Self) -> bool {
+        self.words == other.words
+    }
+}
+
 impl Vocab {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The vocabulary listing `words`, word `i` at id `i`, its index built
+    /// presized from the finished list. A word listed twice is refused with
+    /// `Err((first, again))`: the id of its first listing and of a later
+    /// one. Panics past `u32` ids, like [`Vocab::intern`].
+    pub fn from_words(words: Vec<String>) -> Result<Self, (u32, u32)> {
+        assert!(
+            u32::try_from(words.len()).is_ok(),
+            "vocabulary exceeds u32 ids"
+        );
+        let index: FxHashMap<String, u32> = words.iter().cloned().zip(0..).collect();
+        if index.len() < words.len() {
+            // A repeated word keeps the id of its last listing.
+            let (word, first) = words
+                .iter()
+                .zip(0..)
+                .find(|&(word, id)| index[word] != id)
+                .expect("a shorter index means a repeated word");
+            return Err((first, index[word]));
+        }
+        Ok(Self { words, index })
     }
 
     /// Intern `word`, returning its id (existing or freshly assigned).
@@ -104,6 +134,22 @@ mod tests {
         let ids = [v.intern("support"), v.intern("vector"), v.intern("machine")];
         assert_eq!(v.render(&ids), "support vector machine");
         assert_eq!(v.render(&[]), "");
+    }
+
+    #[test]
+    fn from_words_keeps_the_order_and_refuses_repeats() {
+        let words = |list: &[&str]| list.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        let v = Vocab::from_words(words(&["x", "y", "z"])).unwrap();
+        assert_eq!(v.id("z"), Some(2));
+        assert_eq!(v.word(1), "y");
+        let mut interned = Vocab::new();
+        for w in ["x", "y", "z"] {
+            interned.intern(w);
+        }
+        assert_eq!(v, interned);
+        assert_eq!(Vocab::from_words(words(&["x", "y", "x"])), Err((0, 2)));
+        assert_eq!(Vocab::from_words(words(&["x", "y", "z", "y"])), Err((1, 3)));
+        assert_eq!(Vocab::from_words(Vec::new()), Ok(Vocab::new()));
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Bounded LRU response cache in front of the query engine.
 //!
-//! `/infer` is a pure function of (bundle, text, seed, iters, top), so a
-//! repeated query can be answered from memory instead of burning another
-//! fold-in chain. Entries are keyed by an Fx hash of the full tuple (the
-//! bundle enters via [`ModelBackend::fingerprint`]
-//! (crate::ModelBackend::fingerprint)); the stored key is compared on
-//! every hit, so a hash collision degrades to a miss, never a wrong
-//! answer. Eviction is exact LRU via an intrusive doubly-linked list over
-//! a slab — O(1) get/put. Hit/miss counters are exposed through
-//! [`CacheStats`] (surfaced by `GET /healthz`).
+//! One cache belongs to one [`QueryEngine`](crate::QueryEngine), whose
+//! model never changes, so `/infer` is a pure function of (text, seed,
+//! iters, top) and a repeated query can be answered from memory instead of
+//! burning another fold-in chain. Entries are keyed by an Fx hash of that
+//! tuple; the stored key is compared on every hit, so a hash collision
+//! degrades to a miss, never a wrong answer. Eviction is exact LRU via an
+//! intrusive doubly-linked list over a slab — O(1) get/put. Hit/miss
+//! counters are exposed through [`CacheStats`] (surfaced by
+//! `GET /healthz`).
 
 use crate::infer::{DocInference, InferConfig};
 use std::hash::Hasher;
@@ -19,7 +19,6 @@ use topmine_util::{FxHashMap, FxHasher};
 /// The full identity of one cacheable inference call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CacheKey {
-    pub fingerprint: u64,
     pub seed: u64,
     pub fold_iters: usize,
     pub top_topics: usize,
@@ -31,8 +30,8 @@ pub(crate) struct CacheKey {
 }
 
 impl CacheKey {
-    pub(crate) fn new(fingerprint: u64, text: &str, config: &InferConfig) -> Self {
-        Self::new_seeded(fingerprint, text, config, config.seed)
+    pub(crate) fn new(text: &str, config: &InferConfig) -> Self {
+        Self::new_seeded(text, config, config.seed)
     }
 
     /// Key an inference by its *effective* RNG seed rather than the config
@@ -40,14 +39,8 @@ impl CacheKey {
     /// so its result is legitimately shared with any single `/infer` whose
     /// seed equals that derived value (index 0 derives the config seed
     /// itself, so single-document keys are unchanged).
-    pub(crate) fn new_seeded(
-        fingerprint: u64,
-        text: &str,
-        config: &InferConfig,
-        effective_seed: u64,
-    ) -> Self {
+    pub(crate) fn new_seeded(text: &str, config: &InferConfig, effective_seed: u64) -> Self {
         Self {
-            fingerprint,
             seed: effective_seed,
             fold_iters: config.fold_iters,
             top_topics: config.top_topics,
@@ -67,7 +60,6 @@ impl CacheKey {
             return forced;
         }
         let mut h = FxHasher::default();
-        h.write_u64(self.fingerprint);
         h.write_u64(self.seed);
         h.write_u64(self.fold_iters as u64);
         h.write_u64(self.top_topics as u64);
@@ -268,7 +260,6 @@ mod tests {
 
     fn key(text: &str, seed: u64) -> CacheKey {
         CacheKey::new(
-            42,
             text,
             &InferConfig {
                 seed,

@@ -1,6 +1,6 @@
 //! The query engine: batched fold-in inference over one shared
-//! `Arc<dyn ModelBackend>` — monolithic or sharded, the engine cannot
-//! tell.
+//! `Arc<dyn ModelBackend>` — φ in process or behind a fleet router, the
+//! engine cannot tell.
 //!
 //! The backend is immutable after load, so workers need no locking — each
 //! fold-in pass touches only its own scratch state.
@@ -11,9 +11,10 @@
 //! whatever the worker count, scheduling, or shard count. The workers live
 //! for one call, so a document that panics fails its own batch and
 //! nothing after it. Single-document [`QueryEngine::infer`] calls pass
-//! through a bounded LRU [`ResponseCache`] keyed on (bundle fingerprint,
-//! text, seed, iters, top) — inference is a pure function of that tuple,
-//! so a hit returns the identical result without re-running the chain.
+//! through a bounded LRU [`ResponseCache`] keyed on (text, seed, iters,
+//! top) — the engine's model never changes, so inference is a pure
+//! function of that tuple, and a hit returns the identical result without
+//! re-running the chain.
 //! The HTTP layer's dispatchers call
 //! [`QueryEngine::try_infer_items_amortized`]: each coalesced batch probes
 //! the cache per item and folds the misses in over one shared φ gather.
@@ -35,9 +36,6 @@ pub struct QueryEngine {
     /// Workers for [`QueryEngine::infer_batch`].
     n_threads: usize,
     cache: Option<ResponseCache>,
-    /// Computed once: [`ModelBackend::fingerprint`] walks α, and the model
-    /// never changes after load.
-    fingerprint: u64,
 }
 
 impl QueryEngine {
@@ -54,12 +52,10 @@ impl QueryEngine {
         n_threads: usize,
         cache_capacity: usize,
     ) -> Self {
-        let fingerprint = model.fingerprint();
         Self {
             model,
             n_threads: n_threads.max(1),
             cache: (cache_capacity > 0).then(|| ResponseCache::new(cache_capacity)),
-            fingerprint,
         }
     }
 
@@ -94,7 +90,7 @@ impl QueryEngine {
         };
         let metrics = crate::metrics::serve_metrics();
         let lookup = metrics.stage(crate::metrics::Stage::CacheLookup).span();
-        let key = CacheKey::new(self.fingerprint, text, config);
+        let key = CacheKey::new(text, config);
         if let Some(hit) = cache.get(&key) {
             lookup.stop();
             return hit;
@@ -155,8 +151,7 @@ impl QueryEngine {
         if let Some(cache) = &self.cache {
             for (i, item) in items.iter().enumerate() {
                 let lookup = metrics.stage(crate::metrics::Stage::CacheLookup).span();
-                let key =
-                    CacheKey::new_seeded(self.fingerprint, &item.text, &item.config, item.seed);
+                let key = CacheKey::new_seeded(&item.text, &item.config, item.seed);
                 let hit = cache.get(&key);
                 lookup.stop();
                 match hit {
@@ -181,7 +176,7 @@ impl QueryEngine {
                 if let Some(cache) = &self.cache {
                     let item = &items[i];
                     cache.put(
-                        CacheKey::new_seeded(self.fingerprint, &item.text, &item.config, item.seed),
+                        CacheKey::new_seeded(&item.text, &item.config, item.seed),
                         inference.clone(),
                     );
                 }
@@ -220,8 +215,7 @@ impl QueryEngine {
 mod tests {
     use super::*;
     use crate::frozen::tests::tiny_model;
-    use crate::frozen::{FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig};
-    use topmine_corpus::Document;
+    use crate::frozen::FrozenModel;
 
     #[test]
     fn batch_matches_single_and_is_ordered() {
@@ -266,36 +260,19 @@ mod tests {
     }
 
     impl ModelBackend for FailsOnWord {
-        fn header(&self) -> &ModelHeader {
-            self.inner.header()
+        fn local(&self) -> &FrozenModel {
+            &self.inner
         }
-        fn preprocess(&self) -> &PreprocessConfig {
-            ModelBackend::preprocess(&self.inner)
-        }
-        fn alpha(&self) -> &[f64] {
-            ModelBackend::alpha(&self.inner)
-        }
-        fn format_tag(&self) -> &'static str {
-            self.inner.format_tag()
-        }
-        fn n_lexicon_phrases(&self) -> usize {
-            self.inner.n_lexicon_phrases()
-        }
-        fn prepare(&self, text: &str) -> PreparedDoc {
-            self.inner.prepare(text)
-        }
-        fn segment(&self, doc: &Document) -> Vec<(u32, u32)> {
-            ModelBackend::segment(&self.inner, doc)
-        }
-        fn gather_phi(&self, words: &[u32]) -> Vec<f64> {
+        fn try_gather_phi_batch(
+            &self,
+            words: &[u32],
+            opts: &GatherOptions,
+        ) -> Result<Vec<f64>, BackendError> {
             assert!(
                 !words.contains(&self.marker),
                 "gather failed on the marker word"
             );
-            self.inner.gather_phi(words)
-        }
-        fn display_word(&self, id: u32) -> &str {
-            self.inner.display_word(id)
+            self.inner.try_gather_phi_batch(words, opts)
         }
     }
 

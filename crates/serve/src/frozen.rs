@@ -1,5 +1,5 @@
 //! The frozen model: everything fold-in inference over unseen text needs,
-//! captured from a fitted run.
+//! captured from a fitted run. It is the one in-memory model of serving.
 //!
 //! A [`FrozenModel`] captures the three layers of a fitted ToPMine run:
 //!
@@ -12,21 +12,23 @@
 //! 3. the **topic model point estimate** — φ, the asymmetric α vector and
 //!    β — frozen for Eq. 7 fold-in.
 //!
-//! It is the fit's in-memory output and the reference backend the sharded
-//! and fleet backends are checked against. [`FrozenModel::save`] writes
-//! it as a one-shard bundle in the one on-disk layout,
-//! [`SHARDED_MODEL_FORMAT`] (see [`crate::sharded`]), which
-//! [`load_bundle`](crate::load_bundle) reads back as a
-//! [`ShardedModel`](crate::ShardedModel).
+//! It is the fit's output ([`FrozenModel::freeze`]) and what every bundle
+//! loads as: [`FrozenModel::load`] (and [`load_bundle`](crate::load_bundle))
+//! reads a bundle of any shard count into one vocabulary, one unstem table,
+//! one lexicon and one K × V φ, and keeps the bundle digest and the shard
+//! starts as provenance. A fleet router holds the same type without φ,
+//! which lives in the shard processes. [`FrozenModel::save`] writes the
+//! one-shard bundle; [`ShardedModel`] cuts the model into more shards for
+//! saving (see [`crate::sharded`] for the layout).
 
-use crate::backend::ModelBackend;
-use crate::io::{check_hyperparameters, data_err, HeaderFields};
-use crate::sharded::{save_bundle, ShardFiles, SHARDED_MODEL_FORMAT};
+use crate::backend::{BackendError, GatherOptions, ModelBackend};
+use crate::io::{check_hyperparameters, data_err};
+use crate::sharded::{shard_of, Manifest, ShardedModel};
 use std::io;
 use std::path::Path;
 use topmine_corpus::{CorpusOptions, Document, StopwordSet, Vocab};
 use topmine_lda::PhraseLda;
-use topmine_phrase::{PhraseConstructor, PhraseStats};
+use topmine_phrase::{ConstructScratch, PhraseConstructor, PhraseStats};
 
 /// The preprocessing contract unseen text is held to (a persistable subset
 /// of `topmine_corpus::CorpusOptions` — the provenance switch is a training
@@ -112,13 +114,33 @@ pub struct FrozenModel {
     pub unstem: Option<Vec<String>>,
     /// Every frequent phrase with its training count, plus every word's.
     pub lexicon: PhraseStats,
-    /// Topic-word point estimate, `n_topics × vocab_size`.
+    /// Topic-word point estimate, `n_topics × vocab_size`; no rows in a
+    /// fleet router's view, whose φ lives in the shard processes.
     pub phi: Vec<Vec<f64>>,
     /// Asymmetric document-topic Dirichlet, length `n_topics`.
     pub alpha: Vec<f64>,
     /// `preprocess` as options, for their term rule (not persisted
     /// separately).
     terms: CorpusOptions,
+    /// Provenance: the digest of the bundle the model was loaded from
+    /// (`None` if it never was) ...
+    digest: Option<u64>,
+    /// ... and that bundle's shard starts (`[0]` if it never was).
+    shard_starts: Vec<u32>,
+}
+
+/// Equality of the model itself; where it was loaded from (digest, shard
+/// starts) is not compared.
+impl PartialEq for FrozenModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.header == other.header
+            && self.preprocess == other.preprocess
+            && self.vocab == other.vocab
+            && self.unstem == other.unstem
+            && self.lexicon == other.lexicon
+            && self.phi == other.phi
+            && self.alpha == other.alpha
+    }
 }
 
 /// A document preprocessed against a frozen vocabulary.
@@ -129,27 +151,6 @@ pub struct PreparedDoc {
     /// Surface tokens that survived filtering but are outside the frozen
     /// vocabulary (dropped from the stream).
     pub n_oov: usize,
-}
-
-/// Normalize unseen text with a frozen preprocessing contract and map it
-/// through a vocabulary lookup — the one preprocessing implementation both
-/// the monolithic and sharded backends share, so their `prepare` paths
-/// cannot drift. Tokenizing, chunking and the term rule are the training
-/// builder's own ([`Document::fill_from_text`], [`CorpusOptions::term`]).
-pub(crate) fn prepare_with(
-    terms: &CorpusOptions,
-    lookup: impl Fn(&str) -> Option<u32>,
-    text: &str,
-) -> PreparedDoc {
-    let mut doc = Document::default();
-    let mut n_oov = 0usize;
-    let mut stem_buf = Vec::new();
-    doc.fill_from_text(text, &mut String::new(), |surface| {
-        let id = lookup(terms.term(surface, &mut stem_buf)?);
-        n_oov += usize::from(id.is_none());
-        id
-    });
-    PreparedDoc { doc, n_oov }
 }
 
 impl FrozenModel {
@@ -187,6 +188,8 @@ impl FrozenModel {
             phi: model.phi(),
             alpha: model.alpha().to_vec(),
             terms,
+            digest: None,
+            shard_starts: vec![0],
         }
     }
 
@@ -210,13 +213,119 @@ impl FrozenModel {
             lexicon,
             phi,
             alpha,
+            digest: None,
+            shard_starts: vec![0],
         };
         model.validate().map_err(data_err)?;
         Ok(model)
     }
 
-    /// Structural invariants every loaded/assembled model satisfies.
+    /// Load the bundle at `dir`, whatever its shard count, as one model:
+    /// every `shard-K/` directory's vocabulary, unstem table, lexicon and φ
+    /// columns read into place. The manifest's format line is checked
+    /// first, then its digest, then each file against the digest the
+    /// manifest recorded; every failure (missing or modified file, bad
+    /// number, shape mismatch, a word listed twice) is an `io::Error`
+    /// naming the file.
+    pub fn load(dir: &Path) -> io::Result<Self> {
+        Self::read(dir, true)
+    }
+
+    /// Load everything *except* φ: a fleet router's view, whose φ stays in
+    /// the shard processes that own it.
+    pub(crate) fn load_without_phi(dir: &Path) -> io::Result<Self> {
+        Self::read(dir, false)
+    }
+
+    fn read(dir: &Path, with_phi: bool) -> io::Result<Self> {
+        let Manifest {
+            header,
+            mut fields,
+            boundaries,
+        } = Manifest::read(dir)?;
+        fields.preprocess.stopwords = header.read_stopwords()?;
+        let rel = |i: usize, file: &str| format!("shard-{i}/{file}");
+        let shards: Vec<(u32, u32)> = boundaries.windows(2).map(|w| (w[0], w[1])).collect();
+        let mut words = Vec::new();
+        for (i, &(lo, hi)) in shards.iter().enumerate() {
+            header.read_vocab(&rel(i, "vocab.tsv"), lo, (hi - lo) as usize, |word| {
+                words.push(word.to_string());
+                Ok(())
+            })?;
+        }
+        let vocab = Vocab::from_words(words).map_err(|(first, again)| {
+            let file = rel(shard_of(&boundaries, again), "vocab.tsv");
+            data_err(format!(
+                "{file}: a word is listed twice, at ids {first} and {again}"
+            ))
+        })?;
+        // The vocabulary files have vouched for `vocab_size`: the tables
+        // below are sized by it.
+        let v = vocab.len();
+        let stemmed = header.lists(&rel(0, "unstem.tsv"));
+        let mut unstem = stemmed.then(|| vec![String::new(); v]);
+        let mut lexicon = PhraseStats::new(vec![0; v], 0, fields.min_support);
+        for (i, &(lo, hi)) in shards.iter().enumerate() {
+            let file = rel(i, "unstem.tsv");
+            if header.lists(&file) != stemmed {
+                let msg = format!("{file}: shard-0 and shard-{i} disagree on an unstem table");
+                return Err(data_err(msg));
+            }
+            if let Some(table) = &mut unstem {
+                header.read_unstem(&file, lo, &mut table[lo as usize..hi as usize])?;
+            }
+            let file = rel(i, "lexicon.tsv");
+            let total = header.read_lexicon(&file, lo..hi, &mut lexicon)?;
+            if i == 0 {
+                lexicon.total_tokens = total;
+            } else if total != lexicon.total_tokens {
+                return Err(data_err(format!(
+                    "{file}: total_tokens {total} disagrees with shard-0's {}",
+                    lexicon.total_tokens
+                )));
+            }
+        }
+        let mut phi = Vec::new();
+        if with_phi {
+            // Each row is allocated once, at its full width when the φ
+            // files on disk hold K × V values (a file too short for its
+            // shard fails its read), so no shard's columns move again.
+            let k = fields.header.n_topics;
+            let files: Vec<String> = (0..shards.len()).map(|i| rel(i, "phi.bin")).collect();
+            let on_disk: u64 = files.iter().map(|file| header.file_len(file)).sum();
+            let width = usize::try_from(on_disk / 8 / k as u64).map_or(v, |w| w.min(v));
+            phi = (0..k).map(|_| Vec::with_capacity(width)).collect();
+            for (file, &(lo, hi)) in files.iter().zip(&shards) {
+                header.read_phi(file, &mut phi, k, (hi - lo) as usize)?;
+            }
+        }
+        let mut shard_starts = boundaries;
+        shard_starts.pop();
+        // Every table was sized by the files' own shapes and checked as it
+        // was read, so the model needs no further validation.
+        Ok(Self {
+            terms: fields.preprocess.corpus_options(),
+            header: fields.header,
+            preprocess: fields.preprocess,
+            vocab,
+            unstem,
+            lexicon,
+            phi,
+            alpha: fields.alpha,
+            digest: Some(header.digest()),
+            shard_starts,
+        })
+    }
+
+    /// Structural invariants every assembled model satisfies.
     pub fn validate(&self) -> Result<(), String> {
+        self.check_shapes()?;
+        check_hyperparameters(&self.header, &self.alpha)
+    }
+
+    /// The shapes [`validate`](Self::validate) checks, without the
+    /// hyperparameters' values: what a save needs to write every file.
+    pub(crate) fn check_shapes(&self) -> Result<(), String> {
         let h = &self.header;
         if self.vocab.len() != h.vocab_size {
             return Err(format!(
@@ -253,7 +362,6 @@ impl FrozenModel {
                 h.vocab_size
             ));
         }
-        check_hyperparameters(h, &self.alpha)?;
         if let Some(u) = &self.unstem {
             if u.len() != h.vocab_size {
                 return Err("unstem table length mismatch".into());
@@ -268,6 +376,20 @@ impl FrozenModel {
 
     pub fn vocab_size(&self) -> usize {
         self.header.vocab_size
+    }
+
+    /// Digest of the bundle this model was loaded from: the value on the
+    /// last line of its `manifest.tsv`, which covers every byte of the
+    /// model and is what the fleet handshake compares. `None` for a model
+    /// that was never loaded from disk.
+    pub fn bundle_digest(&self) -> Option<u64> {
+        self.digest
+    }
+
+    /// The first word id of each shard of the bundle this model was loaded
+    /// from, ascending from 0; `[0]` for a model never loaded from disk.
+    pub fn shard_starts(&self) -> &[u32] {
+        &self.shard_starts
     }
 
     /// Preferred display string for one word id (unstemmed when possible).
@@ -294,35 +416,44 @@ impl FrozenModel {
     /// tokenize into chunks, filter by length and stop words, stem, then
     /// map through the *frozen* vocabulary. Out-of-vocabulary terms are
     /// dropped (and counted) — fold-in has no estimate for them.
+    /// Tokenizing, chunking and the term rule are the training builder's
+    /// own ([`Document::fill_from_text`], [`CorpusOptions::term`]).
     pub fn prepare(&self, text: &str) -> PreparedDoc {
-        prepare_with(&self.terms, |term| self.vocab.id(term), text)
+        let mut doc = Document::default();
+        let mut n_oov = 0usize;
+        let mut stem_buf = Vec::new();
+        doc.fill_from_text(text, &mut String::new(), |surface| {
+            let id = self.vocab.id(self.terms.term(surface, &mut stem_buf)?);
+            n_oov += usize::from(id.is_none());
+            id
+        });
+        PreparedDoc { doc, n_oov }
     }
 
     /// Segment a prepared document against the frozen lexicon (Algorithm 2
     /// with the trained counts and threshold).
     pub fn segment(&self, doc: &Document) -> Vec<(u32, u32)> {
-        PhraseConstructor::new(self.header.seg_alpha).construct_doc(doc, &self.lexicon)
+        self.segment_with(doc, &mut ConstructScratch::default())
     }
 
-    /// Write the model into `dir` as a one-shard bundle: exactly the files
-    /// `ShardedModel::from_frozen(self, 1)?.save(dir)` writes, streamed
-    /// from this model's own vocabulary, unstem table, lexicon and φ rows.
+    /// [`segment`](Self::segment) on caller-held scratch, which a batch
+    /// reuses from one document to the next.
+    pub(crate) fn segment_with(
+        &self,
+        doc: &Document,
+        scratch: &mut ConstructScratch,
+    ) -> Vec<(u32, u32)> {
+        PhraseConstructor::new(self.header.seg_alpha).construct_doc_with(
+            doc,
+            &self.lexicon,
+            scratch,
+        )
+    }
+
+    /// Write the model into `dir` as a one-shard bundle:
+    /// `ShardedModel::from_frozen(self, 1)?.save(dir)`.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
-        let fields = HeaderFields {
-            header: self.header.clone(),
-            preprocess: self.preprocess.clone(),
-            min_support: self.lexicon.min_support,
-            alpha: self.alpha.clone(),
-        };
-        let shard = ShardFiles {
-            lo: 0,
-            words: self.vocab.iter().map(|(_, word)| word),
-            unstem: self.unstem.as_deref(),
-            lexicon: &self.lexicon,
-            phi: &self.phi,
-            width: self.header.vocab_size,
-        };
-        save_bundle(dir, &fields, std::iter::once(shard))
+        ShardedModel::from_frozen(self, 1)?.save(dir)
     }
 }
 
@@ -341,56 +472,29 @@ pub(crate) fn gather_word_major(
     out
 }
 
-/// The reference backend: the fitted model in memory, answering every part
-/// of the contract locally (`gather_phi` copies the trained columns, which
-/// is bit-exact by construction).
+/// The model in this process: every part of the contract is local, and the
+/// φ gather copies the trained columns, which is bit-exact by construction.
 impl ModelBackend for FrozenModel {
-    fn header(&self) -> &ModelHeader {
-        &self.header
+    fn local(&self) -> &FrozenModel {
+        self
     }
 
-    fn preprocess(&self) -> &PreprocessConfig {
-        &self.preprocess
-    }
-
-    fn alpha(&self) -> &[f64] {
-        &self.alpha
-    }
-
-    /// The layout [`FrozenModel::save`] writes.
-    fn format_tag(&self) -> &'static str {
-        SHARDED_MODEL_FORMAT
-    }
-
-    fn n_lexicon_phrases(&self) -> usize {
-        self.lexicon.n_phrases()
-    }
-
-    fn prepare(&self, text: &str) -> PreparedDoc {
-        FrozenModel::prepare(self, text)
-    }
-
-    fn segment(&self, doc: &Document) -> Vec<(u32, u32)> {
-        FrozenModel::segment(self, doc)
-    }
-
-    fn gather_phi(&self, words: &[u32]) -> Vec<f64> {
-        gather_word_major(&self.phi, words.iter().map(|&w| w as usize))
-    }
-
-    fn display_word(&self, id: u32) -> &str {
-        FrozenModel::display_word(self, id)
-    }
-
-    fn display_phrase(&self, ids: &[u32]) -> String {
-        FrozenModel::display_phrase(self, ids)
+    fn try_gather_phi_batch(
+        &self,
+        words: &[u32],
+        _opts: &GatherOptions,
+    ) -> Result<Vec<f64>, BackendError> {
+        Ok(gather_word_major(
+            &self.phi,
+            words.iter().map(|&w| w as usize),
+        ))
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::ShardedModel;
+    use crate::SHARDED_MODEL_FORMAT;
     use topmine_corpus::{corpus_from_texts, CorpusOptions};
     use topmine_lda::{GroupedDocs, TopicModelConfig};
     use topmine_phrase::Segmenter;
@@ -435,14 +539,16 @@ pub(crate) mod tests {
 
     #[test]
     fn save_load_roundtrip_is_exact() {
-        // The save is the one-shard bundle: it loads back as the model's
-        // one-shard partition.
+        // The save is the one-shard bundle: it loads back as the model,
+        // with the bundle's digest as provenance.
         let dir = tmpdir("roundtrip");
         let m = tiny_model();
         m.save(&dir).unwrap();
-        let loaded = ShardedModel::load(&dir).unwrap();
-        assert_eq!(loaded, ShardedModel::from_frozen(&m, 1).unwrap());
-        assert_eq!(ModelBackend::format_tag(&loaded), m.format_tag());
+        let loaded = FrozenModel::load(&dir).unwrap();
+        assert_eq!(loaded, m);
+        assert_eq!(loaded.shard_starts(), [0]);
+        assert!(loaded.bundle_digest().is_some());
+        assert_eq!(m.bundle_digest(), None);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -456,13 +562,13 @@ pub(crate) mod tests {
         let body = std::fs::read_to_string(&manifest).unwrap();
         let retired = body.replace(SHARDED_MODEL_FORMAT, "topmine-frozen-model/2");
         std::fs::write(&manifest, &retired).unwrap();
-        let err = ShardedModel::load(&dir).unwrap_err().to_string();
+        let err = FrozenModel::load(&dir).unwrap_err().to_string();
         assert!(err.contains("topmine-frozen-model/2"), "{err}");
         assert!(err.contains(SHARDED_MODEL_FORMAT), "{err}");
         // A directory without a manifest (a bundle in the retired
         // `header.tsv` layout) is refused naming the manifest.
         std::fs::rename(&manifest, dir.join("header.tsv")).unwrap();
-        let err = ShardedModel::load(&dir).unwrap_err();
+        let err = FrozenModel::load(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
         assert!(err.to_string().starts_with("manifest.tsv: "), "{err}");
         let _ = std::fs::remove_dir_all(dir);
@@ -475,13 +581,13 @@ pub(crate) mod tests {
         m.save(&dir).unwrap();
         let shard = dir.join("shard-0");
         std::fs::write(shard.join("lexicon.tsv"), "total_tokens\t10\n5\t1 x\n").unwrap();
-        let err = ShardedModel::load(&dir).unwrap_err().to_string();
+        let err = FrozenModel::load(&dir).unwrap_err().to_string();
         assert!(err.contains("shard-0/lexicon.tsv line 2"), "{err}");
         // φ: a header that is not φ, then one well-formed value changed to
         // another (only the digest can tell).
         m.save(&dir).unwrap();
         std::fs::write(shard.join("phi.bin"), "topic\tw0\n0\tnope\n").unwrap();
-        let err = ShardedModel::load(&dir).unwrap_err();
+        let err = FrozenModel::load(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("shard-0/phi.bin"), "{err}");
         m.save(&dir).unwrap();
@@ -489,11 +595,11 @@ pub(crate) mod tests {
         let last = phi.len() - 1;
         phi[last] ^= 1;
         std::fs::write(shard.join("phi.bin"), phi).unwrap();
-        let err = ShardedModel::load(&dir).unwrap_err().to_string();
+        let err = FrozenModel::load(&dir).unwrap_err().to_string();
         assert!(err.contains("shard-0/phi.bin: content digest"), "{err}");
         m.save(&dir).unwrap();
         std::fs::remove_file(shard.join("vocab.tsv")).unwrap();
-        let err = ShardedModel::load(&dir).unwrap_err();
+        let err = FrozenModel::load(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("shard-0/vocab.tsv"), "{err}");
         let _ = std::fs::remove_dir_all(dir);
@@ -520,8 +626,8 @@ pub(crate) mod tests {
         raw.save(&dir).unwrap();
         assert!(!dir.join("shard-0/unstem.tsv").exists());
         assert!(!dir.join("stopwords.txt").exists());
-        let loaded = ShardedModel::load(&dir).unwrap();
-        assert_eq!(loaded, ShardedModel::from_frozen(&raw, 1).unwrap());
+        let loaded = FrozenModel::load(&dir).unwrap();
+        assert_eq!(loaded, raw);
         assert!(loaded.preprocess.stopwords.is_empty());
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -702,7 +702,7 @@ fn route_inner(req: &Request, shared: &Shared) -> Result<(u16, RouteResponse), H
         ("GET", "/model") => {
             let m = engine.model();
             let h = m.header();
-            let p = m.preprocess();
+            let p = &m.local().preprocess;
             done(RouteResponse::json(format!(
                 "{{\"format\":{},\"topics\":{},\"vocab\":{},\"shards\":{},\"train_docs\":{},\
                  \"train_tokens\":{},\"lexicon_phrases\":{},\"seg_alpha\":{},\"beta\":{},\
@@ -713,7 +713,7 @@ fn route_inner(req: &Request, shared: &Shared) -> Result<(u16, RouteResponse), H
                 m.n_shards(),
                 h.n_docs,
                 h.n_tokens,
-                m.n_lexicon_phrases(),
+                m.local().lexicon.n_phrases(),
                 h.seg_alpha,
                 h.beta,
                 p.stem,

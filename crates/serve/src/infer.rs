@@ -12,22 +12,24 @@
 //!
 //! — Eq. 7's document side with the word side frozen.
 //!
-//! Inference runs against any [`ModelBackend`], monolithic or sharded, in
-//! two phases:
+//! Inference runs against any [`ModelBackend`], in process or behind a
+//! fleet router, over a batch of documents (one document is a batch of
+//! one), in two phases:
 //!
-//! 1. **scatter-gather**: the document's tokens are remapped onto a dense
-//!    local word table and the φ columns they touch are gathered from
-//!    their owning shards ([`ModelBackend::gather_phi`]) into one
-//!    word-major block — each word's K values adjacent, so a clique's
-//!    weight loop reads one contiguous run — a plain copy for the
-//!    monolithic backend, a fan-out for the sharded one;
-//! 2. **local Gibbs**: the fold-in sweeps run entirely against the
-//!    gathered block, touching no shard again.
+//! 1. **scatter-gather**: every document is prepared and segmented (one
+//!    Algorithm 2 scratch for the whole batch), its tokens are remapped
+//!    onto a dense batch-wide word table, and the φ columns the batch
+//!    touches are gathered once ([`ModelBackend::try_gather_phi_batch`])
+//!    into one word-major block — each word's K values adjacent, so a
+//!    clique's weight loop reads one contiguous run — a plain copy in
+//!    process, one fan-out per batch behind a router;
+//! 2. **local Gibbs**: each document's fold-in sweeps run entirely against
+//!    the gathered block, touching no shard again.
 //!
 //! Because the gathered values are the trained `f64`s bit-for-bit and the
 //! sweep order is fixed, everything is deterministic given the seed: same
 //! seed ⇒ bit-identical θ, topic ranking, and phrase annotations,
-//! regardless of backend, shard count, or which thread runs it.
+//! regardless of backend, shard count, batch, or which thread runs it.
 //!
 //! The per-clique posterior and the discrete draw are **not** implemented
 //! here: the sweeps call into `topmine_lda::kernel` (the same code training
@@ -37,30 +39,9 @@
 use crate::backend::{BackendError, GatherOptions, ModelBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
 use topmine_lda::kernel::{sample_clique, CliqueScratch, FrozenPhiView};
+use topmine_phrase::ConstructScratch;
 use topmine_util::FxHashMap;
-
-/// Reusable fold-in buffers, kept thread-local so `QueryEngine` worker
-/// threads (and the HTTP connection handlers calling the inline path)
-/// stop re-allocating the remap/count/running-sum buffers on every request.
-/// Only the gathered φ block and the returned `DocInference` allocate per
-/// call. Contents are fully reset per document, so results are
-/// bit-identical to the allocate-per-call code.
-#[derive(Default)]
-struct InferScratch {
-    local_of: FxHashMap<u32, u32>,
-    distinct: Vec<u32>,
-    local_tokens: Vec<u32>,
-    local_ndk: Vec<u32>,
-    z: Vec<u16>,
-    cum: Vec<f64>,
-    clique: CliqueScratch,
-}
-
-thread_local! {
-    static INFER_SCRATCH: RefCell<InferScratch> = RefCell::new(InferScratch::default());
-}
 
 /// Knobs of one fold-in pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,9 +101,7 @@ pub struct DocInference {
 
 /// Run one document's fold-in Gibbs chain against a gathered φ view.
 /// `local_tokens` index word rows of `view`; `spans` are the phrase cliques
-/// over it. Pure code motion out of [`infer_doc`] — same draw order, same
-/// arithmetic — so the per-document and batched paths share exactly one
-/// implementation of the chain (the pinned fold-in digest is the witness).
+/// over it.
 #[allow(clippy::too_many_arguments)]
 fn fold_in_chain(
     view: &FrozenPhiView,
@@ -173,7 +152,7 @@ fn fold_in_chain(
 
 /// Assemble the response struct from a finished chain's state (θ from the
 /// final counts, ranking with deterministic ties, phrase annotations in
-/// document order). Shared verbatim by both inference paths.
+/// document order).
 #[allow(clippy::too_many_arguments)]
 fn assemble_inference(
     model: &dyn ModelBackend,
@@ -222,92 +201,22 @@ fn assemble_inference(
 }
 
 /// Infer topics for one unseen document against any backend with an
-/// explicit seed. This is the single fold-in implementation; the
-/// monolithic and sharded models (and the [`QueryEngine`]
-/// (crate::QueryEngine)) all route here.
+/// explicit seed: a batch of one through [`infer_docs_amortized`], the one
+/// fold-in implementation. Panics if a remote backend's gather fails
+/// (fallible callers use [`try_infer_docs_amortized`]).
 pub fn infer_doc(
     model: &dyn ModelBackend,
     text: &str,
     config: &InferConfig,
     seed: u64,
 ) -> DocInference {
-    try_infer_doc(model, text, config, seed, &GatherOptions::default())
-        .unwrap_or_else(|e| panic!("phi gather failed: {e} (fallible backends use try_infer_doc)"))
-}
-
-/// Fallible [`infer_doc`]: a remote backend's shard failure surfaces as a
-/// [`BackendError`] instead of a panic. Identical draws and results on the
-/// success path.
-pub fn try_infer_doc(
-    model: &dyn ModelBackend,
-    text: &str,
-    config: &InferConfig,
-    seed: u64,
-    gather_opts: &GatherOptions,
-) -> Result<DocInference, BackendError> {
-    let metrics = crate::metrics::serve_metrics();
-    metrics.infer_docs_total.inc();
-    let prepared = model.prepare(text);
-    let spans = model.segment(&prepared.doc);
-    let k = model.n_topics();
-    let alpha = model.alpha();
-    let tokens = &prepared.doc.tokens;
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    INFER_SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-
-        // Scatter-gather: remap tokens onto a dense local word table, then
-        // fetch exactly the φ columns this document touches from their
-        // owning shards. The Gibbs sweeps below never leave the gathered
-        // block.
-        scratch.local_of.clear();
-        scratch.distinct.clear();
-        scratch.local_tokens.clear();
-        for &w in tokens {
-            let distinct = &mut scratch.distinct;
-            let id = *scratch.local_of.entry(w).or_insert_with(|| {
-                distinct.push(w);
-                (distinct.len() - 1) as u32
-            });
-            scratch.local_tokens.push(id);
-        }
-        let n_local = scratch.distinct.len();
-        // Word-major `n_local × k`: φ[t][distinct[j]] at `j * k + t`.
-        let gather = metrics.stage(crate::metrics::Stage::PhiGather).span();
-        let phi = model.try_gather_phi(&scratch.distinct, gather_opts)?;
-        gather.stop();
-        metrics.phi_columns_total.add(n_local as u64);
-        let view = FrozenPhiView::new(&phi, n_local, k);
-
-        let fold = metrics.stage(crate::metrics::Stage::FoldIn).span();
-        fold_in_chain(
-            &view,
-            alpha,
-            &spans,
-            &scratch.local_tokens,
-            k,
-            config.fold_iters,
-            &mut rng,
-            &mut scratch.local_ndk,
-            &mut scratch.z,
-            &mut scratch.cum,
-            &mut scratch.clique,
-        );
-        fold.stop();
-
-        Ok(assemble_inference(
-            model,
-            alpha,
-            k,
-            tokens,
-            &spans,
-            &scratch.local_ndk,
-            &scratch.z,
-            config.top_topics,
-            prepared.n_oov,
-        ))
-    })
+    let item = BatchItem {
+        text: text.to_string(),
+        config: config.clone(),
+        seed,
+    };
+    let mut results = infer_docs_amortized(model, std::slice::from_ref(&item));
+    results.pop().expect("one result per item")
 }
 
 /// One document of a shared-gather batch: the text plus its fully resolved
@@ -323,15 +232,15 @@ pub struct BatchItem {
 
 /// Fold in a batch of documents with **one** φ scatter-gather for the
 /// whole batch: the union of every document's distinct words is gathered
-/// once ([`ModelBackend::gather_phi_batch`] — a single fan-out on a
-/// sharded backend), then each document's chain runs against its slice of
-/// the shared table.
+/// once ([`ModelBackend::try_gather_phi_batch`] — a single fan-out behind
+/// a router), then each document's chain runs against its rows of the
+/// shared table.
 ///
-/// Bit-identical to calling [`infer_doc`] per document with the same
-/// seeds: the gathered entries are the exact trained `f64`s whichever
-/// table they sit in, each document's tokens index the same values, and
-/// each chain consumes its own freshly seeded RNG — only the row
-/// *addressing* changes, never an operand or a draw.
+/// Bit-identical to calling [`infer_doc`] (a batch of one) per document
+/// with the same seeds: the gathered entries are the exact trained `f64`s
+/// whichever table they sit in, each document's tokens index the same
+/// values, and each chain consumes its own freshly seeded RNG — only the
+/// row *addressing* changes, never an operand or a draw.
 pub fn infer_docs_amortized(model: &dyn ModelBackend, items: &[BatchItem]) -> Vec<DocInference> {
     try_infer_docs_amortized(model, items, &GatherOptions::default()).unwrap_or_else(|e| {
         panic!("phi gather failed: {e} (fallible backends use try_infer_docs_amortized)")
@@ -353,8 +262,13 @@ pub fn try_infer_docs_amortized(
     let k = model.n_topics();
     let alpha = model.alpha();
 
-    let prepared: Vec<_> = items.iter().map(|it| model.prepare(&it.text)).collect();
-    let spans: Vec<Vec<(u32, u32)>> = prepared.iter().map(|p| model.segment(&p.doc)).collect();
+    let local = model.local();
+    let prepared: Vec<_> = items.iter().map(|it| local.prepare(&it.text)).collect();
+    let mut segment = ConstructScratch::default();
+    let spans: Vec<Vec<(u32, u32)>> = prepared
+        .iter()
+        .map(|p| local.segment_with(&p.doc, &mut segment))
+        .collect();
 
     // Batch-level remap: one dense column per distinct word across the
     // whole batch. `last_doc` tracks, per column, the last document that
@@ -393,7 +307,7 @@ pub fn try_infer_docs_amortized(
     let view = FrozenPhiView::new(&phi, batch_distinct.len(), k);
 
     // Chain buffers are reused across the batch's documents; each chain
-    // fully resets them, exactly as the thread-local scratch path does.
+    // fully resets them.
     let mut local_ndk: Vec<u32> = Vec::new();
     let mut z: Vec<u16> = Vec::new();
     let mut cum: Vec<f64> = Vec::new();

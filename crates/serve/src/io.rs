@@ -276,24 +276,33 @@ impl<'a> BundleWriter<'a> {
         })
     }
 
-    /// `phi.bin`: the header, then each row's `width` values as
+    /// `phi.bin`: the header, then columns `cols` of each row as
     /// little-endian `f64`s, one row in memory at a time.
-    pub(crate) fn phi(&mut self, rel: &str, rows: &[Vec<f64>], width: usize) -> io::Result<()> {
+    pub(crate) fn phi(
+        &mut self,
+        rel: &str,
+        rows: &[Vec<f64>],
+        cols: Range<usize>,
+    ) -> io::Result<()> {
         self.write(rel, |out| {
             out.write_all(&PHI_MAGIC)?;
             out.write_all(&PHI_VERSION.to_le_bytes())?;
             out.write_all(&(rows.len() as u64).to_le_bytes())?;
-            out.write_all(&(width as u64).to_le_bytes())?;
-            let mut bytes = Vec::with_capacity(8 * width);
+            out.write_all(&(cols.len() as u64).to_le_bytes())?;
+            let mut bytes = Vec::with_capacity(8 * cols.len());
             for (t, row) in rows.iter().enumerate() {
-                if row.len() != width {
-                    return Err(io::Error::new(
+                let values = row.get(cols.clone()).ok_or_else(|| {
+                    io::Error::new(
                         io::ErrorKind::InvalidInput,
-                        format!("{rel}: φ row {t} has {} values, not {width}", row.len()),
-                    ));
-                }
+                        format!(
+                            "{rel}: φ row {t} has {} values, fewer than {}",
+                            row.len(),
+                            cols.end
+                        ),
+                    )
+                })?;
                 bytes.clear();
-                for p in row {
+                for p in values {
                     bytes.extend_from_slice(&p.to_le_bytes());
                 }
                 out.write_all(&bytes)?;
@@ -573,6 +582,12 @@ impl Header {
         self.files.iter().any(|(path, _)| path == rel)
     }
 
+    /// The length on disk of file `rel` (0 if it cannot be read): memory
+    /// sized by it is bounded by bytes that exist.
+    pub(crate) fn file_len(&self, rel: &str) -> u64 {
+        std::fs::metadata(self.dir.join(rel)).map_or(0, |m| m.len())
+    }
+
     /// Open listed file `rel`, returning it with its recorded digest.
     fn open(&self, rel: &str) -> io::Result<(File, u64)> {
         let (_, digest) = self
@@ -659,33 +674,20 @@ impl Header {
         Ok(())
     }
 
-    /// Read `unstem.tsv` for ids `[lo, lo + width)` if the header lists
-    /// it. Call after [`Header::read_vocab`] has confirmed `width` against
-    /// a real file: the table is allocated at that size.
-    pub(crate) fn read_unstem(
-        &self,
-        rel: &str,
-        lo: u32,
-        width: usize,
-    ) -> io::Result<Option<Vec<String>>> {
-        if !self.lists(rel) {
-            return Ok(None);
-        }
-        let mut table = vec![String::new(); width];
-        let lo = u64::from(lo);
+    /// Read listed `unstem.tsv` file `rel` into `table`, the display
+    /// surfaces of ids `[lo, lo + table.len())`.
+    pub(crate) fn read_unstem(&self, rel: &str, lo: u32, table: &mut [String]) -> io::Result<()> {
+        let (lo, end) = (u64::from(lo), u64::from(lo) + table.len() as u64);
         self.read_lines(rel, |line| {
             let (id, surface) = line.split_once('\t').ok_or("not id<TAB>surface")?;
             let id: u64 = id.parse().map_err(|_| format!("bad id {id:?}"))?;
             let slot = id
                 .checked_sub(lo)
                 .and_then(|i| table.get_mut(i as usize))
-                .ok_or_else(|| {
-                    format!("id {id} outside the range [{lo}, {})", lo + width as u64)
-                })?;
+                .ok_or_else(|| format!("id {id} outside the range [{lo}, {end})"))?;
             *slot = surface.to_string();
             Ok(())
-        })?;
-        Ok(Some(table))
+        })
     }
 
     /// Read `lexicon.tsv` for the phrases whose first word is in
@@ -744,37 +746,52 @@ impl Header {
         Ok(words)
     }
 
-    /// Read listed `phi.bin` file `rel` holding a `k × width` block. Every
-    /// value must be finite and ≥ 0: fold-in draws from running sums of
-    /// φ products, which must not decrease. A value that breaks this is
+    /// Read listed `phi.bin` file `rel`, a `k × width` block, appending its
+    /// `width` values to each of the `k` rows of `phi` (created once the
+    /// file has passed its shape checks, if `phi` has none yet): read shard
+    /// by shard, in range order, every value lands at its word's column.
+    /// Every value must be finite and ≥ 0: fold-in draws from running sums
+    /// of φ products, which must not decrease. A value that breaks this is
     /// reported once the digest has vouched for the bytes, so a corrupt
     /// file still reads as corrupt.
-    pub(crate) fn read_phi(&self, rel: &str, k: usize, width: usize) -> io::Result<Vec<Vec<f64>>> {
+    pub(crate) fn read_phi(
+        &self,
+        rel: &str,
+        phi: &mut Vec<Vec<f64>>,
+        k: usize,
+        width: usize,
+    ) -> io::Result<()> {
         let (file, recorded) = self.open(rel)?;
-        let (phi, actual, bad) = read_phi_file(rel, file, k, width)?;
+        let (actual, bad) = read_phi_file(rel, file, phi, k, width)?;
         Self::verify(rel, recorded, actual)?;
         match bad {
-            Some((t, c)) => Err(in_file(
+            Some((t, c, value)) => Err(in_file(
                 rel,
                 format!(
-                    "value {} at row {t}, column {c}: every φ value must be finite and ≥ 0",
-                    phi[t][c]
+                    "value {value} at row {t}, column {c}: every φ value must be finite and ≥ 0"
                 ),
             )),
-            None => Ok(phi),
+            None => Ok(()),
         }
     }
 }
 
-/// A `phi.bin` read back: its rows, its digest, and the (row, column) of
-/// the first value that is negative or not finite, if any.
-type PhiFile = (Vec<Vec<f64>>, u64, Option<(usize, usize)>);
+/// A `phi.bin` read back: its digest, and the row, column and value of the
+/// first value that is negative or not finite, if any.
+type PhiFile = (u64, Option<(usize, usize, f64)>);
 
-/// Read a `phi.bin` expected to hold `k × width` values. The header is
-/// checked against that shape and the shape against the file's real
-/// length before anything is allocated; `k` itself is bounded by the
-/// caller (a header's `n_topics` comes with that many α lines).
-fn read_phi_file(rel: &str, file: File, k: usize, width: usize) -> io::Result<PhiFile> {
+/// Read a `phi.bin` expected to hold `k × width` values onto the end of
+/// the `k` rows of `phi`. The header is checked against that shape and the
+/// shape against the file's real length before anything is allocated; `k`
+/// itself is bounded by the caller (a header's `n_topics` comes with that
+/// many α lines).
+fn read_phi_file(
+    rel: &str,
+    file: File,
+    phi: &mut Vec<Vec<f64>>,
+    k: usize,
+    width: usize,
+) -> io::Result<PhiFile> {
     let file_len = file.metadata().map_err(|e| in_file(rel, e))?.len();
     if file_len < PHI_HEADER_LEN {
         return Err(in_file(
@@ -827,27 +844,33 @@ fn read_phi_file(rel: &str, file: File, k: usize, width: usize) -> io::Result<Ph
     }
     // The shape now matches the real file length: every allocation below
     // is bounded by it (the row buffer is sized only once a row exists).
+    phi.resize(k, Vec::new());
     let mut bytes = Vec::new();
-    let mut phi = Vec::with_capacity(k);
     let mut bad = None;
-    for t in 0..k {
+    for (t, row) in phi.iter_mut().enumerate() {
         bytes.resize(8 * width, 0);
         input.read_exact(&mut bytes).map_err(|e| in_file(rel, e))?;
-        let row: Vec<f64> = bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
+        let start = row.len();
+        row.reserve_exact(width);
+        row.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))),
+        );
+        let values = &row[start..];
         // Fails for NaN as well as for negative and infinite values. A
         // fold without an early exit costs about a quarter of a
         // `position` scan on a clean row; only a row that fails is
         // searched for its first bad value.
         let usable = |p: &f64| (*p >= 0.0) & (*p <= f64::MAX);
-        if bad.is_none() && !row.iter().fold(true, |ok, p| ok & usable(p)) {
-            bad = row.iter().position(|p| !usable(p)).map(|c| (t, c));
+        if bad.is_none() && !values.iter().fold(true, |ok, p| ok & usable(p)) {
+            bad = values
+                .iter()
+                .position(|p| !usable(p))
+                .map(|c| (t, c, values[c]));
         }
-        phi.push(row);
     }
-    Ok((phi, input.digest.finish(), bad))
+    Ok((input.digest.finish(), bad))
 }
 
 /// Recompute the digest line of a bundle header after a test edited it,
@@ -859,6 +882,26 @@ pub(crate) fn reseal(path: &Path) {
     let body = &body[..body.rfind('\n').unwrap() + 1];
     let sealed = format!("{body}digest\t{:016x}\n", Digest::of(body.as_bytes()));
     std::fs::write(path, sealed).unwrap();
+}
+
+/// Replace listed file `rel` of the bundle at `dir` with `text`, record
+/// its new digest in `manifest.tsv` and reseal the manifest, so only the
+/// edited values are wrong.
+#[cfg(test)]
+pub(crate) fn rewrite_sealed(dir: &Path, rel: &str, text: &str) {
+    std::fs::write(dir.join(rel), text).unwrap();
+    let manifest = dir.join("manifest.tsv");
+    let listed = format!("file\t{rel}\t");
+    let edited: String = std::fs::read_to_string(&manifest)
+        .unwrap()
+        .lines()
+        .map(|line| match line.starts_with(&listed) {
+            true => format!("{listed}{:016x}\n", Digest::of(text.as_bytes())),
+            false => format!("{line}\n"),
+        })
+        .collect();
+    std::fs::write(&manifest, edited).unwrap();
+    reseal(&manifest);
 }
 
 #[cfg(test)]
@@ -926,7 +969,9 @@ mod tests {
     }
 
     fn read(path: &Path, k: usize, width: usize) -> io::Result<(Vec<Vec<f64>>, u64)> {
-        let (phi, digest, bad) = read_phi_file("phi.bin", File::open(path).unwrap(), k, width)?;
+        let mut phi = Vec::new();
+        let file = File::open(path).unwrap();
+        let (digest, bad) = read_phi_file("phi.bin", file, &mut phi, k, width)?;
         assert_eq!(bad, None, "unusable φ value");
         Ok((phi, digest))
     }
@@ -964,7 +1009,7 @@ mod tests {
             vec![0.25, 5e-324, -0.0],
         ];
         let mut w = BundleWriter::new(&dir);
-        w.phi("phi.bin", &rows, 3).unwrap();
+        w.phi("phi.bin", &rows, 0..3).unwrap();
         let (back, digest) = read(&dir.join("phi.bin"), 2, 3).unwrap();
         assert_eq!(bits(&back), bits(&rows));
         assert_eq!(digest, w.files[0].1);
@@ -981,7 +1026,7 @@ mod tests {
         let path = dir.join("phi.bin");
         // Ragged rows are refused at save.
         let err = BundleWriter::new(&dir)
-            .phi("phi.bin", &[vec![0.5, 0.5], vec![1.0]], 2)
+            .phi("phi.bin", &[vec![0.5, 0.5], vec![1.0]], 0..2)
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("row 1 has 1 values"), "{err}");
@@ -1167,7 +1212,7 @@ mod tests {
             .unwrap();
         w.unstem("shard-1/unstem.tsv", 7, &surfaces).unwrap();
         w.lexicon("shard-1/lexicon.tsv", &lexicon, 7..10).unwrap();
-        w.phi("shard-1/phi.bin", &phi, 3).unwrap();
+        w.phi("shard-1/phi.bin", &phi, 0..3).unwrap();
         w.commit("manifest.tsv", "topmine-test/1", &[]).unwrap();
 
         let header = Header::read(&dir, "manifest.tsv", "topmine-test/1").unwrap();
@@ -1179,10 +1224,11 @@ mod tests {
             })
             .unwrap();
         assert_eq!(back, words);
-        assert_eq!(
-            header.read_unstem("shard-1/unstem.tsv", 7, 3).unwrap(),
-            Some(surfaces)
-        );
+        let mut table = vec![String::new(); 3];
+        header
+            .read_unstem("shard-1/unstem.tsv", 7, &mut table)
+            .unwrap();
+        assert_eq!(table, surfaces);
         // The file holds the phrases starting in the shard's range only.
         let mut back = PhraseStats::new(vec![0; 10], 0, 2);
         let total = header
@@ -1223,13 +1269,17 @@ mod tests {
             err.to_string().contains("line 2: phrase listed twice"),
             "{err}"
         );
-        let loaded = header.read_phi("shard-1/phi.bin", 2, 3).unwrap();
-        assert_eq!(bits(&loaded), bits(&phi));
-        // Unlisted optional files are absent, not empty.
+        // φ lands after what the rows already hold.
+        let mut loaded = vec![vec![1.0], vec![2.0]];
+        header
+            .read_phi("shard-1/phi.bin", &mut loaded, 2, 3)
+            .unwrap();
         assert_eq!(
-            header.read_unstem("shard-0/unstem.tsv", 0, 7).unwrap(),
-            None
+            bits(&loaded),
+            bits(&[vec![1.0, 0.5, 0.25, 0.25], vec![2.0, 0.125, 0.375, 0.5]])
         );
+        // Unlisted optional files are absent, not empty.
+        assert!(!header.lists("shard-0/unstem.tsv"));
         assert!(header.read_stopwords().unwrap().is_empty());
         // A range the file does not fill, or ids outside it, are refused.
         let err = header
@@ -1247,7 +1297,9 @@ mod tests {
                 .contains("shard-1/vocab.tsv line 1: id 7 out of order"),
             "{err}"
         );
-        let err = header.read_unstem("shard-1/unstem.tsv", 7, 2).unwrap_err();
+        let err = header
+            .read_unstem("shard-1/unstem.tsv", 7, &mut [String::new(), String::new()])
+            .unwrap_err();
         assert!(
             err.to_string().contains("id 9 outside the range [7, 9)"),
             "{err}"

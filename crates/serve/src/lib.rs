@@ -5,30 +5,31 @@
 //! answering *"what are the topical phrases in this new document?"*, in
 //! three layers:
 //!
+//! * [`frozen`] — the **fitted model in memory**, the only one:
+//!   [`FrozenModel`], the preprocessing contract (vocabulary, stemming,
+//!   stop words), the phrase lexicon (the miner's
+//!   [`PhraseStats`](topmine_phrase::PhraseStats): dense phrase node ids,
+//!   a child map and a count per node), and the topic model point estimate
+//!   (φ, α, β). A fit freezes into it, and a bundle of any shard count
+//!   loads into it ([`load_bundle`], [`FrozenModel::load`]), keeping the
+//!   bundle digest and shard starts as provenance;
 //! * [`backend`] — the **seam**: [`ModelBackend`], the trait everything
-//!   below the HTTP layer talks to, so nothing assumes the model is one
-//!   in-memory bundle;
-//! * [`frozen`] — the **fitted model in memory**: [`FrozenModel`], the
-//!   preprocessing contract (vocabulary, stemming, stop words), the phrase
-//!   lexicon (the miner's [`PhraseStats`](topmine_phrase::PhraseStats):
-//!   dense phrase node ids, a child map and a count per node), and the
-//!   topic model point estimate (φ, α, β); the reference backend every
-//!   other one is checked against, saved as a one-shard bundle;
-//! * [`sharded`] — the **bundle**: [`ShardedModel`], N vocabulary-range
-//!   shards (each its own vocab/φ slice and `lexicon.tsv`, the lexicon
-//!   itself held whole in one node space) composing a backend that
-//!   serves bit-identically to the [`FrozenModel`] at every shard count,
-//!   and the one on-disk layout, a `manifest.tsv` over `shard-K/`
-//!   directories, which [`load_bundle`] reads whatever the shard count;
-//!   every bundle file format — the versioned, self-digesting manifest,
-//!   binary `phi.bin`, the text tables — lives in one private `io`
-//!   module, so a bundle's digest covers every byte of the model;
+//!   below the HTTP layer talks to. Backends differ only in where φ
+//!   lives, so a backend names its [`FrozenModel`] and its φ gather, and
+//!   the trait provides the rest over those two;
+//! * [`sharded`] — the **bundle**: the one on-disk layout, a
+//!   `manifest.tsv` over `shard-K/` vocabulary-range directories, and
+//!   [`ShardedModel`], a borrowed cut of a [`FrozenModel`] into word-id
+//!   ranges that writes it; every bundle file format — the versioned,
+//!   self-digesting manifest, binary `phi.bin`, the text tables — lives in
+//!   one private `io` module, so a bundle's digest covers every byte of
+//!   the model;
 //! * [`infer`] — **fold-in inference**: segment unseen text with the
-//!   frozen lexicon (Algorithm 2 on its node ids), scatter-gather the φ
-//!   columns the document touches from their owning shards, then run a
-//!   short fixed-φ Gibbs chain preserving the phrase-clique constraint
+//!   frozen lexicon (Algorithm 2 on its node ids, one scratch per batch),
+//!   gather the φ columns a batch touches once, then run a short fixed-φ
+//!   Gibbs chain per document preserving the phrase-clique constraint
 //!   (Eq. 7) to get θ, topic rankings, and per-phrase topic annotations —
-//!   deterministic given a seed;
+//!   deterministic given a seed, and one document is a batch of one;
 //! * [`engine`] / [`cache`] / [`http`] — the **query engine and server**:
 //!   batched inference over one shared `Arc<dyn ModelBackend>` (one
 //!   document per unit on the workspace's scheduler,
@@ -45,11 +46,11 @@
 //!   documents (`/infer_batch`, or adjacent queued `/infer` requests) —
 //!   bit-identical to running each document alone;
 //! * [`wire`] / [`shard`] / [`pool`] / [`router`] — **fleet serving**:
-//!   the shards of a [`ShardedModel`] split across processes. A
+//!   the φ slices of a bundle's shards split across processes. A
 //!   `topmine serve-shard` process loads one `shard-K/` φ slice
 //!   ([`ShardSlice`]) and answers a compact length-prefixed binary
-//!   protocol ([`wire`]); the router loads everything *except* φ and
-//!   fans each batch gather out as one pipelined frame per shard over
+//!   protocol ([`wire`]); the router holds the [`FrozenModel`] without φ
+//!   and fans each batch gather out as one pipelined frame per shard over
 //!   persistent pooled connections ([`RemoteShardedModel`]), with
 //!   deadline propagation, bounded retry/backoff, fail-fast 503s, and
 //!   per-shard health in `/healthz` + `/metrics` — still bit-identical
@@ -109,5 +110,5 @@ pub use metrics::{serve_metrics, ServeMetrics, Stage};
 pub use pool::{PoolConfig, ShardClient, ShardHealth};
 pub use router::{RemoteShardedModel, FLEET_MODEL_FORMAT};
 pub use shard::{ShardServer, ShardServerHandle, ShardSlice};
-pub use sharded::{ModelShard, ShardedModel, SHARDED_MODEL_FORMAT};
+pub use sharded::{ShardedModel, SHARDED_MODEL_FORMAT};
 pub use wire::{WireError, MAX_FRAME, WIRE_VERSION};

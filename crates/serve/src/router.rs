@@ -3,10 +3,12 @@
 //!
 //! The split follows the parameter-server observation that only one part
 //! of a fitted model is big: φ. The router loads everything *else* from
-//! its own copy of the bundle — vocabulary, the phrase lexicon, display
-//! tables, hyperparameters — so `prepare`, `segment`, and response
-//! rendering stay local and bit-identical to the in-process backends, and
-//! exactly one operation crosses the wire: the φ gather.
+//! its own copy of the bundle into the one in-memory model type, a
+//! [`FrozenModel`] without φ — vocabulary, the phrase lexicon, display
+//! tables, hyperparameters, and the shard starts that route each word —
+//! so `prepare`, `segment`, and response rendering are the in-process
+//! model's own code, and exactly one operation crosses the wire: the φ
+//! gather.
 //!
 //! That one operation is shaped for the network. A batch gather (the
 //! union of a whole dispatch batch's distinct words, PR 8) is grouped by
@@ -14,26 +16,25 @@
 //! pipelined over the per-shard pooled connection ([`ShardClient`]); the
 //! shard replies with the requested φ columns as raw `f64` bits,
 //! word-major, and the router copies each word's K values into its row of
-//! the dense word-major table `gather_phi` promises. So the wire cost of
+//! the dense word-major table the gather promises. So the wire cost of
 //! serving a batch of B documents against S shards is ≤ S round-trips
 //! regardless of B — the comms analogue of the in-process batch
 //! amortization — and every value arrives bit-identical to the
 //! monolith's.
 //!
-//! Failures surface as [`BackendError`]s via the `try_` gather methods;
-//! the dispatcher maps them to 503/504 responses. Health and per-shard
-//! counters feed `/healthz` and `/metrics` through
-//! [`ModelBackend::fleet_status_json`] and the fleet metric families.
+//! Failures surface as [`BackendError`]s from the gather; the dispatcher
+//! maps them to 503/504 responses. Health and per-shard counters feed
+//! `/healthz` and `/metrics` through [`ModelBackend::fleet_status_json`]
+//! and the fleet metric families.
 
 use crate::backend::{BackendError, GatherOptions, ModelBackend};
-use crate::frozen::{ModelHeader, PreparedDoc, PreprocessConfig};
+use crate::frozen::FrozenModel;
 use crate::pool::{ExpectedShard, PoolConfig, ShardClient, ShardHealth};
-use crate::sharded::ShardedModel;
+use crate::sharded::{shard_of, shard_ranges};
 use crate::wire::{self, Opcode};
 use std::io;
 use std::path::Path;
 use std::time::Duration;
-use topmine_corpus::Document;
 
 /// Format tag reported by a fleet router backend (nothing is persisted
 /// under this tag; the on-disk artifact is the sharded bundle).
@@ -44,17 +45,16 @@ const HEALTH_PING_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// A sharded model whose φ blocks live in remote shard processes.
 pub struct RemoteShardedModel {
-    /// Phi-less local view: vocabulary, lexicons, α, display tables.
-    local: ShardedModel,
+    /// The model without φ, with the bundle's shard starts.
+    local: FrozenModel,
     clients: Vec<ShardClient>,
 }
 
 impl RemoteShardedModel {
-    /// Load the local (phi-less) view of the bundle at `dir` and attach
-    /// to one shard process per `addrs` entry — `addrs[i]` must serve
-    /// shard `i`. Every shard is handshaken eagerly, so a wrong address,
-    /// a version skew, or a digest mismatch fails loudly at startup
-    /// instead of on the first query.
+    /// Load the bundle at `dir` without φ and attach to one shard process
+    /// per `addrs` entry — `addrs[i]` must serve shard `i`. Every shard is
+    /// handshaken eagerly, so a wrong address, a version skew, or a digest
+    /// mismatch fails loudly at startup instead of on the first query.
     pub fn connect(dir: &Path, addrs: &[String], config: PoolConfig) -> io::Result<Self> {
         let router = Self::connect_lazy(dir, addrs, config)?;
         for client in &router.clients {
@@ -75,13 +75,14 @@ impl RemoteShardedModel {
     /// Like [`RemoteShardedModel::connect`], but without the startup
     /// health check — shards may come up after the router.
     pub fn connect_lazy(dir: &Path, addrs: &[String], config: PoolConfig) -> io::Result<Self> {
-        let local = ShardedModel::load_without_phi(dir)?;
-        if addrs.len() != local.n_shards() {
+        let local = FrozenModel::load_without_phi(dir)?;
+        let starts = local.shard_starts();
+        if addrs.len() != starts.len() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
                     "bundle has {} shards but {} fleet addresses were given",
-                    local.n_shards(),
+                    starts.len(),
                     addrs.len()
                 ),
             ));
@@ -91,17 +92,17 @@ impl RemoteShardedModel {
         let digest = local
             .bundle_digest()
             .expect("a bundle loaded from disk carries its digest");
-        let boundaries = local.boundaries().to_vec();
         let n_topics = local.n_topics() as u32;
         let clients = addrs
             .iter()
+            .zip(shard_ranges(starts, local.vocab_size()))
             .enumerate()
-            .map(|(i, addr)| {
+            .map(|(i, (addr, range))| {
                 ShardClient::new(
                     ExpectedShard {
                         index: i,
-                        lo: boundaries[i],
-                        hi: boundaries[i + 1],
+                        lo: range.start,
+                        hi: range.end,
                         n_topics,
                         digest,
                     },
@@ -123,64 +124,16 @@ impl RemoteShardedModel {
 }
 
 impl ModelBackend for RemoteShardedModel {
-    fn header(&self) -> &ModelHeader {
-        self.local.header()
-    }
-
-    fn preprocess(&self) -> &PreprocessConfig {
-        self.local.preprocess()
-    }
-
-    fn alpha(&self) -> &[f64] {
-        self.local.alpha()
+    fn local(&self) -> &FrozenModel {
+        &self.local
     }
 
     fn format_tag(&self) -> &'static str {
         FLEET_MODEL_FORMAT
     }
 
-    fn bundle_digest(&self) -> Option<u64> {
-        self.local.bundle_digest()
-    }
-
-    fn n_shards(&self) -> usize {
-        self.local.n_shards()
-    }
-
-    fn n_lexicon_phrases(&self) -> usize {
-        self.local.n_lexicon_phrases()
-    }
-
-    fn prepare(&self, text: &str) -> PreparedDoc {
-        self.local.prepare(text)
-    }
-
-    fn segment(&self, doc: &Document) -> Vec<(u32, u32)> {
-        self.local.segment(doc)
-    }
-
-    fn display_word(&self, id: u32) -> &str {
-        self.local.display_word(id)
-    }
-
-    fn gather_phi(&self, words: &[u32]) -> Vec<f64> {
-        // Infallible entry point kept for trait completeness; serving
-        // paths go through `try_gather_phi*` so shard failures become
-        // HTTP errors, not panics.
-        self.try_gather_phi(words, &GatherOptions::default())
-            .unwrap_or_else(|e| panic!("fleet phi gather failed: {e}"))
-    }
-
-    fn try_gather_phi(
-        &self,
-        words: &[u32],
-        opts: &GatherOptions,
-    ) -> Result<Vec<f64>, BackendError> {
-        self.try_gather_phi_batch(words, opts)
-    }
-
     /// One frame per owning shard, all shards in flight at once. The
-    /// response splice preserves `gather_phi`'s contract exactly: entry
+    /// response splice keeps the gather's contract exactly: entry
     /// `(j, t)` of the returned table is the trained `φ[t][words[j]]`,
     /// bit-identical to the in-process gather (values cross the wire as
     /// raw `f64` bits and are never transformed).
@@ -207,7 +160,7 @@ impl ModelBackend for RemoteShardedModel {
         order.sort_unstable_by_key(|&j| words[j as usize]);
         for &j in &order {
             let w = words[j as usize];
-            let s = self.local.owner_index(w);
+            let s = shard_of(self.local.shard_starts(), w);
             ids[s].push(w);
             rows[s].push(j as usize);
         }
@@ -297,7 +250,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let model = tiny_model();
-        ShardedModel::from_frozen(&model, n_shards)
+        crate::ShardedModel::from_frozen(&model, n_shards)
             .unwrap()
             .save(&dir)
             .unwrap();
@@ -327,7 +280,7 @@ mod tests {
             let remote = router
                 .try_gather_phi_batch(words, &GatherOptions::default())
                 .unwrap();
-            let local = ModelBackend::gather_phi(&model, words);
+            let local = model.gather_phi_batch(words);
             assert_eq!(
                 remote.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 local.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -343,7 +296,7 @@ mod tests {
     fn wrong_fleet_size_is_rejected_at_connect() {
         let dir = std::env::temp_dir().join(format!("topmine-fleet-size-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        ShardedModel::from_frozen(&tiny_model(), 2)
+        crate::ShardedModel::from_frozen(&tiny_model(), 2)
             .unwrap()
             .save(&dir)
             .unwrap();

@@ -66,11 +66,11 @@ impl ShardSlice {
         }
         let (lo, hi) = (manifest.boundaries[index], manifest.boundaries[index + 1]);
         let n_topics = manifest.fields.header.n_topics;
-        let phi = manifest.header.read_phi(
-            &format!("shard-{index}/phi.bin"),
-            n_topics,
-            (hi - lo) as usize,
-        )?;
+        let mut phi = Vec::new();
+        let rel = format!("shard-{index}/phi.bin");
+        manifest
+            .header
+            .read_phi(&rel, &mut phi, n_topics, (hi - lo) as usize)?;
         Ok(Self {
             index,
             lo,
@@ -120,7 +120,7 @@ impl ShardSlice {
 
     /// Gather φ columns for owned global ids, word-major (`n × n_topics`)
     /// — the same layout as
-    /// [`ModelBackend::gather_phi`](crate::ModelBackend::gather_phi), so
+    /// [`ModelBackend::try_gather_phi_batch`](crate::ModelBackend::try_gather_phi_batch), so
     /// the router splices each answered word as one K-value copy. Ids
     /// outside `[lo, hi)` are a request error, not a panic.
     pub fn gather(&self, ids: &[u32]) -> Result<Vec<f64>, String> {

@@ -382,7 +382,7 @@ pub fn decode_gather(payload: &[u8]) -> Result<Vec<u32>, WireError> {
 
 /// Serialize a φ block response: `n` then `n × n_topics` values as raw
 /// `f64` bits, word-major — exactly the layout
-/// [`ModelBackend::gather_phi`](crate::ModelBackend::gather_phi) returns,
+/// [`ModelBackend::try_gather_phi_batch`](crate::ModelBackend::try_gather_phi_batch) returns,
 /// so the router splices each answered word as one K-value copy.
 pub fn encode_phi_block(n_words: usize, values: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + 8 * values.len());

@@ -12,12 +12,11 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
-use topmine_corpus::{corpus_from_texts, CorpusOptions, Document};
+use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
 use topmine_serve::{
-    FrozenModel, HttpServer, ModelBackend, ModelHeader, PreparedDoc, PreprocessConfig, QueryEngine,
-    ServerConfig,
+    BackendError, FrozenModel, GatherOptions, HttpServer, ModelBackend, QueryEngine, ServerConfig,
 };
 
 fn fitted_model() -> FrozenModel {
@@ -101,37 +100,16 @@ impl GatedBackend {
 }
 
 impl ModelBackend for GatedBackend {
-    fn header(&self) -> &ModelHeader {
-        self.inner.header()
+    fn local(&self) -> &FrozenModel {
+        &self.inner
     }
-    fn preprocess(&self) -> &PreprocessConfig {
-        ModelBackend::preprocess(self.inner.as_ref())
-    }
-    fn alpha(&self) -> &[f64] {
-        ModelBackend::alpha(self.inner.as_ref())
-    }
-    fn format_tag(&self) -> &'static str {
-        self.inner.format_tag()
-    }
-    fn n_lexicon_phrases(&self) -> usize {
-        self.inner.n_lexicon_phrases()
-    }
-    fn prepare(&self, text: &str) -> PreparedDoc {
-        self.inner.prepare(text)
-    }
-    fn segment(&self, doc: &Document) -> Vec<(u32, u32)> {
-        ModelBackend::segment(self.inner.as_ref(), doc)
-    }
-    fn gather_phi(&self, words: &[u32]) -> Vec<f64> {
+    fn try_gather_phi_batch(
+        &self,
+        words: &[u32],
+        opts: &GatherOptions,
+    ) -> Result<Vec<f64>, BackendError> {
         self.arrive_and_wait();
-        self.inner.gather_phi(words)
-    }
-    fn gather_phi_batch(&self, words: &[u32]) -> Vec<f64> {
-        self.arrive_and_wait();
-        self.inner.gather_phi_batch(words)
-    }
-    fn display_word(&self, id: u32) -> &str {
-        self.inner.display_word(id)
+        self.inner.try_gather_phi_batch(words, opts)
     }
 }
 

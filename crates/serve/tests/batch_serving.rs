@@ -11,13 +11,13 @@ use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use topmine_corpus::{corpus_from_texts, CorpusOptions, Document};
+use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
 use topmine_serve::{
-    batch_inference_json, http::KEEP_ALIVE_IDLE, infer_doc, inference_json, FrozenModel,
-    HttpServer, InferConfig, ModelBackend, ModelHeader, PreparedDoc, PreprocessConfig, QueryEngine,
-    ServerConfig, ShardedModel,
+    batch_inference_json, http::KEEP_ALIVE_IDLE, infer_doc, inference_json, BackendError,
+    FrozenModel, GatherOptions, HttpServer, InferConfig, ModelBackend, QueryEngine, ServerConfig,
+    ShardedModel,
 };
 
 fn fitted_model() -> &'static FrozenModel {
@@ -38,6 +38,32 @@ fn fitted_model() -> &'static FrozenModel {
         let mut lda = PhraseLda::new(grouped, TopicModelConfig::new(3).with_seed(13));
         lda.run(30);
         FrozenModel::freeze(&corpus, &stats, 2.0, &lda, &CorpusOptions::default())
+    })
+}
+
+/// Shard counts the batch tests serve bundles at.
+const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
+
+/// [`fitted_model`] saved as a bundle of each of [`SHARD_COUNTS`] shards
+/// and loaded back.
+fn reloaded() -> &'static [FrozenModel] {
+    static MODELS: OnceLock<Vec<FrozenModel>> = OnceLock::new();
+    MODELS.get_or_init(|| {
+        SHARD_COUNTS
+            .iter()
+            .map(|&n| {
+                let dir = std::env::temp_dir()
+                    .join(format!("topmine-batch-serving-{n}-{}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                ShardedModel::from_frozen(fitted_model(), n)
+                    .unwrap()
+                    .save(&dir)
+                    .unwrap();
+                let model = FrozenModel::load(&dir).unwrap();
+                let _ = std::fs::remove_dir_all(&dir);
+                model
+            })
+            .collect()
     })
 }
 
@@ -96,9 +122,8 @@ proptest! {
         seed in 0u64..1_000_000,
         fold_iters in 1usize..30,
     ) {
-        let shards = [1usize, 2, 3, 7][shard_idx];
-        let frozen = fitted_model();
-        let sharded = ShardedModel::from_frozen(frozen, shards).unwrap();
+        let sharded = &reloaded()[shard_idx];
+        prop_assert_eq!(sharded.n_shards(), SHARD_COUNTS[shard_idx]);
         let cfg = InferConfig { fold_iters, seed, top_topics: 3 };
         let docs: Vec<&str> = doc_idx.iter().map(|&i| DOC_POOL[i]).collect();
         // No response cache: every document must take the amortized path.
@@ -106,7 +131,7 @@ proptest! {
         let batched = engine.infer_batch_amortized(&docs, &cfg);
         prop_assert_eq!(batched.len(), docs.len());
         for (i, doc) in docs.iter().enumerate() {
-            let alone = infer_doc(&sharded, doc, &cfg, cfg.seed_for_index(i));
+            let alone = infer_doc(sharded, doc, &cfg, cfg.seed_for_index(i));
             prop_assert_eq!(&batched[i], &alone);
         }
     }
@@ -116,8 +141,7 @@ proptest! {
 
 #[test]
 fn infer_batch_endpoint_is_byte_identical_to_sequential_infers() {
-    let frozen = fitted_model();
-    let backend = Arc::new(ShardedModel::from_frozen(frozen, 3).unwrap());
+    let backend = Arc::new(reloaded()[2].clone());
     let engine = Arc::new(QueryEngine::new(backend.clone(), 1));
     let server = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
         .expect("bind")
@@ -293,37 +317,16 @@ impl GatedBackend {
 }
 
 impl ModelBackend for GatedBackend {
-    fn header(&self) -> &ModelHeader {
-        self.inner.header()
+    fn local(&self) -> &FrozenModel {
+        &self.inner
     }
-    fn preprocess(&self) -> &PreprocessConfig {
-        ModelBackend::preprocess(self.inner.as_ref())
-    }
-    fn alpha(&self) -> &[f64] {
-        ModelBackend::alpha(self.inner.as_ref())
-    }
-    fn format_tag(&self) -> &'static str {
-        self.inner.format_tag()
-    }
-    fn n_lexicon_phrases(&self) -> usize {
-        self.inner.n_lexicon_phrases()
-    }
-    fn prepare(&self, text: &str) -> PreparedDoc {
-        self.inner.prepare(text)
-    }
-    fn segment(&self, doc: &Document) -> Vec<(u32, u32)> {
-        ModelBackend::segment(self.inner.as_ref(), doc)
-    }
-    fn gather_phi(&self, words: &[u32]) -> Vec<f64> {
+    fn try_gather_phi_batch(
+        &self,
+        words: &[u32],
+        opts: &GatherOptions,
+    ) -> Result<Vec<f64>, BackendError> {
         self.arrive_and_wait();
-        self.inner.gather_phi(words)
-    }
-    fn gather_phi_batch(&self, words: &[u32]) -> Vec<f64> {
-        self.arrive_and_wait();
-        self.inner.gather_phi_batch(words)
-    }
-    fn display_word(&self, id: u32) -> &str {
-        self.inner.display_word(id)
+        self.inner.try_gather_phi_batch(words, opts)
     }
 }
 

@@ -6,8 +6,9 @@
 //! A bundle whose digests are intact but whose values fold-in cannot use
 //! (an infinite α or `seg_alpha`, a negative or NaN φ value, a lexicon
 //! line with a word id outside the vocabulary, a first word outside its
-//! shard's range, or a phrase listed twice) is refused the same way,
-//! naming the key, or the file and line.
+//! shard's range, a phrase listed twice, or a vocabulary word listed in
+//! two shards) is refused the same way, naming the key, or the file (and
+//! the line, for a lexicon line).
 //!
 //! Bundles covered: the one-shard bundle of a default save
 //! (`FrozenModel::save`) and a 2-shard bundle. Loaders covered, on both:
@@ -271,14 +272,23 @@ fn digest(bytes: &[u8]) -> u64 {
     h ^ (h >> 33)
 }
 
-/// Append `line` to bundle file `rel` under `dir` and seal the edit: the
-/// manifest records the file's new digest and is re-digested, so only the
-/// appended value is wrong. Returns the appended line's number.
-fn append_sealed(dir: &Path, rel: &str, line: &str) -> usize {
+/// Put `line` in bundle file `rel` under `dir` — over line `line_no`
+/// (1-based), or appended when `line_no` is `None` — and seal the edit:
+/// the manifest records the file's new digest and is re-digested, so only
+/// the edited value is wrong. Returns the edited line's number.
+fn edit_sealed(dir: &Path, rel: &str, line_no: Option<usize>, line: &str) -> usize {
     let path = dir.join(rel);
-    let mut text = std::fs::read_to_string(&path).unwrap();
-    text.push_str(line);
-    text.push('\n');
+    let mut lines: Vec<String> = std::fs::read_to_string(&path)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect();
+    let line_no = line_no.unwrap_or(lines.len() + 1);
+    match lines.get_mut(line_no - 1) {
+        Some(old) => *old = line.to_string(),
+        None => lines.push(line.to_string()),
+    }
+    let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
     std::fs::write(&path, &text).unwrap();
     let manifest = dir.join("manifest.tsv");
     let listed = format!("file\t{rel}\t");
@@ -294,7 +304,7 @@ fn append_sealed(dir: &Path, rel: &str, line: &str) -> usize {
     }
     let sealed = format!("{body}digest\t{:016x}\n", digest(body.as_bytes()));
     std::fs::write(&manifest, sealed).unwrap();
-    text.lines().count()
+    line_no
 }
 
 /// Lexicon lines that would put a phrase where no lookup finds it, or
@@ -302,7 +312,7 @@ fn append_sealed(dir: &Path, rel: &str, line: &str) -> usize {
 fn refuses_sealed_lexicon_lines() {
     let v = model().vocab_size() as u32;
     let sharded = ShardedModel::from_frozen(model(), 2).unwrap();
-    let shard1_lo = sharded.shards()[1].lo;
+    let shard1_lo = sharded.shard_starts()[1];
     let first = model().lexicon.phrases()[0].0.clone();
     let listed: Vec<String> = first.iter().map(u32::to_string).collect();
     // (tag, shards, line appended to shard-0/lexicon.tsv, the refusal)
@@ -335,7 +345,7 @@ fn refuses_sealed_lexicon_lines() {
     for (tag, n_shards, line, what) in cases {
         let dir = save(&format!("lexicon-{tag}"), n_shards);
         let rel = "shard-0/lexicon.tsv";
-        let line_no = append_sealed(&dir, rel, &line);
+        let line_no = edit_sealed(&dir, rel, None, &line);
         let file = format!("{rel} line {line_no}");
         refuses_value(load_bundle(&dir), &what, &file, "load_bundle");
         let addrs = vec!["127.0.0.1:9".to_string(); n_shards];
@@ -416,10 +426,13 @@ fn sealed_bundles_with_values_that_break_fold_in_are_refused() {
         assert!(RemoteShardedModel::connect_lazy(&dir, &addrs, fast_pool()).is_ok());
         let _ = std::fs::remove_dir_all(dir);
     }
-    let mut bad = ShardedModel::from_frozen(model(), 2).unwrap();
+    let mut bad = model().clone();
     bad.header.seg_alpha = f64::INFINITY;
     let dir = fresh_dir("value-sharded-seg");
-    bad.save(&dir).unwrap();
+    ShardedModel::from_frozen(&bad, 2)
+        .unwrap()
+        .save(&dir)
+        .unwrap();
     let (what, file) = ("seg_alpha", "manifest.tsv");
     refuses_value(load_bundle(&dir), what, file, "load_bundle");
     refuses_value(
@@ -433,4 +446,33 @@ fn sealed_bundles_with_values_that_break_fold_in_are_refused() {
     }
     let _ = std::fs::remove_dir_all(dir);
     refuses_sealed_lexicon_lines();
+    refuses_a_word_listed_in_two_shards();
+}
+
+/// A `shard-1/vocab.tsv` line rewritten to repeat a word of shard 0, under
+/// intact digests: one vocabulary holds every shard's words, and it is
+/// refused naming the file that lists the word again.
+fn refuses_a_word_listed_in_two_shards() {
+    for n_shards in [2, 3] {
+        let sharded = ShardedModel::from_frozen(model(), n_shards).unwrap();
+        let lo = sharded.shard_starts()[1];
+        let dir = save(&format!("vocab-twice-{n_shards}"), n_shards);
+        let rel = "shard-1/vocab.tsv";
+        edit_sealed(
+            &dir,
+            rel,
+            Some(1),
+            &format!("{lo}\t{}", model().vocab.word(0)),
+        );
+        let what = format!("a word is listed twice, at ids 0 and {lo}");
+        refuses_value(load_bundle(&dir), &what, rel, "load_bundle");
+        let addrs = vec!["127.0.0.1:9".to_string(); n_shards];
+        refuses_value(
+            RemoteShardedModel::connect_lazy(&dir, &addrs, fast_pool()),
+            &what,
+            rel,
+            "router view",
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

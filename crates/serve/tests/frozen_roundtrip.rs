@@ -1,10 +1,10 @@
 //! Property tests of the one bundle layout, for arbitrarily shaped models
 //! — any topic/vocabulary count, any lexicon, any preprocessing
 //! configuration, with and without unstem tables — at shard counts 1–4: a
-//! saved bundle loads back as exactly the partition that was saved, a
-//! second save writes the same file set byte for byte, and
-//! `FrozenModel::save` writes the very bytes of the one-shard
-//! `ShardedModel::save`.
+//! saved cut loads back as exactly the model that was cut,
+//! `load(save(cut(m, n))) == m`, a second save at the same count writes
+//! the same file set byte for byte, and `FrozenModel::save` writes the
+//! very bytes of the one-shard `ShardedModel::save`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -160,17 +160,25 @@ proptest! {
         let sharded = ShardedModel::from_frozen(&model, shards).unwrap();
         let dir = tmpdir("save", seed);
         sharded.save(&dir).unwrap();
-        let loaded = ShardedModel::load(&dir).unwrap();
-        prop_assert_eq!(&loaded, &sharded);
+        let loaded = FrozenModel::load(&dir).unwrap();
+        prop_assert_eq!(&loaded, &model);
+        prop_assert_eq!(loaded.shard_starts(), sharded.shard_starts());
+        prop_assert_eq!(loaded.n_shards(), shards);
         // φ round-trips bit for bit (phi.bin holds the raw little-endian
         // f64s).
         let words: Vec<u32> = (0..v as u32).collect();
         let bits = |phi: Vec<f64>| -> Vec<u64> { phi.iter().map(|p| p.to_bits()).collect() };
-        prop_assert_eq!(bits(loaded.gather_phi(&words)), bits(model.gather_phi(&words)));
-        // A second save produces the same files, byte for byte (canonical
-        // form, so the bundle digest is stable too).
+        prop_assert_eq!(
+            bits(loaded.gather_phi_batch(&words)),
+            bits(model.gather_phi_batch(&words))
+        );
+        // A second save at the same count produces the same files, byte
+        // for byte (canonical form, so the bundle digest is stable too).
         let dir2 = tmpdir("resave", seed);
-        loaded.save(&dir2).unwrap();
+        ShardedModel::from_frozen(&loaded, shards)
+            .unwrap()
+            .save(&dir2)
+            .unwrap();
         let files = same_tree(&dir, &dir2)?;
         prop_assert_eq!(files, expected_files(shards, stem, stopwords));
         let _ = std::fs::remove_dir_all(dir);

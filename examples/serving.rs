@@ -52,7 +52,7 @@ fn main() {
         bundle.display(),
         loaded.n_topics(),
         loaded.vocab_size(),
-        loaded.n_lexicon_phrases(),
+        loaded.local().lexicon.n_phrases(),
         loaded.n_shards()
     );
 
@@ -67,17 +67,22 @@ fn main() {
     }
 
     // --- the same answer from more shards -----------------------------------
-    // Partition the model into vocabulary-range shards (what
-    // `topmine --save-model dir --shards 3` writes): inference
-    // scatter-gathers over the shards and is bit-identical to one shard.
-    let sharded = ShardedModel::from_frozen(&frozen, 3).expect("shard model");
-    let sharded_engine = QueryEngine::new(Arc::new(sharded), 2);
+    // Save the model cut into vocabulary-range shards (what
+    // `topmine --save-model dir --shards 3` writes) over the same
+    // directory: it loads back as the same one model, so inference is
+    // bit-identical to one shard.
+    ShardedModel::from_frozen(&frozen, 3)
+        .and_then(|sharded| sharded.save(&bundle))
+        .expect("save 3-shard bundle");
+    let sharded = load_bundle(&bundle).expect("load 3-shard bundle");
+    assert_eq!(sharded.n_shards(), 3);
+    let sharded_engine = QueryEngine::new(sharded, 2);
     let sharded_inference = sharded_engine.infer(query, &InferConfig::default());
     assert_eq!(
         sharded_inference, inference,
         "sharded inference must be bit-identical"
     );
-    println!("  sharded backend (3 shards): bit-identical answer");
+    println!("  reloaded 3-shard bundle: bit-identical answer");
 
     // --- the same answer over HTTP ------------------------------------------
     let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default())

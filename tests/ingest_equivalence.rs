@@ -7,7 +7,7 @@
 //! Compared field by field: vocabulary order, `tokens`, `chunk_ends`, each
 //! document's surface stream (as strings), `origin`, and `unstem`. Serving's
 //! `prepare` is compared with the oracle's prepare on the same strings, on
-//! the monolithic and the sharded backend.
+//! the model as built and on it saved as a 3-shard bundle and loaded back.
 //!
 //! Inputs: a proptest over arbitrary Unicode text (any `char`, plus an
 //! alphabet weighted toward what the tokenizer branches on) under three
@@ -17,6 +17,7 @@
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use topmine_corpus::{io, porter_stem, Corpus, CorpusBuilder, CorpusOptions, StopwordSet};
 use topmine_phrase::PhraseStats;
 use topmine_serve::{FrozenModel, ModelBackend, ModelHeader, PreprocessConfig, ShardedModel};
@@ -287,7 +288,8 @@ fn assert_same_corpus(
 }
 
 /// Serving's prepare on `texts`, on a model whose vocabulary is `corpus`'s,
-/// against the oracle's prepare, monolithic and sharded.
+/// against the oracle's prepare: the model as built, and saved as a
+/// 3-shard bundle and loaded back.
 fn assert_same_prepare(
     corpus: &Corpus,
     options: &CorpusOptions,
@@ -315,8 +317,18 @@ fn assert_same_prepare(
         vec![0.1],
     )
     .map_err(|e| TestCaseError::fail(e.to_string()))?;
+    static NEXT_DIR: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "topmine-ingest-prepare-{}-{}",
+        std::process::id(),
+        NEXT_DIR.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
     let sharded = ShardedModel::from_frozen(&model, 3.min(v))
+        .and_then(|cut| cut.save(&dir))
+        .and_then(|()| FrozenModel::load(&dir))
         .map_err(|e| TestCaseError::fail(e.to_string()))?;
+    let _ = std::fs::remove_dir_all(&dir);
     for text in texts {
         let (chunks, n_oov) = oracle_prepare(options, |t| vocab.id(t), text);
         for backend in [&model as &dyn ModelBackend, &sharded] {

@@ -3,7 +3,7 @@
 //! topics.
 
 use std::sync::Arc;
-use topmine_repro::serve::{load_bundle, InferConfig, QueryEngine, ShardedModel};
+use topmine_repro::serve::{load_bundle, FrozenModel, InferConfig, QueryEngine, ShardedModel};
 use topmine_repro::topmine::{ToPMine, ToPMineConfig};
 
 #[test]
@@ -26,8 +26,8 @@ fn fitted_pipeline_freezes_and_answers_queries() {
     let dir = std::env::temp_dir().join(format!("topmine-serving-int-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     frozen.save(&dir).unwrap();
-    let loaded = ShardedModel::load(&dir).unwrap();
-    assert_eq!(loaded, ShardedModel::from_frozen(&frozen, 1).unwrap());
+    let loaded = FrozenModel::load(&dir).unwrap();
+    assert_eq!(loaded, frozen);
 
     // Query a training-like document: the engine should segment known
     // phrases and produce a proper θ.
@@ -52,6 +52,7 @@ fn fitted_pipeline_freezes_and_answers_queries() {
     sharded.save(&dir).unwrap();
     let backend = load_bundle(&dir).unwrap();
     assert_eq!(backend.n_shards(), 3);
+    assert_eq!(*backend.local(), frozen);
     let sharded_engine = QueryEngine::new(backend, 2);
     assert_eq!(
         sharded_engine.infer(&text, &InferConfig::default()),
