@@ -18,9 +18,11 @@ use topmine::cli::{
 use topmine::ToPMine;
 use topmine_corpus::{io as corpus_io, CorpusOptions, StopwordSet};
 use topmine_serve::{
-    load_bundle, HttpServer, InferConfig, ModelBackend, PoolConfig, QueryEngine,
-    RemoteShardedModel, ServerConfig, ShardServer, ShardSlice, ShardedModel,
+    infer_docs_amortized, inference_json, load_bundle, BatchItem, HttpServer, InferConfig,
+    ModelBackend, PoolConfig, RemoteShardedModel, ServerConfig, ShardServer, ShardSlice,
+    ShardedModel,
 };
+use topmine_util::par::{self, DOC_BLOCK};
 
 fn main() -> ExitCode {
     let command = match parse_command(std::env::args().skip(1)) {
@@ -149,10 +151,9 @@ fn run_serve(opts: &ServeOptions) -> Result<(), String> {
         model.n_shards(),
         model.header().n_docs
     );
-    let engine = Arc::new(QueryEngine::new(model, opts.n_threads));
     let server = HttpServer::bind(
         (opts.host.as_str(), opts.port),
-        engine,
+        model,
         ServerConfig {
             n_threads: opts.n_threads,
             infer_defaults: InferConfig {
@@ -204,18 +205,32 @@ fn run_serve_shard(opts: &ServeShardOptions) -> Result<(), String> {
 
 fn run_infer(opts: &InferOptions) -> Result<(), String> {
     let model = load_model(&opts.model_dir)?;
-    let engine = QueryEngine::new(model, opts.n_threads);
-    let text =
-        std::fs::read_to_string(&opts.input).map_err(|e| format!("reading {}: {e}", opts.input))?;
-    let docs: Vec<&str> = text.lines().collect();
     let config = InferConfig {
         fold_iters: opts.fold_iters,
         seed: opts.seed,
         top_topics: opts.top,
     };
+    // One document per input line; line `i` draws `seed_for_index(i)`, as
+    // document `i` of an `/infer_batch` body does.
+    let mut items: Vec<BatchItem> = Vec::new();
+    corpus_io::for_each_line(Path::new(&opts.input), |text| {
+        items.push(BatchItem {
+            text: text.to_string(),
+            config: config.clone(),
+            seed: config.seed_for_index(items.len()),
+        })
+    })
+    .map_err(|e| format!("reading {}: {e}", opts.input))?;
+    // Each block of lines shares one φ gather and writes its own slot, so
+    // the output does not depend on `--threads`.
+    let mut blocks = vec![Vec::new(); items.len().div_ceil(DOC_BLOCK)];
+    let units = items.chunks(DOC_BLOCK).zip(&mut blocks);
+    par::for_each(units, &mut vec![(); opts.n_threads], |_, (block, out)| {
+        *out = infer_docs_amortized(model.as_ref(), block)
+    });
     // One JSON object per input line, in input order.
-    for inference in engine.infer_batch(&docs, &config) {
-        println!("{}", topmine_serve::inference_json(&inference));
+    for inference in blocks.iter().flatten() {
+        println!("{}", inference_json(inference));
     }
     Ok(())
 }

@@ -116,11 +116,12 @@ FIT OPTIONS:
     --min-support N       phrase minimum support        [default: auto]
     --alpha X             significance threshold, any finite number
                           (negative merges more)        [default: 5.0]
-    --threads N           mining/segmentation threads   [default: 1]
-    --mine-threads N      Algorithm 1 (phrase mining) threads; the result is
-                          bit-identical at any thread count [default: --threads]
-    --lda-threads N       Gibbs sweep threads; >=2 runs snapshot sweeps,
-                          bit-identical at any thread count [default: 1]
+    --threads N           mining/segmentation threads, 1..=256 [default: 1]
+    --mine-threads N      Algorithm 1 (phrase mining) threads, 1..=256; the
+                          result is bit-identical at any thread count
+                          [default: --threads]
+    --lda-threads N       Gibbs sweep threads, 1..=256; >=2 runs snapshot
+                          sweeps, bit-identical at any thread count [default: 1]
     --seed N              RNG seed                      [default: 1]
     --top N               items per topic in output     [default: 10]
     --no-stem             disable Porter stemming
@@ -135,7 +136,7 @@ SERVE OPTIONS:
     --model DIR           bundle from --save-model (required)
     --port N              TCP port (0 = ephemeral)      [default: 7878]
     --host ADDR           bind address                  [default: 127.0.0.1]
-    --threads N           dispatcher worker threads     [default: 4]
+    --threads N           dispatcher worker threads, 1..=256 [default: 4]
     --iters N             default fold-in sweeps        [default: 20]
     --seed N              default RNG seed              [default: 1]
     --top N               default top topics reported   [default: 3]
@@ -161,7 +162,8 @@ SERVE-SHARD OPTIONS:
 INFER OPTIONS:
     --model DIR           bundle from --save-model (required)
     --input FILE          documents to infer, one per line (required)
-    --threads N           inference worker threads      [default: 1]
+    --threads N           inference worker threads, 1..=256; the output is
+                          byte-identical at any thread count [default: 1]
     --iters N             fold-in sweeps                [default: 20]
     --seed N              RNG seed                      [default: 1]
     --top N               top topics reported           [default: 3]
@@ -306,10 +308,7 @@ fn parse_serve_args<I: Iterator<Item = String>>(
             "--host" => opts.host = need(&mut args, "--host")?,
             "--port" => opts.port = parse_num(&need(&mut args, "--port")?, "--port")?,
             "--threads" => {
-                opts.n_threads = parse_num(&need(&mut args, "--threads")?, "--threads")?;
-                if opts.n_threads == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
+                opts.n_threads = parse_threads(&need(&mut args, "--threads")?, "--threads")?
             }
             "--iters" => {
                 opts.fold_iters = parse_num(&need(&mut args, "--iters")?, "--iters")?;
@@ -398,10 +397,7 @@ fn parse_infer_args<I: Iterator<Item = String>>(
             "--model" => opts.model_dir = need(&mut args, "--model")?,
             "--input" => opts.input = need(&mut args, "--input")?,
             "--threads" => {
-                opts.n_threads = parse_num(&need(&mut args, "--threads")?, "--threads")?;
-                if opts.n_threads == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
+                opts.n_threads = parse_threads(&need(&mut args, "--threads")?, "--threads")?
             }
             "--iters" => {
                 opts.fold_iters = parse_num(&need(&mut args, "--iters")?, "--iters")?;
@@ -470,23 +466,15 @@ where
                 opts.significance_alpha = alpha;
             }
             "--threads" => {
-                opts.n_threads = parse_num(&need(&mut args, "--threads")?, "--threads")?;
-                if opts.n_threads == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
+                opts.n_threads = parse_threads(&need(&mut args, "--threads")?, "--threads")?
             }
             "--mine-threads" => {
                 opts.mine_threads =
-                    parse_num(&need(&mut args, "--mine-threads")?, "--mine-threads")?;
-                if opts.mine_threads == 0 {
-                    return Err("--mine-threads must be at least 1".into());
-                }
+                    parse_threads(&need(&mut args, "--mine-threads")?, "--mine-threads")?
             }
             "--lda-threads" => {
-                opts.lda_threads = parse_num(&need(&mut args, "--lda-threads")?, "--lda-threads")?;
-                if opts.lda_threads == 0 {
-                    return Err("--lda-threads must be at least 1".into());
-                }
+                opts.lda_threads =
+                    parse_threads(&need(&mut args, "--lda-threads")?, "--lda-threads")?
             }
             "--seed" => opts.seed = parse_num(&need(&mut args, "--seed")?, "--seed")?,
             "--top" => opts.top = parse_num(&need(&mut args, "--top")?, "--top")?,
@@ -512,6 +500,20 @@ where
         return Err("--shards requires --save-model".into());
     }
     Ok(Some(opts))
+}
+
+/// Most worker threads any thread-count flag accepts. Each pass allocates
+/// in proportion to its thread count (Algorithm 1 counts into T × T
+/// partitions, `serve` starts T dispatchers at once), so a larger count is
+/// refused when parsed rather than when it runs out of memory.
+pub const MAX_THREADS: usize = 256;
+
+/// Parse a thread-count flag: a number in `1..=MAX_THREADS`.
+fn parse_threads(value: &str, flag: &str) -> Result<usize, String> {
+    match parse_num::<usize>(value, flag)? {
+        n @ 1..=MAX_THREADS => Ok(n),
+        _ => Err(format!("{flag} must be in 1..={MAX_THREADS}, got {value}")),
+    }
 }
 
 fn parse_num<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String> {
@@ -663,6 +665,32 @@ mod tests {
 
     fn command(args: &[&str]) -> Result<Option<Command>, String> {
         parse_command(args.iter().copied())
+    }
+
+    #[test]
+    fn thread_counts_are_bounded_when_parsed() {
+        let fit = |flag: &str, n: &str| command(&["--input", "x", flag, n]);
+        let serve = |flag: &str, n: &str| command(&["serve", "--model", "m", flag, n]);
+        let infer =
+            |flag: &str, n: &str| command(&["infer", "--model", "m", "--input", "x", flag, n]);
+        type Parse<'a> = &'a dyn Fn(&str, &str) -> Result<Option<Command>, String>;
+        let cases: [(Parse, &str); 5] = [
+            (&fit, "--threads"),
+            (&fit, "--mine-threads"),
+            (&fit, "--lda-threads"),
+            (&serve, "--threads"),
+            (&infer, "--threads"),
+        ];
+        for (parse, flag) in cases {
+            assert!(parse(flag, "256").is_ok(), "{flag} 256");
+            assert_eq!(
+                parse(flag, "257"),
+                Err(format!("{flag} must be in 1..=256, got 257"))
+            );
+            assert!(parse(flag, "0").is_err(), "{flag} 0");
+        }
+        assert_eq!(MAX_THREADS, 256);
+        assert_eq!(USAGE.matches("1..=256").count(), 5, "{USAGE}");
     }
 
     #[test]

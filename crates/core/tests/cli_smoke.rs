@@ -119,14 +119,12 @@ fn help_exits_zero_and_prints_usage() {
     assert!(stdout.contains("topmine infer"), "{stdout}");
 }
 
-#[test]
-fn save_model_then_infer_roundtrip() {
-    let dir = scratch_dir("save_infer");
+/// Fit [`CORPUS`] and freeze it into `dir/bundle`; returns the fit's
+/// output and the bundle path.
+fn fit_and_save(dir: &std::path::Path) -> (std::process::Output, PathBuf) {
     let input = dir.join("corpus.txt");
     std::fs::write(&input, CORPUS).unwrap();
     let bundle = dir.join("bundle");
-
-    // Fit and freeze.
     let out = bin()
         .args([
             "--input",
@@ -146,6 +144,35 @@ fn save_model_then_infer_roundtrip() {
         ])
         .output()
         .unwrap();
+    (out, bundle)
+}
+
+/// Run `topmine infer` on `bundle` over `input` at `--seed 9 --iters 25`
+/// and `threads` workers.
+fn infer(bundle: &std::path::Path, input: &std::path::Path, threads: &str) -> std::process::Output {
+    bin()
+        .args([
+            "infer",
+            "--model",
+            bundle.to_str().unwrap(),
+            "--input",
+            input.to_str().unwrap(),
+            "--seed",
+            "9",
+            "--iters",
+            "25",
+            "--threads",
+            threads,
+        ])
+        .output()
+        .unwrap()
+}
+
+#[test]
+fn save_model_then_infer_roundtrip() {
+    let dir = scratch_dir("save_infer");
+    // Fit and freeze.
+    let (out, bundle) = fit_and_save(&dir);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr:\n{stderr}");
     assert!(stderr.contains("frozen model"), "stderr:\n{stderr}");
@@ -170,22 +197,7 @@ fn save_model_then_infer_roundtrip() {
     )
     .unwrap();
     let infer = |threads: &str| {
-        let out = bin()
-            .args([
-                "infer",
-                "--model",
-                bundle.to_str().unwrap(),
-                "--input",
-                unseen.to_str().unwrap(),
-                "--seed",
-                "9",
-                "--iters",
-                "25",
-                "--threads",
-                threads,
-            ])
-            .output()
-            .unwrap();
+        let out = infer(&bundle, &unseen, threads);
         assert!(
             out.status.success(),
             "stderr:\n{}",
@@ -204,6 +216,58 @@ fn save_model_then_infer_roundtrip() {
     // Byte-identical across runs and thread counts (fixed seed).
     assert_eq!(stdout, infer("1"));
     assert_eq!(stdout, infer("4"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn infer_over_several_blocks_is_identical_at_any_thread_count() {
+    let dir = scratch_dir("infer_blocks");
+    let (out, bundle) = fit_and_save(&dir);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // 70 lines: two full blocks of 32 documents and a partial one.
+    let lines: Vec<&str> = CORPUS.lines().cycle().take(70).collect();
+    let unseen = dir.join("unseen.txt");
+    std::fs::write(&unseen, lines.join("\n")).unwrap();
+    let one = infer(&bundle, &unseen, "1");
+    assert!(
+        one.status.success(),
+        "{}",
+        String::from_utf8_lossy(&one.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&one.stdout).lines().count(), 70);
+    for threads in ["2", "3"] {
+        assert_eq!(
+            infer(&bundle, &unseen, threads).stdout,
+            one.stdout,
+            "--threads {threads}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn infer_names_the_line_and_byte_of_invalid_utf8() {
+    let dir = scratch_dir("infer_bad_utf8");
+    let (out, bundle) = fit_and_save(&dir);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let unseen = dir.join("bad.txt");
+    std::fs::write(&unseen, b"frequent pattern mining\nquery \xff expansion\n").unwrap();
+    let out = infer(&bundle, &unseen, "1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("line 2, byte 7: invalid UTF-8"),
+        "stderr:\n{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "stdout: {:?}", out.stdout);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -18,10 +18,24 @@ use std::path::Path;
 /// numbers keep aligning with document ids).
 ///
 /// The file must be UTF-8: the first invalid sequence fails the load with
-/// [`io::ErrorKind::InvalidData`], naming its 1-based line and byte column.
+/// [`io::ErrorKind::InvalidData`], naming its 1-based line and byte column
+/// ([`for_each_line`]).
 pub fn load_lines(path: &Path, options: CorpusOptions) -> io::Result<Corpus> {
-    let mut reader = BufReader::with_capacity(1 << 16, File::open(path)?);
     let mut builder = CorpusBuilder::new(options);
+    for_each_line(path, |text| {
+        builder.add_document(text);
+    })?;
+    Ok(builder.build())
+}
+
+/// Hand every line of the text file at `path` to `visit`, in order, without
+/// its trailing `\n`/`\r` bytes. The file is read as bytes and each line
+/// checked once: the first invalid UTF-8 sequence fails with
+/// [`io::ErrorKind::InvalidData`], naming its 1-based line and byte column
+/// (`line 2, byte 5: invalid UTF-8`), after the lines before it were
+/// visited.
+pub fn for_each_line(path: &Path, mut visit: impl FnMut(&str)) -> io::Result<()> {
+    let mut reader = BufReader::with_capacity(1 << 16, File::open(path)?);
     let mut line: Vec<u8> = Vec::new();
     let mut line_no = 0usize;
     loop {
@@ -43,9 +57,9 @@ pub fn load_lines(path: &Path, options: CorpusOptions) -> io::Result<Corpus> {
                 ),
             )
         })?;
-        builder.add_document(text);
+        visit(text);
     }
-    Ok(builder.build())
+    Ok(())
 }
 
 /// Attach the 1-based line number to an error from reading line `index`.
@@ -227,6 +241,22 @@ mod tests {
         std::fs::write(&path, b"ok\nseven \xe2\x82\r\n").unwrap();
         let err = load_lines(&path, CorpusOptions::default()).unwrap_err();
         assert_eq!(err.to_string(), "line 2, byte 7: invalid UTF-8");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn for_each_line_visits_lines_without_their_ends_until_a_bad_byte() {
+        let dir = tmpdir("visit");
+        let path = dir.join("lines.txt");
+        std::fs::write(&path, b"one\r\n\ntwo words\nthr\xffee\nfour\n").unwrap();
+        let mut seen = Vec::new();
+        let err = for_each_line(&path, |line| seen.push(line.to_string())).unwrap_err();
+        assert_eq!(err.to_string(), "line 4, byte 4: invalid UTF-8");
+        assert_eq!(seen, ["one", "", "two words"]);
+        std::fs::write(&path, "last line has no end").unwrap();
+        seen.clear();
+        for_each_line(&path, |line| seen.push(line.to_string())).unwrap();
+        assert_eq!(seen, ["last line has no end"]);
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -1,14 +1,25 @@
 //! Interned vocabulary mapping words to dense `u32` ids (paper §2: "we index
 //! all the unique words in this corpus using a vocabulary of V words").
 
-use topmine_util::FxHashMap;
+use std::hash::Hasher;
+use topmine_util::FxHasher;
+
+/// Marks a free slot of the index.
+const EMPTY: u32 = u32::MAX;
 
 /// A bidirectional word ⇄ id table. Ids are dense `0..len` so downstream
 /// models can use them directly as array indices (φ is a `K × V` matrix).
+///
+/// Each word is held once, in `words`; the index is an open-addressed
+/// table of ids into it, so a lookup hashes the word, probes and compares
+/// against the stored word.
 #[derive(Debug, Default, Clone)]
 pub struct Vocab {
     words: Vec<String>,
-    index: FxHashMap<String, u32>,
+    /// A power-of-two table of ids into `words` (or [`EMPTY`]), at most half
+    /// full. A word starts probing at the top bits of the Fx hash of its
+    /// bytes and moves on one slot at a time.
+    slots: Vec<u32>,
 }
 
 /// Two vocabularies are equal when they list the same words in the same
@@ -26,40 +37,76 @@ impl Vocab {
 
     /// The vocabulary listing `words`, word `i` at id `i`, its index built
     /// presized from the finished list. A word listed twice is refused with
-    /// `Err((first, again))`: the id of its first listing and of a later
+    /// `Err((first, again))`: the id of its first listing and of the next
     /// one. Panics past `u32` ids, like [`Vocab::intern`].
     pub fn from_words(words: Vec<String>) -> Result<Self, (u32, u32)> {
         assert!(
             u32::try_from(words.len()).is_ok(),
             "vocabulary exceeds u32 ids"
         );
-        let index: FxHashMap<String, u32> = words.iter().cloned().zip(0..).collect();
-        if index.len() < words.len() {
-            // A repeated word keeps the id of its last listing.
-            let (word, first) = words
-                .iter()
-                .zip(0..)
-                .find(|&(word, id)| index[word] != id)
-                .expect("a shorter index means a repeated word");
-            return Err((first, index[word]));
+        let mut vocab = Self {
+            slots: vec![EMPTY; table_len(words.len())],
+            words,
+        };
+        for id in 0..vocab.words.len() as u32 {
+            let slot = vocab.slot(&vocab.words[id as usize]);
+            match vocab.slots[slot] {
+                EMPTY => vocab.slots[slot] = id,
+                first => return Err((first, id)),
+            }
         }
-        Ok(Self { words, index })
+        Ok(vocab)
     }
 
     /// Intern `word`, returning its id (existing or freshly assigned).
     pub fn intern(&mut self, word: &str) -> u32 {
-        if let Some(&id) = self.index.get(word) {
+        if let Some(id) = self.id(word) {
             return id;
         }
-        let id = u32::try_from(self.words.len()).expect("vocabulary exceeds u32 ids");
+        let id = u32::try_from(self.words.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("vocabulary exceeds u32 ids");
+        if table_len(self.words.len() + 1) > self.slots.len() {
+            // Double the table and re-place every id (the words are
+            // distinct, so each lands on a free slot).
+            self.slots = vec![EMPTY; table_len(self.words.len() + 1)];
+            for old in 0..id {
+                let slot = self.slot(&self.words[old as usize]);
+                self.slots[slot] = old;
+            }
+        }
+        let slot = self.slot(word);
+        self.slots[slot] = id;
         self.words.push(word.to_string());
-        self.index.insert(word.to_string(), id);
         id
     }
 
     /// Look up an existing word.
     pub fn id(&self, word: &str) -> Option<u32> {
-        self.index.get(word).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        match self.slots[self.slot(word)] {
+            EMPTY => None,
+            id => Some(id),
+        }
+    }
+
+    /// The slot that holds `word`'s id, or the free slot that ends its
+    /// probe. The table must not be empty.
+    fn slot(&self, word: &str) -> usize {
+        let mut h = FxHasher::default();
+        h.write(word.as_bytes());
+        let mask = self.slots.len() - 1;
+        let mut slot = (h.finish() >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return slot,
+                id if self.words[id as usize] == word => return slot,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
     }
 
     /// The surface string for `id`. Panics on out-of-range ids, which always
@@ -95,6 +142,11 @@ impl Vocab {
         }
         s
     }
+}
+
+/// Index slots for `n` words: a power of two at least `2n`, and at least 8.
+fn table_len(n: usize) -> usize {
+    (2 * n).next_power_of_two().max(8)
 }
 
 #[cfg(test)]
@@ -150,6 +202,28 @@ mod tests {
         assert_eq!(Vocab::from_words(words(&["x", "y", "x"])), Err((0, 2)));
         assert_eq!(Vocab::from_words(words(&["x", "y", "z", "y"])), Err((1, 3)));
         assert_eq!(Vocab::from_words(Vec::new()), Ok(Vocab::new()));
+    }
+
+    #[test]
+    fn the_index_grows_and_keeps_every_id() {
+        let words: Vec<String> = (0..5000).map(|i| format!("w{i}")).collect();
+        let mut interned = Vocab::new();
+        for (i, w) in words.iter().enumerate() {
+            assert_eq!(interned.intern(w), i as u32);
+        }
+        let listed = Vocab::from_words(words.clone()).unwrap();
+        for (i, w) in words.iter().enumerate() {
+            assert_eq!(interned.id(w), Some(i as u32));
+            assert_eq!(listed.id(w), Some(i as u32));
+            assert_eq!(interned.intern(w), i as u32);
+        }
+        assert_eq!(interned, listed);
+        assert_eq!(interned.id("w5000"), None);
+        assert_eq!(listed.id(""), None);
+        // The first word listed again is reported with its first listing.
+        let mut repeated = words;
+        repeated.extend(["w7".to_string(), "w3".to_string()]);
+        assert_eq!(Vocab::from_words(repeated), Err((7, 5000)));
     }
 
     #[test]

@@ -24,6 +24,12 @@
 //! is exactly one implementation of the posterior and one draw
 //! ([`sample_clique`] over [`sample_cumulative`]).
 //!
+//! The fold-in chain itself lives here too: [`fold_in`] — a random topic
+//! per span, then sweeps of [`sample_clique`] with the word side frozen —
+//! is the one chain behind held-out perplexity
+//! (`PhraseLda::heldout_perplexity`, over [`FixedPhiView`]) and serving's
+//! `/infer` (`topmine_serve::infer`, over [`FrozenPhiView`]).
+//!
 //! # Numerical contract
 //!
 //! The per-topic weight is a product over clique tokens and underflows for
@@ -354,6 +360,66 @@ pub fn sample_clique<R: RngCore, V: CountsView>(
         }
     }
     sample_cumulative(rng, cum)
+}
+
+/// Caller-held state of one [`fold_in`] chain, reused across documents.
+/// After a chain, `ndk` holds the document's per-topic token counts and
+/// `z` the topic of each span.
+#[derive(Debug, Default, Clone)]
+pub struct FoldInScratch {
+    pub ndk: Vec<u32>,
+    pub z: Vec<u16>,
+    cum: Vec<f64>,
+    clique: CliqueScratch,
+}
+
+/// Fold one document in with the word side frozen (Eq. 7's document side
+/// over a fixed φ view): every span — a half-open range of `tokens`, in
+/// `view`'s word-id space — starts on a uniformly random topic, then each
+/// of `iters` sweeps redraws the spans in order, each as one clique
+/// ([`sample_clique`]) with its own tokens taken out of the counts. The
+/// result is left in `scratch` ([`FoldInScratch`]).
+pub fn fold_in<R: RngCore, V: CountsView>(
+    rng: &mut R,
+    view: &V,
+    alpha: &[f64],
+    tokens: &[u32],
+    spans: &[(u32, u32)],
+    iters: usize,
+    scratch: &mut FoldInScratch,
+) {
+    let k = view.n_topics();
+    let FoldInScratch {
+        ndk,
+        z,
+        cum,
+        clique,
+    } = scratch;
+    ndk.clear();
+    ndk.resize(k, 0);
+    z.clear();
+    for &(s, e) in spans {
+        let t = rng.gen_range(0..k);
+        ndk[t] += e - s;
+        z.push(t as u16);
+    }
+    cum.resize(k, 0.0);
+    for _ in 0..iters {
+        for (zg, &(s, e)) in z.iter_mut().zip(spans) {
+            ndk[*zg as usize] -= e - s;
+            let t = sample_clique(
+                rng,
+                view,
+                alpha,
+                ndk,
+                &tokens[s as usize..e as usize],
+                clique,
+                cum,
+            );
+            *zg = t as u16;
+            ndk[t] += e - s;
+        }
+    }
 }
 
 /// The multi-token Eq. 7 product over topics, written into `weights`.

@@ -51,8 +51,8 @@
 
 use crate::counts::{nz_row_insert, nz_row_remove, TopicCounts};
 use crate::kernel::{
-    doc_stream_seed, sample_clique, sample_singleton_sparse_split, CliqueScratch, DocBucket,
-    FixedPhiView, SingletonBucket, SmoothingBucket, TrainView,
+    self, doc_stream_seed, sample_clique, sample_singleton_sparse_split, CliqueScratch, DocBucket,
+    FixedPhiView, FoldInScratch, SingletonBucket, SmoothingBucket, TrainView,
 };
 use crate::model::{GroupedDoc, GroupedDocs};
 use rand::rngs::StdRng;
@@ -711,8 +711,9 @@ impl PhraseLda {
     /// For each held-out document, the even-indexed *groups* are observed
     /// and the odd-indexed groups are scored — so two models sharing one
     /// grouping score exactly the same unseen tokens. Fold-in estimates θ
-    /// with a short Gibbs chain over the observed half with φ frozen at the
-    /// training counts. `fold_in` selects the fold-in unit:
+    /// with the kernel's chain ([`kernel::fold_in`]) over the observed half
+    /// with φ frozen at the training counts, one RNG stream for the whole
+    /// held-out set. `fold_in` selects the fold-in unit:
     ///
     /// * [`FoldIn::Groups`] — one topic per observed group (PhraseLDA's own
     ///   inference assumption, Eq. 7 with frozen φ);
@@ -739,57 +740,38 @@ impl PhraseLda {
 
         let mut log_lik = 0.0f64;
         let mut n = 0u64;
-        let mut cum = vec![0.0f64; self.k];
-        let mut scratch = CliqueScratch::default();
+        let mut observed: Vec<(u32, u32)> = Vec::new();
+        let mut chain = FoldInScratch::default();
 
         for doc in &heldout.docs {
             if doc.n_groups() < 2 {
                 continue;
             }
             // Observed half: even groups, as fold-in units.
-            let observed: Vec<(usize, usize)> = match fold_in {
-                FoldIn::Groups => doc
-                    .group_ranges()
-                    .enumerate()
-                    .filter(|(g, _)| g % 2 == 0)
-                    .map(|(_, r)| r)
-                    .collect(),
-                FoldIn::Tokens => doc
-                    .group_ranges()
-                    .enumerate()
-                    .filter(|(g, _)| g % 2 == 0)
-                    .flat_map(|(_, (s, e))| (s..e).map(|i| (i, i + 1)))
-                    .collect(),
-            };
-            let mut local_ndk = vec![0u32; self.k];
-            let mut local_z: Vec<u16> = Vec::with_capacity(observed.len());
-            let mut n_obs = 0u32;
-            for &(s, e) in &observed {
-                let t = rng.gen_range(0..self.k) as u16;
-                local_ndk[t as usize] += (e - s) as u32;
-                n_obs += (e - s) as u32;
-                local_z.push(t);
-            }
-            for _ in 0..fold_iters {
-                for (gi, &(s, e)) in observed.iter().enumerate() {
-                    let old = local_z[gi] as usize;
-                    local_ndk[old] -= (e - s) as u32;
-                    let new = sample_clique(
-                        &mut rng,
-                        &view,
-                        &self.alpha,
-                        &local_ndk,
-                        &doc.tokens[s..e],
-                        &mut scratch,
-                        &mut cum,
-                    );
-                    local_z[gi] = new as u16;
-                    local_ndk[new] += (e - s) as u32;
+            observed.clear();
+            let even = doc
+                .group_ranges()
+                .step_by(2)
+                .map(|(s, e)| (s as u32, e as u32));
+            match fold_in {
+                FoldIn::Groups => observed.extend(even),
+                FoldIn::Tokens => {
+                    observed.extend(even.flat_map(|(s, e)| (s..e).map(|i| (i, i + 1))))
                 }
             }
+            kernel::fold_in(
+                &mut rng,
+                &view,
+                &self.alpha,
+                &doc.tokens,
+                &observed,
+                fold_iters,
+                &mut chain,
+            );
+            let n_obs: u32 = chain.ndk.iter().sum();
             let theta_den = n_obs as f64 + alpha_sum;
             let theta: Vec<f64> = (0..self.k)
-                .map(|t| (local_ndk[t] as f64 + self.alpha[t]) / theta_den)
+                .map(|t| (chain.ndk[t] as f64 + self.alpha[t]) / theta_den)
                 .collect();
             // Score the unseen half: odd groups.
             for (g, (s, e)) in doc.group_ranges().enumerate() {

@@ -100,9 +100,9 @@ pub struct GatherOptions {
 
 /// Read access to a fitted, frozen ToPMine model, wherever its φ lives.
 ///
-/// Object-safe on purpose: the [`QueryEngine`](crate::QueryEngine) and the
-/// HTTP layer hold an `Arc<dyn ModelBackend>` and never know which
-/// implementation is behind it.
+/// Object-safe on purpose: the HTTP layer and its dispatchers hold an
+/// `Arc<dyn ModelBackend>` and never know which implementation is behind
+/// it.
 pub trait ModelBackend: Send + Sync {
     /// The model as this process holds it: the whole model in process, or
     /// every part but φ behind a router.

@@ -1,20 +1,24 @@
-//! Bounded LRU response cache in front of the query engine.
+//! Bounded LRU response cache in front of fold-in.
 //!
-//! One cache belongs to one [`QueryEngine`](crate::QueryEngine), whose
-//! model never changes, so `/infer` is a pure function of (text, seed,
-//! iters, top) and a repeated query can be answered from memory instead of
-//! burning another fold-in chain. Entries are keyed by an Fx hash of that
-//! tuple; the stored key is compared on every hit, so a hash collision
-//! degrades to a miss, never a wrong answer. Eviction is exact LRU via an
-//! intrusive doubly-linked list over a slab — O(1) get/put. Hit/miss
-//! counters are exposed through [`CacheStats`] (surfaced by
-//! `GET /healthz`).
+//! One cache belongs to one server's admission dispatchers (the private
+//! `dispatch` module), whose model never changes, so inference is a pure
+//! function of (text, seed, iters, top) and a repeated query can be
+//! answered from memory instead of burning another fold-in chain. The
+//! server's cache holds [`CACHE_CAPACITY`] responses. Entries are keyed by
+//! an Fx hash of that tuple; the stored key is compared on every hit, so a
+//! hash collision degrades to a miss, never a wrong answer. Eviction is
+//! exact LRU via an intrusive doubly-linked list over a slab — O(1)
+//! get/put. Hit/miss counters are exposed through [`CacheStats`] (surfaced
+//! by `GET /healthz` and `GET /metrics`).
 
 use crate::infer::{DocInference, InferConfig};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use topmine_util::{FxHashMap, FxHasher};
+
+/// Responses the server's cache holds.
+pub const CACHE_CAPACITY: usize = 1024;
 
 /// The full identity of one cacheable inference call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,15 +34,11 @@ pub(crate) struct CacheKey {
 }
 
 impl CacheKey {
-    pub(crate) fn new(text: &str, config: &InferConfig) -> Self {
-        Self::new_seeded(text, config, config.seed)
-    }
-
     /// Key an inference by its *effective* RNG seed rather than the config
     /// seed. Document `i` of a batch runs with `config.seed_for_index(i)`,
     /// so its result is legitimately shared with any single `/infer` whose
     /// seed equals that derived value (index 0 derives the config seed
-    /// itself, so single-document keys are unchanged).
+    /// itself, the seed a single `/infer` runs with).
     pub(crate) fn new_seeded(text: &str, config: &InferConfig, effective_seed: u64) -> Self {
         Self {
             seed: effective_seed,
@@ -129,10 +129,9 @@ pub struct ResponseCache {
 }
 
 impl ResponseCache {
-    /// A cache holding at most `capacity` responses (`capacity >= 1`; the
-    /// engine represents "no cache" as no cache, not capacity 0).
+    /// A cache holding at most `capacity` responses (`capacity >= 1`).
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "use Option<ResponseCache> for no cache");
+        assert!(capacity >= 1, "a response cache holds at least one entry");
         Self {
             inner: Mutex::new(LruInner {
                 map: FxHashMap::default(),
@@ -259,13 +258,7 @@ mod tests {
     use super::*;
 
     fn key(text: &str, seed: u64) -> CacheKey {
-        CacheKey::new(
-            text,
-            &InferConfig {
-                seed,
-                ..InferConfig::default()
-            },
-        )
+        CacheKey::new_seeded(text, &InferConfig::default(), seed)
     }
 
     fn value(n: usize) -> DocInference {

@@ -1,4 +1,5 @@
-//! Admission control and batched dispatch for inference requests.
+//! Admission control, the response cache, and batched dispatch for
+//! inference requests.
 //!
 //! Every HTTP connection thread funnels `/infer` and `/infer_batch` work
 //! through one [`InferService`]: a **bounded** queue of [`InferJob`]s
@@ -11,21 +12,25 @@
 //!
 //! Dispatchers drain greedily: whatever is queued when a worker wakes is
 //! coalesced (up to [`DispatchOptions::max_batch`] documents) into one
-//! call to [`QueryEngine::infer_items_amortized`], so concurrent
+//! batch. Each document of the batch probes the service's bounded LRU
+//! [`ResponseCache`] ([`CACHE_CAPACITY`] entries); the misses are folded
+//! in by one [`try_infer_docs_amortized`] call, so concurrent
 //! single-document requests share a φ gather exactly like an explicit
-//! `/infer_batch` body does. Seeds per document are unchanged from the
-//! sequential path — batching alters *when* work runs, never what it
-//! computes.
+//! `/infer_batch` body does, and their results fill the cache. The model
+//! never changes, so inference is a pure function of (text, seed, iters,
+//! top) and a hit is the identical result. Seeds per document are
+//! unchanged from the sequential path — batching and caching alter *when*
+//! work runs, never what it computes.
 //!
 //! Shutdown is a graceful drain: dropping the service closes the queue
 //! (new submissions fail), wakes every worker, and joins them after they
 //! finish all remaining queued jobs.
 
-use crate::backend::GatherOptions;
-use crate::engine::QueryEngine;
+use crate::backend::{BackendError, GatherOptions, ModelBackend};
+use crate::cache::{CacheKey, CacheStats, ResponseCache, CACHE_CAPACITY};
 use crate::http::{batch_inference_json, error_json, inference_json};
-use crate::infer::{BatchItem, InferConfig};
-use crate::metrics::serve_metrics;
+use crate::infer::{try_infer_docs_amortized, BatchItem, DocInference, InferConfig};
+use crate::metrics::{serve_metrics, Stage};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -69,15 +74,18 @@ struct QueueState {
 
 type SharedQueue = Arc<(Mutex<QueueState>, Condvar)>;
 
-/// The shared admission queue plus its dispatcher workers.
+/// The shared admission queue, the response cache, and the dispatcher
+/// workers that drain the one through the other.
 pub(crate) struct InferService {
     queue: SharedQueue,
     queue_depth: usize,
+    cache: Arc<ResponseCache>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl InferService {
-    pub fn start(engine: Arc<QueryEngine>, options: DispatchOptions) -> Self {
+    pub fn start(model: Arc<dyn ModelBackend>, options: DispatchOptions) -> Self {
+        let cache = Arc::new(ResponseCache::new(CACHE_CAPACITY));
         let queue: SharedQueue = Arc::new((
             Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -89,18 +97,25 @@ impl InferService {
         let workers = (0..options.n_workers.max(1))
             .map(|i| {
                 let queue = Arc::clone(&queue);
-                let engine = Arc::clone(&engine);
+                let model = Arc::clone(&model);
+                let cache = Arc::clone(&cache);
                 std::thread::Builder::new()
                     .name(format!("topmine-dispatch-{i}"))
-                    .spawn(move || worker_loop(&engine, &queue, max_batch))
+                    .spawn(move || worker_loop(model.as_ref(), &cache, &queue, max_batch))
                     .expect("failed to spawn dispatcher thread")
             })
             .collect();
         Self {
             queue,
             queue_depth: options.queue_depth.max(1),
+            cache,
             workers,
         }
+    }
+
+    /// Hit/miss counters of the response cache.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.cache.stats()
     }
 
     /// Admit a job, or hand it back when the queue is at capacity (or the
@@ -136,7 +151,12 @@ impl Drop for InferService {
     }
 }
 
-fn worker_loop(engine: &QueryEngine, queue: &SharedQueue, max_batch: usize) {
+fn worker_loop(
+    model: &dyn ModelBackend,
+    cache: &ResponseCache,
+    queue: &SharedQueue,
+    max_batch: usize,
+) {
     loop {
         let batch = {
             let (lock, cv) = &**queue;
@@ -168,13 +188,14 @@ fn worker_loop(engine: &QueryEngine, queue: &SharedQueue, max_batch: usize) {
                 .set(state.jobs.len() as f64);
             batch
         };
-        dispatch_batch(engine, batch);
+        dispatch_batch(model, cache, batch);
     }
 }
 
-/// Run one coalesced batch: expire overdue jobs, fold the rest in with a
-/// shared φ gather, and fan the results back out to each job's responder.
-fn dispatch_batch(engine: &QueryEngine, batch: Vec<InferJob>) {
+/// Run one coalesced batch: expire overdue jobs, answer the rest from the
+/// cache or by fold-in with a shared φ gather, and fan the results back out
+/// to each job's responder.
+fn dispatch_batch(model: &dyn ModelBackend, cache: &ResponseCache, batch: Vec<InferJob>) {
     let metrics = serve_metrics();
     let now = Instant::now();
     let mut live: Vec<InferJob> = Vec::with_capacity(batch.len());
@@ -214,7 +235,9 @@ fn dispatch_batch(engine: &QueryEngine, batch: Vec<InferJob>) {
     } else {
         None
     };
-    let results = match engine.try_infer_items_amortized(
+    let results = match infer_cached(
+        model,
+        cache,
         &items,
         &GatherOptions {
             deadline: gather_deadline,
@@ -245,20 +268,62 @@ fn dispatch_batch(engine: &QueryEngine, batch: Vec<InferJob>) {
     }
 }
 
+/// Every item's inference, each document probing the cache on its own (a
+/// hit skips fold-in), the misses folded in by one
+/// [`try_infer_docs_amortized`] call — one φ gather — and then cached.
+/// Results come back in item order, bit-identical to folding in every item,
+/// whatever mix of hits and misses occurs. A failed gather fails the whole
+/// batch, its hits included: the dispatcher answers every job with the
+/// error.
+fn infer_cached(
+    model: &dyn ModelBackend,
+    cache: &ResponseCache,
+    items: &[BatchItem],
+    gather_opts: &GatherOptions,
+) -> Result<Vec<DocInference>, BackendError> {
+    let metrics = serve_metrics();
+    let mut results: Vec<Option<DocInference>> = Vec::with_capacity(items.len());
+    let mut misses: Vec<(usize, CacheKey)> = Vec::new();
+    for (i, item) in items.iter().enumerate() {
+        let lookup = metrics.stage(Stage::CacheLookup).span();
+        let key = CacheKey::new_seeded(&item.text, &item.config, item.seed);
+        let hit = cache.get(&key);
+        lookup.stop();
+        if hit.is_none() {
+            misses.push((i, key));
+        }
+        results.push(hit);
+    }
+    if !misses.is_empty() {
+        // An all-miss batch folds the caller's slice directly; only a mixed
+        // batch pays for compacting its misses into their own buffer.
+        let inferred = if misses.len() == items.len() {
+            try_infer_docs_amortized(model, items, gather_opts)?
+        } else {
+            let batch: Vec<BatchItem> = misses.iter().map(|(i, _)| items[*i].clone()).collect();
+            try_infer_docs_amortized(model, &batch, gather_opts)?
+        };
+        for ((i, key), inference) in misses.into_iter().zip(inferred) {
+            cache.put(key, inference.clone());
+            results[i] = Some(inference);
+        }
+    }
+    Ok(results
+        .into_iter()
+        .map(|r| r.expect("every item resolved"))
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frozen::tests::tiny_model;
+    use crate::infer::infer_doc;
     use std::sync::mpsc::channel;
 
     fn service(queue_depth: usize, max_batch: usize, n_workers: usize) -> InferService {
-        let engine = Arc::new(QueryEngine::with_cache_capacity(
-            Arc::new(tiny_model()),
-            1,
-            0,
-        ));
         InferService::start(
-            engine,
+            Arc::new(tiny_model()),
             DispatchOptions {
                 queue_depth,
                 max_batch,
@@ -268,12 +333,21 @@ mod tests {
     }
 
     fn job(text: &str, kind: JobKind, tx: std::sync::mpsc::Sender<(u16, String)>) -> InferJob {
+        seeded_job(text, kind, InferConfig::default(), tx)
+    }
+
+    fn seeded_job(
+        text: &str,
+        kind: JobKind,
+        config: InferConfig,
+        tx: std::sync::mpsc::Sender<(u16, String)>,
+    ) -> InferJob {
         InferJob {
             docs: match kind {
                 JobKind::Single => vec![text.to_string()],
                 JobKind::Batch => text.lines().map(str::to_string).collect(),
             },
-            config: InferConfig::default(),
+            config,
             kind,
             deadline: None,
             respond: Box::new(move |status, body| {
@@ -284,25 +358,54 @@ mod tests {
 
     #[test]
     fn dispatched_singles_match_the_direct_engine_path() {
-        let engine = Arc::new(QueryEngine::new(Arc::new(tiny_model()), 1));
-        let svc = InferService::start(
-            Arc::clone(&engine),
-            DispatchOptions {
-                queue_depth: 16,
-                max_batch: 8,
-                n_workers: 2,
-            },
-        );
+        let svc = service(16, 8, 2);
         let cfg = InferConfig::default();
         let (tx, rx) = channel();
         svc.try_submit(job("support vector machines", JobKind::Single, tx))
             .unwrap_or_else(|_| panic!("submit refused"));
         let (status, body) = rx.recv().unwrap();
         assert_eq!(status, 200);
-        assert_eq!(
-            body,
-            inference_json(&engine.infer("support vector machines", &cfg))
+        let direct = infer_doc(&tiny_model(), "support vector machines", &cfg, cfg.seed);
+        assert_eq!(body, inference_json(&direct));
+    }
+
+    /// Submit one job and wait for its `(status, body)`.
+    fn answer(svc: &InferService, text: &str, kind: JobKind, seed: u64) -> (u16, String) {
+        let (tx, rx) = channel();
+        let config = InferConfig {
+            seed,
+            ..InferConfig::default()
+        };
+        svc.try_submit(seeded_job(text, kind, config, tx))
+            .unwrap_or_else(|_| panic!("submit refused"));
+        rx.recv().unwrap()
+    }
+
+    #[test]
+    fn repeated_queries_hit_the_cache_with_identical_results() {
+        let svc = service(16, 8, 1);
+        let counts = |svc: &InferService| {
+            let stats = svc.cache_stats();
+            (stats.hits, stats.misses, stats.entries, stats.capacity)
+        };
+        let first = answer(&svc, "support vector machines", JobKind::Single, 1);
+        let second = answer(&svc, "support vector machines", JobKind::Single, 1);
+        assert_eq!(first, second);
+        assert_eq!(counts(&svc), (1, 1, 1, CACHE_CAPACITY));
+        // A different seed is a different cache entry.
+        answer(&svc, "support vector machines", JobKind::Single, 99);
+        assert_eq!(counts(&svc), (1, 2, 2, CACHE_CAPACITY));
+        // Document 0 of a batch draws the config seed, so it hits the
+        // single query's entry; document 1 is a miss that fills the cache.
+        let (status, body) = answer(
+            &svc,
+            "support vector machines\nmining frequent patterns",
+            JobKind::Batch,
+            1,
         );
+        assert_eq!(status, 200);
+        assert!(body.contains(&first.1), "{body}");
+        assert_eq!(counts(&svc), (2, 3, 3, CACHE_CAPACITY));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! A minimal std-only HTTP/1.1 front end for the query engine.
+//! A minimal std-only HTTP/1.1 front end for fold-in inference over one
+//! shared `Arc<dyn ModelBackend>`.
 //!
 //! No async runtime (the build is offline): a `std::net::TcpListener`
 //! accept loop gives each connection its own thread, up to
@@ -28,16 +29,17 @@
 //! enter one shared **bounded admission queue**
 //! ([`dispatch`](crate::dispatch)) — full queue ⇒ `429` + `Retry-After`,
 //! deadline expired while queued ⇒ `504` — and dispatcher workers drain
-//! them in batches that share one φ gather; the connection's thread waits
-//! for its verdict.
+//! them in batches that probe the response cache per document and share
+//! one φ gather across the misses; the connection's thread waits for its
+//! verdict.
 //!
 //! Responses are JSON (`/metrics` is text exposition), hand-rendered (no
 //! serde in the dependency set); floats use Rust's shortest round-trip
 //! `Display`, so a fixed seed yields byte-identical bodies across runs,
 //! thread counts, and shard counts.
 
+use crate::backend::ModelBackend;
 use crate::dispatch::{DispatchOptions, InferJob, InferService, JobKind};
-use crate::engine::QueryEngine;
 use crate::infer::{DocInference, InferConfig};
 use crate::metrics::{serve_metrics, ServeMetrics, Stage};
 use crate::registry::{Connections, Registration, ACCEPT_RETRY_PAUSE};
@@ -112,22 +114,23 @@ impl Default for ServerConfig {
 /// A bound, not-yet-running server.
 pub struct HttpServer {
     listener: TcpListener,
-    engine: Arc<QueryEngine>,
+    model: Arc<dyn ModelBackend>,
     config: ServerConfig,
 }
 
 /// What every connection thread shares.
 struct Shared {
-    engine: Arc<QueryEngine>,
+    model: Arc<dyn ModelBackend>,
     service: InferService,
     config: ServerConfig,
 }
 
 impl HttpServer {
-    /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port).
+    /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) to serve
+    /// `model`.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
-        engine: Arc<QueryEngine>,
+        model: Arc<dyn ModelBackend>,
         config: ServerConfig,
     ) -> io::Result<Self> {
         // Pin uptime to server start; otherwise the first /healthz or
@@ -135,7 +138,7 @@ impl HttpServer {
         topmine_obs::mark_process_start();
         Ok(Self {
             listener: TcpListener::bind(addr)?,
-            engine,
+            model,
             config,
         })
     }
@@ -171,9 +174,9 @@ impl HttpServer {
     /// every admitted job is answered before the dispatchers exit.
     fn serve(&self, stop: &AtomicBool) {
         let shared = Arc::new(Shared {
-            engine: Arc::clone(&self.engine),
+            model: Arc::clone(&self.model),
             service: InferService::start(
-                Arc::clone(&self.engine),
+                Arc::clone(&self.model),
                 DispatchOptions {
                     queue_depth: self.config.queue_depth,
                     max_batch: self.config.max_batch,
@@ -648,13 +651,12 @@ fn route(req: &Request, shared: &Shared) -> (u16, RouteResponse) {
 }
 
 fn route_inner(req: &Request, shared: &Shared) -> Result<(u16, RouteResponse), HttpError> {
-    let engine = &shared.engine;
+    let m = &shared.model;
     let defaults = &shared.config.infer_defaults;
     let done = |resp: RouteResponse| Ok((200, resp));
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
-            let m = engine.model();
-            let cache = engine.cache_stats();
+            let cache = shared.service.cache_stats();
             // A fleet router aggregates per-shard health: overall status
             // degrades when any shard fails its ping, and the per-shard
             // snapshot rides along under "fleet".
@@ -693,14 +695,13 @@ fn route_inner(req: &Request, shared: &Shared) -> Result<(u16, RouteResponse), H
         ("GET", "/metrics") => {
             // Point-in-time gauges are sampled at scrape; everything else
             // accumulated as requests were served.
-            serve_metrics().refresh_scrape_gauges(&engine.cache_stats());
+            serve_metrics().refresh_scrape_gauges(&shared.service.cache_stats());
             done(RouteResponse {
                 body: Registry::global().render(),
                 content_type: "text/plain; version=0.0.4; charset=utf-8",
             })
         }
         ("GET", "/model") => {
-            let m = engine.model();
             let h = m.header();
             let p = &m.local().preprocess;
             done(RouteResponse::json(format!(
@@ -730,8 +731,8 @@ fn route_inner(req: &Request, shared: &Shared) -> Result<(u16, RouteResponse), H
         ("POST", "/infer_batch") => {
             let (cfg, deadline) = infer_config_from_query(&req.query, defaults)?;
             // One document per non-empty line; document `i` draws
-            // `seed_for_index(i)`, exactly as `QueryEngine::infer_batch`
-            // numbers its inputs.
+            // `seed_for_index(i)`, exactly as `topmine infer` numbers its
+            // input lines.
             let docs: Vec<String> = req
                 .body
                 .lines()

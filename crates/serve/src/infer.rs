@@ -31,15 +31,21 @@
 //! seed ⇒ bit-identical θ, topic ranking, and phrase annotations,
 //! regardless of backend, shard count, batch, or which thread runs it.
 //!
-//! The per-clique posterior and the discrete draw are **not** implemented
-//! here: the sweeps call into `topmine_lda::kernel` (the same code training
-//! runs) — [`sample_clique`] through its frozen-φ [`FrozenPhiView`] — so
-//! serving inference can never drift from the trained model's Eq. 7.
+//! The chain is **not** implemented here: each document runs
+//! `topmine_lda::kernel`'s [`fold_in`] — the chain held-out perplexity runs
+//! too, over the same per-clique posterior and draw training uses —
+//! through its frozen-φ [`FrozenPhiView`], so serving inference can never
+//! drift from the trained model's Eq. 7.
+//!
+//! [`try_infer_docs_amortized`] is the one batch function: the admission
+//! dispatcher (`crate::dispatch`) calls it with the cache misses of each
+//! coalesced batch, `topmine infer` once per block of input lines, and
+//! [`infer_doc`] and [`infer_docs_amortized`] are its infallible forms.
 
 use crate::backend::{BackendError, GatherOptions, ModelBackend};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use topmine_lda::kernel::{sample_clique, CliqueScratch, FrozenPhiView};
+use rand::SeedableRng;
+use topmine_lda::kernel::{fold_in, FoldInScratch, FrozenPhiView};
 use topmine_phrase::ConstructScratch;
 use topmine_util::FxHashMap;
 
@@ -97,57 +103,6 @@ pub struct DocInference {
     pub n_tokens: usize,
     /// Tokens dropped as out-of-vocabulary.
     pub n_oov: usize,
-}
-
-/// Run one document's fold-in Gibbs chain against a gathered φ view.
-/// `local_tokens` index word rows of `view`; `spans` are the phrase cliques
-/// over it.
-#[allow(clippy::too_many_arguments)]
-fn fold_in_chain(
-    view: &FrozenPhiView,
-    alpha: &[f64],
-    spans: &[(u32, u32)],
-    local_tokens: &[u32],
-    k: usize,
-    fold_iters: usize,
-    rng: &mut StdRng,
-    local_ndk: &mut Vec<u32>,
-    z: &mut Vec<u16>,
-    cum: &mut Vec<f64>,
-    clique: &mut CliqueScratch,
-) {
-    // Fold-in state: per-topic token counts for this document, one topic
-    // per phrase instance (clique).
-    local_ndk.clear();
-    local_ndk.resize(k, 0);
-    z.clear();
-    for &(s, e) in spans {
-        let t = rng.gen_range(0..k) as u16;
-        local_ndk[t as usize] += e - s;
-        z.push(t);
-    }
-
-    if cum.len() != k {
-        cum.clear();
-        cum.resize(k, 0.0);
-    }
-    for _ in 0..fold_iters {
-        for (g, &(s, e)) in spans.iter().enumerate() {
-            let old = z[g] as usize;
-            local_ndk[old] -= e - s;
-            let new = sample_clique(
-                rng,
-                view,
-                alpha,
-                local_ndk,
-                &local_tokens[s as usize..e as usize],
-                clique,
-                cum,
-            ) as u16;
-            z[g] = new;
-            local_ndk[new as usize] += e - s;
-        }
-    }
 }
 
 /// Assemble the response struct from a finished chain's state (θ from the
@@ -308,10 +263,7 @@ pub fn try_infer_docs_amortized(
 
     // Chain buffers are reused across the batch's documents; each chain
     // fully resets them.
-    let mut local_ndk: Vec<u32> = Vec::new();
-    let mut z: Vec<u16> = Vec::new();
-    let mut cum: Vec<f64> = Vec::new();
-    let mut clique = CliqueScratch::default();
+    let mut chain = FoldInScratch::default();
 
     let fold = metrics.stage(crate::metrics::Stage::FoldIn).span();
     let results = items
@@ -320,18 +272,14 @@ pub fn try_infer_docs_amortized(
         .map(|(d, item)| {
             metrics.infer_docs_total.inc();
             let mut rng = StdRng::seed_from_u64(item.seed);
-            fold_in_chain(
+            fold_in(
+                &mut rng,
                 &view,
                 alpha,
-                &spans[d],
                 &local_tokens[d],
-                k,
+                &spans[d],
                 item.config.fold_iters,
-                &mut rng,
-                &mut local_ndk,
-                &mut z,
-                &mut cum,
-                &mut clique,
+                &mut chain,
             );
             assemble_inference(
                 model,
@@ -339,8 +287,8 @@ pub fn try_infer_docs_amortized(
                 k,
                 &prepared[d].doc.tokens,
                 &spans[d],
-                &local_ndk,
-                &z,
+                &chain.ndk,
+                &chain.z,
                 item.config.top_topics,
                 prepared[d].n_oov,
             )
@@ -350,30 +298,22 @@ pub fn try_infer_docs_amortized(
     Ok(results)
 }
 
-impl crate::frozen::FrozenModel {
-    /// Infer topics for one unseen document with the configured seed.
-    pub fn infer(&self, text: &str, config: &InferConfig) -> DocInference {
-        infer_doc(self, text, config, config.seed)
-    }
-
-    /// Infer with an explicit seed (batch entry points pass
-    /// [`InferConfig::seed_for_index`]).
-    pub fn infer_seeded(&self, text: &str, config: &InferConfig, seed: u64) -> DocInference {
-        infer_doc(self, text, config, seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frozen::tests::tiny_model;
 
+    /// One document at the config seed.
+    fn infer(m: &dyn ModelBackend, text: &str, config: &InferConfig) -> DocInference {
+        infer_doc(m, text, config, config.seed)
+    }
+
     #[test]
     fn theta_is_a_distribution_and_deterministic() {
         let m = tiny_model();
         let cfg = InferConfig::default();
-        let a = m.infer("support vector machines for data streams", &cfg);
-        let b = m.infer("support vector machines for data streams", &cfg);
+        let a = infer(&m, "support vector machines for data streams", &cfg);
+        let b = infer(&m, "support vector machines for data streams", &cfg);
         assert_eq!(a, b, "same seed must reproduce bit-identically");
         let sum: f64 = a.theta.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9, "theta sums to {sum}");
@@ -385,14 +325,16 @@ mod tests {
     #[test]
     fn different_seeds_may_differ_but_stay_valid() {
         let m = tiny_model();
-        let a = m.infer(
+        let a = infer(
+            &m,
             "mining frequent patterns",
             &InferConfig {
                 seed: 1,
                 ..InferConfig::default()
             },
         );
-        let b = m.infer(
+        let b = infer(
+            &m,
             "mining frequent patterns",
             &InferConfig {
                 seed: 2,
@@ -414,8 +356,8 @@ mod tests {
         };
         // The training corpus has two planted topics; held-out texts drawn
         // from each should rank different top topics.
-        let stream = m.infer("mining frequent patterns in data streams", &cfg);
-        let svm = m.infer("support vector machines for classification", &cfg);
+        let stream = infer(&m, "mining frequent patterns in data streams", &cfg);
+        let svm = infer(&m, "support vector machines for classification", &cfg);
         assert_ne!(
             stream.top_topics[0].0, svm.top_topics[0].0,
             "stream={:?} svm={:?}",
@@ -429,7 +371,8 @@ mod tests {
     #[test]
     fn phrase_annotations_cover_the_document_in_order() {
         let m = tiny_model();
-        let inf = m.infer(
+        let inf = infer(
+            &m,
             "support vector machines, mining frequent patterns",
             &InferConfig::default(),
         );
@@ -450,7 +393,7 @@ mod tests {
     #[test]
     fn empty_and_oov_documents_fall_back_to_the_prior() {
         let m = tiny_model();
-        let inf = m.infer("zzzz qqqq xxxx", &InferConfig::default());
+        let inf = infer(&m, "zzzz qqqq xxxx", &InferConfig::default());
         assert_eq!(inf.n_tokens, 0);
         assert_eq!(inf.n_oov, 3);
         assert!(inf.phrases.is_empty());

@@ -43,6 +43,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use topmine_phrase::PhraseStats;
+use topmine_util::FxHashMap;
 
 /// `"TPMP"`: the first four bytes of every `phi.bin`.
 const PHI_MAGIC: [u8; 4] = *b"TPMP";
@@ -406,9 +407,13 @@ pub(crate) struct HeaderFields {
 pub(crate) struct Header {
     dir: PathBuf,
     name: &'static str,
-    /// `(line, key, value)` not yet taken.
-    pairs: Vec<(usize, String, String)>,
-    files: Vec<(String, u64)>,
+    /// `(line, key, value)` in file order, `None` once taken.
+    pairs: Vec<Option<(usize, String, String)>>,
+    /// Each untaken key's first listing in `pairs`. A later listing of the
+    /// same key is never taken, so [`Header::finish`] names its line.
+    keys: FxHashMap<String, usize>,
+    /// Listed file → recorded digest (the first listing of a path).
+    files: FxHashMap<String, u64>,
     digest: u64,
 }
 
@@ -466,7 +471,8 @@ impl Header {
         }
         let text = std::str::from_utf8(&bytes[..end]).map_err(|e| in_file(name, e))?;
         let mut pairs = Vec::new();
-        let mut files = Vec::new();
+        let mut keys = FxHashMap::default();
+        let mut files = FxHashMap::default();
         for (i, line) in text.lines().enumerate().skip(1) {
             if line.is_empty() {
                 continue;
@@ -485,15 +491,17 @@ impl Header {
                             format!("line {line_no}: not file<TAB>path<TAB>digest"),
                         )
                     })?;
-                files.push((rel.to_string(), digest));
+                files.entry(rel.to_string()).or_insert(digest);
             } else {
-                pairs.push((line_no, key.to_string(), value.to_string()));
+                keys.entry(key.to_string()).or_insert(pairs.len());
+                pairs.push(Some((line_no, key.to_string(), value.to_string())));
             }
         }
         Ok(Self {
             dir: dir.to_path_buf(),
             name,
             pairs,
+            keys,
             files,
             digest: recorded,
         })
@@ -506,12 +514,11 @@ impl Header {
 
     /// Remove and parse the value of `key`.
     pub(crate) fn take<T: FromStr>(&mut self, key: &str) -> io::Result<T> {
-        let i = self
-            .pairs
-            .iter()
-            .position(|(_, k, _)| k == key)
+        let (line_no, _, value) = self
+            .keys
+            .remove(key)
+            .and_then(|i| self.pairs[i].take())
             .ok_or_else(|| in_file(self.name, format!("missing {key}")))?;
-        let (line_no, _, value) = self.pairs.remove(i);
         value.parse().map_err(|_| {
             in_file(
                 self.name,
@@ -521,14 +528,14 @@ impl Header {
     }
 
     /// Remove and parse the dense vector `key(0) .. key(n - 1)`. `n` is
-    /// checked against the pairs left first, so a corrupt count cannot
+    /// checked against the keys left first, so a corrupt count cannot
     /// drive the loop past the real file.
     pub(crate) fn take_vec<T: FromStr>(
         &mut self,
         key: impl Fn(usize) -> String,
         n: usize,
     ) -> io::Result<Vec<T>> {
-        if n > self.pairs.len() {
+        if n > self.keys.len() {
             return Err(in_file(
                 self.name,
                 format!("{n} entries {}.. cannot fit in the file", key(0)),
@@ -567,7 +574,7 @@ impl Header {
 
     /// Fail on the first pair nothing took.
     pub(crate) fn finish(&self) -> io::Result<()> {
-        match self.pairs.first() {
+        match self.pairs.iter().flatten().next() {
             Some((line_no, key, _)) => Err(in_file(
                 self.name,
                 format!("line {line_no}: unknown key {key:?}"),
@@ -579,7 +586,7 @@ impl Header {
     /// Whether the header lists `rel`: an optional file is part of the
     /// bundle exactly when it is listed.
     pub(crate) fn lists(&self, rel: &str) -> bool {
-        self.files.iter().any(|(path, _)| path == rel)
+        self.files.contains_key(rel)
     }
 
     /// The length on disk of file `rel` (0 if it cannot be read): memory
@@ -590,10 +597,9 @@ impl Header {
 
     /// Open listed file `rel`, returning it with its recorded digest.
     fn open(&self, rel: &str) -> io::Result<(File, u64)> {
-        let (_, digest) = self
+        let digest = self
             .files
-            .iter()
-            .find(|(path, _)| path == rel)
+            .get(rel)
             .ok_or_else(|| in_file(self.name, format!("lists no {rel}")))?;
         let file = File::open(self.dir.join(rel)).map_err(|e| match e.kind() {
             io::ErrorKind::NotFound => in_file(rel, format!("listed in {} but missing", self.name)),
@@ -1147,6 +1153,59 @@ mod tests {
             err.to_string().contains("line 3: unknown key \"extra\""),
             "{err}"
         );
+
+        // A key listed twice: its first listing is taken, and the second is
+        // refused naming its line.
+        std::fs::write(
+            dir.join("manifest.tsv"),
+            text.replace("beta\t", "n_shards\t4\nbeta\t"),
+        )
+        .unwrap();
+        reseal(&dir.join("manifest.tsv"));
+        let mut kv = Header::read(&dir, "manifest.tsv", "topmine-test-kv/1").unwrap();
+        assert_eq!(kv.take::<usize>("n_shards").unwrap(), 3);
+        kv.take::<f64>("beta").unwrap();
+        let err = kv.finish().unwrap_err();
+        assert!(
+            err.to_string().contains("line 3: unknown key \"n_shards\""),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_header_of_200_000_topics_is_read_in_seconds() {
+        // Taking each key costs the same however many pairs are left, so
+        // the K `alpha` pairs load in time linear in K.
+        const K: usize = 200_000;
+        let dir = tmpdir("many-topics");
+        let mut many = fields();
+        many.header.n_topics = K;
+        many.alpha = vec![0.5; K];
+        let mut text = String::from("format\ttopmine-test/1\n");
+        for (key, value) in header_pairs(&many) {
+            text.push_str(&format!("{key}\t{value}\n"));
+        }
+        text.push_str("digest\t0000000000000000\n");
+        let path = dir.join("manifest.tsv");
+        std::fs::write(&path, text).unwrap();
+        reseal(&path);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader_dir = dir.clone();
+        std::thread::spawn(move || {
+            let read = Header::read(&reader_dir, "manifest.tsv", "topmine-test/1")
+                .and_then(|mut header| {
+                    let fields = header.take_fields()?;
+                    header.finish()?;
+                    Ok(fields.alpha.len())
+                })
+                .map_err(|e| e.to_string());
+            let _ = tx.send(read);
+        });
+        let read = rx
+            .recv_timeout(std::time::Duration::from_secs(15))
+            .expect("reading the header took over 15 s");
+        assert_eq!(read, Ok(K));
         let _ = std::fs::remove_dir_all(dir);
     }
 

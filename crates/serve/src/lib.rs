@@ -3,7 +3,7 @@
 //! The paper's pipeline is batch-only: mine phrases, fit PhraseLDA, print
 //! topics. This crate adds the missing path from a fitted model to
 //! answering *"what are the topical phrases in this new document?"*, in
-//! three layers:
+//! these layers:
 //!
 //! * [`frozen`] — the **fitted model in memory**, the only one:
 //!   [`FrozenModel`], the preprocessing contract (vocabulary, stemming,
@@ -26,25 +26,26 @@
 //!   the model;
 //! * [`infer`] — **fold-in inference**: segment unseen text with the
 //!   frozen lexicon (Algorithm 2 on its node ids, one scratch per batch),
-//!   gather the φ columns a batch touches once, then run a short fixed-φ
-//!   Gibbs chain per document preserving the phrase-clique constraint
-//!   (Eq. 7) to get θ, topic rankings, and per-phrase topic annotations —
-//!   deterministic given a seed, and one document is a batch of one;
-//! * [`engine`] / [`cache`] / [`http`] — the **query engine and server**:
-//!   batched inference over one shared `Arc<dyn ModelBackend>` (one
-//!   document per unit on the workspace's scheduler,
-//!   `topmine_util::par`), with a bounded LRU response cache in front of
-//!   single-document queries, fronted by a std-only HTTP/1.1 keep-alive
-//!   server
-//!   (`topmine serve`); `topmine infer` is the one-shot sibling. The
-//!   server gives each connection its own thread (at most
-//!   [`http::MAX_CONNECTIONS`]; one more is answered `503`) over a shared
-//!   admission pipeline (`dispatch`), on any platform std supports.
-//!   Inference requests pass through a **bounded admission
-//!   queue** (overflow ⇒ `429` + `Retry-After`, deadline expiry ⇒ `504`)
-//!   and are drained in coalesced batches that share one φ gather across
-//!   documents (`/infer_batch`, or adjacent queued `/infer` requests) —
-//!   bit-identical to running each document alone;
+//!   gather the φ columns a batch touches once, then run the kernel's
+//!   fixed-φ Gibbs chain (`topmine_lda::kernel::fold_in`, the one held-out
+//!   perplexity runs too) per document, preserving the phrase-clique
+//!   constraint (Eq. 7), to get θ, topic rankings, and per-phrase topic
+//!   annotations — deterministic given a seed, and one document is a
+//!   batch of one. [`try_infer_docs_amortized`](infer::try_infer_docs_amortized)
+//!   is the one batch function; `topmine infer` calls it once per block of
+//!   input lines on the workspace's scheduler (`topmine_util::par`);
+//! * [`http`] / `dispatch` / [`cache`] — the **server** (`topmine serve`):
+//!   a std-only HTTP/1.1 keep-alive front end over one shared
+//!   `Arc<dyn ModelBackend>`. It gives each connection its own thread (at
+//!   most [`http::MAX_CONNECTIONS`]; one more is answered `503`), on any
+//!   platform std supports. Inference requests pass through a **bounded
+//!   admission queue** (`dispatch`; overflow ⇒ `429` + `Retry-After`,
+//!   deadline expiry ⇒ `504`), and its dispatchers — the only cached
+//!   callers of fold-in — drain them in coalesced batches: every document
+//!   probes a bounded LRU response cache ([`cache::CACHE_CAPACITY`]
+//!   entries), and the misses share one φ gather (`/infer_batch`, or
+//!   adjacent queued `/infer` requests) — bit-identical to running each
+//!   document alone;
 //! * [`wire`] / [`shard`] / [`pool`] / [`router`] — **fleet serving**:
 //!   the φ slices of a bundle's shards split across processes. A
 //!   `topmine serve-shard` process loads one `shard-K/` φ slice
@@ -59,11 +60,10 @@
 //! # Quickstart
 //!
 //! ```
-//! use std::sync::Arc;
 //! use topmine_corpus::{corpus_from_texts, CorpusOptions};
 //! use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 //! use topmine_phrase::Segmenter;
-//! use topmine_serve::{FrozenModel, InferConfig, QueryEngine};
+//! use topmine_serve::{infer_doc, FrozenModel, InferConfig};
 //!
 //! // Fit (normally done by the `topmine` CLI with `--save-model`).
 //! let texts: Vec<String> = (0..20)
@@ -75,17 +75,16 @@
 //! let mut lda = PhraseLda::new(grouped, TopicModelConfig::new(2).with_seed(7));
 //! lda.run(20);
 //!
-//! // Freeze, serve, infer.
+//! // Freeze and infer; `HttpServer::bind` serves the same model over HTTP.
 //! let frozen = FrozenModel::freeze(&corpus, &stats, 2.0, &lda, &CorpusOptions::default());
-//! let engine = QueryEngine::new(Arc::new(frozen), 2);
-//! let result = engine.infer("support vector machines in practice", &InferConfig::default());
+//! let config = InferConfig::default();
+//! let result = infer_doc(&frozen, "support vector machines in practice", &config, config.seed);
 //! assert_eq!(result.theta.len(), 2);
 //! ```
 
 pub mod backend;
 pub mod cache;
 mod dispatch;
-pub mod engine;
 pub mod frozen;
 pub mod http;
 pub mod infer;
@@ -99,8 +98,7 @@ pub mod sharded;
 pub mod wire;
 
 pub use backend::{load_bundle, BackendError, GatherOptions, ModelBackend};
-pub use cache::{CacheStats, ResponseCache};
-pub use engine::{QueryEngine, DEFAULT_CACHE_CAPACITY};
+pub use cache::{CacheStats, ResponseCache, CACHE_CAPACITY};
 pub use frozen::{FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig};
 pub use http::{batch_inference_json, inference_json, HttpServer, ServerConfig, ServerHandle};
 pub use infer::{

@@ -16,7 +16,8 @@ pub enum Stage {
     /// Reading and parsing the request head + body (keep-alive idle time
     /// between requests is not counted).
     Parse,
-    /// Response-cache probe (hit or miss) plus the insert on miss.
+    /// Response-cache probe of one document (hit or miss); the insert
+    /// after a miss is not timed.
     CacheLookup,
     /// Gathering φ columns for the document's distinct words
     /// (scatter-gather across shards when the bundle is sharded).

@@ -3,7 +3,7 @@
 //!
 //! One [`ShardClient`] per shard, one TCP connection per client (dialed
 //! lazily, redialed after failures), and **request-id pipelining** on that
-//! connection: any number of `QueryEngine` workers may have RPCs in
+//! connection: any number of dispatcher workers may have RPCs in
 //! flight concurrently — each send tags a fresh id, a dedicated reader
 //! thread demultiplexes responses back to per-call channels, and nobody
 //! ever opens a second socket. This is what keeps the fleet's comms cost

@@ -16,7 +16,7 @@ use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
 use topmine_serve::{
-    BackendError, FrozenModel, GatherOptions, HttpServer, ModelBackend, QueryEngine, ServerConfig,
+    BackendError, FrozenModel, GatherOptions, HttpServer, ModelBackend, ServerConfig,
 };
 
 fn fitted_model() -> FrozenModel {
@@ -116,16 +116,12 @@ impl ModelBackend for GatedBackend {
 #[test]
 fn saturated_queue_rejects_then_recovers() {
     let backend = Arc::new(GatedBackend::new(Arc::new(fitted_model())));
-    // No response cache: every request must reach the gated gather.
-    let engine = Arc::new(QueryEngine::with_cache_capacity(
-        Arc::clone(&backend) as Arc<dyn ModelBackend>,
-        1,
-        0,
-    ));
+    // Every request below sends a document no earlier one sent, so none is
+    // a cache hit: each must reach the gated gather.
     const QUEUE_DEPTH: usize = 2;
     let server = HttpServer::bind(
         "127.0.0.1:0",
-        engine,
+        Arc::clone(&backend) as Arc<dyn ModelBackend>,
         ServerConfig {
             n_threads: 1,
             queue_depth: QUEUE_DEPTH,

@@ -15,9 +15,9 @@ use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
 use topmine_serve::{
-    batch_inference_json, http::KEEP_ALIVE_IDLE, infer_doc, inference_json, BackendError,
-    FrozenModel, GatherOptions, HttpServer, InferConfig, ModelBackend, QueryEngine, ServerConfig,
-    ShardedModel,
+    batch_inference_json, http::KEEP_ALIVE_IDLE, infer_doc, infer_docs_amortized, inference_json,
+    BackendError, BatchItem, FrozenModel, GatherOptions, HttpServer, InferConfig, ModelBackend,
+    ServerConfig, ShardedModel,
 };
 
 fn fitted_model() -> &'static FrozenModel {
@@ -126,9 +126,16 @@ proptest! {
         prop_assert_eq!(sharded.n_shards(), SHARD_COUNTS[shard_idx]);
         let cfg = InferConfig { fold_iters, seed, top_topics: 3 };
         let docs: Vec<&str> = doc_idx.iter().map(|&i| DOC_POOL[i]).collect();
-        // No response cache: every document must take the amortized path.
-        let engine = QueryEngine::with_cache_capacity(Arc::new(sharded.clone()), 1, 0);
-        let batched = engine.infer_batch_amortized(&docs, &cfg);
+        let items: Vec<BatchItem> = docs
+            .iter()
+            .enumerate()
+            .map(|(i, doc)| BatchItem {
+                text: doc.to_string(),
+                config: cfg.clone(),
+                seed: cfg.seed_for_index(i),
+            })
+            .collect();
+        let batched = infer_docs_amortized(sharded, &items);
         prop_assert_eq!(batched.len(), docs.len());
         for (i, doc) in docs.iter().enumerate() {
             let alone = infer_doc(sharded, doc, &cfg, cfg.seed_for_index(i));
@@ -142,8 +149,7 @@ proptest! {
 #[test]
 fn infer_batch_endpoint_is_byte_identical_to_sequential_infers() {
     let backend = Arc::new(reloaded()[2].clone());
-    let engine = Arc::new(QueryEngine::new(backend.clone(), 1));
-    let server = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
+    let server = HttpServer::bind("127.0.0.1:0", backend.clone(), ServerConfig::default())
         .expect("bind")
         .spawn()
         .expect("spawn");
@@ -218,11 +224,14 @@ fn cache_counters(addr: std::net::SocketAddr) -> (u64, u64) {
 #[test]
 fn batch_documents_probe_the_cache_individually() {
     let frozen = fitted_model();
-    let engine = Arc::new(QueryEngine::new(Arc::new(frozen.clone()), 1));
-    let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default())
-        .expect("bind")
-        .spawn()
-        .expect("spawn");
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(frozen.clone()),
+        ServerConfig::default(),
+    )
+    .expect("bind")
+    .spawn()
+    .expect("spawn");
     let addr = server.addr();
 
     let doc_x = "support vector machines in the data streams";
@@ -247,7 +256,7 @@ fn batch_documents_probe_the_cache_individually() {
     );
     assert_eq!(status, 200, "{batch}");
     assert_eq!(cache_counters(addr), (1, 2), "mixed hit/miss batch");
-    // Expected bodies computed off-engine (going through the engine here
+    // Expected bodies computed off-server (going through the server here
     // would itself probe the cache and skew the counters under test).
     let expected = batch_inference_json(&[
         infer_doc(frozen, doc_x, &cfg, cfg.seed_for_index(0)),
@@ -335,14 +344,9 @@ fn requests_queued_past_their_deadline_get_504() {
     let backend = Arc::new(GatedBackend::new(Arc::new(fitted_model().clone())));
     // One dispatcher and max_batch=1: the second request cannot coalesce
     // with the first; it sits queued while the first blocks on the gate.
-    let engine = Arc::new(QueryEngine::with_cache_capacity(
-        Arc::clone(&backend) as Arc<dyn ModelBackend>,
-        1,
-        0,
-    ));
     let server = HttpServer::bind(
         "127.0.0.1:0",
-        engine,
+        Arc::clone(&backend) as Arc<dyn ModelBackend>,
         ServerConfig {
             n_threads: 1,
             max_batch: 1,
@@ -381,14 +385,9 @@ fn requests_queued_past_their_deadline_get_504() {
 #[test]
 fn shutdown_drains_in_flight_requests_and_closes_idle_connections() {
     let backend = Arc::new(GatedBackend::new(Arc::new(fitted_model().clone())));
-    let engine = Arc::new(QueryEngine::with_cache_capacity(
-        Arc::clone(&backend) as Arc<dyn ModelBackend>,
-        1,
-        0,
-    ));
     let server = HttpServer::bind(
         "127.0.0.1:0",
-        engine,
+        Arc::clone(&backend) as Arc<dyn ModelBackend>,
         ServerConfig {
             n_threads: 1,
             ..ServerConfig::default()

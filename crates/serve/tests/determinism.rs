@@ -1,13 +1,16 @@
 //! End-to-end determinism: a model fitted, frozen, saved, reloaded, and
-//! queried through engines of different sizes must produce bit-identical
-//! inference — θ, annotations, and the rendered JSON bodies — for a fixed
-//! seed. This is the acceptance bar for reproducible serving.
+//! queried in blocks on different numbers of threads must produce
+//! bit-identical inference — θ, annotations, and the rendered JSON bodies —
+//! for a fixed seed. This is the acceptance bar for reproducible serving.
 
-use std::sync::Arc;
 use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
-use topmine_serve::{inference_json, load_bundle, FrozenModel, InferConfig, QueryEngine};
+use topmine_serve::{
+    infer_doc, infer_docs_amortized, inference_json, load_bundle, BatchItem, DocInference,
+    FrozenModel, InferConfig, ModelBackend,
+};
+use topmine_util::par;
 
 fn fitted_model() -> FrozenModel {
     let texts: Vec<String> = (0..40)
@@ -78,13 +81,40 @@ fn infer_doc_outputs_match_recorded_digest() {
     let results: Vec<_> = texts
         .iter()
         .enumerate()
-        .map(|(i, t)| model.infer_seeded(t, &cfg, cfg.seed_for_index(i)))
+        .map(|(i, t)| infer_doc(&model, t, &cfg, cfg.seed_for_index(i)))
         .collect();
     let digest = inference_digest(&results);
     assert_eq!(
         digest, INFER_DOC_DIGEST,
         "serve fold-in no longer reproduces the pre-fast-path kernel (digest {digest:#x})"
     );
+}
+
+/// `texts` folded in the way `topmine infer` folds in its input lines:
+/// blocks of `block` documents, one shared gather each, on `threads`
+/// workers; document `i` draws `seed_for_index(i)`.
+fn infer_in_blocks(
+    model: &dyn ModelBackend,
+    texts: &[String],
+    cfg: &InferConfig,
+    block: usize,
+    threads: usize,
+) -> Vec<DocInference> {
+    let items: Vec<BatchItem> = texts
+        .iter()
+        .enumerate()
+        .map(|(i, text)| BatchItem {
+            text: text.clone(),
+            config: cfg.clone(),
+            seed: cfg.seed_for_index(i),
+        })
+        .collect();
+    let mut blocks = vec![Vec::new(); items.len().div_ceil(block)];
+    let units = items.chunks(block).zip(&mut blocks);
+    par::for_each(units, &mut vec![(); threads], |_, (block, out)| {
+        *out = infer_docs_amortized(model, block)
+    });
+    blocks.concat()
 }
 
 #[test]
@@ -105,11 +135,12 @@ fn theta_is_identical_across_thread_counts_and_reloads() {
         top_topics: 2,
     };
 
-    // Three engines: in-memory 1 thread, in-memory 6 threads, reloaded
-    // (one-shard) bundle 3 threads. All must agree exactly.
-    let baseline = QueryEngine::new(Arc::new(model), 1).infer_batch(&texts, &cfg);
-    let wide = QueryEngine::new(Arc::new(fitted_model()), 6).infer_batch(&texts, &cfg);
-    let from_disk = QueryEngine::new(reloaded, 3).infer_batch(&texts, &cfg);
+    // In memory, one document a block on 1 thread and blocks of 3 on 6
+    // threads; the reloaded (one-shard) bundle in blocks of 4 on 3
+    // threads. All must agree exactly.
+    let baseline = infer_in_blocks(&model, &texts, &cfg, 1, 1);
+    let wide = infer_in_blocks(&fitted_model(), &texts, &cfg, 3, 6);
+    let from_disk = infer_in_blocks(reloaded.as_ref(), &texts, &cfg, 4, 3);
     assert_eq!(baseline, wide);
     assert_eq!(baseline, from_disk);
 
@@ -119,12 +150,15 @@ fn theta_is_identical_across_thread_counts_and_reloads() {
     assert_eq!(json_a, json_b);
 
     // A different seed is allowed to (and here does) change something.
-    let other = QueryEngine::new(Arc::new(fitted_model()), 2).infer_batch(
+    let other = infer_in_blocks(
+        &fitted_model(),
         &texts,
         &InferConfig {
             seed: 8,
             ..cfg.clone()
         },
+        3,
+        2,
     );
     assert_eq!(other.len(), baseline.len());
 

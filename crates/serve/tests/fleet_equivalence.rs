@@ -12,7 +12,7 @@ use fleet_common::{fitted_model, fleet, request, QUERIES};
 use proptest::prelude::*;
 use std::sync::Arc;
 use topmine_serve::{
-    infer_doc, HttpServer, InferConfig, ModelBackend, QueryEngine, ServerConfig, FLEET_MODEL_FORMAT,
+    infer_doc, HttpServer, InferConfig, ModelBackend, ServerConfig, FLEET_MODEL_FORMAT,
 };
 
 #[test]
@@ -29,7 +29,7 @@ fn fleet_inference_is_bit_identical_across_shard_counts() {
                     top_topics: 1 + i % 3,
                 };
                 assert_eq!(
-                    frozen.infer(text, &cfg),
+                    infer_doc(&frozen, text, &cfg, seed),
                     infer_doc(&router, text, &cfg, seed),
                     "shards={n_shards} text={text:?} seed={seed}"
                 );
@@ -60,7 +60,7 @@ proptest! {
         let (router, handles, dir) = fleet("prop", &frozen, n_shards);
         let cfg = InferConfig { fold_iters, seed, top_topics: top };
         let text = QUERIES[query_idx];
-        let want = frozen.infer(text, &cfg);
+        let want = infer_doc(&frozen, text, &cfg, seed);
         let got = infer_doc(&router, text, &cfg, seed);
         drop(router);
         for handle in handles {
@@ -76,13 +76,11 @@ fn fleet_http_bodies_are_byte_identical_to_the_monolith() {
     let frozen = fitted_model(19);
     let (router, handles, dir) = fleet("http", &frozen, 3);
 
-    let fleet_engine = Arc::new(QueryEngine::new(Arc::new(router), 2));
-    let fleet_server = HttpServer::bind("127.0.0.1:0", fleet_engine, ServerConfig::default())
+    let fleet_server = HttpServer::bind("127.0.0.1:0", Arc::new(router), ServerConfig::default())
         .expect("bind")
         .spawn()
         .expect("spawn");
-    let mono_engine = Arc::new(QueryEngine::new(Arc::new(frozen), 2));
-    let mono_server = HttpServer::bind("127.0.0.1:0", mono_engine, ServerConfig::default())
+    let mono_server = HttpServer::bind("127.0.0.1:0", Arc::new(frozen), ServerConfig::default())
         .expect("bind")
         .spawn()
         .expect("spawn");

@@ -9,7 +9,8 @@ use fleet_common::{fast_pool, fitted_model, request, save_sharded, spawn_fleet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use topmine_serve::{
-    HttpServer, QueryEngine, RemoteShardedModel, ServerConfig, ShardServer, ShardSlice,
+    infer_doc, inference_json, HttpServer, InferConfig, RemoteShardedModel, ServerConfig,
+    ShardServer, ShardSlice,
 };
 
 #[test]
@@ -20,10 +21,10 @@ fn killed_shard_yields_503_then_recovery_restores_bit_identity() {
     let router =
         RemoteShardedModel::connect(&dir, &addrs, fast_pool()).expect("connect router to fleet");
 
-    // Cache capacity 0: a cached response would mask the dead shard (and
-    // fake an instant recovery), so every request must really gather.
-    let engine = Arc::new(QueryEngine::with_cache_capacity(Arc::new(router), 1, 0));
-    let server = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
+    // A cached response would mask the dead shard (and fake an instant
+    // recovery), so every inference below must really gather: no request
+    // repeats the seed of one answered before it.
+    let server = HttpServer::bind("127.0.0.1:0", Arc::new(router), ServerConfig::default())
         .expect("bind")
         .spawn()
         .expect("spawn");
@@ -38,18 +39,24 @@ fn killed_shard_yields_503_then_recovery_restores_bit_identity() {
         |acc, i| format!("{acc} {i}"),
     );
     let doc = doc.as_str();
-    let head = "POST /infer?seed=42&iters=25";
-    let (status, baseline) = request(server.addr(), head, doc);
-    assert_eq!(status, 200, "{baseline}");
+    let monolith = |seed: u64| {
+        let cfg = InferConfig {
+            fold_iters: 25,
+            seed,
+            ..InferConfig::default()
+        };
+        inference_json(&infer_doc(&frozen, doc, &cfg, seed))
+    };
+    let (status, body) = request(server.addr(), "POST /infer?seed=41&iters=25", doc);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, monolith(41));
 
     // Healthy fleet: /healthz aggregates both shards as ok.
     let (status, health) = request(server.addr(), "GET /healthz", "");
     assert_eq!(status, 200);
     assert!(health.contains("\"status\":\"ok\""), "{health}");
 
-    // Kill shard 1 (listener closed, live connections severed). Distinct
-    // query strings dodge the response cache — a cache hit would never
-    // touch the dead shard.
+    // Kill shard 1 (listener closed, live connections severed).
     let dead_addr = addrs[1].clone();
     handles.pop().unwrap().shutdown();
 
@@ -90,10 +97,10 @@ fn killed_shard_yields_503_then_recovery_restores_bit_identity() {
 
     // The router reconnects once the cooldown lapses; poll until the
     // answer comes back — and when it does, it is byte-identical to the
-    // pre-failure baseline.
+    // monolith's. A failed request is not cached, so every poll gathers.
     let deadline = Instant::now() + Duration::from_secs(10);
     let recovered = loop {
-        let (status, body) = request(server.addr(), head, doc);
+        let (status, body) = request(server.addr(), "POST /infer?seed=42&iters=25", doc);
         if status == 200 {
             break body;
         }
@@ -104,8 +111,9 @@ fn killed_shard_yields_503_then_recovery_restores_bit_identity() {
         std::thread::sleep(Duration::from_millis(50));
     };
     assert_eq!(
-        recovered, baseline,
-        "post-recovery inference diverged from the pre-failure baseline"
+        recovered,
+        monolith(42),
+        "post-recovery inference diverged from the monolith"
     );
 
     // Health converges back to ok.

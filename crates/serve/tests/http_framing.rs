@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
-use topmine_serve::{FrozenModel, HttpServer, QueryEngine, ServerConfig, ServerHandle};
+use topmine_serve::{FrozenModel, HttpServer, ServerConfig, ServerHandle};
 
 /// Pause after each written piece, so the server's reads see the cuts.
 const PAUSE: Duration = Duration::from_millis(2);
@@ -40,11 +40,14 @@ fn addr() -> SocketAddr {
     static SERVER: OnceLock<ServerHandle> = OnceLock::new();
     SERVER
         .get_or_init(|| {
-            let engine = Arc::new(QueryEngine::new(Arc::new(fitted_model()), 1));
-            HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
-                .expect("bind")
-                .spawn()
-                .expect("spawn")
+            HttpServer::bind(
+                "127.0.0.1:0",
+                Arc::new(fitted_model()),
+                ServerConfig::default(),
+            )
+            .expect("bind")
+            .spawn()
+            .expect("spawn")
         })
         .addr()
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
-use topmine_serve::{load_bundle, FrozenModel, HttpServer, QueryEngine, ServerConfig};
+use topmine_serve::{load_bundle, FrozenModel, HttpServer, ServerConfig};
 
 fn fitted_model() -> FrozenModel {
     let texts: Vec<String> = (0..30)
@@ -91,11 +91,14 @@ fn scrape_is_parseable_and_carries_core_series() {
     let _ = std::fs::remove_dir_all(&dir);
     let model = fitted_model();
     model.save(&dir).unwrap();
-    let engine = Arc::new(QueryEngine::new(load_bundle(&dir).unwrap(), 2));
-    let handle = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
-        .unwrap()
-        .spawn()
-        .unwrap();
+    let handle = HttpServer::bind(
+        "127.0.0.1:0",
+        load_bundle(&dir).unwrap(),
+        ServerConfig::default(),
+    )
+    .unwrap()
+    .spawn()
+    .unwrap();
     let addr = handle.addr();
 
     // /healthz: JSON content type plus the new payload fields.
@@ -237,8 +240,7 @@ fn scrape_is_parseable_and_carries_core_series() {
     handle.shutdown();
 
     // A model that was never saved has no bundle digest to report.
-    let engine = Arc::new(QueryEngine::new(Arc::new(model), 1));
-    let handle = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
+    let handle = HttpServer::bind("127.0.0.1:0", Arc::new(model), ServerConfig::default())
         .unwrap()
         .spawn()
         .unwrap();

@@ -15,7 +15,7 @@ use std::net::TcpStream;
 use std::path::Path;
 use std::sync::Arc;
 use topmine_serve::wire::{self, Opcode};
-use topmine_serve::{HttpServer, QueryEngine, RemoteShardedModel, ServerConfig};
+use topmine_serve::{HttpServer, RemoteShardedModel, ServerConfig};
 
 /// The manifest's `key<TAB>value` pairs, without the file digests and the
 /// digest line.
@@ -78,8 +78,7 @@ fn router_healthz_reports_the_digest_its_shards_advertise() {
     let dir = save_sharded("provenance", &fitted_model_with(5, 20), 2);
     let (handles, addrs) = spawn_fleet(&dir, 2);
     let router = RemoteShardedModel::connect(&dir, &addrs, fast_pool()).expect("connect");
-    let engine = Arc::new(QueryEngine::new(Arc::new(router), 1));
-    let server = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
+    let server = HttpServer::bind("127.0.0.1:0", Arc::new(router), ServerConfig::default())
         .expect("bind")
         .spawn()
         .expect("spawn");

@@ -9,7 +9,7 @@ use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
 use topmine_serve::{
-    http::MAX_CONNECTIONS, FrozenModel, HttpServer, QueryEngine, ServerConfig, SHARDED_MODEL_FORMAT,
+    http::MAX_CONNECTIONS, FrozenModel, HttpServer, ServerConfig, SHARDED_MODEL_FORMAT,
 };
 
 fn fitted_model() -> FrozenModel {
@@ -54,10 +54,9 @@ fn request(addr: std::net::SocketAddr, head: &str, body: &str) -> (u16, String) 
 
 #[test]
 fn concurrent_infer_requests_get_consistent_answers() {
-    let engine = Arc::new(QueryEngine::new(Arc::new(fitted_model()), 2));
     let server = HttpServer::bind(
         "127.0.0.1:0",
-        Arc::clone(&engine),
+        Arc::new(fitted_model()),
         ServerConfig {
             n_threads: 4,
             ..ServerConfig::default()
@@ -158,11 +157,14 @@ fn read_response(stream: &mut TcpStream) -> (u16, String, String) {
 
 #[test]
 fn keep_alive_serves_many_requests_on_one_connection() {
-    let engine = Arc::new(QueryEngine::new(Arc::new(fitted_model()), 2));
-    let handle = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
-        .unwrap()
-        .spawn()
-        .unwrap();
+    let handle = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(fitted_model()),
+        ServerConfig::default(),
+    )
+    .unwrap()
+    .spawn()
+    .unwrap();
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     let doc = "support vector machines for data streams";
     let mut bodies = Vec::new();
@@ -193,7 +195,7 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     let (status, head, body) = read_response(&mut stream);
     assert_eq!(status, 200);
     assert!(head.contains("Connection: close"), "{head}");
-    // The repeated /infer calls above were cache hits: same engine, same
+    // The repeated /infer calls above were cache hits: same server, same
     // key. /healthz reports them.
     assert!(body.contains("\"cache\""), "{body}");
     assert!(body.contains("\"hits\":2"), "{body}");
@@ -230,11 +232,14 @@ fn raw_status(addr: std::net::SocketAddr, message: &str) -> u16 {
 
 #[test]
 fn malformed_framing_and_versions_are_rejected() {
-    let engine = Arc::new(QueryEngine::new(Arc::new(fitted_model()), 1));
-    let handle = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
-        .unwrap()
-        .spawn()
-        .unwrap();
+    let handle = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(fitted_model()),
+        ServerConfig::default(),
+    )
+    .unwrap()
+    .spawn()
+    .unwrap();
     let addr = handle.addr();
 
     // Duplicate conflicting Content-Length is the request-smuggling seam:
@@ -298,8 +303,8 @@ fn malformed_framing_and_versions_are_rejected() {
 
 #[test]
 fn server_matches_direct_engine_inference() {
-    let engine = Arc::new(QueryEngine::new(Arc::new(fitted_model()), 1));
-    let handle = HttpServer::bind("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default())
+    let model = Arc::new(fitted_model());
+    let handle = HttpServer::bind("127.0.0.1:0", model.clone(), ServerConfig::default())
         .unwrap()
         .spawn()
         .unwrap();
@@ -309,7 +314,12 @@ fn server_matches_direct_engine_inference() {
         top_topics: 3,
     };
     let text = "support vector machines, mining frequent patterns";
-    let direct = topmine_serve::inference_json(&engine.infer(text, &cfg));
+    let direct = topmine_serve::inference_json(&topmine_serve::infer_doc(
+        model.as_ref(),
+        text,
+        &cfg,
+        cfg.seed,
+    ));
     let (status, body) = request(handle.addr(), "POST /infer?seed=9&iters=20&top=3", text);
     assert_eq!(status, 200);
     assert_eq!(body, direct, "HTTP body must equal direct inference JSON");
@@ -320,11 +330,14 @@ fn server_matches_direct_engine_inference() {
 fn half_closed_client_still_gets_its_response() {
     // A client may shut down its write half right after a `Connection:
     // close` request; the server must still answer before closing.
-    let engine = Arc::new(QueryEngine::new(Arc::new(fitted_model()), 1));
-    let handle = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
-        .unwrap()
-        .spawn()
-        .unwrap();
+    let handle = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(fitted_model()),
+        ServerConfig::default(),
+    )
+    .unwrap()
+    .spawn()
+    .unwrap();
     let body = "support vector machines";
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     write!(
@@ -348,11 +361,14 @@ fn half_closed_client_still_gets_its_response() {
 
 #[test]
 fn connections_beyond_the_cap_get_503_until_one_closes() {
-    let engine = Arc::new(QueryEngine::new(Arc::new(fitted_model()), 1));
-    let handle = HttpServer::bind("127.0.0.1:0", engine, ServerConfig::default())
-        .unwrap()
-        .spawn()
-        .unwrap();
+    let handle = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(fitted_model()),
+        ServerConfig::default(),
+    )
+    .unwrap()
+    .spawn()
+    .unwrap();
     let addr = handle.addr();
     // Idle connections, each holding a connection thread. The server
     // accepts in order, so all of them are registered before the next.

@@ -1,8 +1,8 @@
 //! The acceptance bar for sharded bundles: a model saved at any shard
 //! count and loaded back must infer **bit-identically** to the fitted
 //! `FrozenModel` for the same (text, seed, iters, top) at every thread
-//! count — the shards are a disk and process layout, never an observable
-//! one. Plus the sharded bundle's disk story: save/load round-trips
+//! count and batching — the shards are a disk and process layout, never an
+//! observable one. Plus the sharded bundle's disk story: save/load round-trips
 //! exactly, re-saving cleans stale shards, and a sharded bundle serves
 //! over HTTP end-to-end.
 
@@ -14,9 +14,10 @@ use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
 use topmine_serve::{
-    load_bundle, FrozenModel, HttpServer, InferConfig, ModelBackend, QueryEngine, ServerConfig,
-    ShardedModel, SHARDED_MODEL_FORMAT,
+    infer_doc, infer_docs_amortized, load_bundle, BatchItem, DocInference, FrozenModel, HttpServer,
+    InferConfig, ModelBackend, ServerConfig, ShardedModel, SHARDED_MODEL_FORMAT,
 };
+use topmine_util::par;
 
 fn fitted_model(seed: u64) -> FrozenModel {
     let texts: Vec<String> = (0..30)
@@ -75,13 +76,40 @@ fn sharded_inference_is_bit_identical_across_shard_counts() {
                     top_topics: 1 + i % 3,
                 };
                 assert_eq!(
-                    frozen.infer(text, &cfg),
-                    sharded.infer(text, &cfg),
+                    infer_doc(&frozen, text, &cfg, cfg.seed),
+                    infer_doc(&sharded, text, &cfg, cfg.seed),
                     "shards={shards} text={text:?} seed={seed}"
                 );
             }
         }
     }
+}
+
+/// `texts` folded in the way `topmine infer` folds in its input lines:
+/// blocks of `block` documents, one shared gather each, on `threads`
+/// workers; document `i` draws `seed_for_index(i)`.
+fn infer_in_blocks(
+    model: &dyn ModelBackend,
+    texts: &[String],
+    cfg: &InferConfig,
+    block: usize,
+    threads: usize,
+) -> Vec<DocInference> {
+    let items: Vec<BatchItem> = texts
+        .iter()
+        .enumerate()
+        .map(|(i, text)| BatchItem {
+            text: text.clone(),
+            config: cfg.clone(),
+            seed: cfg.seed_for_index(i),
+        })
+        .collect();
+    let mut blocks = vec![Vec::new(); items.len().div_ceil(block)];
+    let units = items.chunks(block).zip(&mut blocks);
+    par::for_each(units, &mut vec![(); threads], |_, (block, out)| {
+        *out = infer_docs_amortized(model, block)
+    });
+    blocks.concat()
 }
 
 #[test]
@@ -91,13 +119,16 @@ fn sharded_engines_match_across_thread_counts() {
         .map(|i| format!("support vector machines and frequent patterns, part {i}"))
         .collect();
     let cfg = InferConfig::default();
-    let baseline = QueryEngine::new(Arc::new(frozen.clone()), 1).infer_batch(&texts, &cfg);
+    let baseline: Vec<_> = texts
+        .iter()
+        .enumerate()
+        .map(|(i, text)| infer_doc(&frozen, text, &cfg, cfg.seed_for_index(i)))
+        .collect();
     for shards in [1usize, 2, 3, 7] {
-        let sharded = Arc::new(reloaded(&frozen, shards, "threads"));
+        let sharded = reloaded(&frozen, shards, "threads");
         for threads in [1usize, 4] {
-            let engine = QueryEngine::new(sharded.clone(), threads);
             assert_eq!(
-                engine.infer_batch(&texts, &cfg),
+                infer_in_blocks(&sharded, &texts, &cfg, 3, threads),
                 baseline,
                 "shards={shards} threads={threads}"
             );
@@ -122,7 +153,7 @@ proptest! {
         let sharded = reloaded(&frozen, shards, "prop");
         let cfg = InferConfig { fold_iters, seed, top_topics: top };
         let text = QUERIES[query_idx];
-        prop_assert_eq!(frozen.infer(text, &cfg), sharded.infer(text, &cfg));
+        prop_assert_eq!(infer_doc(&frozen, text, &cfg, cfg.seed), infer_doc(&sharded, text, &cfg, cfg.seed));
     }
 }
 
@@ -139,7 +170,10 @@ fn sharded_bundle_roundtrips_and_resave_cleans_stale_shards() {
     // The reloaded bundle serves bit-identically too.
     let cfg = InferConfig::default();
     for text in QUERIES {
-        assert_eq!(frozen.infer(text, &cfg), loaded.infer(text, &cfg));
+        assert_eq!(
+            infer_doc(&frozen, text, &cfg, cfg.seed),
+            infer_doc(&loaded, text, &cfg, cfg.seed)
+        );
     }
     // Re-save with fewer shards: stale shard directories must disappear
     // and `load_bundle` must see exactly the new bundle.
@@ -190,13 +224,11 @@ fn sharded_bundle_serves_over_http_end_to_end() {
     let backend = load_bundle(&dir).unwrap();
     assert_eq!(backend.n_shards(), 3);
 
-    let sharded_engine = Arc::new(QueryEngine::new(backend, 2));
-    let sharded_server = HttpServer::bind("127.0.0.1:0", sharded_engine, ServerConfig::default())
+    let sharded_server = HttpServer::bind("127.0.0.1:0", backend, ServerConfig::default())
         .expect("bind")
         .spawn()
         .expect("spawn");
-    let frozen_engine = Arc::new(QueryEngine::new(Arc::new(frozen), 2));
-    let frozen_server = HttpServer::bind("127.0.0.1:0", frozen_engine, ServerConfig::default())
+    let frozen_server = HttpServer::bind("127.0.0.1:0", Arc::new(frozen), ServerConfig::default())
         .expect("bind")
         .spawn()
         .expect("spawn");

@@ -2,9 +2,9 @@
 //!
 //! Fits a small ToPMine model on surface text, freezes it and saves it as
 //! a one-shard bundle (what `topmine --save-model` writes), reloads it,
-//! and answers queries two ways: through the in-process `QueryEngine`,
-//! and over HTTP against a `topmine_serve::HttpServer` bound to an
-//! ephemeral port (what `topmine serve` runs).
+//! and answers queries two ways: in process with `infer_doc`, and over HTTP
+//! against a `topmine_serve::HttpServer` bound to an ephemeral port (what
+//! `topmine serve` runs).
 //!
 //! Run: `cargo run --release --example serving`
 
@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use topmine_repro::corpus::{CorpusBuilder, CorpusOptions};
 use topmine_repro::serve::{
-    load_bundle, HttpServer, InferConfig, QueryEngine, ServerConfig, ShardedModel,
+    infer_doc, load_bundle, HttpServer, InferConfig, ServerConfig, ShardedModel,
 };
 use topmine_repro::synth::{generator, Profile};
 use topmine_repro::topmine::{ToPMine, ToPMineConfig};
@@ -57,9 +57,9 @@ fn main() {
     );
 
     // --- in-process inference ----------------------------------------------
-    let engine = Arc::new(QueryEngine::new(loaded, 2));
     let query = &texts[0];
-    let inference = engine.infer(query, &InferConfig::default());
+    let cfg = InferConfig::default();
+    let inference = infer_doc(loaded.as_ref(), query, &cfg, cfg.seed);
     println!("\nquery: {query}");
     println!("  top topics: {:?}", inference.top_topics);
     for p in inference.phrases.iter().filter(|p| p.words.len() > 1) {
@@ -76,8 +76,7 @@ fn main() {
         .expect("save 3-shard bundle");
     let sharded = load_bundle(&bundle).expect("load 3-shard bundle");
     assert_eq!(sharded.n_shards(), 3);
-    let sharded_engine = QueryEngine::new(sharded, 2);
-    let sharded_inference = sharded_engine.infer(query, &InferConfig::default());
+    let sharded_inference = infer_doc(sharded.as_ref(), query, &cfg, cfg.seed);
     assert_eq!(
         sharded_inference, inference,
         "sharded inference must be bit-identical"
@@ -85,7 +84,7 @@ fn main() {
     println!("  reloaded 3-shard bundle: bit-identical answer");
 
     // --- the same answer over HTTP ------------------------------------------
-    let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default())
+    let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&loaded), ServerConfig::default())
         .expect("bind ephemeral port");
     let addr = server.local_addr().expect("bound address");
     let handle = server.spawn().expect("spawn server");

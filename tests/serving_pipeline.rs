@@ -2,8 +2,7 @@
 //! path through the umbrella facade, on a synthetic corpus with planted
 //! topics.
 
-use std::sync::Arc;
-use topmine_repro::serve::{load_bundle, FrozenModel, InferConfig, QueryEngine, ShardedModel};
+use topmine_repro::serve::{infer_doc, load_bundle, FrozenModel, InferConfig, ShardedModel};
 use topmine_repro::topmine::{ToPMine, ToPMineConfig};
 
 #[test]
@@ -29,16 +28,16 @@ fn fitted_pipeline_freezes_and_answers_queries() {
     let loaded = FrozenModel::load(&dir).unwrap();
     assert_eq!(loaded, frozen);
 
-    // Query a training-like document: the engine should segment known
+    // Query a training-like document: fold-in should segment known
     // phrases and produce a proper θ.
-    let engine = QueryEngine::new(Arc::new(loaded), 2);
     let text = corpus
         .docs
         .iter()
         .find(|d| d.n_tokens() >= 6)
         .map(|d| corpus.render_phrase(&d.tokens))
         .expect("synthetic corpus has a long document");
-    let inference = engine.infer(&text, &InferConfig::default());
+    let cfg = InferConfig::default();
+    let inference = infer_doc(&loaded, &text, &cfg, cfg.seed);
     let sum: f64 = inference.theta.iter().sum();
     assert!((sum - 1.0).abs() < 1e-9);
     assert!(inference.n_tokens > 0);
@@ -47,15 +46,14 @@ fn fitted_pipeline_freezes_and_answers_queries() {
 
     // Save the same fitted model as 3 shards over the one-shard bundle
     // and serve it through `load_bundle`: the answer must be
-    // bit-identical to the one-shard engine's.
+    // bit-identical to the one-shard bundle's.
     let sharded = ShardedModel::from_frozen(&frozen, 3).unwrap();
     sharded.save(&dir).unwrap();
     let backend = load_bundle(&dir).unwrap();
     assert_eq!(backend.n_shards(), 3);
     assert_eq!(*backend.local(), frozen);
-    let sharded_engine = QueryEngine::new(backend, 2);
     assert_eq!(
-        sharded_engine.infer(&text, &InferConfig::default()),
+        infer_doc(backend.as_ref(), &text, &cfg, cfg.seed),
         inference
     );
 
