@@ -190,6 +190,120 @@ fn multi_block_parallel_chain_matches_recorded_digest() {
     }
 }
 
+/// A frozen corpus wide enough in K for the sequential sweep's alias
+/// rebuild to fire (it needs more than `max(K / 8, 16)` dirty topics,
+/// which K = 6 never reaches): 300 documents of 8–47 tokens over 400
+/// words, every seventh document empty, cliques of 1–4 tokens.
+fn wide_docs() -> GroupedDocs {
+    let mut s = 0x0057_1DE5u64;
+    let mut docs = Vec::new();
+    for d in 0..300 {
+        if d % 7 == 0 {
+            docs.push(GroupedDoc::default());
+            continue;
+        }
+        let len = 8 + (splitmix(&mut s) % 40) as usize;
+        let tokens: Vec<u32> = (0..len).map(|_| (splitmix(&mut s) % 400) as u32).collect();
+        let mut group_ends = Vec::new();
+        let mut pos = 0usize;
+        while pos < len {
+            pos += (1 + (splitmix(&mut s) % 4) as usize).min(len - pos);
+            group_ends.push(pos as u32);
+        }
+        docs.push(GroupedDoc { tokens, group_ends });
+    }
+    GroupedDocs {
+        docs,
+        vocab_size: 400,
+    }
+}
+
+/// What a fit on `wide_docs()` pins: the chain digest, the perplexity
+/// bits, the draw split and the barrier merge volume.
+#[derive(Debug, PartialEq, Eq)]
+struct WidePin {
+    k: usize,
+    threads: usize,
+    digest: u64,
+    perplexity_bits: u64,
+    /// `[topic_word, doc, smoothing, dense]`.
+    draws: [u64; 4],
+    merge_delta_entries: u64,
+}
+
+/// 25 sweeps on `wide_docs()` at α = 0.5, β = 0.05, hyperparameter
+/// optimization every 5 sweeps from sweep 5, recorded before the two sweep
+/// schedules shared one per-document update.
+const WIDE_PINS: [WidePin; 4] = [
+    WidePin {
+        k: 64,
+        threads: 1,
+        digest: 0x2853_7e48_5f92_0ee8,
+        perplexity_bits: 0x4069_abf6_4939_0eca,
+        draws: [8_363, 11_864, 748, 54_025],
+        merge_delta_entries: 0,
+    },
+    WidePin {
+        k: 64,
+        threads: 2,
+        digest: 0x4e68_385e_d6c1_6ab2,
+        perplexity_bits: 0x406a_f4f5_8ed2_4ac1,
+        draws: [7_743, 12_467, 765, 54_025],
+        merge_delta_entries: 62_923,
+    },
+    WidePin {
+        k: 200,
+        threads: 1,
+        digest: 0x84e2_b31d_97d2_54ee,
+        perplexity_bits: 0x4063_2add_2a81_3885,
+        draws: [5_087, 13_773, 2_115, 54_025],
+        merge_delta_entries: 0,
+    },
+    WidePin {
+        k: 200,
+        threads: 2,
+        digest: 0xe563_6699_4058_2505,
+        perplexity_bits: 0x4063_e6fc_522d_c0ae,
+        draws: [5_037, 13_779, 2_159, 54_025],
+        merge_delta_entries: 75_170,
+    },
+];
+
+#[test]
+fn wide_topic_chains_match_recorded_pins() {
+    let docs = wide_docs();
+    for pin in &WIDE_PINS {
+        let mut m = PhraseLda::new(
+            docs.clone(),
+            TopicModelConfig {
+                n_topics: pin.k,
+                alpha: 0.5,
+                beta: 0.05,
+                seed: 1406,
+                optimize_every: 5,
+                burn_in: 5,
+                n_threads: pin.threads,
+            },
+        );
+        m.run(25);
+        let stats = m.sweep_stats();
+        let got = WidePin {
+            k: pin.k,
+            threads: pin.threads,
+            digest: chain_digest(&m),
+            perplexity_bits: m.perplexity().to_bits(),
+            draws: [
+                stats.draws.topic_word,
+                stats.draws.doc,
+                stats.draws.smoothing,
+                stats.draws.dense,
+            ],
+            merge_delta_entries: stats.merge_delta_entries,
+        };
+        assert_eq!(&got, pin, "K = {} at T = {}", pin.k, pin.threads);
+    }
+}
+
 /// Random grouped corpus: `n_docs` docs over `vocab` words, group lengths
 /// in `1..=max_group`.
 fn random_docs(seed: u64, n_docs: usize, vocab: u32, max_group: usize) -> GroupedDocs {
