@@ -13,7 +13,8 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use topmine::cli::{
-    parse_command, CliOptions, Command, InferOptions, ServeOptions, ServeShardOptions, USAGE,
+    parse_command, CliOptions, Command, InferOptions, ServeOptions, ServeShardOptions,
+    INFER_WINDOW_BLOCKS, USAGE,
 };
 use topmine::ToPMine;
 use topmine_corpus::{io as corpus_io, CorpusOptions, StopwordSet};
@@ -211,26 +212,41 @@ fn run_infer(opts: &InferOptions) -> Result<(), String> {
         top_topics: opts.top,
     };
     // One document per input line; line `i` draws `seed_for_index(i)`, as
-    // document `i` of an `/infer_batch` body does.
-    let mut items: Vec<BatchItem> = Vec::new();
+    // document `i` of an `/infer_batch` body does. Lines are folded in and
+    // printed a window at a time, so memory holds one window of lines and
+    // results whatever the input's length. Each block of a window shares
+    // one φ gather and writes its own slot, so the output does not depend
+    // on `--threads`.
+    let window = INFER_WINDOW_BLOCKS * DOC_BLOCK * opts.n_threads;
+    let mut workers = vec![(); opts.n_threads];
+    let mut blocks = Vec::new();
+    let mut fold_in_and_print = |items: &mut Vec<BatchItem>| {
+        blocks.clear();
+        blocks.resize(items.len().div_ceil(DOC_BLOCK), Vec::new());
+        let units = items.chunks(DOC_BLOCK).zip(&mut blocks);
+        par::for_each(units, &mut workers, |_, (block, out)| {
+            *out = infer_docs_amortized(model.as_ref(), block)
+        });
+        // One JSON object per input line, in input order.
+        for inference in blocks.iter().flatten() {
+            println!("{}", inference_json(inference));
+        }
+        items.clear();
+    };
+    let mut items: Vec<BatchItem> = Vec::with_capacity(window);
+    let mut line = 0;
     corpus_io::for_each_line(Path::new(&opts.input), |text| {
         items.push(BatchItem {
             text: text.to_string(),
             config: config.clone(),
-            seed: config.seed_for_index(items.len()),
-        })
+            seed: config.seed_for_index(line),
+        });
+        line += 1;
+        if items.len() == window {
+            fold_in_and_print(&mut items);
+        }
     })
     .map_err(|e| format!("reading {}: {e}", opts.input))?;
-    // Each block of lines shares one φ gather and writes its own slot, so
-    // the output does not depend on `--threads`.
-    let mut blocks = vec![Vec::new(); items.len().div_ceil(DOC_BLOCK)];
-    let units = items.chunks(DOC_BLOCK).zip(&mut blocks);
-    par::for_each(units, &mut vec![(); opts.n_threads], |_, (block, out)| {
-        *out = infer_docs_amortized(model.as_ref(), block)
-    });
-    // One JSON object per input line, in input order.
-    for inference in blocks.iter().flatten() {
-        println!("{}", inference_json(inference));
-    }
+    fold_in_and_print(&mut items);
     Ok(())
 }

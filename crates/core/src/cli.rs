@@ -164,6 +164,9 @@ INFER OPTIONS:
     --input FILE          documents to infer, one per line (required)
     --threads N           inference worker threads, 1..=256; the output is
                           byte-identical at any thread count [default: 1]
+                          lines are folded in and printed in windows of
+                          256 x N; a line of invalid UTF-8 fails the run
+                          after the windows before its own were printed
     --iters N             fold-in sweeps                [default: 20]
     --seed N              RNG seed                      [default: 1]
     --top N               top topics reported           [default: 3]
@@ -232,6 +235,11 @@ impl Default for ServeShardOptions {
         }
     }
 }
+
+/// Blocks of [`DOC_BLOCK`](topmine_util::par::DOC_BLOCK) lines per
+/// `--threads` worker in one window of `topmine infer`: the lines it
+/// holds, folds in and prints at a time.
+pub const INFER_WINDOW_BLOCKS: usize = 8;
 
 /// Options of `topmine infer`.
 #[derive(Debug, Clone, PartialEq)]
@@ -856,6 +864,12 @@ mod tests {
         assert!(command(&["serve-shard", "--model", "m", "--shard", "x"]).is_err());
         assert!(command(&["serve-shard", "--model", "m", "--shard", "0", "--bogus"]).is_err());
         assert_eq!(command(&["serve-shard", "--help"]).unwrap(), None);
+    }
+
+    #[test]
+    fn usage_states_the_infer_window() {
+        let window = INFER_WINDOW_BLOCKS * topmine_util::par::DOC_BLOCK;
+        assert!(USAGE.contains(&format!("windows of\n{:26}{window} x N", "")));
     }
 
     #[test]

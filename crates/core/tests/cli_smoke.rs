@@ -5,6 +5,9 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use topmine::cli::INFER_WINDOW_BLOCKS;
+use topmine_serve::{infer_doc, inference_json, load_bundle, InferConfig};
+use topmine_util::par::DOC_BLOCK;
 
 const CORPUS: &str = "\
 mining frequent patterns without candidate generation
@@ -219,6 +222,26 @@ fn save_model_then_infer_roundtrip() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// What `infer` (`--seed 9 --iters 25`) must print for `lines`, computed
+/// in-process: one `inference_json(infer_doc(..))` per line, line `i` on
+/// `seed_for_index(i)`.
+fn reference_infer(bundle: &std::path::Path, lines: &[&str]) -> String {
+    let model = load_bundle(bundle).unwrap();
+    let config = InferConfig {
+        fold_iters: 25,
+        seed: 9,
+        ..InferConfig::default()
+    };
+    lines
+        .iter()
+        .enumerate()
+        .map(|(i, text)| {
+            let inference = infer_doc(model.as_ref(), text, &config, config.seed_for_index(i));
+            inference_json(&inference) + "\n"
+        })
+        .collect()
+}
+
 #[test]
 fn infer_over_several_blocks_is_identical_at_any_thread_count() {
     let dir = scratch_dir("infer_blocks");
@@ -228,24 +251,55 @@ fn infer_over_several_blocks_is_identical_at_any_thread_count() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // 70 lines: two full blocks of 32 documents and a partial one.
-    let lines: Vec<&str> = CORPUS.lines().cycle().take(70).collect();
+    // More lines than one window at `--threads 3`, ending in a partial
+    // window that ends in a partial block of 32 documents.
+    let n_lines = INFER_WINDOW_BLOCKS * DOC_BLOCK * 3 + 70;
+    let lines: Vec<&str> = CORPUS.lines().cycle().take(n_lines).collect();
     let unseen = dir.join("unseen.txt");
     std::fs::write(&unseen, lines.join("\n")).unwrap();
-    let one = infer(&bundle, &unseen, "1");
-    assert!(
-        one.status.success(),
-        "{}",
-        String::from_utf8_lossy(&one.stderr)
-    );
-    assert_eq!(String::from_utf8_lossy(&one.stdout).lines().count(), 70);
-    for threads in ["2", "3"] {
-        assert_eq!(
-            infer(&bundle, &unseen, threads).stdout,
-            one.stdout,
-            "--threads {threads}"
+    let expected = reference_infer(&bundle, &lines);
+    for threads in ["1", "2", "3"] {
+        let out = infer(&bundle, &unseen, threads);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stdout) == expected,
+            "--threads {threads}: output differs from one infer_doc per line"
         );
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn infer_prints_the_windows_before_a_line_of_invalid_utf8() {
+    let dir = scratch_dir("infer_bad_window");
+    let (out, bundle) = fit_and_save(&dir);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // At `--threads 1` a window is `INFER_WINDOW_BLOCKS * DOC_BLOCK`
+    // lines: one full window, five lines of the next, then a bad line.
+    let window = INFER_WINDOW_BLOCKS * DOC_BLOCK;
+    let lines: Vec<&str> = CORPUS.lines().cycle().take(window + 5).collect();
+    let mut bytes = lines.join("\n").into_bytes();
+    bytes.extend_from_slice(b"\nquery \xff expansion\n");
+    let unseen = dir.join("bad.txt");
+    std::fs::write(&unseen, bytes).unwrap();
+    let out = infer(&bundle, &unseen, "1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    let bad_line = format!("line {}, byte 7: invalid UTF-8", window + 6);
+    assert!(stderr.contains(&bad_line), "stderr:\n{stderr}");
+    // The first window is printed whole; the five lines after it are not.
+    assert!(
+        String::from_utf8_lossy(&out.stdout) == reference_infer(&bundle, &lines[..window]),
+        "stdout is not the first window"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

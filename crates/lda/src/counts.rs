@@ -1,23 +1,24 @@
 //! The Gibbs count state: `N_dk`, `N_wk`, `N_k` behind one type.
 //!
 //! [`TopicCounts`] owns the three tables every reader of the sampler state
-//! goes through — the sequential sweep, the parallel sweep's
-//! workers, φ/θ point estimates, perplexity, and Minka's fixed-point
-//! hyperparameter updates. Centralizing them keeps the add/remove
-//! bookkeeping in one place and gives the parallel scheduler a single
-//! thing to read and merge into.
+//! goes through — both sweep schedules, φ/θ point estimates, perplexity,
+//! and Minka's fixed-point hyperparameter updates. Centralizing them keeps
+//! the add/remove bookkeeping in one place and gives the parallel
+//! scheduler a single thing to read and merge into.
 //!
-//! # Parallel sweeps read the live tables
+//! # One split borrow for both sweeps
 //!
-//! The parallel sweep samples every document against the
-//! sweep-start `N_wk`/`N_k`. No copy is needed for that: nothing writes
-//! `N_wk`, `N_k` or the per-word nonzero index between a sweep's start and
-//! its barrier, because the merge
-//! ([`apply_delta`](TopicCounts::apply_delta)) runs only after every
-//! worker has joined. [`sweep_views`](TopicCounts::sweep_views) therefore
-//! hands the workers the live tables, shared read-only, and the merge
-//! costs one write per sparse `(idx, Δ)` entry — proportional to how many
-//! counts moved, independent of V·K.
+//! `TopicCounts::sweep_views` hands out every table at once
+//! (`SweepViews`): the word side (`WordTables`: `N_wk`, its nonzero index,
+//! `N_k`) and the `N_dk` rows. The sequential sweep updates them in place
+//! through it. The snapshot sweep samples every document against the
+//! sweep-start `N_wk`/`N_k`, and needs no copy for that: nothing writes
+//! the word side between a sweep's start and its barrier, because the
+//! merge ([`apply_delta`](TopicCounts::apply_delta)) runs only after every
+//! worker has joined. Its workers therefore share the word side read-only
+//! and cut the `N_dk` rows into blocks, and the merge costs one write per
+//! sparse `(idx, Δ)` entry — proportional to how many counts moved,
+//! independent of V·K.
 //!
 //! # Sparse nonzero indexes
 //!
@@ -27,12 +28,14 @@
 //! tables, a **sorted** list of nonzero topics per `N_wk` row
 //! ([`word_nz`](TopicCounts::word_nz)) and per `N_dk` row
 //! ([`doc_nz`](TopicCounts::doc_nz)). Every mutation path keeps them in
-//! sync: `add_group`/`remove_group` on the sequential path, and the
-//! sparse `(idx, Δ)` barrier merge on the parallel path
-//! ([`apply_delta`](TopicCounts::apply_delta) watches the 0 ↔ nonzero
-//! transitions it already computes). Sorted order makes the kernel's
-//! bucket-sum iteration order canonical, which is what keeps the sampled
-//! chain bit-identical across thread counts.
+//! sync: a `CountRow`'s `add`/`sub`, which `add_group`,
+//! `WordTables::add`/`remove` and the sampler's one per-document update go
+//! through, on the live tables and on a document's gathered copy alike;
+//! and the sparse `(idx, Δ)` barrier merge
+//! ([`apply_delta`](TopicCounts::apply_delta)), which watches the 0 ↔
+//! nonzero transitions it already computes. Sorted order makes the
+//! kernel's bucket-sum iteration order canonical, which is what keeps the
+//! sampled chain bit-identical across thread counts.
 
 /// Dense count tables of a collapsed Gibbs chain over `D` documents,
 /// `V` words, and `K` topics, plus their sorted nonzero-topic indexes.
@@ -114,7 +117,7 @@ fn advise_huge<T>(table: &[T]) {
 /// no-op if present. The caller guarantees capacity: a topic list holds
 /// at most K entries and the row is K wide.
 #[inline]
-pub fn nz_row_insert(row: &mut [u16], len: &mut u16, t: u16) {
+fn nz_row_insert(row: &mut [u16], len: &mut u16, t: u16) {
     let n = *len as usize;
     if let Err(pos) = row[..n].binary_search(&t) {
         row.copy_within(pos..n, pos + 1);
@@ -125,7 +128,7 @@ pub fn nz_row_insert(row: &mut [u16], len: &mut u16, t: u16) {
 
 /// Remove `t` from a fixed-capacity sorted row (no-op if absent).
 #[inline]
-pub fn nz_row_remove(row: &mut [u16], len: &mut u16, t: u16) {
+fn nz_row_remove(row: &mut [u16], len: &mut u16, t: u16) {
     let n = *len as usize;
     if let Ok(pos) = row[..n].binary_search(&t) {
         row.copy_within(pos + 1..n, pos);
@@ -133,18 +136,110 @@ pub fn nz_row_remove(row: &mut [u16], len: &mut u16, t: u16) {
     }
 }
 
-/// Split-borrow of [`TopicCounts`] for one parallel sweep: the live
-/// `N_wk`/`N_k` and per-word nonzero index, shared read-only by every
-/// worker, plus `n_dk`/`nz_dk` chunked mutably per document block. The nz
-/// indexes come as flat fixed-capacity-K rows plus their length arrays.
-pub struct SweepViews<'a> {
-    pub n_wk: &'a [u32],
-    pub n_k: &'a [u64],
-    pub n_dk: &'a mut [u32],
-    pub nz_wk: &'a [u16],
-    pub nz_wk_len: &'a [u16],
-    pub nz_dk: &'a mut [u16],
-    pub nz_dk_len: &'a mut [u16],
+/// One K-wide count row with its sorted nonzero-topic row (flat, K wide)
+/// and that row's live length: an `N_dk` row, or an `N_wk` row of the
+/// live tables or of a gathered copy. [`add`](Self::add) and
+/// [`sub`](Self::sub) keep the nonzero row in step with the counts.
+pub(crate) struct CountRow<'a> {
+    pub(crate) n: &'a mut [u32],
+    nz: &'a mut [u16],
+    nz_len: &'a mut u16,
+}
+
+impl<'a> CountRow<'a> {
+    /// Row `i` of the K-wide tables `n` and `nz`, with live length
+    /// `nz_len[i]`.
+    #[inline]
+    pub(crate) fn at(
+        n: &'a mut [u32],
+        nz: &'a mut [u16],
+        nz_len: &'a mut [u16],
+        i: usize,
+        k: usize,
+    ) -> Self {
+        Self {
+            n: &mut n[i * k..(i + 1) * k],
+            nz: &mut nz[i * k..(i + 1) * k],
+            nz_len: &mut nz_len[i],
+        }
+    }
+
+    /// The topics with a nonzero count, sorted.
+    #[inline]
+    pub(crate) fn nonzero(&self) -> &[u16] {
+        &self.nz[..*self.nz_len as usize]
+    }
+
+    /// Put `by` tokens into topic `t`.
+    #[inline]
+    pub(crate) fn add(&mut self, t: usize, by: u32) {
+        if self.n[t] == 0 {
+            nz_row_insert(self.nz, self.nz_len, t as u16);
+        }
+        self.n[t] += by;
+    }
+
+    /// Take `by` tokens out of topic `t`.
+    #[inline]
+    pub(crate) fn sub(&mut self, t: usize, by: u32) {
+        self.n[t] -= by;
+        if self.n[t] == 0 {
+            nz_row_remove(self.nz, self.nz_len, t as u16);
+        }
+    }
+}
+
+/// The word side of a chain: `N_wk` with its nonzero index (K-wide rows,
+/// laid out as in [`TopicCounts`]) and `N_k`. Rows are indexed by the word
+/// ids of the tokens handed in: vocabulary ids on the live tables,
+/// document-local ids on a document's gathered copy.
+pub(crate) struct WordTables<'a> {
+    pub(crate) n_wk: &'a mut [u32],
+    pub(crate) nz_wk: &'a mut [u16],
+    pub(crate) nz_wk_len: &'a mut [u16],
+    pub(crate) n_k: &'a mut [u64],
+}
+
+impl WordTables<'_> {
+    /// Word `w`'s `N_wk` row and its sorted nonzero topics.
+    #[inline]
+    pub(crate) fn word(&self, w: u32) -> (&[u32], &[u16]) {
+        let (w, k) = (w as usize, self.n_k.len());
+        (
+            &self.n_wk[w * k..(w + 1) * k],
+            &self.nz_wk[w * k..w * k + self.nz_wk_len[w] as usize],
+        )
+    }
+
+    /// Put a clique's tokens into topic `t`.
+    #[inline]
+    pub(crate) fn add(&mut self, tokens: &[u32], t: usize) {
+        let k = self.n_k.len();
+        for &w in tokens {
+            CountRow::at(self.n_wk, self.nz_wk, self.nz_wk_len, w as usize, k).add(t, 1);
+        }
+        self.n_k[t] += tokens.len() as u64;
+    }
+
+    /// Take a clique's tokens out of topic `t`.
+    #[inline]
+    pub(crate) fn remove(&mut self, tokens: &[u32], t: usize) {
+        let k = self.n_k.len();
+        for &w in tokens {
+            CountRow::at(self.n_wk, self.nz_wk, self.nz_wk_len, w as usize, k).sub(t, 1);
+        }
+        self.n_k[t] -= tokens.len() as u64;
+    }
+}
+
+/// Every table of a [`TopicCounts`], split-borrowed for one sweep: the
+/// word side, and the `N_dk` rows with their nonzero index (flat, K wide)
+/// for the sweep to cut per document or per block of documents.
+pub(crate) struct SweepViews<'a> {
+    pub(crate) words: WordTables<'a>,
+    pub(crate) n_dk: &'a mut [u32],
+    pub(crate) nz_dk: &'a mut [u16],
+    pub(crate) nz_dk_len: &'a mut [u16],
 }
 
 impl PartialEq for TopicCounts {
@@ -222,36 +317,6 @@ impl TopicCounts {
         &self.n_k
     }
 
-    /// This word's `N_wk` row (length K).
-    #[inline]
-    pub fn word_row(&self, w: u32) -> &[u32] {
-        &self.n_wk[w as usize * self.k..(w as usize + 1) * self.k]
-    }
-
-    /// Hint the hardware prefetcher at word `w`'s `N_wk` row and nonzero
-    /// row. The sweep visits words in corpus order — effectively random
-    /// over V — so the next group's rows are almost never resident;
-    /// issuing the loads one group ahead hides most of the miss latency
-    /// for the sparse and the dense draw alike. A no-op off x86_64.
-    #[inline]
-    pub fn prefetch_word(&self, w: u32) {
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let base = w as usize * self.k;
-            let row = self.n_wk.as_ptr().add(base) as *const i8;
-            _mm_prefetch(row, _MM_HINT_T0);
-            if self.k > 16 {
-                // A u32 row longer than one cache line: touch its tail too
-                // (the dense multi-token draw reads all K entries).
-                _mm_prefetch(row.add(self.k * 4 - 1), _MM_HINT_T0);
-            }
-            _mm_prefetch(self.nz_wk.as_ptr().add(base) as *const i8, _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = w;
-    }
-
     /// Sorted topics with `N_wk > 0` for word `w`.
     #[inline]
     pub fn word_nz(&self, w: u32) -> &[u16] {
@@ -301,81 +366,31 @@ impl TopicCounts {
         Ok(())
     }
 
-    /// Split-borrow for one parallel sweep: the live `N_wk`/`N_k` and
-    /// per-word nonzero index (shared across worker threads, which only
-    /// read them before the barrier merge), the mutable `N_dk` rows
-    /// (chunked per document block), and `nz_dk` (chunked like `n_dk`).
+    /// Split-borrow every table for one sweep (see [`SweepViews`]).
     #[inline]
-    pub fn sweep_views(&mut self) -> SweepViews<'_> {
+    pub(crate) fn sweep_views(&mut self) -> SweepViews<'_> {
         SweepViews {
-            n_wk: &self.n_wk,
-            n_k: &self.n_k,
+            words: WordTables {
+                n_wk: &mut self.n_wk,
+                nz_wk: &mut self.nz_wk,
+                nz_wk_len: &mut self.nz_wk_len,
+                n_k: &mut self.n_k,
+            },
             n_dk: &mut self.n_dk,
-            nz_wk: &self.nz_wk,
-            nz_wk_len: &self.nz_wk_len,
             nz_dk: &mut self.nz_dk,
             nz_dk_len: &mut self.nz_dk_len,
         }
     }
 
-    /// Move a clique's tokens into topic `topic`.
-    #[inline]
+    /// Put a clique of document `d` into topic `topic` (initialization,
+    /// and the rebuild [`PhraseLda::check_counts`](crate::PhraseLda::check_counts)
+    /// compares against).
     pub fn add_group(&mut self, d: usize, tokens: &[u32], topic: u16) {
-        let kt = topic as usize;
-        for &w in tokens {
-            let base = w as usize * self.k;
-            let cell = &mut self.n_wk[base + kt];
-            if *cell == 0 {
-                nz_row_insert(
-                    &mut self.nz_wk[base..base + self.k],
-                    &mut self.nz_wk_len[w as usize],
-                    topic,
-                );
-            }
-            *cell += 1;
-        }
-        let s = tokens.len() as u32;
-        let base = d * self.k;
-        let cell = &mut self.n_dk[base + kt];
-        if *cell == 0 {
-            nz_row_insert(
-                &mut self.nz_dk[base..base + self.k],
-                &mut self.nz_dk_len[d],
-                topic,
-            );
-        }
-        *cell += s;
-        self.n_k[kt] += s as u64;
-    }
-
-    /// Remove a clique's tokens from topic `topic`.
-    #[inline]
-    pub fn remove_group(&mut self, d: usize, tokens: &[u32], topic: u16) {
-        let kt = topic as usize;
-        for &w in tokens {
-            let base = w as usize * self.k;
-            let cell = &mut self.n_wk[base + kt];
-            *cell -= 1;
-            if *cell == 0 {
-                nz_row_remove(
-                    &mut self.nz_wk[base..base + self.k],
-                    &mut self.nz_wk_len[w as usize],
-                    topic,
-                );
-            }
-        }
-        let s = tokens.len() as u32;
-        let base = d * self.k;
-        let cell = &mut self.n_dk[base + kt];
-        *cell -= s;
-        if *cell == 0 {
-            nz_row_remove(
-                &mut self.nz_dk[base..base + self.k],
-                &mut self.nz_dk_len[d],
-                topic,
-            );
-        }
-        self.n_k[kt] -= s as u64;
+        let k = self.k;
+        let mut views = self.sweep_views();
+        views.words.add(tokens, topic as usize);
+        CountRow::at(views.n_dk, views.nz_dk, views.nz_dk_len, d, k)
+            .add(topic as usize, tokens.len() as u32);
     }
 
     /// Apply one shard's signed count delta from a parallel sweep:
@@ -416,6 +431,16 @@ impl TopicCounts {
 mod tests {
     use super::*;
 
+    /// Take a clique back out through the sweep views, as a Gibbs update
+    /// does before it redraws the clique's topic.
+    fn remove_group(c: &mut TopicCounts, d: usize, tokens: &[u32], topic: usize) {
+        let k = c.n_topics();
+        let mut views = c.sweep_views();
+        views.words.remove(tokens, topic);
+        CountRow::at(views.n_dk, views.nz_dk, views.nz_dk_len, d, k)
+            .sub(topic, tokens.len() as u32);
+    }
+
     #[test]
     fn add_remove_round_trips() {
         let mut c = TopicCounts::new(2, 5, 3);
@@ -424,7 +449,7 @@ mod tests {
         assert_eq!(c.n_wk(4, 2), 2);
         assert_eq!(c.n_k(2), 3);
         assert_eq!(c.doc_row(1), &[0, 0, 3]);
-        c.remove_group(1, &[0, 4, 4], 2);
+        remove_group(&mut c, 1, &[0, 4, 4], 2);
         assert_eq!(c, TopicCounts::new(2, 5, 3));
     }
 
@@ -438,10 +463,10 @@ mod tests {
         assert_eq!(c.doc_nz(1), &[0, 2]);
         assert!(c.doc_nz(0).is_empty());
         c.validate_nz().unwrap();
-        c.remove_group(1, &[4], 0);
+        remove_group(&mut c, 1, &[4], 0);
         assert_eq!(c.word_nz(4), &[2]);
         assert_eq!(c.doc_nz(1), &[2]);
-        c.remove_group(1, &[0, 4, 4], 2);
+        remove_group(&mut c, 1, &[0, 4, 4], 2);
         assert!(c.word_nz(4).is_empty());
         assert!(c.doc_nz(1).is_empty());
         c.validate_nz().unwrap();

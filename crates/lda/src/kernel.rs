@@ -1,9 +1,10 @@
 //! The shared Eq. 7 clique-posterior kernel.
 //!
-//! Every Gibbs update in the workspace — training sweeps (sequential and
-//! parallel), held-out fold-in, and the serving layer's frozen-φ
-//! fold-in (`topmine_serve::infer`) — samples a topic for a *clique* of
-//! tokens from the same posterior shape:
+//! Every Gibbs update in the workspace — the training sweeps' one
+//! per-document update (`sampler::update_doc`, under both sweep
+//! schedules), held-out fold-in, and the serving layer's frozen-φ fold-in
+//! (`topmine_serve::infer`) — samples a topic for a *clique* of tokens
+//! from the same posterior shape:
 //!
 //! ```text
 //! p(C = k | ·) ∝ ∏_{j=0..s-1} (α_k + N_dk + j) · num_k(w_j, m_j) / den_k(j)
@@ -12,11 +13,12 @@
 //! The document side `(α_k + N_dk + j)` is universal; what varies is where
 //! the word side reads from. [`CountsView`] abstracts exactly that seam:
 //!
-//! * training reads live Gibbs counts — `num = β + N_wk + m`,
+//! * training reads Gibbs counts — `num = β + N_wk + m`,
 //!   `den = Vβ + N_k + j` (the exact Gamma-ratio form with the
-//!   within-clique multiplicity `m`);
-//! * the parallel sweep reads the same formula through a per-document
-//!   *gathered* copy of the sweep snapshot (document-local word ids);
+//!   within-clique multiplicity `m`) — from one call site, the update,
+//!   which the sequential sweep points at the live tables and the
+//!   snapshot sweep at a per-document *gathered* copy of the sweep-start
+//!   tables (document-local word ids);
 //! * fold-in reads a frozen φ point estimate — `num = φ_{k,w}`, `den = 1`
 //!   (φ is fixed, so there is no Gamma-ratio correction).
 //!
@@ -115,10 +117,11 @@ pub trait CountsView {
 }
 
 /// Training view over `N_wk`/`N_k` count tables: `num = β + N_wk + m`,
-/// `den = Vβ + N_k + j`. The sequential sweep points it at the live global
-/// tables; the parallel sweep points it at a per-document gathered
-/// copy of the sweep snapshot (word ids document-local) — same math, so
-/// the two training paths cannot diverge in anything but schedule.
+/// `den = Vβ + N_k + j`. The training update builds it over whichever word
+/// side it was handed: the live global tables in the sequential sweep, a
+/// per-document gathered copy of the sweep-start tables (word ids
+/// document-local) in the snapshot sweep — one call site, so the two
+/// schedules cannot diverge in anything but schedule.
 pub struct TrainView<'a> {
     n_wk: &'a [u32],
     n_k: &'a [u64],

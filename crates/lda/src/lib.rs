@@ -14,8 +14,9 @@
 //! * [`counts`] — the `N_dk`/`N_wk`/`N_k` count state the sampler mutates
 //!   and merges into (parallel workers read it in place), plus the sorted
 //!   nonzero-topic indexes the sparse kernel iterates.
-//! * [`sampler`] — the sweeps over the kernel: the exact sequential
-//!   chain (`n_threads == 1`) and the snapshot-and-merge sweep, whose
+//! * [`sampler`] — the sweeps over the kernel, two schedules of one
+//!   per-document update: the exact sequential chain (`n_threads == 1`)
+//!   on the live tables and the snapshot-and-merge sweep, whose
 //!   blocks of 32 documents go to whichever worker is free next on
 //!   `topmine_util::par` (bit-identical across all `n_threads ≥ 2`; each
 //!   document's merge delta holds only the cells it moved),

@@ -21,25 +21,35 @@
 //! state ([`TopicCounts`] + per-group assignments) and decides how a sweep
 //! walks the corpus.
 //!
-//! # Parallel sweeps
+//! # Two sweep schedules, one update
 //!
-//! With `n_threads == 1` a sweep is the classic sequential scan: every
-//! update is visible to the next, the historical chain bit-for-bit. With
+//! A sweep is a schedule over one per-document Gibbs update
+//! (`update_doc`): each clique of the document in order is taken out of
+//! the counts, its topic drawn, and put back. The update reads and writes
+//! the word side through one `WordTables` — `N_wk` rows, their nonzero
+//! rows, `N_k` — indexed by the token ids it is handed, so what differs
+//! between the two schedules stays in their callers.
+//!
+//! With `n_threads == 1` the sweep is the classic sequential scan: the
+//! update runs on the live tables with the chain's one RNG, every update
+//! is visible to the next, and the smoothing bucket's alias table is
+//! rebuilt at a document boundary once enough topics went dirty. With
 //! `n_threads = T ≥ 2` the sweep is a *snapshot sweep* in the style of
 //! Newman et al.'s AD-LDA ("Distributed Algorithms for Topic Models", JMLR
 //! 2009): blocks of [`DOC_BLOCK`] documents go to whichever worker is free
-//! next ([`topmine_util::par::for_each`], the workspace's one scheduler),
-//! every document is sampled against `sweep-start N_wk/N_k + its own
-//! in-sweep delta` with an RNG stream derived from `(seed, sweep, doc)`,
-//! and the per-worker count deltas merge at a barrier. The sweep-start
-//! tables need no copy: workers read the live tables in place, because
-//! nothing writes them until the barrier merge runs after the pass.
+//! next ([`topmine_util::par::for_each`], the workspace's one scheduler).
+//! Each document's rows are gathered from the sweep-start `N_wk`/`N_k`
+//! onto doc-local word ids, the dirty set is cleared (the alias table was
+//! built over the sweep-start `N_k`), and the update runs on that copy
+//! with an RNG stream derived from `(seed, sweep, doc)`; the per-worker
+//! count deltas merge at a barrier. The sweep-start tables need no copy:
+//! workers read the live tables in place, because nothing writes them
+//! until the barrier merge runs after the pass.
 //!
-//! Each document's delta is folded from only the cells it moved: when a
-//! clique changes topic, its tokens' (word, old) and (word, new) cells are
-//! recorded, and at the document's end each recorded cell whose local
-//! count differs from the table emits `local − table` once. The merge
-//! thus costs what the sweep changed, not distinct words × K.
+//! Each document's delta is folded from only the cells it moved: for each
+//! clique whose topic changed, its tokens' (word, old) and (word, new)
+//! cells emit `local − table` once where the two differ. The merge thus
+//! costs what the sweep changed, not distinct words × K.
 //!
 //! Because each document's view and randomness are independent of which
 //! worker swept it, the chain is **bit-identical for every `T ≥ 2`** —
@@ -49,14 +59,14 @@
 //! that is the documented snapshot-sweep approximation, property-tested in
 //! `tests/parallel_determinism.rs` rather than assumed away.
 
-use crate::counts::{nz_row_insert, nz_row_remove, TopicCounts};
+use crate::counts::{CountRow, TopicCounts, WordTables};
 use crate::kernel::{
     self, doc_stream_seed, sample_clique, sample_singleton_sparse_split, CliqueScratch, DocBucket,
     FixedPhiView, FoldInScratch, SingletonBucket, SmoothingBucket, TrainView,
 };
 use crate::model::{GroupedDoc, GroupedDocs};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
 use topmine_obs::{DrawSplit, SweepTelemetry, TraceEvent, TraceSink};
 use topmine_util::par::{self, DOC_BLOCK};
@@ -132,19 +142,46 @@ impl TopicModelConfig {
 // [`PhraseLda::sweep_stats`] and consumed by the perfbench fit workload,
 // the `--progress` flag, and the `TOPMINE_TRACE` sink.
 
-/// Per-worker reusable sweep state: the scatter-gather buffers of the
-/// parallel sweep, its merge delta, plus the kernel scratch and
-/// weight vector. One of these lives per worker (and one for the
-/// sequential path), allocated on first use and reused across documents
-/// *and* sweeps — buffers are cleared rather than freed, so the
-/// steady-state fit loop performs no per-clique, per-document or
-/// per-delta heap allocation.
+/// The state [`update_doc`] reuses across cliques, documents and sweeps:
+/// the draw buffers, the two sparse buckets, and the draw split it
+/// tallies until its caller takes it.
 #[derive(Debug, Clone, Default)]
-struct SweepScratch {
+struct UpdateScratch {
     /// Kernel scratch (within-clique multiplicities).
     clique: CliqueScratch,
     /// The dense draw's running sums over topics (length K).
     cum: Vec<f64>,
+    /// Sparse-kernel topic-word weights (length = current word's nnz).
+    q_buf: Vec<f64>,
+    /// Sparse-kernel smoothing bucket (alias table + dirty set).
+    smoothing: SmoothingBucket,
+    /// Sparse-kernel document bucket.
+    doc_bucket: DocBucket,
+    /// Singleton/dense draw split since the caller last took it.
+    draws: DrawSplit,
+}
+
+impl UpdateScratch {
+    /// Refresh both sparse buckets for topic `t` after a move left it at
+    /// `N_dk = ndk_t` and `N_k = nk_t`; one reciprocal serves both.
+    #[inline]
+    fn refresh(&mut self, prior: Prior<'_>, t: usize, ndk_t: u32, nk_t: u64) {
+        let inv_den = 1.0 / (prior.v_beta + nk_t as f64);
+        self.doc_bucket.update_topic(t, ndk_t, prior.beta, inv_den);
+        self.smoothing
+            .mark_dirty(t, prior.alpha[t], prior.beta, inv_den);
+    }
+}
+
+/// Per-worker reusable sweep state: the update's state plus the snapshot
+/// sweep's gather buffers and merge delta. One of these lives per worker
+/// (index 0 also serves the sequential sweep, which uses only `update`),
+/// allocated on first use and reused across documents *and* sweeps —
+/// buffers are cleared rather than freed, so the steady-state fit loop
+/// performs no per-clique, per-document or per-delta heap allocation.
+#[derive(Debug, Clone, Default)]
+struct SweepScratch {
+    update: UpdateScratch,
     /// Word → epoch of the document that last claimed the slot (length V).
     stamp: Vec<u32>,
     /// Word → doc-local id, valid when `stamp[w]` equals the current epoch.
@@ -155,56 +192,37 @@ struct SweepScratch {
     local_tokens: Vec<u32>,
     /// Gathered `N_wk` rows for the distinct words (`n_distinct × K`).
     local_wk: Vec<u32>,
+    /// Gathered nonzero-topic rows for the distinct words, flat at
+    /// capacity K per row like `TopicCounts`' `nz_wk`: local word `li`'s
+    /// list is `local_nz[li*K .. li*K + local_nz_len[li]]`.
+    local_nz: Vec<u16>,
+    /// Live lengths of the `local_nz` rows.
+    local_nz_len: Vec<u16>,
     /// Gathered `N_k` (length K).
     local_nk: Vec<u64>,
     /// Stamp epoch of the document currently being gathered.
     epoch: u32,
-    /// Sparse-kernel topic-word weights (length = current word's nnz).
-    q_buf: Vec<f64>,
-    /// Sparse-kernel smoothing bucket (alias table + dirty set).
-    smoothing: SmoothingBucket,
-    /// Sparse-kernel document bucket.
-    doc_bucket: DocBucket,
-    /// Gathered nonzero-topic rows for the distinct words (parallel
-    /// path; mirrors `local_wk` rows), flat at capacity K per row like
-    /// `TopicCounts`' `nz_wk`: local word `li`'s list is
-    /// `local_nz[li*K .. li*K + local_nz_len[li]]`.
-    local_nz: Vec<u16>,
-    /// Live lengths of the `local_nz` rows.
-    local_nz_len: Vec<u16>,
-    /// `(local word, topic)` cells the current document's topic changes
-    /// touched, in the order they moved (repeats allowed).
-    moved: Vec<(u32, u32)>,
+    /// The document's clique topics before its update, to find the
+    /// cliques that moved.
+    z_before: Vec<u16>,
     /// The worker's contribution to this sweep's barrier merge.
     delta: WorkerDelta,
 }
 
 impl SweepScratch {
-    /// Size the K-dependent buffers (no-op once sized).
-    fn prepare(&mut self, k: usize) {
-        if self.cum.len() != k {
-            self.cum.clear();
-            self.cum.resize(k, 0.0);
-        }
-        if self.local_nk.len() != k {
-            self.local_nk.clear();
-            self.local_nk.resize(k, 0);
-        }
-    }
-
-    /// Start a parallel sweep: an empty delta, and the smoothing alias
+    /// Start a snapshot sweep: an empty delta, and the smoothing alias
     /// table built over the sweep-start `N_k`. Every worker starts from
     /// this state, before any block is handed out, so a document's draws
     /// cannot depend on which worker sweeps it. Every document restarts
     /// its local `N_k` from that table and resets the dirty set, so the
     /// alias table never goes stale within a sweep.
-    fn begin_sweep(&mut self, alpha: &[f64], beta: f64, v_beta: f64, n_k: &[u64]) {
-        self.prepare(alpha.len());
+    fn begin_sweep(&mut self, prior: Prior<'_>, n_k: &[u64]) {
         self.delta.wk.clear();
         self.delta.k.clear();
-        self.delta.k.resize(alpha.len(), 0);
-        self.delta.draws = DrawSplit::default();
-        self.smoothing.rebuild(alpha, beta, v_beta, n_k);
+        self.delta.k.resize(n_k.len(), 0);
+        self.update
+            .smoothing
+            .rebuild(prior.alpha, prior.beta, prior.v_beta, n_k);
     }
 
     /// Advance the word-stamp epoch for a new document, (re)initializing
@@ -224,6 +242,103 @@ impl SweepScratch {
             self.epoch = 1;
         }
         self.epoch
+    }
+
+    /// Sweep one document of a snapshot sweep against the sweep-start
+    /// word side `words`, and add the cells it moved to the worker's delta
+    /// for the barrier merge — `Δ N_wk` as a sparse `(index, delta)` list,
+    /// so merge cost tracks how much actually changed rather than `V × K`.
+    ///
+    /// The document's rows are gathered onto dense doc-local word ids (the
+    /// same scatter-gather shape `topmine_serve::infer` uses) and
+    /// [`update_doc`] runs on that copy, so the document reads
+    /// `sweep-start tables + own-document delta` without ever writing
+    /// shared state: the result depends only on `(tables, doc, its RNG
+    /// stream)`, never on which worker runs the block.
+    fn sweep_doc(
+        &mut self,
+        rng: &mut StdRng,
+        prior: Prior<'_>,
+        words: &WordTables<'_>,
+        doc: &GroupedDoc,
+        z: &mut [u16],
+        counts: CountRow<'_>,
+    ) {
+        let k = prior.alpha.len();
+        // Gather: dense doc-local word ids plus their table rows. The
+        // word → doc-local id map is a stamped table (O(1), no hashing);
+        // the stamp records which epoch (document) last claimed the slot.
+        let epoch = self.next_epoch(words.nz_wk_len.len());
+        self.distinct.clear();
+        self.local_tokens.clear();
+        for &w in &doc.tokens {
+            let wi = w as usize;
+            if self.stamp[wi] != epoch {
+                self.stamp[wi] = epoch;
+                self.local_id[wi] = self.distinct.len() as u32;
+                self.distinct.push(w);
+            }
+            self.local_tokens.push(self.local_id[wi]);
+        }
+        // Gathered rows stay unsigned: a document only ever removes counts
+        // its own previous-sweep assignments put into the table. The
+        // nonzero rows come along; the update keeps them in sync.
+        let n_distinct = self.distinct.len();
+        self.local_wk.clear();
+        if self.local_nz.len() < n_distinct * k {
+            self.local_nz.resize(n_distinct * k, 0);
+            self.local_nz_len.resize(n_distinct, 0);
+        }
+        for (li, &w) in self.distinct.iter().enumerate() {
+            let (row, nz) = words.word(w);
+            self.local_wk.extend_from_slice(row);
+            self.local_nz[li * k..li * k + nz.len()].copy_from_slice(nz);
+            self.local_nz_len[li] = nz.len() as u16;
+        }
+        self.local_nk.clear();
+        self.local_nk.extend_from_slice(words.n_k);
+        // `local_nk` just reset to the `N_k` the alias table was built
+        // over: the dirty set starts empty for every document.
+        self.update.smoothing.clear_dirty();
+        self.z_before.clear();
+        self.z_before.extend_from_slice(z);
+        let mut local = WordTables {
+            n_wk: &mut self.local_wk,
+            nz_wk: &mut self.local_nz,
+            nz_wk_len: &mut self.local_nz_len,
+            n_k: &mut self.local_nk,
+        };
+        let side = DocSide {
+            tokens: &self.local_tokens,
+            ends: &doc.group_ends,
+            z,
+            counts,
+        };
+        update_doc(rng, prior, &mut local, side, &mut self.update);
+
+        // Fold the document's delta from the cliques that changed topic:
+        // each of their (word, old) and (word, new) cells emits
+        // `local − table` once, then matches the table, so a repeated cell
+        // (or one the document moved back) emits nothing.
+        let delta = &mut self.delta;
+        for ((&old, &new), (s, e)) in self.z_before.iter().zip(z.iter()).zip(doc.group_ranges()) {
+            if old == new {
+                continue;
+            }
+            delta.k[old as usize] -= (e - s) as i64;
+            delta.k[new as usize] += (e - s) as i64;
+            for &lw in &self.local_tokens[s..e] {
+                for t in [old as usize, new as usize] {
+                    let idx = self.distinct[lw as usize] as usize * k + t;
+                    let local = &mut self.local_wk[lw as usize * k + t];
+                    if *local != words.n_wk[idx] {
+                        let dv = *local as i64 - words.n_wk[idx] as i64;
+                        delta.wk.push((idx as u32, dv as i32));
+                        *local = words.n_wk[idx];
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -352,116 +467,39 @@ impl PhraseLda {
         }
     }
 
-    /// The exact sequential sweep: every clique update is visible to the
-    /// next. Singleton cliques take the bucketed sparse draw, multi-token
-    /// cliques the dense Eq. 7 posterior (see
-    /// [`crate::kernel::KERNEL_VERSION`]).
+    /// The exact sequential sweep: [`update_doc`] on the live tables with
+    /// the chain's one RNG, so every clique update is visible to the next.
     fn sweep_sequential(&mut self) {
         let k = self.k;
-        let v_beta = self.v as f64 * self.beta;
+        let prior = Prior {
+            alpha: &self.alpha,
+            beta: self.beta,
+            v_beta: self.v as f64 * self.beta,
+        };
         if self.scratch.is_empty() {
             self.scratch.push(SweepScratch::default());
         }
-        let scratch = &mut self.scratch[0];
-        scratch.prepare(k);
-        scratch
-            .smoothing
-            .rebuild(&self.alpha, self.beta, v_beta, self.counts.n_k_table());
-        let mut draws = DrawSplit::default();
-
-        for d in 0..self.docs.n_docs() {
-            let n_groups = self.z[d].len();
+        let s = &mut self.scratch[0].update;
+        let mut views = self.counts.sweep_views();
+        s.smoothing
+            .rebuild(prior.alpha, prior.beta, prior.v_beta, views.words.n_k);
+        for (d, (doc, z)) in self.docs.docs.iter().zip(&mut self.z).enumerate() {
             // Rebuild cadence: the alias table goes stale as topics
             // dirty; refresh at document boundaries once the dirty
             // walk would cost a meaningful fraction of a dense scan.
-            if smoothing_rebuild_due(scratch.smoothing.n_dirty(), k) {
-                scratch
-                    .smoothing
-                    .rebuild(&self.alpha, self.beta, v_beta, self.counts.n_k_table());
+            if smoothing_rebuild_due(s.smoothing.n_dirty(), k) {
+                s.smoothing
+                    .rebuild(prior.alpha, prior.beta, prior.v_beta, views.words.n_k);
             }
-            scratch.doc_bucket.begin_doc(
-                self.counts.doc_nz(d),
-                self.counts.doc_row(d),
-                self.counts.n_k_table(),
-                self.beta,
-                v_beta,
-                k,
-            );
-            let mut start = 0usize;
-            for g in 0..n_groups {
-                let end = self.docs.docs[d].group_ends[g] as usize;
-                // Pull upcoming groups' word rows toward the cache while
-                // this group samples — the words are effectively random
-                // over V, so without the hint every group starts on a
-                // cold `N_wk` row. Two tokens of lookahead: one group's
-                // work is shorter than a DRAM round-trip.
-                if let Some(&w_next) = self.docs.docs[d].tokens.get(end) {
-                    self.counts.prefetch_word(w_next);
-                }
-                if let Some(&w_next2) = self.docs.docs[d].tokens.get(end + 1) {
-                    self.counts.prefetch_word(w_next2);
-                }
-                let old = self.z[d][g];
-                let tokens = &self.docs.docs[d].tokens[start..end];
-                self.counts.remove_group(d, tokens, old);
-                let t = old as usize;
-                let inv_den = 1.0 / (v_beta + self.counts.n_k_table()[t] as f64);
-                scratch
-                    .doc_bucket
-                    .update_topic(t, self.counts.doc_row(d)[t], self.beta, inv_den);
-                scratch
-                    .smoothing
-                    .mark_dirty(t, self.alpha[t], self.beta, inv_den);
-                let new = if tokens.len() == 1 {
-                    let w = tokens[0];
-                    let (t, bucket) = sample_singleton_sparse_split(
-                        &mut self.rng,
-                        &self.alpha,
-                        v_beta,
-                        self.counts.word_row(w),
-                        self.counts.word_nz(w),
-                        self.counts.doc_row(d),
-                        self.counts.doc_nz(d),
-                        self.counts.n_k_table(),
-                        &scratch.doc_bucket,
-                        &scratch.smoothing,
-                        &mut scratch.q_buf,
-                    );
-                    tally_draw(&mut draws, bucket);
-                    t as u16
-                } else {
-                    let view = TrainView::new(
-                        self.counts.n_wk_table(),
-                        self.counts.n_k_table(),
-                        k,
-                        self.beta,
-                        v_beta,
-                    );
-                    draws.dense += 1;
-                    sample_clique(
-                        &mut self.rng,
-                        &view,
-                        &self.alpha,
-                        self.counts.doc_row(d),
-                        tokens,
-                        &mut scratch.clique,
-                        &mut scratch.cum,
-                    ) as u16
-                };
-                self.z[d][g] = new;
-                self.counts.add_group(d, tokens, new);
-                let t = new as usize;
-                let inv_den = 1.0 / (v_beta + self.counts.n_k_table()[t] as f64);
-                scratch
-                    .doc_bucket
-                    .update_topic(t, self.counts.doc_row(d)[t], self.beta, inv_den);
-                scratch
-                    .smoothing
-                    .mark_dirty(t, self.alpha[t], self.beta, inv_den);
-                start = end;
-            }
+            let side = DocSide {
+                tokens: &doc.tokens,
+                ends: &doc.group_ends,
+                z,
+                counts: CountRow::at(views.n_dk, views.nz_dk, views.nz_dk_len, d, k),
+            };
+            update_doc(&mut self.rng, prior, &mut views.words, side, s);
         }
-        self.stats.draws.merge(&draws);
+        self.stats.draws.merge(&std::mem::take(&mut s.draws));
     }
 
     /// One snapshot sweep over blocks of documents (see module docs):
@@ -482,18 +520,21 @@ impl PhraseLda {
             "vocab_size * n_topics exceeds the u32 delta index space"
         );
         let k = self.k;
-        let v_beta = self.v as f64 * self.beta;
+        let prior = Prior {
+            alpha: &self.alpha,
+            beta: self.beta,
+            v_beta: self.v as f64 * self.beta,
+        };
         if self.scratch.len() < threads {
             self.scratch.resize_with(threads, SweepScratch::default);
         }
         self.stats.parallel_sweeps += 1;
         let views = self.counts.sweep_views();
-        let (n_wk, n_k, nz_wk, nz_wk_len) = (views.n_wk, views.n_k, views.nz_wk, views.nz_wk_len);
+        let words = &views.words;
         let (sweep, seed) = (self.sweeps_done as u64, self.config.seed);
-        let (alpha, beta) = (&self.alpha, self.beta);
         let workers = &mut self.scratch[..threads];
         for scratch in workers.iter_mut() {
-            scratch.begin_sweep(alpha, beta, v_beta, n_k);
+            scratch.begin_sweep(prior, words.n_k);
         }
         let blocks = self
             .docs
@@ -508,27 +549,15 @@ impl PhraseLda {
             blocks,
             workers,
             |scratch, (b, ((((docs, z), ndk), nz_dk), nz_dk_len))| {
-                sweep_block(
-                    BlockCtx {
-                        docs,
-                        z,
-                        ndk,
-                        nz_dk,
-                        nz_dk_len,
-                        n_wk,
-                        n_k,
-                        nz_wk,
-                        nz_wk_len,
-                        alpha,
-                        k,
-                        beta,
-                        v_beta,
-                        seed,
-                        sweep,
-                        first_doc: b * DOC_BLOCK,
-                    },
-                    scratch,
-                )
+                for (i, (doc, z)) in docs.iter().zip(z).enumerate() {
+                    if doc.group_ends.is_empty() {
+                        continue;
+                    }
+                    let d = (b * DOC_BLOCK + i) as u64;
+                    let mut rng = StdRng::seed_from_u64(doc_stream_seed(seed, sweep, d));
+                    let counts = CountRow::at(ndk, nz_dk, nz_dk_len, i, k);
+                    scratch.sweep_doc(&mut rng, prior, words, doc, z, counts);
+                }
             },
         );
         // Barrier merge. Integer deltas commute and the nonzero lists are
@@ -539,7 +568,9 @@ impl PhraseLda {
             let delta = &mut scratch.delta;
             self.stats.merge_delta_entries += delta.wk.len() as u64;
             self.counts.apply_delta(&delta.wk, &delta.k);
-            self.stats.draws.merge(&delta.draws);
+            self.stats
+                .draws
+                .merge(&std::mem::take(&mut scratch.update.draws));
             // Early sweeps move several times more cells than later ones
             // (1.8M against 0.5M entries a sweep on fit-abstracts). Once a
             // sweep fills less than half the buffer, return the excess
@@ -899,247 +930,98 @@ fn tally_draw(draws: &mut DrawSplit, bucket: SingletonBucket) {
 }
 
 /// One worker's contribution to the barrier merge: sparse `(row-major
-/// index, delta)` pairs over `N_wk`, a dense `Δ N_k`, and the worker's
-/// singleton-draw telemetry (merged into [`SweepTelemetry`] at the
-/// barrier, so workers never touch shared counters). Lives in the worker's
-/// [`SweepScratch`] and is cleared, not freed, between sweeps; the merge
-/// shrinks `wk` only once a sweep fills less than half of it.
+/// index, delta)` pairs over `N_wk` and a dense `Δ N_k`. Lives in the
+/// worker's [`SweepScratch`] and is cleared, not freed, between sweeps;
+/// the merge shrinks `wk` only once a sweep fills less than half of it.
 #[derive(Debug, Clone, Default)]
 struct WorkerDelta {
     wk: Vec<(u32, i32)>,
     k: Vec<i64>,
-    draws: DrawSplit,
 }
 
-/// Everything one worker needs to sweep one block of documents.
-struct BlockCtx<'a> {
-    docs: &'a [GroupedDoc],
-    z: &'a mut [Vec<u16>],
-    /// The block's `N_dk` rows (documents are partitioned, so these are
-    /// exclusively owned and updated live, exactly as in the sequential
-    /// sweep).
-    ndk: &'a mut [u32],
-    /// The block's per-document nonzero-topic rows (flat, capacity K per
-    /// doc), owned like `ndk` and kept in sync with it (whichever draw a
-    /// clique takes, so the index never goes stale).
-    nz_dk: &'a mut [u16],
-    /// Live lengths of the block's `nz_dk` rows.
-    nz_dk_len: &'a mut [u16],
-    /// The live `N_wk`/`N_k`, unchanged until the barrier merge.
-    n_wk: &'a [u32],
-    n_k: &'a [u64],
-    /// Per-word nonzero rows of `n_wk` (flat, capacity K per word).
-    nz_wk: &'a [u16],
-    /// Live lengths of the `nz_wk` rows.
-    nz_wk_len: &'a [u16],
+/// The Dirichlet priors of one sweep: α (length K), β, and Vβ.
+#[derive(Clone, Copy)]
+struct Prior<'a> {
     alpha: &'a [f64],
-    k: usize,
     beta: f64,
     v_beta: f64,
-    seed: u64,
-    sweep: u64,
-    /// Corpus index of the block's first document.
-    first_doc: usize,
 }
 
-/// Sweep one block against the sweep-start tables and add its signed
-/// `(Δ N_wk, Δ N_k)` to `scratch.delta` for the barrier merge — `Δ N_wk`
-/// as a sparse `(index, delta)` list, so merge cost tracks how much
-/// actually changed rather than `V × K`.
-///
-/// Each document is gathered onto a dense local word table (the same
-/// scatter-gather shape `topmine_serve::infer` uses), so the hot loop
-/// reads `sweep-start tables + own-document delta` without ever writing
-/// shared state — the result depends only on `(tables, doc, its RNG
-/// stream)`, never on which worker runs the block. All buffers live in
-/// the worker's [`SweepScratch`], set up once per sweep by
-/// [`SweepScratch::begin_sweep`], and persist across documents and
-/// sweeps, so the steady-state sweep allocates nothing.
-fn sweep_block(ctx: BlockCtx<'_>, scratch: &mut SweepScratch) {
-    let BlockCtx {
-        docs,
-        z,
-        ndk,
-        nz_dk,
-        nz_dk_len,
-        n_wk,
-        n_k,
-        nz_wk,
-        nz_wk_len,
+/// One document's side of [`update_doc`]: its cliques (`tokens`, in the
+/// word side's id space, cut at `ends`), the topic of each clique, and
+/// its `N_dk` row.
+struct DocSide<'a> {
+    tokens: &'a [u32],
+    ends: &'a [u32],
+    z: &'a mut [u16],
+    counts: CountRow<'a>,
+}
+
+/// The Gibbs update of one document (paper §5.3, Eq. 7), the one both
+/// sweep schedules run: each clique in order is taken out of the counts,
+/// its topic is drawn — a singleton by the bucketed sparse draw, a longer
+/// clique by the dense posterior (see [`crate::kernel::KERNEL_VERSION`]) —
+/// and it is put back under that topic, the document and smoothing
+/// buckets following every move. `words` is the word side in the id space
+/// of `doc.tokens`. The caller picks the RNG, keeps the smoothing bucket's
+/// alias table and dirty set valid for `words.n_k`, and takes the draw
+/// split from `s.draws`.
+fn update_doc<R: RngCore>(
+    rng: &mut R,
+    prior: Prior<'_>,
+    words: &mut WordTables<'_>,
+    doc: DocSide<'_>,
+    s: &mut UpdateScratch,
+) {
+    let Prior {
         alpha,
-        k,
         beta,
         v_beta,
-        seed,
-        sweep,
-        first_doc,
-    } = ctx;
-    let v = n_wk.len() / k;
-    for (i, doc) in docs.iter().enumerate() {
-        if doc.group_ends.is_empty() {
-            continue;
-        }
-        let mut rng = StdRng::seed_from_u64(doc_stream_seed(seed, sweep, (first_doc + i) as u64));
-        // Gather: dense doc-local word ids plus their table rows. The
-        // word → doc-local id map is a stamped table (O(1), no hashing);
-        // the stamp records which epoch (document) last claimed the slot.
-        let epoch = scratch.next_epoch(v);
-        scratch.distinct.clear();
-        scratch.local_tokens.clear();
-        for &w in &doc.tokens {
-            let wi = w as usize;
-            if scratch.stamp[wi] != epoch {
-                scratch.stamp[wi] = epoch;
-                scratch.local_id[wi] = scratch.distinct.len() as u32;
-                scratch.distinct.push(w);
-            }
-            scratch.local_tokens.push(scratch.local_id[wi]);
-        }
-        // Gathered rows stay unsigned: a document only ever removes counts
-        // its own previous-sweep assignments put into the table. The
-        // nonzero rows come along; the doc's own moves below keep them in
-        // sync with `local_wk`.
-        let n_distinct = scratch.distinct.len();
-        scratch.local_wk.clear();
-        if scratch.local_nz.len() < n_distinct * k {
-            scratch.local_nz.resize(n_distinct * k, 0);
-            scratch.local_nz_len.resize(n_distinct, 0);
-        }
-        for (li, &w) in scratch.distinct.iter().enumerate() {
-            let base = w as usize * k;
-            scratch.local_wk.extend_from_slice(&n_wk[base..base + k]);
-            let len = nz_wk_len[w as usize];
-            scratch.local_nz[li * k..li * k + len as usize]
-                .copy_from_slice(&nz_wk[base..base + len as usize]);
-            scratch.local_nz_len[li] = len;
-        }
-        scratch.local_nk.copy_from_slice(n_k);
-        let ndk_row = &mut ndk[i * k..(i + 1) * k];
-        let nz_row = &mut nz_dk[i * k..(i + 1) * k];
-        let nz_len = &mut nz_dk_len[i];
-        let zs = &mut z[i];
-        // `local_nk` just reset to the `N_k` the alias table was built
-        // over: the dirty set starts empty for every document.
-        scratch.smoothing.clear_dirty();
-        scratch.doc_bucket.begin_doc(
-            &nz_row[..*nz_len as usize],
-            ndk_row,
-            &scratch.local_nk,
-            beta,
-            v_beta,
-            k,
-        );
-
-        let mut start = 0usize;
-        for (g, &end) in doc.group_ends.iter().enumerate() {
-            let end = end as usize;
-            let toks = &scratch.local_tokens[start..end];
-            let s = (end - start) as u32;
-            let old = zs[g] as usize;
-            for &lw in toks {
-                let row = lw as usize * k;
-                let cell = &mut scratch.local_wk[row + old];
-                *cell -= 1;
-                if *cell == 0 {
-                    nz_row_remove(
-                        &mut scratch.local_nz[row..row + k],
-                        &mut scratch.local_nz_len[lw as usize],
-                        old as u16,
-                    );
-                }
-            }
-            scratch.local_nk[old] -= s as u64;
-            ndk_row[old] -= s;
-            if ndk_row[old] == 0 {
-                nz_row_remove(nz_row, nz_len, old as u16);
-            }
-            let inv_den = 1.0 / (v_beta + scratch.local_nk[old] as f64);
-            scratch
-                .doc_bucket
-                .update_topic(old, ndk_row[old], beta, inv_den);
-            scratch.smoothing.mark_dirty(old, alpha[old], beta, inv_den);
-
-            let new = if toks.len() == 1 {
-                let lw = toks[0] as usize;
-                let (t, bucket) = sample_singleton_sparse_split(
-                    &mut rng,
-                    alpha,
-                    v_beta,
-                    &scratch.local_wk[lw * k..(lw + 1) * k],
-                    &scratch.local_nz[lw * k..lw * k + scratch.local_nz_len[lw] as usize],
-                    ndk_row,
-                    &nz_row[..*nz_len as usize],
-                    &scratch.local_nk,
-                    &scratch.doc_bucket,
-                    &scratch.smoothing,
-                    &mut scratch.q_buf,
-                );
-                tally_draw(&mut scratch.delta.draws, bucket);
-                t
-            } else {
-                // The same TrainView the sequential sweep uses, pointed at
-                // the doc-local gathered table instead of the global one.
-                let view = TrainView::new(&scratch.local_wk, &scratch.local_nk, k, beta, v_beta);
-                scratch.delta.draws.dense += 1;
-                sample_clique(
-                    &mut rng,
-                    &view,
-                    alpha,
-                    ndk_row,
-                    toks,
-                    &mut scratch.clique,
-                    &mut scratch.cum,
-                )
-            };
-
-            zs[g] = new as u16;
-            for &lw in toks {
-                let row = lw as usize * k;
-                let cell = &mut scratch.local_wk[row + new];
-                if *cell == 0 {
-                    nz_row_insert(
-                        &mut scratch.local_nz[row..row + k],
-                        &mut scratch.local_nz_len[lw as usize],
-                        new as u16,
-                    );
-                }
-                *cell += 1;
-            }
-            if new != old {
-                // Only a topic change moves counts between cells.
-                for &lw in toks {
-                    scratch.moved.push((lw, old as u32));
-                    scratch.moved.push((lw, new as u32));
-                }
-                scratch.delta.k[old] -= s as i64;
-                scratch.delta.k[new] += s as i64;
-            }
-            scratch.local_nk[new] += s as u64;
-            if ndk_row[new] == 0 {
-                nz_row_insert(nz_row, nz_len, new as u16);
-            }
-            ndk_row[new] += s;
-            let inv_den = 1.0 / (v_beta + scratch.local_nk[new] as f64);
-            scratch
-                .doc_bucket
-                .update_topic(new, ndk_row[new], beta, inv_den);
-            scratch.smoothing.mark_dirty(new, alpha[new], beta, inv_den);
-            start = end;
-        }
-
-        // Fold the document's delta from the cells it moved: each emits
-        // `local − table` once, then matches the table, so a repeated
-        // cell (or one the document moved back) emits nothing.
-        for &(lw, t) in &scratch.moved {
-            let idx = scratch.distinct[lw as usize] as usize * k + t as usize;
-            let local = &mut scratch.local_wk[lw as usize * k + t as usize];
-            if *local != n_wk[idx] {
-                let dv = *local as i64 - n_wk[idx] as i64;
-                scratch.delta.wk.push((idx as u32, dv as i32));
-                *local = n_wk[idx];
-            }
-        }
-        scratch.moved.clear();
+    } = prior;
+    let k = alpha.len();
+    let DocSide {
+        tokens,
+        ends,
+        z,
+        mut counts,
+    } = doc;
+    s.cum.resize(k, 0.0);
+    s.doc_bucket
+        .begin_doc(counts.nonzero(), counts.n, words.n_k, beta, v_beta, k);
+    let mut start = 0;
+    for (zg, &end) in z.iter_mut().zip(ends) {
+        let toks = &tokens[start..end as usize];
+        start = end as usize;
+        let old = *zg as usize;
+        words.remove(toks, old);
+        counts.sub(old, toks.len() as u32);
+        s.refresh(prior, old, counts.n[old], words.n_k[old]);
+        let new = if let &[w] = toks {
+            let (row, nz) = words.word(w);
+            let (t, bucket) = sample_singleton_sparse_split(
+                rng,
+                alpha,
+                v_beta,
+                row,
+                nz,
+                counts.n,
+                counts.nonzero(),
+                words.n_k,
+                &s.doc_bucket,
+                &s.smoothing,
+                &mut s.q_buf,
+            );
+            tally_draw(&mut s.draws, bucket);
+            t
+        } else {
+            s.draws.dense += 1;
+            let view = TrainView::new(words.n_wk, words.n_k, k, beta, v_beta);
+            sample_clique(rng, &view, alpha, counts.n, toks, &mut s.clique, &mut s.cum)
+        };
+        *zg = new as u16;
+        words.add(toks, new);
+        counts.add(new, toks.len() as u32);
+        s.refresh(prior, new, counts.n[new], words.n_k[new]);
     }
 }
 

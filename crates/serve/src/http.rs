@@ -42,6 +42,7 @@ use crate::backend::ModelBackend;
 use crate::dispatch::{DispatchOptions, InferJob, InferService, JobKind};
 use crate::infer::{DocInference, InferConfig};
 use crate::metrics::{serve_metrics, ServeMetrics, Stage};
+pub use crate::registry::MAX_CONNECTIONS;
 use crate::registry::{Connections, Registration, ACCEPT_RETRY_PAUSE};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -67,9 +68,6 @@ const MAX_REQUESTS_PER_CONN: usize = 100;
 /// How long a connection may wait for the first byte of its next request,
 /// the first request included, before the server closes it.
 pub const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(5);
-/// Connection threads alive at once. A connection beyond the cap is
-/// answered `503` and closed without being read.
-pub const MAX_CONNECTIONS: usize = 256;
 /// How long a shutdown waits for in-flight responses before severing their
 /// connections.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);

@@ -1,11 +1,11 @@
 //! The live connections of one server, kept so a shutdown can reach
 //! sockets whose threads are blocked in a read.
 //!
-//! Both servers run a thread per connection: the HTTP front end
-//! ([`crate::http`]) and the shard server ([`crate::shard`]). Each
-//! registers a connection on accept and holds the returned
-//! [`Registration`] for as long as the connection's thread runs; dropping
-//! it deregisters the connection. A shutdown shuts every live socket down
+//! Both servers run a thread per connection, at most [`MAX_CONNECTIONS`]
+//! at once: the HTTP front end ([`crate::http`]) and the shard server
+//! ([`crate::shard`]). Each registers a connection on accept and holds the
+//! returned [`Registration`] for as long as the connection's thread runs;
+//! dropping it deregisters the connection. A shutdown shuts every live socket down
 //! with the [`Shutdown`] it needs: the read half for the HTTP drain, both
 //! halves to sever a shard's in-flight RPCs.
 //!
@@ -18,6 +18,11 @@ use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Connections one server holds at once, each with its thread. Both
+/// accept loops turn one more away without reading it: the HTTP front end
+/// answers `503`, the shard server closes it.
+pub const MAX_CONNECTIONS: usize = 256;
 
 /// How long both accept loops pause after a failed `accept`. When the
 /// process is out of file descriptors the pending connection stays

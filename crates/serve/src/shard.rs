@@ -16,7 +16,12 @@
 //! sever it. Each connection's frames are answered in arrival order —
 //! pipelining on one connection overlaps network with compute, and the
 //! router opens one connection per shard, so a shard serves its whole
-//! fleet role with a handful of threads.
+//! fleet role with a handful of threads. Both servers hold at most
+//! [`MAX_CONNECTIONS`](crate::http::MAX_CONNECTIONS) connections; one more
+//! is closed unread, which a router's dial treats as an unavailable shard
+//! and retries. A connection
+//! must send its `Hello` within [`HELLO_DEADLINE`], so a silent client
+//! cannot hold its thread for as long as it stays connected.
 //!
 //! Robustness: any [`WireError`] on a connection gets a best-effort
 //! `Error` frame (tagged with the offending request id when known) and the
@@ -25,7 +30,7 @@
 
 use crate::frozen::gather_word_major;
 use crate::io::data_err;
-use crate::registry::{Connections, ACCEPT_RETRY_PAUSE};
+use crate::registry::{Connections, ACCEPT_RETRY_PAUSE, MAX_CONNECTIONS};
 use crate::sharded::Manifest;
 use crate::wire::{self, Frame, Opcode, ShardMeta, WireError, MAX_FRAME, WIRE_VERSION};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -34,6 +39,12 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// How long a new connection may take to send its `Hello`. A router sends
+/// it as soon as it connects; a connection still silent after this long is
+/// closed.
+pub const HELLO_DEADLINE: Duration = Duration::from_secs(2);
 
 /// One shard's worth of φ plus the identity the handshake advertises.
 #[derive(Debug, Clone)]
@@ -204,6 +215,10 @@ impl ShardServer {
                 std::thread::sleep(ACCEPT_RETRY_PAUSE);
                 continue;
             };
+            if conns.len() >= MAX_CONNECTIONS {
+                // Closed unread.
+                continue;
+            }
             // Replies are pipelined: with Nagle's algorithm on, the small
             // tail of one reply waits for the router to acknowledge the
             // tail of the reply before it, which a delayed ACK can hold
@@ -252,13 +267,18 @@ fn serve_connection(slice: &ShardSlice, stream: &TcpStream) {
     let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
 
-    // Handshake first: anything else on a fresh connection is a protocol
-    // error and the peer learns why before the close.
+    // Handshake first, within `HELLO_DEADLINE`: anything else on a fresh
+    // connection is a protocol error and the peer learns why before the
+    // close. Afterwards reads wait as long as the router stays connected.
+    if stream.set_read_timeout(Some(HELLO_DEADLINE)).is_err() {
+        return;
+    }
     match wire::read_frame(&mut reader) {
         Ok(frame) if frame.opcode == Opcode::Hello => match wire::decode_hello(&frame.payload) {
             Ok(version) if version == WIRE_VERSION => {
                 let meta = wire::encode_meta(&slice.meta());
                 if wire::write_frame(&mut writer, frame.request_id, Opcode::Meta, &[&meta]).is_err()
+                    || stream.set_read_timeout(None).is_err()
                 {
                     return;
                 }

@@ -3,7 +3,9 @@
 //! * **shard side** — a rogue client sending truncated frames, oversize
 //!   length prefixes, unknown opcodes, or disconnecting mid-frame gets a
 //!   best-effort `Error` frame and a clean close; the server never panics
-//!   and keeps serving fresh connections;
+//!   and keeps serving fresh connections; it holds at most
+//!   `MAX_CONNECTIONS` connections, and closes one that sends no `Hello`
+//!   within `HELLO_DEADLINE`;
 //! * **router side** — a rogue or stalled shard (garbage handshake,
 //!   silence, mid-RPC disconnect, oversize reply) surfaces as a typed
 //!   [`BackendError`] within its deadline; the client never hangs.
@@ -13,10 +15,12 @@
 
 mod fleet_common;
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
+use topmine_serve::http::MAX_CONNECTIONS;
 use topmine_serve::pool::ExpectedShard;
+use topmine_serve::shard::HELLO_DEADLINE;
 use topmine_serve::wire::{self, Opcode, ShardMeta, WIRE_MAGIC};
 use topmine_serve::{
     BackendError, PoolConfig, RemoteShardedModel, ShardClient, ShardServer, ShardServerHandle,
@@ -171,6 +175,78 @@ fn shard_answers_an_old_version_hello_with_an_error_then_close() {
         wire::read_frame(&mut reader),
         Err(WireError::Closed)
     ));
+    handle.shutdown();
+}
+
+/// Try one handshake; `None` if the shard closed the connection first.
+fn try_handshake(addr: std::net::SocketAddr) -> Option<Opcode> {
+    let stream = TcpStream::connect(addr).ok()?;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    wire::write_frame(&mut writer, 1, Opcode::Hello, &[&wire::encode_hello()]).ok()?;
+    wire::read_frame(&mut reader).ok().map(|frame| frame.opcode)
+}
+
+#[test]
+fn shard_closes_a_connection_beyond_max_connections_unread() {
+    let handle = spawn_server();
+    // An admitted connection stays open at least `HELLO_DEADLINE` after
+    // `start`, so a close before then is the cap's.
+    let start = Instant::now();
+    let mut held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(handle.addr()).unwrap())
+        .collect();
+    let mut extra = TcpStream::connect(handle.addr()).unwrap();
+    extra.set_read_timeout(Some(HELLO_DEADLINE)).unwrap();
+    let mut unread = Vec::new();
+    extra
+        .read_to_end(&mut unread)
+        .expect("the connection over the cap is closed");
+    assert!(unread.is_empty(), "{unread:?}");
+    assert!(start.elapsed() < HELLO_DEADLINE, "{:?}", start.elapsed());
+    // Closing a held connection frees its slot for a new handshake.
+    drop(held.pop());
+    let meta = loop {
+        if let Some(opcode) = try_handshake(handle.addr()) {
+            break opcode;
+        }
+        assert!(start.elapsed() < HELLO_DEADLINE, "no slot freed");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(meta, Opcode::Meta);
+    assert!(start.elapsed() < HELLO_DEADLINE, "{:?}", start.elapsed());
+    drop(held);
+    handle.shutdown();
+}
+
+#[test]
+fn shard_closes_a_connection_silent_past_the_hello_deadline() {
+    let handle = spawn_server();
+    let (mut reader, mut writer) = handshaken(handle.addr());
+    let start = Instant::now();
+    let mut silent = TcpStream::connect(handle.addr()).unwrap();
+    silent
+        .set_read_timeout(Some(HELLO_DEADLINE + Duration::from_secs(1)))
+        .unwrap();
+    let mut unread = Vec::new();
+    silent
+        .read_to_end(&mut unread)
+        .expect("closed within the deadline plus 1 s");
+    assert!(unread.is_empty(), "{unread:?}");
+    assert!(
+        start.elapsed() >= HELLO_DEADLINE / 2,
+        "{:?}",
+        start.elapsed()
+    );
+    // The deadline ends with the handshake: an idle handshaken connection
+    // still answers once it has passed.
+    std::thread::sleep(HELLO_DEADLINE.saturating_sub(start.elapsed()) + Duration::from_millis(200));
+    wire::write_frame(&mut writer, 7, Opcode::Ping, &[]).unwrap();
+    let pong = wire::read_frame(&mut reader).unwrap();
+    assert_eq!((pong.request_id, pong.opcode), (7, Opcode::Pong));
     handle.shutdown();
 }
 
