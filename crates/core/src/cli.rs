@@ -165,7 +165,7 @@ INFER OPTIONS:
     --threads N           inference worker threads, 1..=256; the output is
                           byte-identical at any thread count [default: 1]
                           lines are folded in and printed in windows of
-                          256 x N; a line of invalid UTF-8 fails the run
+                          1024 x N; a line of invalid UTF-8 fails the run
                           after the windows before its own were printed
     --iters N             fold-in sweeps                [default: 20]
     --seed N              RNG seed                      [default: 1]
@@ -239,7 +239,7 @@ impl Default for ServeShardOptions {
 /// Blocks of [`DOC_BLOCK`](topmine_util::par::DOC_BLOCK) lines per
 /// `--threads` worker in one window of `topmine infer`: the lines it
 /// holds, folds in and prints at a time.
-pub const INFER_WINDOW_BLOCKS: usize = 8;
+pub const INFER_WINDOW_BLOCKS: usize = 32;
 
 /// Options of `topmine infer`.
 #[derive(Debug, Clone, PartialEq)]

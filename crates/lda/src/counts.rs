@@ -298,14 +298,8 @@ impl TopicCounts {
         self.n_k[t]
     }
 
-    /// This document's `N_dk` row (length K).
-    #[inline]
-    pub fn doc_row(&self, d: usize) -> &[u32] {
-        &self.n_dk[d * self.k..(d + 1) * self.k]
-    }
-
     /// The full `N_wk` table, row-major `w*K + k` (e.g. to build a
-    /// [`crate::kernel::TrainView`]).
+    /// [`crate::kernel::FixedPhiView`]).
     #[inline]
     pub fn n_wk_table(&self) -> &[u32] {
         &self.n_wk
@@ -448,7 +442,7 @@ mod tests {
         assert_eq!(c.n_dk(1, 2), 3);
         assert_eq!(c.n_wk(4, 2), 2);
         assert_eq!(c.n_k(2), 3);
-        assert_eq!(c.doc_row(1), &[0, 0, 3]);
+        assert_eq!([0, 1, 2].map(|t| c.n_dk(1, t)), [0, 0, 3]);
         remove_group(&mut c, 1, &[0, 4, 4], 2);
         assert_eq!(c, TopicCounts::new(2, 5, 3));
     }

@@ -5,9 +5,9 @@
 //! at once: the HTTP front end ([`crate::http`]) and the shard server
 //! ([`crate::shard`]). Each registers a connection on accept and holds the
 //! returned [`Registration`] for as long as the connection's thread runs;
-//! dropping it deregisters the connection. A shutdown shuts every live socket down
-//! with the [`Shutdown`] it needs: the read half for the HTTP drain, both
-//! halves to sever a shard's in-flight RPCs.
+//! dropping it deregisters the connection. A shutdown shuts every live
+//! socket down with the [`Shutdown`] it needs: the read half for the HTTP
+//! drain, both halves to sever a shard's in-flight RPCs.
 //!
 //! An HTTP connection is marked idle while its thread waits for the first
 //! byte of a request. Out of descriptors, the HTTP accept loop sheds the

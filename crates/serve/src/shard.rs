@@ -19,9 +19,9 @@
 //! fleet role with a handful of threads. Both servers hold at most
 //! [`MAX_CONNECTIONS`](crate::http::MAX_CONNECTIONS) connections; one more
 //! is closed unread, which a router's dial treats as an unavailable shard
-//! and retries. A connection
-//! must send its `Hello` within [`HELLO_DEADLINE`], so a silent client
-//! cannot hold its thread for as long as it stays connected.
+//! and retries. A connection must send its `Hello` within
+//! [`HELLO_DEADLINE`], so a silent client cannot hold its thread for as
+//! long as it stays connected.
 //!
 //! Robustness: any [`WireError`] on a connection gets a best-effort
 //! `Error` frame (tagged with the offending request id when known) and the
@@ -216,7 +216,7 @@ impl ShardServer {
                 continue;
             };
             if conns.len() >= MAX_CONNECTIONS {
-                // Closed unread.
+                // Dropped, so closed, unread.
                 continue;
             }
             // Replies are pipelined: with Nagle's algorithm on, the small
