@@ -4,7 +4,7 @@
 //! The sweep's instrumented form calls [`sample_singleton_sparse_split`]
 //! (the raw kernel plus a bucket tag derived from the already-drawn
 //! uniform) and bumps one field of a stack-local [`DrawSplit`] per draw —
-//! exactly what `sweep_sequential`/`sweep_block` do. The uninstrumented
+//! exactly what the sampler's `update_doc` does. The uninstrumented
 //! form is the plain [`sample_singleton_sparse`] wrapper. Both consume the
 //! identical RNG stream, so the A/B difference is purely the tag + tally.
 //!

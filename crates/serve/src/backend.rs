@@ -88,16 +88,6 @@ impl fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-/// Caller-side context for a φ gather — today just the request deadline,
-/// which a remote backend propagates into its RPC timeouts so a stalled
-/// shard fails the request instead of hanging it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GatherOptions {
-    /// Absolute deadline inherited from `?deadline_ms=`; `None` means the
-    /// backend's own per-RPC timeout is the only bound.
-    pub deadline: Option<Instant>,
-}
-
 /// Read access to a fitted, frozen ToPMine model, wherever its φ lives.
 ///
 /// Object-safe on purpose: the HTTP layer and its dispatchers hold an
@@ -116,17 +106,21 @@ pub trait ModelBackend: Send + Sync {
     /// the trained `φ[t][words[j]]`, bit-exact. Word-major puts each word's
     /// K values side by side, which is the order fold-in reads them in.
     /// Remote backends surface shard failures as [`BackendError`]s; the
-    /// in-process model never fails.
+    /// in-process model never fails. `deadline` is the request's absolute
+    /// deadline (from `?deadline_ms=`), which a remote backend propagates
+    /// into its RPC timeouts so a stalled shard fails the request instead
+    /// of hanging it; `None` leaves the backend's own per-RPC timeout as
+    /// the only bound.
     fn try_gather_phi_batch(
         &self,
         words: &[u32],
-        opts: &GatherOptions,
+        deadline: Option<Instant>,
     ) -> Result<Vec<f64>, BackendError>;
 
     /// Infallible [`try_gather_phi_batch`](ModelBackend::try_gather_phi_batch)
     /// with no deadline; panics on a shard failure.
     fn gather_phi_batch(&self, words: &[u32]) -> Vec<f64> {
-        self.try_gather_phi_batch(words, &GatherOptions::default())
+        self.try_gather_phi_batch(words, None)
             .unwrap_or_else(|e| panic!("phi gather failed: {e}"))
     }
 

@@ -1,5 +1,4 @@
-//! Admission control, the response cache, and batched dispatch for
-//! inference requests.
+//! Admission control and batched dispatch for inference requests.
 //!
 //! Every HTTP connection thread funnels `/infer` and `/infer_batch` work
 //! through one [`InferService`]: a **bounded** queue of [`InferJob`]s
@@ -12,25 +11,20 @@
 //!
 //! Dispatchers drain greedily: whatever is queued when a worker wakes is
 //! coalesced (up to [`DispatchOptions::max_batch`] documents) into one
-//! batch. Each document of the batch probes the service's bounded LRU
-//! [`ResponseCache`] ([`CACHE_CAPACITY`] entries); the misses are folded
-//! in by one [`try_infer_docs_amortized`] call, so concurrent
-//! single-document requests share a φ gather exactly like an explicit
-//! `/infer_batch` body does, and their results fill the cache. The model
-//! never changes, so inference is a pure function of (text, seed, iters,
-//! top) and a hit is the identical result. Seeds per document are
-//! unchanged from the sequential path — batching and caching alter *when*
-//! work runs, never what it computes.
+//! batch, and one [`try_infer_docs_amortized`] call folds the whole batch
+//! in, so concurrent single-document requests share a φ gather exactly
+//! like an explicit `/infer_batch` body does. Seeds per document are
+//! unchanged from the sequential path — batching alters *when* work runs,
+//! never what it computes.
 //!
 //! Shutdown is a graceful drain: dropping the service closes the queue
 //! (new submissions fail), wakes every worker, and joins them after they
 //! finish all remaining queued jobs.
 
-use crate::backend::{BackendError, GatherOptions, ModelBackend};
-use crate::cache::{CacheKey, CacheStats, ResponseCache, CACHE_CAPACITY};
+use crate::backend::ModelBackend;
 use crate::http::{batch_inference_json, error_json, inference_json};
-use crate::infer::{try_infer_docs_amortized, BatchItem, DocInference, InferConfig};
-use crate::metrics::{serve_metrics, Stage};
+use crate::infer::{try_infer_docs_amortized, BatchItem, InferConfig};
+use crate::metrics::serve_metrics;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -74,18 +68,15 @@ struct QueueState {
 
 type SharedQueue = Arc<(Mutex<QueueState>, Condvar)>;
 
-/// The shared admission queue, the response cache, and the dispatcher
-/// workers that drain the one through the other.
+/// The shared admission queue and the dispatcher workers that drain it.
 pub(crate) struct InferService {
     queue: SharedQueue,
     queue_depth: usize,
-    cache: Arc<ResponseCache>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl InferService {
     pub fn start(model: Arc<dyn ModelBackend>, options: DispatchOptions) -> Self {
-        let cache = Arc::new(ResponseCache::new(CACHE_CAPACITY));
         let queue: SharedQueue = Arc::new((
             Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -98,24 +89,17 @@ impl InferService {
             .map(|i| {
                 let queue = Arc::clone(&queue);
                 let model = Arc::clone(&model);
-                let cache = Arc::clone(&cache);
                 std::thread::Builder::new()
                     .name(format!("topmine-dispatch-{i}"))
-                    .spawn(move || worker_loop(model.as_ref(), &cache, &queue, max_batch))
+                    .spawn(move || worker_loop(model.as_ref(), &queue, max_batch))
                     .expect("failed to spawn dispatcher thread")
             })
             .collect();
         Self {
             queue,
             queue_depth: options.queue_depth.max(1),
-            cache,
             workers,
         }
-    }
-
-    /// Hit/miss counters of the response cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// Admit a job, or hand it back when the queue is at capacity (or the
@@ -151,12 +135,7 @@ impl Drop for InferService {
     }
 }
 
-fn worker_loop(
-    model: &dyn ModelBackend,
-    cache: &ResponseCache,
-    queue: &SharedQueue,
-    max_batch: usize,
-) {
+fn worker_loop(model: &dyn ModelBackend, queue: &SharedQueue, max_batch: usize) {
     loop {
         let batch = {
             let (lock, cv) = &**queue;
@@ -188,14 +167,13 @@ fn worker_loop(
                 .set(state.jobs.len() as f64);
             batch
         };
-        dispatch_batch(model, cache, batch);
+        dispatch_batch(model, batch);
     }
 }
 
-/// Run one coalesced batch: expire overdue jobs, answer the rest from the
-/// cache or by fold-in with a shared φ gather, and fan the results back out
-/// to each job's responder.
-fn dispatch_batch(model: &dyn ModelBackend, cache: &ResponseCache, batch: Vec<InferJob>) {
+/// Run one coalesced batch: expire overdue jobs, fold in the rest with a
+/// shared φ gather, and fan the results back out to each job's responder.
+fn dispatch_batch(model: &dyn ModelBackend, batch: Vec<InferJob>) {
     let metrics = serve_metrics();
     let now = Instant::now();
     let mut live: Vec<InferJob> = Vec::with_capacity(batch.len());
@@ -235,14 +213,7 @@ fn dispatch_batch(model: &dyn ModelBackend, cache: &ResponseCache, batch: Vec<In
     } else {
         None
     };
-    let results = match infer_cached(
-        model,
-        cache,
-        &items,
-        &GatherOptions {
-            deadline: gather_deadline,
-        },
-    ) {
+    let results = match try_infer_docs_amortized(model, &items, gather_deadline) {
         Ok(results) => results,
         Err(e) => {
             // A shard failure fails every job of the batch the same way —
@@ -266,52 +237,6 @@ fn dispatch_batch(model: &dyn ModelBackend, cache: &ResponseCache, batch: Vec<In
         offset += n;
         (job.respond)(200, body);
     }
-}
-
-/// Every item's inference, each document probing the cache on its own (a
-/// hit skips fold-in), the misses folded in by one
-/// [`try_infer_docs_amortized`] call — one φ gather — and then cached.
-/// Results come back in item order, bit-identical to folding in every item,
-/// whatever mix of hits and misses occurs. A failed gather fails the whole
-/// batch, its hits included: the dispatcher answers every job with the
-/// error.
-fn infer_cached(
-    model: &dyn ModelBackend,
-    cache: &ResponseCache,
-    items: &[BatchItem],
-    gather_opts: &GatherOptions,
-) -> Result<Vec<DocInference>, BackendError> {
-    let metrics = serve_metrics();
-    let mut results: Vec<Option<DocInference>> = Vec::with_capacity(items.len());
-    let mut misses: Vec<(usize, CacheKey)> = Vec::new();
-    for (i, item) in items.iter().enumerate() {
-        let lookup = metrics.stage(Stage::CacheLookup).span();
-        let key = CacheKey::new_seeded(&item.text, &item.config, item.seed);
-        let hit = cache.get(&key);
-        lookup.stop();
-        if hit.is_none() {
-            misses.push((i, key));
-        }
-        results.push(hit);
-    }
-    if !misses.is_empty() {
-        // An all-miss batch folds the caller's slice directly; only a mixed
-        // batch pays for compacting its misses into their own buffer.
-        let inferred = if misses.len() == items.len() {
-            try_infer_docs_amortized(model, items, gather_opts)?
-        } else {
-            let batch: Vec<BatchItem> = misses.iter().map(|(i, _)| items[*i].clone()).collect();
-            try_infer_docs_amortized(model, &batch, gather_opts)?
-        };
-        for ((i, key), inference) in misses.into_iter().zip(inferred) {
-            cache.put(key, inference.clone());
-            results[i] = Some(inference);
-        }
-    }
-    Ok(results
-        .into_iter()
-        .map(|r| r.expect("every item resolved"))
-        .collect())
 }
 
 #[cfg(test)]
@@ -382,21 +307,13 @@ mod tests {
     }
 
     #[test]
-    fn repeated_queries_hit_the_cache_with_identical_results() {
+    fn repeated_queries_give_identical_results() {
         let svc = service(16, 8, 1);
-        let counts = |svc: &InferService| {
-            let stats = svc.cache_stats();
-            (stats.hits, stats.misses, stats.entries, stats.capacity)
-        };
         let first = answer(&svc, "support vector machines", JobKind::Single, 1);
         let second = answer(&svc, "support vector machines", JobKind::Single, 1);
         assert_eq!(first, second);
-        assert_eq!(counts(&svc), (1, 1, 1, CACHE_CAPACITY));
-        // A different seed is a different cache entry.
-        answer(&svc, "support vector machines", JobKind::Single, 99);
-        assert_eq!(counts(&svc), (1, 2, 2, CACHE_CAPACITY));
-        // Document 0 of a batch draws the config seed, so it hits the
-        // single query's entry; document 1 is a miss that fills the cache.
+        // Document 0 of a batch draws the config seed, so it folds in to
+        // the single query's result.
         let (status, body) = answer(
             &svc,
             "support vector machines\nmining frequent patterns",
@@ -405,7 +322,6 @@ mod tests {
         );
         assert_eq!(status, 200);
         assert!(body.contains(&first.1), "{body}");
-        assert_eq!(counts(&svc), (2, 3, 3, CACHE_CAPACITY));
     }
 
     #[test]

@@ -21,11 +21,12 @@
 //! one-shard bundle; [`ShardedModel`] cuts the model into more shards for
 //! saving (see [`crate::sharded`] for the layout).
 
-use crate::backend::{BackendError, GatherOptions, ModelBackend};
+use crate::backend::{BackendError, ModelBackend};
 use crate::io::{check_hyperparameters, data_err};
 use crate::sharded::{shard_of, Manifest, ShardedModel};
 use std::io;
 use std::path::Path;
+use std::time::Instant;
 use topmine_corpus::{CorpusOptions, Document, StopwordSet, Vocab};
 use topmine_lda::PhraseLda;
 use topmine_phrase::{ConstructScratch, PhraseConstructor, PhraseStats};
@@ -482,7 +483,7 @@ impl ModelBackend for FrozenModel {
     fn try_gather_phi_batch(
         &self,
         words: &[u32],
-        _opts: &GatherOptions,
+        _deadline: Option<Instant>,
     ) -> Result<Vec<f64>, BackendError> {
         Ok(gather_word_major(
             &self.phi,

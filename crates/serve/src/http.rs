@@ -7,13 +7,13 @@
 //! Connections are persistent: HTTP/1.1 requests default to keep-alive
 //! (HTTP/1.0 must ask for it), bounded by a per-connection request cap and
 //! an idle timeout before each request; `Connection: close` is honored per
-//! request. A request must fully arrive within [`IO_TIMEOUT`] of its first
+//! request. A request must fully arrive within `IO_TIMEOUT` of its first
 //! byte, or it is answered `408` and the connection closed.
 //! The surface is deliberately tiny:
 //!
 //! * `GET /healthz` — liveness, model shape, shard count, uptime, bundle
-//!   and kernel versions, the bundle digest (for a model loaded from
-//!   disk), and the response-cache hit/miss counters;
+//!   and kernel versions, and the bundle digest (for a model loaded from
+//!   disk);
 //! * `GET /model`   — bundle metadata (header + preprocessing contract);
 //! * `GET /metrics` — Prometheus text exposition of the serving metrics
 //!   (per-stage latency histograms, per-route/status counters);
@@ -26,12 +26,10 @@
 //!
 //! The cheap read routes are answered on the connection's own thread, so
 //! they stay responsive while inference is saturated. Inference requests
-//! enter one shared **bounded admission queue**
-//! ([`dispatch`](crate::dispatch)) — full queue ⇒ `429` + `Retry-After`,
-//! deadline expired while queued ⇒ `504` — and dispatcher workers drain
-//! them in batches that probe the response cache per document and share
-//! one φ gather across the misses; the connection's thread waits for its
-//! verdict.
+//! enter one shared **bounded admission queue** (the private `dispatch`
+//! module) — full queue ⇒ `429` + `Retry-After`, deadline expired while
+//! queued ⇒ `504` — and dispatcher workers drain them in batches that
+//! share one φ gather; the connection's thread waits for its verdict.
 //!
 //! Responses are JSON (`/metrics` is text exposition), hand-rendered (no
 //! serde in the dependency set); floats use Rust's shortest round-trip
@@ -609,7 +607,7 @@ fn parse_target(target: &str) -> (String, Vec<(String, String)>) {
 
 /// Parse the inference query parameters: the [`InferConfig`] knobs plus
 /// the `deadline_ms` admission override (not part of the config — it never
-/// enters the cache key or the RNG stream).
+/// enters the RNG stream).
 fn infer_config_from_query(
     query: &[(String, String)],
     defaults: &InferConfig,
@@ -654,7 +652,6 @@ fn route_inner(req: &Request, shared: &Shared) -> Result<(u16, RouteResponse), H
     let done = |resp: RouteResponse| Ok((200, resp));
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
-            let cache = shared.service.cache_stats();
             // A fleet router aggregates per-shard health: overall status
             // degrades when any shard fails its ping, and the per-shard
             // snapshot rides along under "fleet".
@@ -675,25 +672,20 @@ fn route_inner(req: &Request, shared: &Shared) -> Result<(u16, RouteResponse), H
             done(RouteResponse::json(format!(
                 "{{\"status\":\"{status}\",\"format\":{}{bundle},\"version\":{},\
                  \"kernel_version\":{},\"kernel\":\"frozen-phi\",\"uptime_seconds\":{},\
-                 \"topics\":{},\"vocab\":{},\"shards\":{},\
-                 \"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"capacity\":{}}}{fleet}}}",
+                 \"topics\":{},\"vocab\":{},\"shards\":{}{fleet}}}",
                 json_string(m.format_tag()),
                 json_string(env!("CARGO_PKG_VERSION")),
                 topmine_lda::KERNEL_VERSION,
                 topmine_obs::uptime_seconds(),
                 m.n_topics(),
                 m.vocab_size(),
-                m.n_shards(),
-                cache.hits,
-                cache.misses,
-                cache.entries,
-                cache.capacity
+                m.n_shards()
             )))
         }
         ("GET", "/metrics") => {
             // Point-in-time gauges are sampled at scrape; everything else
             // accumulated as requests were served.
-            serve_metrics().refresh_scrape_gauges(&shared.service.cache_stats());
+            serve_metrics().refresh_scrape_gauges();
             done(RouteResponse {
                 body: Registry::global().render(),
                 content_type: "text/plain; version=0.0.4; charset=utf-8",

@@ -38,13 +38,14 @@
 //! drift from the trained model's Eq. 7.
 //!
 //! [`try_infer_docs_amortized`] is the one batch function: the admission
-//! dispatcher (`crate::dispatch`) calls it with the cache misses of each
-//! coalesced batch, `topmine infer` once per block of input lines, and
-//! [`infer_doc`] and [`infer_docs_amortized`] are its infallible forms.
+//! dispatcher (`crate::dispatch`) calls it once per coalesced batch,
+//! `topmine infer` once per block of input lines, and [`infer_doc`] and
+//! [`infer_docs_amortized`] are its infallible forms.
 
-use crate::backend::{BackendError, GatherOptions, ModelBackend};
+use crate::backend::{BackendError, ModelBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
 use topmine_lda::kernel::{fold_in, FoldInScratch, FrozenPhiView};
 use topmine_phrase::ConstructScratch;
 use topmine_util::FxHashMap;
@@ -197,7 +198,7 @@ pub struct BatchItem {
 /// values, and each chain consumes its own freshly seeded RNG — only the
 /// row *addressing* changes, never an operand or a draw.
 pub fn infer_docs_amortized(model: &dyn ModelBackend, items: &[BatchItem]) -> Vec<DocInference> {
-    try_infer_docs_amortized(model, items, &GatherOptions::default()).unwrap_or_else(|e| {
+    try_infer_docs_amortized(model, items, None).unwrap_or_else(|e| {
         panic!("phi gather failed: {e} (fallible backends use try_infer_docs_amortized)")
     })
 }
@@ -205,10 +206,12 @@ pub fn infer_docs_amortized(model: &dyn ModelBackend, items: &[BatchItem]) -> Ve
 /// Fallible [`infer_docs_amortized`] — the dispatcher's entry point, so a
 /// down shard becomes one batch-wide [`BackendError`] (each queued request
 /// is answered with the mapped HTTP status) instead of a worker panic.
+/// `deadline` bounds the φ gather
+/// ([`ModelBackend::try_gather_phi_batch`]).
 pub fn try_infer_docs_amortized(
     model: &dyn ModelBackend,
     items: &[BatchItem],
-    gather_opts: &GatherOptions,
+    deadline: Option<Instant>,
 ) -> Result<Vec<DocInference>, BackendError> {
     if items.is_empty() {
         return Ok(Vec::new());
@@ -252,7 +255,7 @@ pub fn try_infer_docs_amortized(
     }
 
     let gather = metrics.stage(crate::metrics::Stage::PhiGather).span();
-    let phi = model.try_gather_phi_batch(&batch_distinct, gather_opts)?;
+    let phi = model.try_gather_phi_batch(&batch_distinct, deadline)?;
     gather.stop();
     metrics.phi_columns_total.add(batch_distinct.len() as u64);
     metrics

@@ -34,16 +34,14 @@
 //!   batch of one. [`try_infer_docs_amortized`](infer::try_infer_docs_amortized)
 //!   is the one batch function; `topmine infer` calls it once per block of
 //!   input lines on the workspace's scheduler (`topmine_util::par`);
-//! * [`http`] / `dispatch` / [`cache`] — the **server** (`topmine serve`):
-//!   a std-only HTTP/1.1 keep-alive front end over one shared
-//!   `Arc<dyn ModelBackend>`. It gives each connection its own thread (at
-//!   most [`http::MAX_CONNECTIONS`]; one more is answered `503`), on any
+//! * [`http`] / `dispatch` — the **server** (`topmine serve`): a std-only
+//!   HTTP/1.1 keep-alive front end over one shared `Arc<dyn ModelBackend>`.
+//!   It gives each connection its own thread (at most
+//!   [`http::MAX_CONNECTIONS`]; one more is answered `503`), on any
 //!   platform std supports. Inference requests pass through a **bounded
 //!   admission queue** (`dispatch`; overflow ⇒ `429` + `Retry-After`,
-//!   deadline expiry ⇒ `504`), and its dispatchers — the only cached
-//!   callers of fold-in — drain them in coalesced batches: every document
-//!   probes a bounded LRU response cache ([`cache::CACHE_CAPACITY`]
-//!   entries), and the misses share one φ gather (`/infer_batch`, or
+//!   deadline expiry ⇒ `504`), and its dispatchers drain them in coalesced
+//!   batches whose documents share one φ gather (`/infer_batch`, or
 //!   adjacent queued `/infer` requests) — bit-identical to running each
 //!   document alone;
 //! * [`wire`] / [`shard`] / [`pool`] / [`router`] — **fleet serving**:
@@ -83,7 +81,6 @@
 //! ```
 
 pub mod backend;
-pub mod cache;
 mod dispatch;
 pub mod frozen;
 pub mod http;
@@ -97,8 +94,7 @@ pub mod shard;
 pub mod sharded;
 pub mod wire;
 
-pub use backend::{load_bundle, BackendError, GatherOptions, ModelBackend};
-pub use cache::{CacheStats, ResponseCache, CACHE_CAPACITY};
+pub use backend::{load_bundle, BackendError, ModelBackend};
 pub use frozen::{FrozenModel, ModelHeader, PreparedDoc, PreprocessConfig};
 pub use http::{batch_inference_json, inference_json, HttpServer, ServerConfig, ServerHandle};
 pub use infer::{

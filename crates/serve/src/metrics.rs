@@ -5,7 +5,6 @@
 //! is a few `Instant` reads and relaxed atomic adds — cheap enough to stay
 //! compiled in whether or not anything ever scrapes.
 
-use crate::cache::CacheStats;
 use std::sync::{Arc, OnceLock};
 use topmine_obs::{Counter, Gauge, Histogram, Registry};
 
@@ -16,9 +15,6 @@ pub enum Stage {
     /// Reading and parsing the request head + body (keep-alive idle time
     /// between requests is not counted).
     Parse,
-    /// Response-cache probe of one document (hit or miss); the insert
-    /// after a miss is not timed.
-    CacheLookup,
     /// Gathering φ columns for the document's distinct words
     /// (scatter-gather across shards when the bundle is sharded).
     PhiGather,
@@ -29,9 +25,8 @@ pub enum Stage {
 }
 
 impl Stage {
-    pub const ALL: [Stage; 5] = [
+    pub const ALL: [Stage; 4] = [
         Stage::Parse,
-        Stage::CacheLookup,
         Stage::PhiGather,
         Stage::FoldIn,
         Stage::Serialize,
@@ -40,7 +35,6 @@ impl Stage {
     pub fn as_str(self) -> &'static str {
         match self {
             Stage::Parse => "parse",
-            Stage::CacheLookup => "cache_lookup",
             Stage::PhiGather => "phi_gather",
             Stage::FoldIn => "fold_in",
             Stage::Serialize => "serialize",
@@ -50,10 +44,9 @@ impl Stage {
     fn index(self) -> usize {
         match self {
             Stage::Parse => 0,
-            Stage::CacheLookup => 1,
-            Stage::PhiGather => 2,
-            Stage::FoldIn => 3,
-            Stage::Serialize => 4,
+            Stage::PhiGather => 1,
+            Stage::FoldIn => 2,
+            Stage::Serialize => 3,
         }
     }
 }
@@ -65,11 +58,11 @@ const ROUTES: [&str; 5] = ["/healthz", "/model", "/infer", "/infer_batch", "/met
 /// One-time-registered handles for everything the serving stack records.
 #[derive(Debug)]
 pub struct ServeMetrics {
-    stage_seconds: [Arc<Histogram>; 5],
+    stage_seconds: [Arc<Histogram>; 4],
     /// Per-route handling time (dispatch through response write), indexed
     /// like [`ROUTES`] with `other` at the end.
     route_seconds: [Arc<Histogram>; 6],
-    /// Documents run through fold-in inference (cache misses + batch).
+    /// Documents run through fold-in inference.
     pub infer_docs_total: Arc<Counter>,
     /// φ columns gathered for inference (distinct in-vocabulary words).
     pub phi_columns_total: Arc<Counter>,
@@ -91,10 +84,6 @@ pub struct ServeMetrics {
     pub requests_rejected_total: Arc<Counter>,
     /// Requests whose deadline expired while queued (504).
     pub requests_expired_total: Arc<Counter>,
-    cache_hits: Arc<Gauge>,
-    cache_misses: Arc<Gauge>,
-    cache_entries: Arc<Gauge>,
-    cache_capacity: Arc<Gauge>,
     uptime_seconds: Arc<Gauge>,
 }
 
@@ -174,18 +163,6 @@ pub fn serve_metrics() -> &'static ServeMetrics {
                 "Requests whose deadline expired while queued (504)",
                 &[],
             ),
-            cache_hits: r.gauge(
-                "topmine_cache_hits",
-                "Response cache hits since start (sampled at scrape)",
-                &[],
-            ),
-            cache_misses: r.gauge(
-                "topmine_cache_misses",
-                "Response cache misses since start (sampled at scrape)",
-                &[],
-            ),
-            cache_entries: r.gauge("topmine_cache_entries", "Response cache occupancy", &[]),
-            cache_capacity: r.gauge("topmine_cache_capacity", "Response cache capacity", &[]),
             uptime_seconds: r.gauge(
                 "topmine_uptime_seconds",
                 "Seconds since process start (sampled at scrape)",
@@ -235,11 +212,7 @@ impl ServeMetrics {
     }
 
     /// Refresh the point-in-time gauges rendered by a scrape.
-    pub fn refresh_scrape_gauges(&self, cache: &CacheStats) {
-        self.cache_hits.set(cache.hits as f64);
-        self.cache_misses.set(cache.misses as f64);
-        self.cache_entries.set(cache.entries as f64);
-        self.cache_capacity.set(cache.capacity as f64);
+    pub fn refresh_scrape_gauges(&self) {
         self.uptime_seconds.set(topmine_obs::uptime_seconds());
     }
 }

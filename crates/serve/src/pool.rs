@@ -485,7 +485,7 @@ impl ShardClient {
             };
             let retryable = matches!(failure, BackendError::ShardUnavailable { .. });
             if !retryable || call.budget == 0 {
-                self.mark_down(&failure);
+                self.mark_down();
                 return Err(failure);
             }
             call.budget -= 1;
@@ -493,7 +493,7 @@ impl ShardClient {
             let sleep = match self.clamp(call.deadline, call.next_backoff) {
                 Ok(d) => d,
                 Err(timeout) => {
-                    self.mark_down(&timeout);
+                    self.mark_down();
                     return Err(timeout);
                 }
             };
@@ -567,12 +567,11 @@ impl ShardClient {
         *self.down_until.lock().unwrap() = None;
     }
 
-    fn mark_down(&self, failure: &BackendError) {
+    fn mark_down(&self) {
         self.consecutive_failures.fetch_add(1, Ordering::Relaxed);
         self.metrics.failures.inc();
         // Protocol disagreements open the circuit too: the peer is the
         // wrong software or the wrong model, and hammering it can't help.
-        let _ = failure;
         *self.down_until.lock().unwrap() = Some(Instant::now() + self.config.cooldown);
     }
 

@@ -27,14 +27,14 @@
 //! `/healthz` and `/metrics` through [`ModelBackend::fleet_status_json`]
 //! and the fleet metric families.
 
-use crate::backend::{BackendError, GatherOptions, ModelBackend};
+use crate::backend::{BackendError, ModelBackend};
 use crate::frozen::FrozenModel;
 use crate::pool::{ExpectedShard, PoolConfig, ShardClient, ShardHealth};
 use crate::sharded::{shard_of, shard_ranges};
 use crate::wire::{self, Opcode};
 use std::io;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Format tag reported by a fleet router backend (nothing is persisted
 /// under this tag; the on-disk artifact is the sharded bundle).
@@ -140,7 +140,7 @@ impl ModelBackend for RemoteShardedModel {
     fn try_gather_phi_batch(
         &self,
         words: &[u32],
-        opts: &GatherOptions,
+        deadline: Option<Instant>,
     ) -> Result<Vec<f64>, BackendError> {
         crate::metrics::serve_metrics()
             .sharded_gather_columns
@@ -177,7 +177,7 @@ impl ModelBackend for RemoteShardedModel {
                 Opcode::GatherPhiBatch,
                 wire::encode_gather(shard_ids),
                 Opcode::PhiBlock,
-                opts.deadline,
+                deadline,
             )?;
             started.push(Some(call));
         }
@@ -277,9 +277,7 @@ mod tests {
         let all: Vec<u32> = (0..v).collect();
         let scrambled: Vec<u32> = (0..v).rev().chain(0..v / 2).collect();
         for words in [&all[..], &scrambled[..], &[0][..], &[][..]] {
-            let remote = router
-                .try_gather_phi_batch(words, &GatherOptions::default())
-                .unwrap();
+            let remote = router.try_gather_phi_batch(words, None).unwrap();
             let local = model.gather_phi_batch(words);
             assert_eq!(
                 remote.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),

@@ -17,11 +17,11 @@
 //! pipelining on one connection overlaps network with compute, and the
 //! router opens one connection per shard, so a shard serves its whole
 //! fleet role with a handful of threads. Both servers hold at most
-//! [`MAX_CONNECTIONS`](crate::http::MAX_CONNECTIONS) connections; one more
-//! is closed unread, which a router's dial treats as an unavailable shard
-//! and retries. A connection must send its `Hello` within
-//! [`HELLO_DEADLINE`], so a silent client cannot hold its thread for as
-//! long as it stays connected.
+//! [`MAX_CONNECTIONS`] connections; one more is closed unread, which a
+//! router's dial treats as an unavailable shard and retries. A connection
+//! must finish sending its `Hello` within [`HELLO_DEADLINE`] of being
+//! accepted, so neither a silent client nor one that drips its bytes can
+//! hold its thread for as long as it stays connected.
 //!
 //! Robustness: any [`WireError`] on a connection gets a best-effort
 //! `Error` frame (tagged with the offending request id when known) and the
@@ -33,17 +33,17 @@ use crate::io::data_err;
 use crate::registry::{Connections, ACCEPT_RETRY_PAUSE, MAX_CONNECTIONS};
 use crate::sharded::Manifest;
 use crate::wire::{self, Frame, Opcode, ShardMeta, WireError, MAX_FRAME, WIRE_VERSION};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How long a new connection may take to send its `Hello`. A router sends
-/// it as soon as it connects; a connection still silent after this long is
-/// closed.
+/// How long a new connection may take, from accept, to send its whole
+/// `Hello`. A router sends it as soon as it connects; a connection whose
+/// `Hello` has not fully arrived after this long is closed.
 pub const HELLO_DEADLINE: Duration = Duration::from_secs(2);
 
 /// One shard's worth of φ plus the identity the handshake advertises.
@@ -219,6 +219,7 @@ impl ShardServer {
                 // Dropped, so closed, unread.
                 continue;
             }
+            let hello_deadline = Instant::now() + HELLO_DEADLINE;
             // Replies are pipelined: with Nagle's algorithm on, the small
             // tail of one reply waits for the router to acknowledge the
             // tail of the reply before it, which a delayed ACK can hold
@@ -233,7 +234,7 @@ impl ShardServer {
                 .name(format!("shard-{}-conn", slice.index))
                 .spawn(move || {
                     let _registration = registration;
-                    serve_connection(&slice, &stream);
+                    serve_connection(&slice, &stream, hello_deadline);
                 });
         }
     }
@@ -259,23 +260,51 @@ impl ShardServerHandle {
     }
 }
 
+/// The read side of a shard connection. Until the handshake ends, each
+/// socket read waits only as long as is left before the `Hello` deadline,
+/// so a client that drips its `Hello` one byte at a time is closed at the
+/// deadline like a silent one; a fixed per-read timeout would wait on it
+/// for as long as the frame lasts.
+struct HelloReader<'a> {
+    stream: &'a TcpStream,
+    /// `None` once the handshake is done.
+    deadline: Option<Instant>,
+}
+
+impl Read for HelloReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Some(deadline) = self.deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
 /// Serve one connection until it closes or violates the protocol. The
-/// first frame must be a valid `Hello`; afterwards `GatherPhiBatch` and
-/// `Ping` may arrive in any number and are answered in order under their
-/// request ids.
-fn serve_connection(slice: &ShardSlice, stream: &TcpStream) {
-    let mut reader = BufReader::new(stream);
+/// first frame must be a valid `Hello`, whole by `hello_deadline`;
+/// afterwards `GatherPhiBatch` and `Ping` may arrive in any number and are
+/// answered in order under their request ids.
+fn serve_connection(slice: &ShardSlice, stream: &TcpStream, hello_deadline: Instant) {
+    // One buffered reader for the connection's life, so frames pipelined
+    // behind the `Hello` are not lost when the deadline is cleared.
+    let mut reader = BufReader::new(HelloReader {
+        stream,
+        deadline: Some(hello_deadline),
+    });
     let mut writer = BufWriter::new(stream);
 
-    // Handshake first, within `HELLO_DEADLINE`: anything else on a fresh
-    // connection is a protocol error and the peer learns why before the
-    // close. Afterwards reads wait as long as the router stays connected.
-    if stream.set_read_timeout(Some(HELLO_DEADLINE)).is_err() {
-        return;
-    }
+    // Handshake first: anything else on a fresh connection is a protocol
+    // error and the peer learns why before the close. Afterwards reads
+    // wait as long as the router stays connected.
     match wire::read_frame(&mut reader) {
         Ok(frame) if frame.opcode == Opcode::Hello => match wire::decode_hello(&frame.payload) {
             Ok(version) if version == WIRE_VERSION => {
+                reader.get_mut().deadline = None;
                 let meta = wire::encode_meta(&slice.meta());
                 if wire::write_frame(&mut writer, frame.request_id, Opcode::Meta, &[&meta]).is_err()
                     || stream.set_read_timeout(None).is_err()

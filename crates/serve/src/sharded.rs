@@ -13,12 +13,11 @@
 //!   topic-word columns, which one `topmine serve-shard` process serves
 //!   ([`ShardSlice`](crate::ShardSlice)).
 //!
-//! A bundle of any shard count loads back as one
-//! [`FrozenModel`](crate::FrozenModel): one vocabulary, one unstem table,
-//! one lexicon and one K × V φ, each shard's files read into place, so
-//! inference is the same code and **bit-identical** whatever the shard
-//! count. The shards exist on disk and across processes, never as a second
-//! model in memory.
+//! A bundle of any shard count loads back as one [`FrozenModel`]: one
+//! vocabulary, one unstem table, one lexicon and one K × V φ, each shard's
+//! files read into place, so inference is the same code and
+//! **bit-identical** whatever the shard count. The shards exist on disk and
+//! across processes, never as a second model in memory.
 //!
 //! # On-disk layout
 //!

@@ -15,9 +15,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use topmine_corpus::{corpus_from_texts, CorpusOptions};
 use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
-use topmine_serve::{
-    BackendError, FrozenModel, GatherOptions, HttpServer, ModelBackend, ServerConfig,
-};
+use topmine_serve::{BackendError, FrozenModel, HttpServer, ModelBackend, ServerConfig};
 
 fn fitted_model() -> FrozenModel {
     let texts: Vec<String> = (0..30)
@@ -106,18 +104,18 @@ impl ModelBackend for GatedBackend {
     fn try_gather_phi_batch(
         &self,
         words: &[u32],
-        opts: &GatherOptions,
+        deadline: Option<std::time::Instant>,
     ) -> Result<Vec<f64>, BackendError> {
         self.arrive_and_wait();
-        self.inner.try_gather_phi_batch(words, opts)
+        self.inner.try_gather_phi_batch(words, deadline)
     }
 }
 
 #[test]
 fn saturated_queue_rejects_then_recovers() {
     let backend = Arc::new(GatedBackend::new(Arc::new(fitted_model())));
-    // Every request below sends a document no earlier one sent, so none is
-    // a cache hit: each must reach the gated gather.
+    // Every admitted request is folded in, so each must reach the gated
+    // gather.
     const QUEUE_DEPTH: usize = 2;
     let server = HttpServer::bind(
         "127.0.0.1:0",

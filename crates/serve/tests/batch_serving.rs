@@ -3,9 +3,8 @@
 //! **bit-identical** to running each document through a sequential
 //! `/infer` with the same per-index seeds — the shared φ gather is an
 //! implementation detail, never an observable one. Plus the admission
-//! pipeline's contract: per-document cache probes inside a batch, the
-//! deadline path (`504`), and a shutdown that drains in-flight requests
-//! while closing idle connections at once.
+//! pipeline's contract: the deadline path (`504`), and a shutdown that
+//! drains in-flight requests while closing idle connections at once.
 
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -16,8 +15,8 @@ use topmine_lda::{GroupedDocs, PhraseLda, TopicModelConfig};
 use topmine_phrase::Segmenter;
 use topmine_serve::{
     batch_inference_json, http::KEEP_ALIVE_IDLE, infer_doc, infer_docs_amortized, inference_json,
-    BackendError, BatchItem, FrozenModel, GatherOptions, HttpServer, InferConfig, ModelBackend,
-    ServerConfig, ShardedModel,
+    BackendError, BatchItem, FrozenModel, HttpServer, InferConfig, ModelBackend, ServerConfig,
+    ShardedModel,
 };
 
 fn fitted_model() -> &'static FrozenModel {
@@ -202,85 +201,6 @@ fn infer_batch_endpoint_is_byte_identical_to_sequential_infers() {
     server.shutdown();
 }
 
-// ----- batch cache semantics: per-document probes --------------------------
-
-/// `(hits, misses)` parsed from the `/healthz` cache counters.
-fn cache_counters(addr: std::net::SocketAddr) -> (u64, u64) {
-    let (status, body) = request(addr, "GET /healthz", "");
-    assert_eq!(status, 200, "{body}");
-    let field = |key: &str| -> u64 {
-        body.split_once(&format!("\"{key}\":"))
-            .and_then(|(_, rest)| {
-                rest.split(|c: char| !c.is_ascii_digit())
-                    .next()?
-                    .parse()
-                    .ok()
-            })
-            .unwrap_or_else(|| panic!("no {key} in {body}"))
-    };
-    (field("hits"), field("misses"))
-}
-
-#[test]
-fn batch_documents_probe_the_cache_individually() {
-    let frozen = fitted_model();
-    let server = HttpServer::bind(
-        "127.0.0.1:0",
-        Arc::new(frozen.clone()),
-        ServerConfig::default(),
-    )
-    .expect("bind")
-    .spawn()
-    .expect("spawn");
-    let addr = server.addr();
-
-    let doc_x = "support vector machines in the data streams";
-    let doc_y = "a study of mining frequent patterns";
-    let cfg = InferConfig {
-        seed: 5,
-        ..InferConfig::default()
-    };
-
-    // Seed the cache with doc X through the single route.
-    let (status, single_x) = request(addr, "POST /infer?seed=5", doc_x);
-    assert_eq!(status, 200, "{single_x}");
-    assert_eq!(cache_counters(addr), (0, 1));
-
-    // A batch of [X, Y]: document 0 draws `seed_for_index(0)` == the
-    // config seed, so it must HIT the entry the single request planted;
-    // document 1 is a fresh miss folded in by the batch.
-    let (status, batch) = request(
-        addr,
-        "POST /infer_batch?seed=5",
-        &format!("{doc_x}\n{doc_y}"),
-    );
-    assert_eq!(status, 200, "{batch}");
-    assert_eq!(cache_counters(addr), (1, 2), "mixed hit/miss batch");
-    // Expected bodies computed off-server (going through the server here
-    // would itself probe the cache and skew the counters under test).
-    let expected = batch_inference_json(&[
-        infer_doc(frozen, doc_x, &cfg, cfg.seed_for_index(0)),
-        infer_doc(frozen, doc_y, &cfg, cfg.seed_for_index(1)),
-    ]);
-    assert_eq!(batch, expected);
-    assert!(
-        batch.contains(&single_x),
-        "cached entry must be reused verbatim"
-    );
-
-    // The same batch again: every document hits, bodies stay identical.
-    let (status, again) = request(
-        addr,
-        "POST /infer_batch?seed=5",
-        &format!("{doc_x}\n{doc_y}"),
-    );
-    assert_eq!(status, 200);
-    assert_eq!(again, batch);
-    assert_eq!(cache_counters(addr), (3, 2), "all-hit batch");
-
-    server.shutdown();
-}
-
 // ----- deadline expiry: 504 before dispatch --------------------------------
 
 /// A backend whose φ gathers block until the test opens a gate, with an
@@ -332,10 +252,10 @@ impl ModelBackend for GatedBackend {
     fn try_gather_phi_batch(
         &self,
         words: &[u32],
-        opts: &GatherOptions,
+        deadline: Option<std::time::Instant>,
     ) -> Result<Vec<f64>, BackendError> {
         self.arrive_and_wait();
-        self.inner.try_gather_phi_batch(words, opts)
+        self.inner.try_gather_phi_batch(words, deadline)
     }
 }
 

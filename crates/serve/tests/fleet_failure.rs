@@ -21,9 +21,8 @@ fn killed_shard_yields_503_then_recovery_restores_bit_identity() {
     let router =
         RemoteShardedModel::connect(&dir, &addrs, fast_pool()).expect("connect router to fleet");
 
-    // A cached response would mask the dead shard (and fake an instant
-    // recovery), so every inference below must really gather: no request
-    // repeats the seed of one answered before it.
+    // The server keeps no responses, so every inference below gathers
+    // from the fleet and a dead shard shows in its answer.
     let server = HttpServer::bind("127.0.0.1:0", Arc::new(router), ServerConfig::default())
         .expect("bind")
         .spawn()
@@ -97,7 +96,7 @@ fn killed_shard_yields_503_then_recovery_restores_bit_identity() {
 
     // The router reconnects once the cooldown lapses; poll until the
     // answer comes back — and when it does, it is byte-identical to the
-    // monolith's. A failed request is not cached, so every poll gathers.
+    // monolith's. Every poll gathers.
     let deadline = Instant::now() + Duration::from_secs(10);
     let recovered = loop {
         let (status, body) = request(server.addr(), "POST /infer?seed=42&iters=25", doc);

@@ -192,13 +192,9 @@ fn keep_alive_serves_many_requests_on_one_connection() {
         "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
     )
     .unwrap();
-    let (status, head, body) = read_response(&mut stream);
+    let (status, head, _) = read_response(&mut stream);
     assert_eq!(status, 200);
     assert!(head.contains("Connection: close"), "{head}");
-    // The repeated /infer calls above were cache hits: same server, same
-    // key. /healthz reports them.
-    assert!(body.contains("\"cache\""), "{body}");
-    assert!(body.contains("\"hits\":2"), "{body}");
     let mut rest = String::new();
     stream.read_to_string(&mut rest).expect("EOF after close");
     assert!(rest.is_empty(), "server must close after Connection: close");

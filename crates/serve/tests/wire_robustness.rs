@@ -4,8 +4,8 @@
 //!   length prefixes, unknown opcodes, or disconnecting mid-frame gets a
 //!   best-effort `Error` frame and a clean close; the server never panics
 //!   and keeps serving fresh connections; it holds at most
-//!   `MAX_CONNECTIONS` connections, and closes one that sends no `Hello`
-//!   within `HELLO_DEADLINE`;
+//!   `MAX_CONNECTIONS` connections, and closes one whose `Hello` has not
+//!   fully arrived within `HELLO_DEADLINE`, silent or dripped;
 //! * **router side** — a rogue or stalled shard (garbage handshake,
 //!   silence, mid-RPC disconnect, oversize reply) surfaces as a typed
 //!   [`BackendError`] within its deadline; the client never hangs.
@@ -15,7 +15,7 @@
 
 mod fleet_common;
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 use topmine_serve::http::MAX_CONNECTIONS;
@@ -247,6 +247,50 @@ fn shard_closes_a_connection_silent_past_the_hello_deadline() {
     wire::write_frame(&mut writer, 7, Opcode::Ping, &[]).unwrap();
     let pong = wire::read_frame(&mut reader).unwrap();
     assert_eq!((pong.request_id, pong.opcode), (7, Opcode::Pong));
+    handle.shutdown();
+}
+
+#[test]
+fn shard_closes_a_connection_dripping_its_hello_past_the_deadline() {
+    let handle = spawn_server();
+    let mut hello = Vec::new();
+    wire::write_frame(&mut hello, 1, Opcode::Hello, &[&wire::encode_hello()]).unwrap();
+    let limit = HELLO_DEADLINE + Duration::from_secs(1);
+    let start = Instant::now();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    // A valid `Hello`, one byte every 0.5 s: each pause is a read, so the
+    // shard's close shows as EOF or a reset at once, while a timed-out read
+    // only means the connection is still open.
+    stream
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let mut closed = false;
+    for &byte in &hello {
+        assert!(start.elapsed() < limit, "open after {:?}", start.elapsed());
+        if stream.write_all(&[byte]).is_err() {
+            closed = true;
+            break;
+        }
+        let mut reply = [0u8; 64];
+        match stream.read(&mut reply) {
+            Ok(0) => {
+                closed = true;
+                break;
+            }
+            Ok(n) => panic!("a dripped Hello was answered: {:?}", &reply[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => {
+                closed = true;
+                break;
+            }
+        }
+    }
+    assert!(closed, "the whole Hello was read without a close");
+    assert!(
+        start.elapsed() < limit,
+        "closed after {:?}",
+        start.elapsed()
+    );
     handle.shutdown();
 }
 
