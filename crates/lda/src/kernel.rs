@@ -27,10 +27,10 @@
 //! ([`sample_clique`] over [`sample_cumulative`]).
 //!
 //! The fold-in chain itself lives here too: [`fold_in`] — a random topic
-//! per span, then sweeps of [`sample_clique`] with the word side frozen —
-//! is the one chain behind held-out perplexity
-//! (`PhraseLda::heldout_perplexity`, over [`FixedPhiView`]) and serving's
-//! `/infer` (`topmine_serve::infer`, over [`FrozenPhiView`]).
+//! per span, then sweeps of Eq. 7 draws with the word side frozen, up to
+//! two documents' chains side by side — is the one chain behind held-out
+//! perplexity (`PhraseLda::heldout_perplexity`, over [`FixedPhiView`]) and
+//! serving's `/infer` (`topmine_serve::infer`, over [`FrozenPhiView`]).
 //!
 //! # Numerical contract
 //!
@@ -57,6 +57,37 @@
 //! while the total is positive a zero-weight topic is never drawn.
 //! `crates/lda/tests/draw_oracle.rs` keeps the two-walk draw as a test
 //! oracle.
+//!
+//! # Interleaved chains
+//!
+//! What is left of a dense draw is serial: the K running sums are one
+//! chain of dependent adds, the bisection waits on the last of them, and
+//! the chain's next clique waits on the draw. Reordering those adds would
+//! change bits. The documents of a batch, though, are independent chains,
+//! each with its own RNG and counts, so [`fold_in`] runs two of them side
+//! by side, one per lane. Each step takes the next clique of both lanes'
+//! chains: each lane takes its clique's tokens out of its own counts and
+//! forms its weights as [`clique_posterior`] does; one loop then builds
+//! both lanes' running sums, each from 0.0 and left to right over the
+//! topics; then each lane draws ([`sample_cumulative`]) from its own RNG
+//! and puts its counts back. The core overlaps the two lanes' add chains
+//! and bisections. A lane also keeps its document side `α_t + N_dt` as a
+//! vector, recomputing an entry from the same two operands whenever its
+//! count changes, so its weight loops read one operand per topic where
+//! [`clique_posterior`] converts a count and adds α.
+//!
+//! Every chain still runs exactly the operations it runs alone, in the
+//! same order: its initial draws when its lane picks it up, then per
+//! clique its counts out, the same weights from the same operands, the
+//! same running sums (each lane's sums are their own sequence of `f64`
+//! adds, and Rust never fuses or reassociates them), the draw on its own
+//! RNG, its counts back in. No lane reads another lane's state, so which
+//! chains share a step, and when a lane takes its next chain, cannot
+//! change a bit. Once no chain is left to start, the running ones finish
+//! alone through [`sample_clique`], whose singleton loop forms the same
+//! sums as it forms the weights. A one-chain call — held-out perplexity,
+//! which draws every document from one RNG stream, or a batch of one —
+//! runs that way from the start.
 //!
 //! # Sparse bucketed singleton kernel (`KERNEL_VERSION = 2`)
 //!
@@ -286,19 +317,47 @@ fn fill_multiplicities(tokens: &[u32], scratch: &mut CliqueScratch) {
 const RESCALE_LO: f64 = f64::from_bits(767 << 52); // 2^-256
 const RESCALE_HI: f64 = f64::from_bits(1279 << 52); // 2^256
 
+/// The document side of Eq. 7 before the clique's own tokens, `α_t + N_dt`
+/// at topic `t`: formed from α and the counts as it is read
+/// ([`DocCounts`]), or read from the vector a [`fold_in`] lane keeps,
+/// which recomputes an entry from the same two operands whenever its count
+/// changes. Either way a weight reads the same `f64`.
+trait DocSide {
+    fn at(&self, t: usize) -> f64;
+}
+
+/// `α_t + N_dt`, formed on every read.
+struct DocCounts<'a> {
+    alpha: &'a [f64],
+    ndk: &'a [u32],
+}
+
+impl DocSide for DocCounts<'_> {
+    #[inline(always)]
+    fn at(&self, t: usize) -> f64 {
+        self.alpha[t] + self.ndk[t] as f64
+    }
+}
+
+impl DocSide for [f64] {
+    #[inline(always)]
+    fn at(&self, t: usize) -> f64 {
+        self[t]
+    }
+}
+
 /// The Eq. 7 weight of topic `t` for a singleton clique `[w]`: the
 /// general product at s = 1 (`1.0 * x = x` and `y + 0.0 = y` are IEEE 754
 /// identities for the positive finite values here, so the two agree bit
 /// for bit).
 #[inline(always)]
-fn singleton_weight<V: CountsView>(
+fn singleton_weight<V: CountsView, D: DocSide + ?Sized>(
     view: &V,
-    alpha: &[f64],
-    doc_ndk: &[u32],
+    doc: &D,
     w: u32,
     t: usize,
 ) -> f64 {
-    (alpha[t] + doc_ndk[t] as f64) * view.word_numerator(w, t, 0) / view.word_denominator(t, 0)
+    doc.at(t) * view.word_numerator(w, t, 0) / view.word_denominator(t, 0)
 }
 
 /// Compute the unnormalized Eq. 7 posterior over topics for one clique.
@@ -324,14 +383,30 @@ pub fn clique_posterior<V: CountsView>(
     scratch: &mut CliqueScratch,
     weights: &mut [f64],
 ) {
+    let doc = DocCounts {
+        alpha,
+        ndk: doc_ndk,
+    };
+    clique_weights(view, &doc, tokens, scratch, weights);
+}
+
+/// [`clique_posterior`] over any [`DocSide`].
+#[inline(always)]
+fn clique_weights<V: CountsView, D: DocSide + ?Sized>(
+    view: &V,
+    doc: &D,
+    tokens: &[u32],
+    scratch: &mut CliqueScratch,
+    weights: &mut [f64],
+) {
     if let [w] = tokens {
         // Singleton fast path: after segmentation most cliques are
         // unigrams — no multiplicity pass, no `fill(1.0)`, no rescale.
         for (t, slot) in weights.iter_mut().enumerate() {
-            *slot = singleton_weight(view, alpha, doc_ndk, *w, t);
+            *slot = singleton_weight(view, doc, *w, t);
         }
     } else {
-        clique_product(view, alpha, doc_ndk, tokens, scratch, weights);
+        clique_product(view, doc, tokens, scratch, weights);
     }
 }
 
@@ -348,14 +423,18 @@ pub fn sample_clique<R: RngCore, V: CountsView>(
     scratch: &mut CliqueScratch,
     cum: &mut [f64],
 ) -> usize {
+    let doc = DocCounts {
+        alpha,
+        ndk: doc_ndk,
+    };
     if let [w] = tokens {
         let mut acc = 0.0;
         for (t, slot) in cum.iter_mut().enumerate() {
-            acc += singleton_weight(view, alpha, doc_ndk, *w, t);
+            acc += singleton_weight(view, &doc, *w, t);
             *slot = acc;
         }
     } else {
-        clique_product(view, alpha, doc_ndk, tokens, scratch, cum);
+        clique_product(view, &doc, tokens, scratch, cum);
         let mut acc = 0.0;
         for slot in cum.iter_mut() {
             acc += *slot;
@@ -365,81 +444,231 @@ pub fn sample_clique<R: RngCore, V: CountsView>(
     sample_cumulative(rng, cum)
 }
 
-/// Caller-held state of one [`fold_in`] chain, reused across documents.
-/// After a chain, `ndk` holds the document's per-topic token counts and
-/// `z` the topic of each span.
+/// How many fold-in chains [`fold_in`] advances side by side (module docs,
+/// "Interleaved chains"). Measured on a 2-vCPU Xeon VM with a synthetic
+/// harness (K = 50, 64 chains of 96 spans, 28% of them two-word, 20
+/// sweeps, [`FrozenPhiView`]; medians of 41 runs, four runs a count): one
+/// chain at a time takes 114–181 ns a clique as the host's load varies,
+/// and side by side takes 0.67–0.69 of that at two lanes, the same at
+/// three, and 0.71–0.74 at four.
+const LANES: usize = 2;
+
+/// One document's chain, as [`fold_in`] takes it: the RNG it alone draws
+/// from, its tokens (in the view's word-id space), its spans (half-open
+/// ranges of `tokens`, one clique each) and its number of sweeps. The
+/// chain owns `rng` (a `&mut` to an RNG is an RNG too), so two chains of
+/// one call cannot share a stream.
+#[derive(Debug)]
+pub struct FoldInChain<'a, R> {
+    pub rng: R,
+    pub tokens: &'a [u32],
+    pub spans: &'a [(u32, u32)],
+    pub iters: usize,
+}
+
+/// Caller-held buffers of [`fold_in`], reused across calls and across
+/// the chains of one call: per lane, its chain's per-topic counts and
+/// document side, span topics and running sums (zeroed or refilled
+/// whenever the lane takes a chain), plus one clique scratch.
 #[derive(Debug, Default, Clone)]
 pub struct FoldInScratch {
-    pub ndk: Vec<u32>,
-    pub z: Vec<u16>,
-    cum: Vec<f64>,
+    lanes: [LaneBuffers; LANES],
     clique: CliqueScratch,
 }
 
-/// Fold one document in with the word side frozen (Eq. 7's document side
-/// over a fixed φ view): every span — a half-open range of `tokens`, in
-/// `view`'s word-id space — starts on a uniformly random topic, then each
-/// of `iters` sweeps redraws the spans in order, each as one clique
-/// ([`sample_clique`]) with its own tokens taken out of the counts. The
-/// result is left in `scratch` ([`FoldInScratch`]).
-pub fn fold_in<R: RngCore, V: CountsView>(
-    rng: &mut R,
+#[derive(Debug, Default, Clone)]
+struct LaneBuffers {
+    ndk: Vec<u32>,
+    /// `α_t + ndk[t]` per topic ([`DocSide`]), kept while the lane runs
+    /// side by side with another; a chain finishing alone draws from
+    /// `ndk` and never rejoins a pair.
+    doc: Vec<f64>,
+    z: Vec<u16>,
+    cum: Vec<f64>,
+}
+
+impl LaneBuffers {
+    /// Start the next chain of `pending` that has sweeps to run: its
+    /// initial draws (a uniformly random topic per span, from its own
+    /// RNG, counted into a zeroed `ndk`). A chain with no spans or no
+    /// sweeps ends there and is reported to `done`.
+    fn take_next<'a, R: RngCore>(
+        &mut self,
+        k: usize,
+        alpha: &[f64],
+        pending: &mut impl Iterator<Item = (usize, FoldInChain<'a, R>)>,
+        done: &mut impl FnMut(usize, &[u32], &[u16]),
+    ) -> Option<Running<'a, R>> {
+        for (index, mut chain) in pending {
+            self.ndk.clear();
+            self.ndk.resize(k, 0);
+            self.z.clear();
+            for &(s, e) in chain.spans {
+                let t = chain.rng.gen_range(0..k);
+                self.ndk[t] += e - s;
+                self.z.push(t as u16);
+            }
+            if chain.spans.is_empty() || chain.iters == 0 {
+                done(index, &self.ndk, &self.z);
+                continue;
+            }
+            self.doc.clear();
+            self.doc
+                .extend(alpha.iter().zip(&self.ndk).map(|(&a, &n)| a + n as f64));
+            return Some(Running {
+                index,
+                next: 0,
+                sweeps_left: chain.iters,
+                chain,
+            });
+        }
+        None
+    }
+}
+
+/// A chain in a lane: its call index, its next span and the sweeps it
+/// has left.
+struct Running<'a, R> {
+    index: usize,
+    chain: FoldInChain<'a, R>,
+    next: usize,
+    sweeps_left: usize,
+}
+
+/// Fold documents in with the word side frozen (Eq. 7's document side
+/// over a fixed φ view). Each chain starts every span on a uniformly
+/// random topic, then each of its `iters` sweeps redraws its spans in
+/// order, each as one clique with its own tokens taken out of the counts.
+/// A chain with no spans, or no sweeps, ends after its initial draws.
+///
+/// Two chains run side by side, one per lane (module docs, "Interleaved
+/// chains"): a lane whose chain ends reports it and takes the next one.
+/// Every chain draws only from its own RNG and counts, so each ends
+/// bit-identical to a call that folds it in alone. `done(i, ndk, z)` runs
+/// once per chain as it ends, with `i` its position in `chains`, `ndk`
+/// its per-topic token counts and `z` the topic of each span.
+pub fn fold_in<'a, R: RngCore, V: CountsView>(
     view: &V,
     alpha: &[f64],
-    tokens: &[u32],
-    spans: &[(u32, u32)],
-    iters: usize,
+    chains: impl IntoIterator<Item = FoldInChain<'a, R>>,
     scratch: &mut FoldInScratch,
+    mut done: impl FnMut(usize, &[u32], &[u16]),
 ) {
     let k = view.n_topics();
-    let FoldInScratch {
-        ndk,
-        z,
-        cum,
-        clique,
-    } = scratch;
-    ndk.clear();
-    ndk.resize(k, 0);
-    z.clear();
-    for &(s, e) in spans {
-        let t = rng.gen_range(0..k);
-        ndk[t] += e - s;
-        z.push(t as u16);
+    let FoldInScratch { lanes, clique } = scratch;
+    for lane in lanes.iter_mut() {
+        lane.cum.resize(k, 0.0);
     }
-    cum.resize(k, 0.0);
-    for _ in 0..iters {
-        for (zg, &(s, e)) in z.iter_mut().zip(spans) {
-            ndk[*zg as usize] -= e - s;
-            let t = sample_clique(
-                rng,
-                view,
-                alpha,
-                ndk,
-                &tokens[s as usize..e as usize],
-                clique,
-                cum,
-            );
-            *zg = t as u16;
-            ndk[t] += e - s;
+    let mut pending = chains.into_iter().enumerate().fuse();
+    let mut running: [Option<Running<'a, R>>; LANES] = std::array::from_fn(|_| None);
+    loop {
+        for (slot, lane) in running.iter_mut().zip(lanes.iter_mut()) {
+            if slot.is_none() {
+                *slot = lane.take_next(k, alpha, &mut pending, &mut done);
+            }
+        }
+        if running.iter().all(Option::is_some) {
+            let mut runs = running
+                .each_mut()
+                .map(|r| r.as_mut().expect("every lane is busy"));
+            while step(view, alpha, k, &mut runs, &mut lanes.each_mut(), clique) {}
+            for (slot, lane) in running.iter_mut().zip(lanes.iter()) {
+                if slot.as_ref().is_some_and(|run| run.sweeps_left == 0) {
+                    let run = slot.take().expect("checked above");
+                    done(run.index, &lane.ndk, &lane.z);
+                }
+            }
+        } else {
+            // No chain is left to start: finish the running ones alone.
+            for (slot, lane) in running.iter_mut().zip(lanes.iter_mut()) {
+                if let Some(mut run) = slot.take() {
+                    while step(view, alpha, k, &mut [&mut run], &mut [&mut *lane], clique) {}
+                    done(run.index, &lane.ndk, &lane.z);
+                }
+            }
+            return;
         }
     }
+}
+
+/// One clique of each of `N` chains: every chain's counts out and weights
+/// (as [`clique_posterior`] forms them, from the lane's document side),
+/// then one loop building every chain's running sums, each left to right
+/// from 0.0, then each chain's own draw ([`sample_cumulative`]) and
+/// counts back in. A lone chain draws through [`sample_clique`], which
+/// forms a singleton's sums as it forms its weights. Returns whether
+/// every chain has sweeps left.
+#[inline(always)]
+fn step<R: RngCore, V: CountsView, const N: usize>(
+    view: &V,
+    alpha: &[f64],
+    k: usize,
+    runs: &mut [&mut Running<'_, R>; N],
+    lanes: &mut [&mut LaneBuffers; N],
+    clique: &mut CliqueScratch,
+) -> bool {
+    let spans: [(u32, u32); N] = std::array::from_fn(|l| runs[l].chain.spans[runs[l].next]);
+    for ((run, lane), &(s, e)) in runs.iter().zip(lanes.iter_mut()).zip(&spans) {
+        let z = lane.z[run.next] as usize;
+        lane.ndk[z] -= e - s;
+        if N > 1 {
+            lane.doc[z] = alpha[z] + lane.ndk[z] as f64;
+            let tokens = &run.chain.tokens[s as usize..e as usize];
+            clique_weights(view, &lane.doc[..], tokens, clique, &mut lane.cum);
+        }
+    }
+    if N > 1 {
+        // Topic-major, lane by lane within a topic: the lanes' adds are
+        // independent, so the core overlaps them.
+        let cums = lanes.each_mut().map(|lane| lane.cum.as_mut_slice());
+        // `fold_in` sized every lane's sums to K; checked once here, the
+        // loop below needs no bounds checks.
+        assert!(cums.iter().all(|cum| cum.len() == k));
+        let mut acc = [0.0f64; N];
+        #[allow(clippy::needless_range_loop)]
+        for t in 0..k {
+            for l in 0..N {
+                acc[l] += cums[l][t];
+                cums[l][t] = acc[l];
+            }
+        }
+    }
+    let mut all_left = true;
+    for ((run, lane), &(s, e)) in runs.iter_mut().zip(lanes.iter_mut()).zip(&spans) {
+        let t = if N > 1 {
+            sample_cumulative(&mut run.chain.rng, &lane.cum)
+        } else {
+            let tokens = &run.chain.tokens[s as usize..e as usize];
+            let rng = &mut run.chain.rng;
+            sample_clique(rng, view, alpha, &lane.ndk, tokens, clique, &mut lane.cum)
+        };
+        lane.z[run.next] = t as u16;
+        lane.ndk[t] += e - s;
+        if N > 1 {
+            lane.doc[t] = alpha[t] + lane.ndk[t] as f64;
+        }
+        run.next += 1;
+        if run.next == run.chain.spans.len() {
+            run.next = 0;
+            run.sweeps_left -= 1;
+            all_left &= run.sweeps_left > 0;
+        }
+    }
+    all_left
 }
 
 /// The multi-token Eq. 7 product over topics, written into `weights`.
 /// Non-finite inputs (an infinite α, say) give non-finite weights, as
 /// they do for a singleton; the draw then takes [`sample_cumulative`]'s
 /// uniform fallback, in every build.
-fn clique_product<V: CountsView>(
+fn clique_product<V: CountsView, D: DocSide + ?Sized>(
     view: &V,
-    alpha: &[f64],
-    doc_ndk: &[u32],
+    doc: &D,
     tokens: &[u32],
     scratch: &mut CliqueScratch,
     weights: &mut [f64],
 ) {
     debug_assert_eq!(weights.len(), view.n_topics());
-    debug_assert_eq!(alpha.len(), view.n_topics());
-    debug_assert_eq!(doc_ndk.len(), view.n_topics());
     if V::USES_MULTIPLICITY {
         fill_multiplicities(tokens, scratch);
     }
@@ -458,7 +687,7 @@ fn clique_product<V: CountsView>(
         };
         let jf = j as f64;
         for (t, slot) in weights.iter_mut().enumerate() {
-            let num_doc = alpha[t] + doc_ndk[t] as f64 + jf;
+            let num_doc = doc.at(t) + jf;
             *slot *= num_doc * view.word_numerator(w, t, m) / view.word_denominator(t, j as u32);
         }
         if rescale_check {
@@ -1191,6 +1420,95 @@ mod tests {
             }
             assert_eq!(seen, [true; 5], "clique {tokens:?}: not uniform");
         }
+    }
+
+    /// One document for [`fold_in`]: its tokens, spans and sweeps.
+    struct TestDoc {
+        tokens: Vec<u32>,
+        spans: Vec<(u32, u32)>,
+        iters: usize,
+    }
+
+    impl TestDoc {
+        fn chain(&self, seed: u64) -> FoldInChain<'_, StdRng> {
+            FoldInChain {
+                rng: StdRng::seed_from_u64(seed),
+                tokens: &self.tokens,
+                spans: &self.spans,
+                iters: self.iters,
+            }
+        }
+    }
+
+    /// Fold `docs` in together, then each alone on fresh scratch, and
+    /// check every chain ends with the same counts and topics either way.
+    fn check_interleaved<V: CountsView>(view: &V, alpha: &[f64], docs: &[TestDoc]) {
+        let seed = |i: usize| 31 + 7 * i as u64;
+        let mut together: Vec<Option<(Vec<u32>, Vec<u16>)>> = vec![None; docs.len()];
+        let chains = docs.iter().enumerate().map(|(i, d)| d.chain(seed(i)));
+        let mut scratch = FoldInScratch::default();
+        fold_in(view, alpha, chains, &mut scratch, |i, ndk, z| {
+            assert!(together[i].is_none(), "chain {i} reported twice");
+            together[i] = Some((ndk.to_vec(), z.to_vec()));
+        });
+        for (i, d) in docs.iter().enumerate() {
+            let mut alone = None;
+            let mut fresh = FoldInScratch::default();
+            fold_in(view, alpha, [d.chain(seed(i))], &mut fresh, |j, ndk, z| {
+                assert_eq!(j, 0);
+                alone = Some((ndk.to_vec(), z.to_vec()));
+            });
+            let alone = alone.expect("a one-chain call reports its chain");
+            let n: u32 = d.spans.iter().map(|&(s, e)| e - s).sum();
+            assert_eq!(alone.0.iter().sum::<u32>(), n, "chain {i}");
+            assert_eq!(alone.1.len(), d.spans.len(), "chain {i}");
+            assert_eq!(together[i].as_ref(), Some(&alone), "chain {i} diverged");
+        }
+    }
+
+    #[test]
+    fn interleaved_chains_end_bit_identical_to_one_chain_calls() {
+        let (k, n_words) = (7, 40);
+        let mut g = StdRng::seed_from_u64(13);
+        let phi: Vec<f64> = (0..n_words * k).map(|_| g.gen_range(1e-4..0.2)).collect();
+        let n_wk: Vec<u32> = (0..n_words * k).map(|_| g.gen_range(0..30u32)).collect();
+        let phi_den: Vec<f64> = (0..k).map(|_| g.gen_range(50.0..400.0)).collect();
+        let alpha: Vec<f64> = (0..k).map(|t| 0.1 + 0.05 * t as f64).collect();
+        // Seven chains, so lanes are refilled mid-call and the last runs
+        // alone: no spans, one span, hundreds of spans; no sweep, one, 20.
+        let shapes = [
+            (0, 20),
+            (250, 20),
+            (1, 0),
+            (40, 1),
+            (3, 20),
+            (120, 20),
+            (17, 0),
+        ];
+        let docs: Vec<TestDoc> = shapes
+            .iter()
+            .map(|&(n_spans, iters)| {
+                let mut tokens = Vec::new();
+                let mut spans = Vec::new();
+                for _ in 0..n_spans {
+                    let start = tokens.len() as u32;
+                    // Mostly singletons, some two- and three-word spans.
+                    let len = [1, 1, 1, 2, 3][g.gen_range(0..5usize)];
+                    for _ in 0..len {
+                        tokens.push(g.gen_range(0..n_words as u32));
+                    }
+                    spans.push((start, tokens.len() as u32));
+                }
+                TestDoc {
+                    tokens,
+                    spans,
+                    iters,
+                }
+            })
+            .collect();
+        assert!(docs.iter().any(|d| d.spans.iter().any(|&(s, e)| e - s > 1)));
+        check_interleaved(&FrozenPhiView::new(&phi, n_words, k), &alpha, &docs);
+        check_interleaved(&FixedPhiView::new(&n_wk, &phi_den, k, 0.01), &alpha, &docs);
     }
 
     #[test]

@@ -62,7 +62,7 @@
 use crate::counts::{CountRow, TopicCounts, WordTables};
 use crate::kernel::{
     self, doc_stream_seed, sample_clique, sample_singleton_sparse_split, CliqueScratch, DocBucket,
-    FixedPhiView, FoldInScratch, SingletonBucket, SmoothingBucket, TrainView,
+    FixedPhiView, FoldInChain, FoldInScratch, SingletonBucket, SmoothingBucket, TrainView,
 };
 use crate::model::{GroupedDoc, GroupedDocs};
 use rand::rngs::StdRng;
@@ -744,7 +744,8 @@ impl PhraseLda {
     /// grouping score exactly the same unseen tokens. Fold-in estimates θ
     /// with the kernel's chain ([`kernel::fold_in`]) over the observed half
     /// with φ frozen at the training counts, one RNG stream for the whole
-    /// held-out set. `fold_in` selects the fold-in unit:
+    /// held-out set, so each document is a one-chain call. `fold_in`
+    /// selects the fold-in unit:
     ///
     /// * [`FoldIn::Groups`] — one topic per observed group (PhraseLDA's own
     ///   inference assumption, Eq. 7 with frozen φ);
@@ -773,6 +774,7 @@ impl PhraseLda {
         let mut n = 0u64;
         let mut observed: Vec<(u32, u32)> = Vec::new();
         let mut chain = FoldInScratch::default();
+        let mut theta: Vec<f64> = Vec::with_capacity(self.k);
 
         for doc in &heldout.docs {
             if doc.n_groups() < 2 {
@@ -790,20 +792,25 @@ impl PhraseLda {
                     observed.extend(even.flat_map(|(s, e)| (s..e).map(|i| (i, i + 1))))
                 }
             }
+            // One chain per call: every document draws from `rng`.
+            let observed_chain = FoldInChain {
+                rng: &mut rng,
+                tokens: &doc.tokens,
+                spans: &observed,
+                iters: fold_iters,
+            };
             kernel::fold_in(
-                &mut rng,
                 &view,
                 &self.alpha,
-                &doc.tokens,
-                &observed,
-                fold_iters,
+                [observed_chain],
                 &mut chain,
+                |_, ndk, _| {
+                    let n_obs: u32 = ndk.iter().sum();
+                    let theta_den = n_obs as f64 + alpha_sum;
+                    theta.clear();
+                    theta.extend((0..self.k).map(|t| (ndk[t] as f64 + self.alpha[t]) / theta_den));
+                },
             );
-            let n_obs: u32 = chain.ndk.iter().sum();
-            let theta_den = n_obs as f64 + alpha_sum;
-            let theta: Vec<f64> = (0..self.k)
-                .map(|t| (chain.ndk[t] as f64 + self.alpha[t]) / theta_den)
-                .collect();
             // Score the unseen half: odd groups.
             for (g, (s, e)) in doc.group_ranges().enumerate() {
                 if g % 2 == 0 {

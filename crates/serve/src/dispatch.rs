@@ -24,7 +24,7 @@
 use crate::backend::ModelBackend;
 use crate::http::{batch_inference_json, error_json, inference_json};
 use crate::infer::{try_infer_docs_amortized, BatchItem, InferConfig};
-use crate::metrics::serve_metrics;
+use crate::metrics::{serve_metrics, Stage};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -62,7 +62,8 @@ pub(crate) struct DispatchOptions {
 }
 
 struct QueueState {
-    jobs: VecDeque<InferJob>,
+    /// Each admitted job with the instant it was admitted.
+    jobs: VecDeque<(Instant, InferJob)>,
     closed: bool,
 }
 
@@ -111,7 +112,7 @@ impl InferService {
         if state.closed || state.jobs.len() >= self.queue_depth {
             return Err(job);
         }
-        state.jobs.push_back(job);
+        state.jobs.push_back((Instant::now(), job));
         serve_metrics()
             .admission_queue_depth
             .set(state.jobs.len() as f64);
@@ -153,18 +154,22 @@ fn worker_loop(model: &dyn ModelBackend, queue: &SharedQueue, max_batch: usize) 
             // the batch past `max_batch` documents. The first job always
             // dispatches, whatever its size — an oversized `/infer_batch`
             // must make progress, it just batches alone.
+            let metrics = serve_metrics();
+            let taken = Instant::now();
             let mut batch: Vec<InferJob> = Vec::new();
             let mut docs = 0usize;
-            while let Some(job) = state.jobs.front() {
+            while let Some((_, job)) = state.jobs.front() {
                 if !batch.is_empty() && docs + job.docs.len() > max_batch {
                     break;
                 }
                 docs += job.docs.len();
-                batch.push(state.jobs.pop_front().expect("front() was Some"));
+                let (admitted, job) = state.jobs.pop_front().expect("front() was Some");
+                metrics
+                    .stage(Stage::QueueWait)
+                    .record_duration(taken.duration_since(admitted));
+                batch.push(job);
             }
-            serve_metrics()
-                .admission_queue_depth
-                .set(state.jobs.len() as f64);
+            metrics.admission_queue_depth.set(state.jobs.len() as f64);
             batch
         };
         dispatch_batch(model, batch);

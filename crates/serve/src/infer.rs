@@ -23,19 +23,23 @@
 //!    into one word-major block — each word's K values adjacent, so a
 //!    clique's weight loop reads one contiguous run — a plain copy in
 //!    process, one fan-out per batch behind a router;
-//! 2. **local Gibbs**: each document's fold-in sweeps run entirely against
-//!    the gathered block, touching no shard again.
+//! 2. **local Gibbs**: every document's fold-in sweeps run entirely
+//!    against the gathered block, touching no shard again.
 //!
 //! Because the gathered values are the trained `f64`s bit-for-bit and the
 //! sweep order is fixed, everything is deterministic given the seed: same
 //! seed ⇒ bit-identical θ, topic ranking, and phrase annotations,
 //! regardless of backend, shard count, batch, or which thread runs it.
 //!
-//! The chain is **not** implemented here: each document runs
-//! `topmine_lda::kernel`'s [`fold_in`] — the chain held-out perplexity runs
-//! too, over the same per-clique posterior and draw training uses —
-//! through its frozen-φ [`FrozenPhiView`], so serving inference can never
-//! drift from the trained model's Eq. 7.
+//! The chain is **not** implemented here: the batch's documents are the
+//! chains of one call to `topmine_lda::kernel`'s [`fold_in`] — the chain
+//! held-out perplexity runs too, over the same per-clique posterior and
+//! draw training uses — through its frozen-φ [`FrozenPhiView`], so serving
+//! inference can never drift from the trained model's Eq. 7. `fold_in`
+//! runs two documents' chains side by side, each with its own seeded RNG
+//! and counts, so every document folds in bit-identically to a batch of
+//! one (the kernel's "Interleaved chains"); it hands each finished chain
+//! back by index, and its θ, ranking and annotations are assembled then.
 //!
 //! [`try_infer_docs_amortized`] is the one batch function: the admission
 //! dispatcher (`crate::dispatch`) calls it once per coalesced batch,
@@ -46,7 +50,7 @@ use crate::backend::{BackendError, ModelBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use topmine_lda::kernel::{fold_in, FoldInScratch, FrozenPhiView};
+use topmine_lda::kernel::{fold_in, FoldInChain, FoldInScratch, FrozenPhiView};
 use topmine_phrase::ConstructScratch;
 use topmine_util::FxHashMap;
 
@@ -189,14 +193,15 @@ pub struct BatchItem {
 /// Fold in a batch of documents with **one** φ scatter-gather for the
 /// whole batch: the union of every document's distinct words is gathered
 /// once ([`ModelBackend::try_gather_phi_batch`] — a single fan-out behind
-/// a router), then each document's chain runs against its rows of the
-/// shared table.
+/// a router), then one [`fold_in`] call runs every document's chain, with
+/// its own sweep count, against its rows of the shared table.
 ///
 /// Bit-identical to calling [`infer_doc`] (a batch of one) per document
 /// with the same seeds: the gathered entries are the exact trained `f64`s
 /// whichever table they sit in, each document's tokens index the same
 /// values, and each chain consumes its own freshly seeded RNG — only the
-/// row *addressing* changes, never an operand or a draw.
+/// row *addressing*, and which chain shares a fold-in step with which,
+/// change, never an operand or a draw.
 pub fn infer_docs_amortized(model: &dyn ModelBackend, items: &[BatchItem]) -> Vec<DocInference> {
     try_infer_docs_amortized(model, items, None).unwrap_or_else(|e| {
         panic!("phi gather failed: {e} (fallible backends use try_infer_docs_amortized)")
@@ -264,39 +269,38 @@ pub fn try_infer_docs_amortized(
     metrics.batch_phi_columns_naive.add(naive_columns);
     let view = FrozenPhiView::new(&phi, batch_distinct.len(), k);
 
-    // Chain buffers are reused across the batch's documents; each chain
-    // fully resets them.
-    let mut chain = FoldInScratch::default();
-
+    // Each chain's RNG is seeded as its lane takes it up; `fold_in` hands
+    // every finished chain back by index.
+    let chains = items.iter().enumerate().map(|(d, item)| FoldInChain {
+        rng: StdRng::seed_from_u64(item.seed),
+        tokens: &local_tokens[d],
+        spans: &spans[d],
+        iters: item.config.fold_iters,
+    });
+    let mut results: Vec<DocInference> = std::iter::repeat_with(DocInference::default)
+        .take(items.len())
+        .collect();
     let fold = metrics.stage(crate::metrics::Stage::FoldIn).span();
-    let results = items
-        .iter()
-        .enumerate()
-        .map(|(d, item)| {
+    fold_in(
+        &view,
+        alpha,
+        chains,
+        &mut FoldInScratch::default(),
+        |d, ndk, z| {
             metrics.infer_docs_total.inc();
-            let mut rng = StdRng::seed_from_u64(item.seed);
-            fold_in(
-                &mut rng,
-                &view,
-                alpha,
-                &local_tokens[d],
-                &spans[d],
-                item.config.fold_iters,
-                &mut chain,
-            );
-            assemble_inference(
+            results[d] = assemble_inference(
                 model,
                 alpha,
                 k,
                 &prepared[d].doc.tokens,
                 &spans[d],
-                &chain.ndk,
-                &chain.z,
-                item.config.top_topics,
+                ndk,
+                z,
+                items[d].config.top_topics,
                 prepared[d].n_oov,
-            )
-        })
-        .collect();
+            );
+        },
+    );
     fold.stop();
     Ok(results)
 }
@@ -449,20 +453,32 @@ mod tests {
             "",
             "zzzz qqqq",
             "support vector machines, mining frequent patterns",
+            "data streams, support vector machines for classification",
+            "frequent patterns",
         ];
-        let items: Vec<BatchItem> = texts
-            .iter()
-            .enumerate()
-            .map(|(i, t)| BatchItem {
-                text: t.to_string(),
-                config: cfg.clone(),
-                seed: cfg.seed_for_index(i),
-            })
-            .collect();
-        let batched = infer_docs_amortized(&m, &items);
-        for (i, item) in items.iter().enumerate() {
-            let single = infer_doc(&m, &item.text, &cfg, cfg.seed_for_index(i));
-            assert_eq!(batched[i], single, "doc {i} diverged");
+        // One sweep count for every document, then a coalesced batch whose
+        // jobs asked for different ones (0 sweeps included).
+        let uniform = [cfg.fold_iters; 7];
+        let mixed = [20, 0, 1, 5, 20, 1, 0];
+        for iters in [uniform, mixed] {
+            let items: Vec<BatchItem> = texts
+                .iter()
+                .zip(iters)
+                .enumerate()
+                .map(|(i, (t, fold_iters))| BatchItem {
+                    text: t.to_string(),
+                    config: InferConfig {
+                        fold_iters,
+                        ..cfg.clone()
+                    },
+                    seed: cfg.seed_for_index(i),
+                })
+                .collect();
+            let batched = infer_docs_amortized(&m, &items);
+            for (i, item) in items.iter().enumerate() {
+                let single = infer_doc(&m, &item.text, &item.config, item.seed);
+                assert_eq!(batched[i], single, "doc {i} diverged at {iters:?} sweeps");
+            }
         }
         assert!(infer_docs_amortized(&m, &[]).is_empty());
     }

@@ -360,14 +360,23 @@ pub(crate) fn header_pairs(fields: &HeaderFields) -> Vec<(String, String)> {
 
 // ----- reading --------------------------------------------------------------
 
-/// The hyperparameters fold-in needs: at least one topic, a finite
-/// Algorithm 2 threshold, and α and β finite and positive (an infinite α
-/// makes θ NaN). The error names the key at fault. Loaders check this as
-/// they parse a bundle header; in-memory models check it in `validate`.
+/// The hyperparameters fold-in needs: at least one topic and at most
+/// 65 535, the bound training holds too (fold-in stores each span's topic
+/// as a `u16`), a finite Algorithm 2 threshold, and α and β finite and
+/// positive (an infinite α makes θ NaN). The error names the key at
+/// fault. Loaders check this as they parse a bundle header; in-memory
+/// models check it in `validate`.
 pub(crate) fn check_hyperparameters(header: &ModelHeader, alpha: &[f64]) -> Result<(), String> {
     let positive = |x: f64| x.is_finite() && x > 0.0;
     if header.n_topics == 0 {
         return Err("n_topics is 0: a model needs at least one topic".into());
+    }
+    if header.n_topics > u16::MAX as usize {
+        return Err(format!(
+            "n_topics is {}: fold-in stores a topic in 16 bits, so at most {}",
+            header.n_topics,
+            u16::MAX
+        ));
     }
     if !header.seg_alpha.is_finite() {
         return Err(format!(
@@ -1176,7 +1185,9 @@ mod tests {
     #[test]
     fn a_header_of_200_000_topics_is_read_in_seconds() {
         // Taking each key costs the same however many pairs are left, so
-        // the K `alpha` pairs load in time linear in K.
+        // the K `alpha` pairs load in time linear in K. They are taken
+        // directly: `take_fields` refuses a model of more than 65 535
+        // topics once it has them.
         const K: usize = 200_000;
         let dir = tmpdir("many-topics");
         let mut many = fields();
@@ -1194,11 +1205,8 @@ mod tests {
         let reader_dir = dir.clone();
         std::thread::spawn(move || {
             let read = Header::read(&reader_dir, "manifest.tsv", "topmine-test/1")
-                .and_then(|mut header| {
-                    let fields = header.take_fields()?;
-                    header.finish()?;
-                    Ok(fields.alpha.len())
-                })
+                .and_then(|mut header| header.take_vec::<f64>(|t| format!("alpha{t}"), K))
+                .map(|alpha| alpha.len())
                 .map_err(|e| e.to_string());
             let _ = tx.send(read);
         });

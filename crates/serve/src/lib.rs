@@ -28,10 +28,10 @@
 //!   frozen lexicon (Algorithm 2 on its node ids, one scratch per batch),
 //!   gather the φ columns a batch touches once, then run the kernel's
 //!   fixed-φ Gibbs chain (`topmine_lda::kernel::fold_in`, the one held-out
-//!   perplexity runs too) per document, preserving the phrase-clique
-//!   constraint (Eq. 7), to get θ, topic rankings, and per-phrase topic
-//!   annotations — deterministic given a seed, and one document is a
-//!   batch of one. [`try_infer_docs_amortized`](infer::try_infer_docs_amortized)
+//!   perplexity runs too) per document, two documents' chains side by
+//!   side, preserving the phrase-clique constraint (Eq. 7), to get θ,
+//!   topic rankings, and per-phrase topic annotations — deterministic
+//!   given a seed, and one document is a batch of one. [`try_infer_docs_amortized`](infer::try_infer_docs_amortized)
 //!   is the one batch function; `topmine infer` calls it once per block of
 //!   input lines on the workspace's scheduler (`topmine_util::par`);
 //! * [`http`] / `dispatch` — the **server** (`topmine serve`): a std-only

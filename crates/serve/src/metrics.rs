@@ -15,18 +15,26 @@ pub enum Stage {
     /// Reading and parsing the request head + body (keep-alive idle time
     /// between requests is not counted).
     Parse,
+    /// Waiting in the admission queue: from `InferService::try_submit`
+    /// admitting a job to a dispatcher taking it, one observation per job
+    /// whatever its document count.
+    QueueWait,
     /// Gathering φ columns for the document's distinct words
     /// (scatter-gather across shards when the bundle is sharded).
     PhiGather,
     /// The fold-in Gibbs sweeps over the gathered columns.
     FoldIn,
-    /// Rendering the response and writing it to the socket.
+    /// Framing the response (`render_response`: status line, headers and
+    /// the route's body) and writing it to the socket. An inference body's
+    /// JSON is rendered earlier, by the dispatcher (`dispatch_batch`), and
+    /// no stage times that.
     Serialize,
 }
 
 impl Stage {
-    pub const ALL: [Stage; 4] = [
+    pub const ALL: [Stage; 5] = [
         Stage::Parse,
+        Stage::QueueWait,
         Stage::PhiGather,
         Stage::FoldIn,
         Stage::Serialize,
@@ -35,6 +43,7 @@ impl Stage {
     pub fn as_str(self) -> &'static str {
         match self {
             Stage::Parse => "parse",
+            Stage::QueueWait => "queue_wait",
             Stage::PhiGather => "phi_gather",
             Stage::FoldIn => "fold_in",
             Stage::Serialize => "serialize",
@@ -44,9 +53,10 @@ impl Stage {
     fn index(self) -> usize {
         match self {
             Stage::Parse => 0,
-            Stage::PhiGather => 1,
-            Stage::FoldIn => 2,
-            Stage::Serialize => 3,
+            Stage::QueueWait => 1,
+            Stage::PhiGather => 2,
+            Stage::FoldIn => 3,
+            Stage::Serialize => 4,
         }
     }
 }
@@ -58,7 +68,7 @@ const ROUTES: [&str; 5] = ["/healthz", "/model", "/infer", "/infer_batch", "/met
 /// One-time-registered handles for everything the serving stack records.
 #[derive(Debug)]
 pub struct ServeMetrics {
-    stage_seconds: [Arc<Histogram>; 4],
+    stage_seconds: [Arc<Histogram>; 5],
     /// Per-route handling time (dispatch through response write), indexed
     /// like [`ROUTES`] with `other` at the end.
     route_seconds: [Arc<Histogram>; 6],

@@ -4,11 +4,11 @@
 //! `InvalidData` naming it — never `Ok`, never a panic.
 //!
 //! A bundle whose digests are intact but whose values fold-in cannot use
-//! (an infinite α or `seg_alpha`, a negative or NaN φ value, a lexicon
-//! line with a word id outside the vocabulary, a first word outside its
-//! shard's range, a phrase listed twice, or a vocabulary word listed in
-//! two shards) is refused the same way, naming the key, or the file (and
-//! the line, for a lexicon line).
+//! (an infinite α or `seg_alpha`, more than 65 535 topics, a negative or
+//! NaN φ value, a lexicon line with a word id outside the vocabulary, a
+//! first word outside its shard's range, a phrase listed twice, or a
+//! vocabulary word listed in two shards) is refused the same way, naming
+//! the key, or the file (and the line, for a lexicon line).
 //!
 //! Bundles covered: the one-shard bundle of a default save
 //! (`FrozenModel::save`) and a 2-shard bundle. Loaders covered, on both:
@@ -362,14 +362,28 @@ fn refuses_sealed_lexicon_lines() {
 #[test]
 fn sealed_bundles_with_values_that_break_fold_in_are_refused() {
     // Saved through the savers, so every digest matches: only the values
-    // are wrong. An infinite α makes θ NaN; the draw needs finite,
+    // are wrong. An infinite α makes θ NaN; fold-in stores a topic in 16
+    // bits, so 65 536 topics are one too many; the draw needs finite,
     // non-negative φ; an infinite threshold breaks Algorithm 2.
     type Edit = fn(&mut FrozenModel);
-    let one_shard: [(&str, Edit, &str, &str); 4] = [
+    let one_shard: [(&str, Edit, &str, &str); 5] = [
         (
             "alpha",
             |m| m.alpha[0] = f64::INFINITY,
             "alpha0",
+            "manifest.tsv",
+        ),
+        (
+            "topics",
+            // The fitted model's few words keep φ at 65 536 × V small.
+            |m| {
+                let k = 1 << 16;
+                let (alpha, phi) = (&m.alpha, &m.phi);
+                let alpha = (0..k).map(|t| alpha[t % alpha.len()]).collect();
+                let phi = (0..k).map(|t| phi[t % phi.len()].clone()).collect();
+                (m.header.n_topics, m.alpha, m.phi) = (k, alpha, phi);
+            },
+            "n_topics",
             "manifest.tsv",
         ),
         (

@@ -178,9 +178,14 @@ fn scrape_is_parseable_and_carries_core_series() {
         1.0
     );
 
-    // Per-stage histograms: both identical requests ran a gather and a
-    // fold-in pass; no response is kept to answer the second. Parse ran for
-    // every request.
+    // Per-stage histograms: both identical requests waited in the
+    // admission queue once each and ran a gather and a fold-in pass; no
+    // response is kept to answer the second. The bad request never reached
+    // the queue. Parse ran for every request.
+    assert_eq!(
+        get("topmine_request_stage_seconds_count{stage=\"queue_wait\"}"),
+        2.0
+    );
     assert_eq!(
         get("topmine_request_stage_seconds_count{stage=\"fold_in\"}"),
         2.0
@@ -197,7 +202,10 @@ fn scrape_is_parseable_and_carries_core_series() {
         })
         .collect();
     stages.sort_unstable();
-    assert_eq!(stages, ["fold_in", "parse", "phi_gather", "serialize"]);
+    assert_eq!(
+        stages,
+        ["fold_in", "parse", "phi_gather", "queue_wait", "serialize"]
+    );
     // Parse for this scrape itself is already recorded (it happens before
     // route dispatch); its serialize span lands after the body renders.
     assert!(get("topmine_request_stage_seconds_count{stage=\"parse\"}") >= 6.0);
