@@ -188,11 +188,13 @@ impl ToPMineModel {
 fn report_mining(tel: &MiningTelemetry) {
     for l in &tel.levels {
         eprintln!(
-            "[topmine] mine level {}: {} candidates, {} frequent, {} docs active ({:.1} ms)",
+            "[topmine] mine level {}: {} candidates, {} frequent, {} docs active, \
+             largest counting partition {} slots ({:.1} ms)",
             l.level,
             l.candidates,
             l.frequent,
             l.docs_out,
+            l.max_part_slots,
             l.nanos as f64 / 1e6,
         );
     }

@@ -130,21 +130,39 @@ pub const KERNEL_VERSION: u32 = 2;
 
 /// Read-side abstraction over the word factor of Eq. 7.
 ///
-/// `word_numerator` receives the token `w` (in whatever id space the view
+/// The numerator receives the token `w` (in whatever id space the view
 /// was built over — global vocabulary ids for training views, document-
 /// local ids for gathered views) and `m`, the number of earlier occurrences
-/// of `w` *within the clique*. `word_denominator` receives `j`, the number
+/// of `w` *within the clique*. The denominator receives `j`, the number
 /// of clique tokens already placed under topic `t`.
+///
+/// Loops over topics take a row once ([`CountsView::numerators`],
+/// [`CountsView::denominators`]): its tables are resliced to K there, so
+/// the loop checks no bounds.
 pub trait CountsView {
-    /// Whether `word_numerator` reads its `m` argument. Frozen-φ views
+    /// Whether the numerator reads its `m` argument. Frozen-φ views
     /// don't (φ carries no Gamma-ratio correction), which lets
     /// [`clique_posterior`] skip the multiplicity pass entirely on the
     /// serving and held-out hot paths.
     const USES_MULTIPLICITY: bool = true;
 
     fn n_topics(&self) -> usize;
-    fn word_numerator(&self, w: u32, t: usize, m: u32) -> f64;
-    fn word_denominator(&self, t: usize, j: u32) -> f64;
+
+    /// Word `w`'s numerator at every topic `t < K`, as `row(t, m)`.
+    fn numerators(&self, w: u32) -> impl Fn(usize, u32) -> f64 + '_;
+
+    /// The denominator at every topic `t < K`, as `row(t, j)`.
+    fn denominators(&self) -> impl Fn(usize, u32) -> f64 + '_;
+
+    /// Word `w`'s numerator at topic `t`.
+    fn word_numerator(&self, w: u32, t: usize, m: u32) -> f64 {
+        self.numerators(w)(t, m)
+    }
+
+    /// The denominator at topic `t`.
+    fn word_denominator(&self, t: usize, j: u32) -> f64 {
+        self.denominators()(t, j)
+    }
 }
 
 /// Training view over `N_wk`/`N_k` count tables: `num = β + N_wk + m`,
@@ -180,13 +198,15 @@ impl CountsView for TrainView<'_> {
     }
 
     #[inline]
-    fn word_numerator(&self, w: u32, t: usize, m: u32) -> f64 {
-        self.beta + self.n_wk[w as usize * self.k + t] as f64 + m as f64
+    fn numerators(&self, w: u32) -> impl Fn(usize, u32) -> f64 + '_ {
+        let n_wk = &self.n_wk[w as usize * self.k..][..self.k];
+        move |t, m| self.beta + n_wk[t] as f64 + m as f64
     }
 
     #[inline]
-    fn word_denominator(&self, t: usize, j: u32) -> f64 {
-        self.v_beta + self.n_k[t] as f64 + j as f64
+    fn denominators(&self) -> impl Fn(usize, u32) -> f64 + '_ {
+        let n_k = &self.n_k[..self.k];
+        move |t, j| self.v_beta + n_k[t] as f64 + j as f64
     }
 }
 
@@ -216,13 +236,14 @@ impl CountsView for FrozenPhiView<'_> {
     }
 
     #[inline]
-    fn word_numerator(&self, w: u32, t: usize, _m: u32) -> f64 {
-        self.phi[w as usize * self.k + t]
+    fn numerators(&self, w: u32) -> impl Fn(usize, u32) -> f64 + '_ {
+        let phi = &self.phi[w as usize * self.k..][..self.k];
+        move |t, _| phi[t]
     }
 
     #[inline]
-    fn word_denominator(&self, _t: usize, _j: u32) -> f64 {
-        1.0
+    fn denominators(&self) -> impl Fn(usize, u32) -> f64 + '_ {
+        |_, _| 1.0
     }
 }
 
@@ -256,13 +277,15 @@ impl CountsView for FixedPhiView<'_> {
     }
 
     #[inline]
-    fn word_numerator(&self, w: u32, t: usize, _m: u32) -> f64 {
-        self.n_wk[w as usize * self.k + t] as f64 + self.beta
+    fn numerators(&self, w: u32) -> impl Fn(usize, u32) -> f64 + '_ {
+        let n_wk = &self.n_wk[w as usize * self.k..][..self.k];
+        move |t, _| n_wk[t] as f64 + self.beta
     }
 
     #[inline]
-    fn word_denominator(&self, t: usize, _j: u32) -> f64 {
-        self.phi_den[t]
+    fn denominators(&self) -> impl Fn(usize, u32) -> f64 + '_ {
+        let phi_den = &self.phi_den[..self.k];
+        move |t, _| phi_den[t]
     }
 }
 
@@ -323,7 +346,9 @@ const RESCALE_HI: f64 = f64::from_bits(1279 << 52); // 2^256
 /// which recomputes an entry from the same two operands whenever its count
 /// changes. Either way a weight reads the same `f64`.
 trait DocSide {
-    fn at(&self, t: usize) -> f64;
+    /// The side at every topic `t < k`, resliced to `k` once, so a loop
+    /// over topics checks no bounds.
+    fn topics(&self, k: usize) -> impl Fn(usize) -> f64 + '_;
 }
 
 /// `α_t + N_dt`, formed on every read.
@@ -334,30 +359,28 @@ struct DocCounts<'a> {
 
 impl DocSide for DocCounts<'_> {
     #[inline(always)]
-    fn at(&self, t: usize) -> f64 {
-        self.alpha[t] + self.ndk[t] as f64
+    fn topics(&self, k: usize) -> impl Fn(usize) -> f64 + '_ {
+        let (alpha, ndk) = (&self.alpha[..k], &self.ndk[..k]);
+        move |t| alpha[t] + ndk[t] as f64
     }
 }
 
 impl DocSide for [f64] {
     #[inline(always)]
-    fn at(&self, t: usize) -> f64 {
-        self[t]
+    fn topics(&self, k: usize) -> impl Fn(usize) -> f64 + '_ {
+        let side = &self[..k];
+        move |t| side[t]
     }
 }
 
-/// The Eq. 7 weight of topic `t` for a singleton clique `[w]`: the
-/// general product at s = 1 (`1.0 * x = x` and `y + 0.0 = y` are IEEE 754
+/// The Eq. 7 weight of a singleton clique `[w]` at one topic, from the
+/// document side, `w`'s numerator and the denominator there: the general
+/// product at s = 1 (`1.0 * x = x` and `y + 0.0 = y` are IEEE 754
 /// identities for the positive finite values here, so the two agree bit
 /// for bit).
 #[inline(always)]
-fn singleton_weight<V: CountsView, D: DocSide + ?Sized>(
-    view: &V,
-    doc: &D,
-    w: u32,
-    t: usize,
-) -> f64 {
-    doc.at(t) * view.word_numerator(w, t, 0) / view.word_denominator(t, 0)
+fn singleton_weight(doc: f64, num: f64, den: f64) -> f64 {
+    doc * num / den
 }
 
 /// Compute the unnormalized Eq. 7 posterior over topics for one clique.
@@ -402,8 +425,10 @@ fn clique_weights<V: CountsView, D: DocSide + ?Sized>(
     if let [w] = tokens {
         // Singleton fast path: after segmentation most cliques are
         // unigrams — no multiplicity pass, no `fill(1.0)`, no rescale.
-        for (t, slot) in weights.iter_mut().enumerate() {
-            *slot = singleton_weight(view, doc, *w, t);
+        let k = view.n_topics();
+        let (doc, num, den) = (doc.topics(k), view.numerators(*w), view.denominators());
+        for (t, slot) in weights[..k].iter_mut().enumerate() {
+            *slot = singleton_weight(doc(t), num(t, 0), den(t, 0));
         }
     } else {
         clique_product(view, doc, tokens, scratch, weights);
@@ -428,9 +453,11 @@ pub fn sample_clique<R: RngCore, V: CountsView>(
         ndk: doc_ndk,
     };
     if let [w] = tokens {
+        let k = view.n_topics();
+        let (doc, num, den) = (doc.topics(k), view.numerators(*w), view.denominators());
         let mut acc = 0.0;
-        for (t, slot) in cum.iter_mut().enumerate() {
-            acc += singleton_weight(view, &doc, *w, t);
+        for (t, slot) in cum[..k].iter_mut().enumerate() {
+            acc += singleton_weight(doc(t), num(t, 0), den(t, 0));
             *slot = acc;
         }
     } else {
@@ -672,6 +699,11 @@ fn clique_product<V: CountsView, D: DocSide + ?Sized>(
     if V::USES_MULTIPLICITY {
         fill_multiplicities(tokens, scratch);
     }
+    // The weights, the document side and each word's row are resliced to
+    // K once, so the topic loop below checks no bounds.
+    let k = view.n_topics();
+    let weights = &mut weights[..k];
+    let (doc, den) = (doc.topics(k), view.denominators());
     weights.fill(1.0);
     // Token-major: each weight slot sees the same left-to-right product of
     // `num_doc * num_word / den` factors as the old per-topic loop, so the
@@ -686,9 +718,10 @@ fn clique_product<V: CountsView, D: DocSide + ?Sized>(
             0
         };
         let jf = j as f64;
+        let num = view.numerators(w);
         for (t, slot) in weights.iter_mut().enumerate() {
-            let num_doc = doc.at(t) + jf;
-            *slot *= num_doc * view.word_numerator(w, t, m) / view.word_denominator(t, j as u32);
+            let num_doc = doc(t) + jf;
+            *slot *= num_doc * num(t, m) / den(t, j as u32);
         }
         if rescale_check {
             let max = weights.iter().fold(0.0f64, |a, &b| a.max(b));

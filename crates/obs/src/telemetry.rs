@@ -109,6 +109,9 @@ pub struct MiningLevel {
     pub docs_out: u64,
     /// Wall time of the level (count + merge + prune).
     pub nanos: u64,
+    /// Slots of the largest counting partition (`U64Map`) any worker
+    /// held at the level, the merge tables included: 16 bytes a slot.
+    pub max_part_slots: u64,
 }
 
 /// Per-run telemetry of the Algorithm 1 miner, one entry per level.

@@ -201,6 +201,12 @@ impl FrequentPhraseMiner {
             // survivors arrive sorted by packed key, which fixes their node
             // ids independently of thread count.
             let (survivors, candidates) = merge_frequent(&mut workers, eps);
+            let max_part_slots = workers
+                .iter()
+                .flat_map(|w| &w.parts)
+                .map(|part| part.capacity() as u64)
+                .max()
+                .unwrap_or(0);
 
             if survivors.is_empty() {
                 tel.levels.push(MiningLevel {
@@ -211,6 +217,7 @@ impl FrequentPhraseMiner {
                     docs_in,
                     docs_out: 0,
                     nanos: t_level.elapsed().as_nanos() as u64,
+                    max_part_slots,
                 });
                 break;
             }
@@ -241,6 +248,7 @@ impl FrequentPhraseMiner {
                 docs_in,
                 docs_out: docs_out as u64,
                 nanos: t_level.elapsed().as_nanos() as u64,
+                max_part_slots,
             });
             if self.config.disable_doc_pruning && docs_out == 0 {
                 // Keep documents alive but stop once *all* are exhausted.
@@ -624,6 +632,9 @@ mod tests {
             assert!(l.frequent <= l.candidates);
             assert!(l.candidates <= l.occurrences);
             assert!(l.docs_out <= l.docs_in);
+            // One worker: its one partition doubles as the merge table,
+            // which holds every candidate.
+            assert!(l.max_part_slots >= l.candidates.max(1));
         }
         // Total frequent multiword phrases match the stats map.
         assert_eq!(tel.frequent(), stats.n_frequent_ngrams() as u64);
