@@ -4,8 +4,7 @@
 //!
 //! This is the most complex comparison method; the original uses a full
 //! Chinese-restaurant-franchise sampler over a hierarchical PYP language
-//! model per topic. We implement a faithful-but-bounded variant (documented
-//! in DESIGN.md §3):
+//! model per topic. We implement a faithful-but-bounded variant:
 //!
 //! * documents are segmented into latent n-grams of length ≤ `max_ngram`;
 //! * each segment draws one topic from the document's Dirichlet-multinomial

@@ -1,4 +1,4 @@
-//! A/B benchmark proving the training telemetry is near-zero-cost on the
+//! A/B gate proving the training telemetry is near-zero-cost on the
 //! singleton-draw hot path.
 //!
 //! The sweep's instrumented form calls [`sample_singleton_sparse_split`]
@@ -8,16 +8,15 @@
 //! form is the plain [`sample_singleton_sparse`] wrapper. Both consume the
 //! identical RNG stream, so the A/B difference is purely the tag + tally.
 //!
-//! Besides the criterion report, a CI gate runs when
-//! `TOPMINE_MAX_OBS_OVERHEAD_PCT` is set: min-of-N interleaved timing of
-//! long draw loops, asserting the instrumented path is within the given
-//! percentage of the raw one. Min-of-N because on a shared runner the
-//! minimum is the least noisy location statistic — any scheduler
-//! interference only inflates samples.
+//! `cargo bench --bench obs_overhead` times long draw loops min-of-N
+//! interleaved, prints the measurement, and fails when the instrumented
+//! path is more than [`MAX_OVERHEAD_PCT`] slower than the raw one.
+//! Min-of-N because on a shared runner the minimum is the least noisy
+//! location statistic — any scheduler interference only inflates samples.
 
-use criterion::{black_box, criterion_group, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 use std::time::Instant;
 use topmine_lda::kernel::{
     sample_singleton_sparse, sample_singleton_sparse_split, DocBucket, SingletonBucket,
@@ -25,10 +24,14 @@ use topmine_lda::kernel::{
 };
 use topmine_lda::DrawSplit;
 
-/// Mid-sweep sampling state at the V = 100k / K = 32 shape the fit
-/// benchmark gates: the word active in one topic, the document in ~half,
-/// two topics dirty since the last alias rebuild (mirrors
-/// `bench_sparse_kernel` in `gibbs.rs`).
+/// The most the instrumented draw may exceed the raw one by, in percent.
+/// Measured overhead: ~+0.5% on quiet hardware; −3.6% to +2.0% on a shared
+/// 2-vCPU VM (12 runs, each passing on its first attempt).
+const MAX_OVERHEAD_PCT: f64 = 2.0;
+
+/// Mid-sweep sampling state at a V = 100k / K = 32 shape: the word active
+/// in one topic (the common case when the vocabulary dwarfs the corpus),
+/// the document in ~half, two topics dirty since the last alias rebuild.
 struct DrawState {
     alpha: Vec<f64>,
     v_beta: f64,
@@ -138,25 +141,6 @@ fn run_instrumented(
     (sink, split)
 }
 
-fn bench_obs_overhead(c: &mut Criterion) {
-    let state = draw_state();
-    let mut group = c.benchmark_group("obs_overhead");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("singleton_draw_raw", |b| {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut q_buf = Vec::new();
-        b.iter(|| run_raw(&state, &mut rng, &mut q_buf, 1));
-    });
-    group.bench_function("singleton_draw_instrumented", |b| {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut q_buf = Vec::new();
-        b.iter(|| run_instrumented(&state, &mut rng, &mut q_buf, 1));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_obs_overhead);
-
 /// One interleaved min-of-N measurement; returns the overhead percent of
 /// instrumented over raw.
 fn measure_overhead_pct(state: &DrawState) -> f64 {
@@ -191,26 +175,18 @@ fn measure_overhead_pct(state: &DrawState) -> f64 {
     overhead_pct
 }
 
-/// Opt-in CI gate: `TOPMINE_MAX_OBS_OVERHEAD_PCT=<float>` fails the run
-/// when instrumented exceeds raw by more than the given percent. Up to
-/// three independent attempts: a genuine regression fails every attempt,
-/// while a scheduler-noise spike fails at most one.
-fn overhead_gate() {
-    let Some(max_pct) = std::env::var("TOPMINE_MAX_OBS_OVERHEAD_PCT")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    else {
-        return;
-    };
+/// Up to three independent attempts: a genuine regression fails every
+/// attempt, while a scheduler-noise spike fails at most one.
+fn main() {
     let state = draw_state();
     const ATTEMPTS: usize = 3;
     let mut worst = f64::NEG_INFINITY;
     for attempt in 1..=ATTEMPTS {
         let overhead_pct = measure_overhead_pct(&state);
         worst = worst.max(overhead_pct);
-        if overhead_pct <= max_pct {
+        if overhead_pct <= MAX_OVERHEAD_PCT {
             println!(
-                "obs overhead gate passed: {overhead_pct:+.2}% <= {max_pct}% \
+                "obs overhead gate passed: {overhead_pct:+.2}% <= {MAX_OVERHEAD_PCT}% \
                  (attempt {attempt}/{ATTEMPTS})"
             );
             return;
@@ -218,11 +194,6 @@ fn overhead_gate() {
     }
     panic!(
         "telemetry overhead regression: instrumented singleton draw is {worst:.2}% \
-         slower than raw in all {ATTEMPTS} attempts (allowed {max_pct}%)"
+         slower than raw in all {ATTEMPTS} attempts (allowed {MAX_OVERHEAD_PCT}%)"
     );
-}
-
-fn main() {
-    benches();
-    overhead_gate();
 }

@@ -1,4 +1,4 @@
-//! **Ablations** — the design choices DESIGN.md §5 calls out, each isolated:
+//! **Ablations** — the design choices of the ToPMine framework, each isolated:
 //!
 //! (a) punctuation chunking on/off — candidate growth and runtime;
 //! (b) data-antimonotonicity document pruning on/off — runtime only

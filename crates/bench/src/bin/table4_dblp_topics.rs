@@ -27,8 +27,8 @@ fn main() {
     );
     print_topic_table(&synth, &model, 10);
     println!(
-        "(paper Table 4 shows 5 of a 50-topic run on the real 529K-abstract corpus; here K = {} \
-         planted topics on the synthetic corpus — see EXPERIMENTS.md)",
+        "(paper Table 4 shows 5 of a 50-topic run on the real 529K-abstract corpus, which is not \
+         redistributable; here K = {} planted topics on the synthetic corpus of topmine_synth)",
         synth.n_topics
     );
 }

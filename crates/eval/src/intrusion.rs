@@ -4,7 +4,7 @@
 //! Each question shows 4 phrases: 3 drawn from the top-10 of one topic and
 //! 1 intruder from the top phrases of a *different* topic; raters must spot
 //! the intruder. The paper used 20 questions × 3 human annotators per
-//! method; here annotators are simulated (DESIGN.md §3): an annotator picks
+//! method; here annotators are simulated: an annotator picks
 //! the phrase with the lowest mean document-co-occurrence (NPMI) with the
 //! other three, perturbed by annotator-specific noise, and may abstain when
 //! the margin is too small ("unable to make a choice").

@@ -11,7 +11,7 @@
 //! * [`clustering`] — purity/NMI topic-recovery scores against the planted
 //!   ground truth (beyond the paper: an objective recovery metric).
 //!
-//! Human raters are simulated as documented in DESIGN.md §3; what the
+//! Human raters are simulated (see [`intrusion`] and [`raters`]); what the
 //! harness reproduces is the *ranking behaviour* of the paper's figures.
 
 pub mod clustering;

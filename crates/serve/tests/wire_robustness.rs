@@ -294,6 +294,36 @@ fn shard_closes_a_connection_dripping_its_hello_past_the_deadline() {
     handle.shutdown();
 }
 
+#[test]
+fn shard_answers_two_pipelined_requests_without_stalling() {
+    // Two requests in one segment get two replies, each its own write. With
+    // Nagle's algorithm on the shard's socket, the second reply waits for
+    // the client to acknowledge the first, which a delayed ACK holds for
+    // tens of milliseconds: 50 rounds then take seconds, not milliseconds.
+    const ROUNDS: u64 = 50;
+    let handle = spawn_server();
+    let (mut reader, mut writer) = handshaken(handle.addr());
+    let start = Instant::now();
+    for round in 0..ROUNDS {
+        let ids = [10 + 2 * round, 11 + 2 * round];
+        let mut pair = Vec::new();
+        for id in ids {
+            wire::write_frame(&mut pair, id, Opcode::Ping, &[]).unwrap();
+        }
+        writer.write_all(&pair).unwrap();
+        for id in ids {
+            let pong = wire::read_frame(&mut reader).unwrap();
+            assert_eq!((pong.request_id, pong.opcode), (id, Opcode::Pong));
+        }
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "{ROUNDS} rounds of two pipelined pings took {elapsed:?}"
+    );
+    handle.shutdown();
+}
+
 // ----- router side ----------------------------------------------------------
 
 fn fast_config() -> PoolConfig {

@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates on six proprietary/large corpora (DBLP titles and
 //! abstracts, 20Conf, TREC AP news, ACL abstracts, Yelp reviews) that are
-//! not redistributable. This crate is the substitution documented in
-//! DESIGN.md §3: a generative simulator ([`gen::CorpusGenerator`]) that
+//! not redistributable. This crate substitutes for them with a generative
+//! simulator ([`gen::CorpusGenerator`]) that
 //! produces corpora from an LDA-like process with **planted multi-word
 //! collocations**, plus per-dataset [`profiles`] matching each corpus'
 //! shape (document length, phrase density, background noise, vocabulary
